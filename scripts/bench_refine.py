@@ -2,15 +2,19 @@
 
 Reports the cumulative wall time and final interval width after each
 round, for both builtin pairs, plus the cost of one full-domain parity
-computation at the base working precision.
+computation at the base working precision.  With --json the same figures,
+the Python version and the CPU count are also written to a file.
 
 Usage:
-    python scripts/bench_refine.py --max-rounds 8
+    python scripts/bench_refine.py --max-rounds 8 [--json BENCH_refine.json]
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import platform
 import time
 
 from curvemeet import (
@@ -27,8 +31,16 @@ from curvemeet import (
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-rounds", type=int, default=8)
+    parser.add_argument(
+        "--json", metavar="PATH", help="also write the figures to this file"
+    )
     args = parser.parse_args()
 
+    report: dict = {
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "pairs": {},
+    }
     full = interval(-1, 2)
     for name, (phi, psi) in (
         ("diagonals", diagonal_pair()),
@@ -41,13 +53,31 @@ def main() -> int:
         base = time.perf_counter() - start
         print(f"{name}: base parity {parity} at n=5 in {base:.2f}s")
         print(f"{'rounds':>7} {'total s':>9} {'I width':>12}")
+        runs = []
         for rounds in range(0, args.max_rounds + 1, 2):
             start = time.perf_counter()
             cert = refine_sequence(phi, psi, rounds)
             elapsed = time.perf_counter() - start
             width = float(cert.final.i.width())
             print(f"{rounds:>7} {elapsed:>9.2f} {width:>12.3e}")
+            runs.append(
+                {
+                    "rounds": rounds,
+                    "wall_s": round(elapsed, 3),
+                    "i_width": width,
+                    "j_width": float(cert.final.j.width()),
+                }
+            )
         print()
+        report["pairs"][name] = {
+            "base_parity": parity,
+            "base_parity_s": round(base, 3),
+            "runs": runs,
+        }
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
     return 0
 
 

@@ -110,10 +110,14 @@ class PolylineIndex:
 
     An x-sorted list serves window queries for the crossing sweep.  For
     distance queries a bounding-box tree over the segments in curve
-    order is built on first use; branch-and-bound descent visits only
-    the nodes whose box is closer than the best distance found so far,
-    which stays logarithmic even when the polyline resolution is much
-    finer than the distances involved.
+    order is built on first use.  `sq_dist_to_point` returns the exact
+    nearest squared distance by branch-and-bound descent, visiting only
+    the nodes whose box is closer than the best distance found so far.
+    `any_within` decides the predicate "squared distance < rn/rd"
+    instead: it skips every node whose box lies at least that far away
+    and stops at the first segment strictly inside, so points far from
+    the polyline cost a handful of box tests rather than a search for a
+    nearest segment that the caller never needed.
     """
 
     __slots__ = ("segs", "minxs", "max_extent", "_pts", "_nodes", "_root")
@@ -224,6 +228,32 @@ class PolylineIndex:
                     push((rgap, rnode))
         assert best_n is not None
         return Fraction(best_n, best_d)
+
+    def any_within(self, px: int, py: int, rn: int, rd: int) -> bool:
+        """True iff the squared distance from an integer point to the
+        polyline is strictly below rn/rd (rd > 0)."""
+        nodes = self._tree()
+        stack = [nodes[self._root]]
+        push = stack.append
+        pop = stack.pop
+        while stack:
+            node = pop()
+            xg = node[0] - px if px < node[0] else (px - node[1] if px > node[1] else 0)
+            yg = node[2] - py if py < node[2] else (py - node[3] if py > node[3] else 0)
+            # every segment in the box is at least the box gap away
+            if (xg * xg + yg * yg) * rd >= rn:
+                continue
+            li = node[4]
+            if li < 0:
+                n, d = seg_point_sqdist(
+                    node[6], node[7], node[8], node[9], px, py
+                )
+                if n * rd < rn * d:
+                    return True
+            else:
+                push(nodes[node[5]])
+                push(nodes[li])
+        return False
 
 
 def min_sqdist_exceeds(

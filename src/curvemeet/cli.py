@@ -17,7 +17,15 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .errors import EffortExhausted, EndpointViolation, SpecFileError
+from .errors import (
+    CurveMeetError,
+    EffortExhausted,
+    EndpointViolation,
+    OutOfDomain,
+    PreconditionViolated,
+    SpecFileError,
+    UsageError,
+)
 from .exact_geom import Interval, interval, pow2, pt, rat, smallest_n_below
 from .parity import certify_alpha, function_parity
 from .paths import (
@@ -240,6 +248,8 @@ def _write_output(path: str, text: str) -> None:
 
 
 def _cmd_intersect(args: argparse.Namespace) -> int:
+    if args.iterations < 0:
+        raise UsageError("--iterations must not be negative")
     phi, psi, raw = load_path_spec(args.spec)
     cert = refine_sequence(
         phi,
@@ -267,18 +277,21 @@ def _cmd_intersect(args: argparse.Namespace) -> int:
 def _cli_interval(bounds: list[str] | None) -> Interval:
     if bounds is None:
         return _EXTENDED
-    return Interval(rat(bounds[0]), rat(bounds[1]))
+    try:
+        lo, hi = rat(bounds[0]), rat(bounds[1])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"invalid interval bound: {exc}") from exc
+    if lo >= hi:
+        raise UsageError(f"empty parameter interval [{lo}, {hi}]")
+    return Interval(lo, hi)
 
 
 def _cmd_parity(args: argparse.Namespace) -> int:
+    i = _cli_interval(args.first_interval)
+    j = _cli_interval(args.second_interval)
     phi, psi, _ = load_path_spec(args.spec)
     f = extend(phi, Side.LOWER)
     g = extend(psi, Side.UPPER)
-    try:
-        i = _cli_interval(args.first_interval)
-        j = _cli_interval(args.second_interval)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SpecFileError(f"invalid interval bound: {exc}") from exc
     enc = certify_alpha(f, g, i, j, effort=args.effort)
     n = smallest_n_below(enc.lo / 16)
     parity = function_parity(f, g, i, j, effort=args.effort, n=n)
@@ -394,19 +407,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit code of each error, first match wins; README.md lists them
+_EXIT_CODES: tuple[tuple[type[CurveMeetError], int], ...] = (
+    (SpecFileError, 2),
+    (UsageError, 2),
+    (OutOfDomain, 2),
+    (EndpointViolation, 3),
+    (EffortExhausted, 4),
+    (PreconditionViolated, 5),
+    (CurveMeetError, 6),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.effort < 1:
+            raise UsageError("--effort must be positive")
         return args.func(args)
-    except SpecFileError as exc:
+    except CurveMeetError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EndpointViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except EffortExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -51,3 +51,7 @@ class NotConverged(CurveMeetError):
 
 class SpecFileError(CurveMeetError):
     """A curve description or certificate file cannot be parsed."""
+
+
+class UsageError(CurveMeetError):
+    """A command-line value is malformed or out of range."""

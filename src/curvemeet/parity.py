@@ -145,6 +145,21 @@ def alpha_enclosure(
     return AlphaEnclosure(max(Fraction(0), lo), hi, n)
 
 
+# Largest track, in vertices, that one clearance probe may build.  Probe
+# tracks grow about twofold per bit of precision, so without a cap a
+# clearance that is zero (a window endpoint on the other curve) keeps
+# doubling the probe precision towards `effort` and stalls instead of
+# failing.  A probe costs about 70 us per vertex (6.1 s for 87k vertices
+# on a 2-CPU host under Python 3.11), so the largest probe allowed takes
+# about a minute.
+MAX_PROBE_VERTICES = 2**20
+
+
+def _probe_vertices(f: PathOracle, i: Interval, n: int) -> Fraction:
+    """Upper bound on the vertex count of f's precision-n track on i."""
+    return i.width() * pow2(f.modulus(n) + 1) + 2
+
+
 def certify_alpha(
     f: PathOracle,
     g: PathOracle,
@@ -158,14 +173,24 @@ def certify_alpha(
 
     Raises PreconditionViolated if some enclosure proves the clearance
     is at most target, EffortExhausted if precision `effort` is reached
-    without a decision.
+    without a decision or the next probe would build a track of more
+    than MAX_PROBE_VERTICES vertices.
     """
-    enc = alpha_enclosure(f, g, i, j, probe_start)
+
+    def probe_at(n: int) -> AlphaEnclosure:
+        if max(_probe_vertices(f, i, n), _probe_vertices(g, j, n)) > MAX_PROBE_VERTICES:
+            raise EffortExhausted(
+                f"clearance > {target} not certified: a probe at precision"
+                f" {n} would exceed {MAX_PROBE_VERTICES} track vertices"
+            )
+        return alpha_enclosure(f, g, i, j, n)
+
+    enc = probe_at(probe_start)
     probe = probe_start
     hint = smallest_n_below(enc.hi / 16)
     if enc.lo <= target and hint > probe:
         probe = min(hint, effort)
-        enc = alpha_enclosure(f, g, i, j, probe)
+        enc = probe_at(probe)
     while enc.lo <= target:
         if enc.hi <= target:
             raise PreconditionViolated(
@@ -176,7 +201,7 @@ def certify_alpha(
                 f"clearance > {target} not certified up to precision {effort}"
             )
         probe = min(2 * probe, effort)
-        enc = alpha_enclosure(f, g, i, j, probe)
+        enc = probe_at(probe)
     return enc
 
 

@@ -37,6 +37,9 @@ from .exact_geom import (
 from .track import Track, line_set, spiral_search
 
 _JITTER_SPAN = 32  # random vertex offsets stay within 32 pitches per axis
+# domains are checked on every evaluation, so they are built once
+_UNIT_DOMAIN = interval(0, 1)
+_EXTENDED_DOMAIN = interval(-1, 2)
 
 
 class PathOracle(ABC):
@@ -83,6 +86,7 @@ class PolylinePath(PathOracle):
                 raise ValueError("polyline parameters must increase strictly")
         self._entries = tuple(cooked)
         self._params = tuple(s for s, _ in cooked)
+        self._domain = Interval(self._params[0], self._params[-1])
         slope = Fraction(0)
         for (s0, a), (s1, b) in zip(cooked, cooked[1:]):
             d = b - a
@@ -95,7 +99,7 @@ class PolylinePath(PathOracle):
 
     @property
     def domain(self) -> Interval:
-        return Interval(self._params[0], self._params[-1])
+        return self._domain
 
     def eval_approx(self, t: Fraction, n: int) -> Point:
         self._check_param(t)
@@ -121,7 +125,7 @@ class QuadBezierPath(PathOracle):
 
     @property
     def domain(self) -> Interval:
-        return interval(0, 1)
+        return _UNIT_DOMAIN
 
     def eval_approx(self, t: Fraction, n: int) -> Point:
         self._check_param(t)
@@ -204,7 +208,7 @@ class ExtendedPath(PathOracle):
 
     @property
     def domain(self) -> Interval:
-        return interval(-1, 2)
+        return _EXTENDED_DOMAIN
 
     def eval_approx(self, t: Fraction, n: int) -> Point:
         self._check_param(t)
@@ -228,7 +232,7 @@ def extend(path: PathOracle, side: Side, check_precision: int = 20) -> ExtendedP
     the path is rejected iff its value at 0 or 1 is provably farther than
     the evaluation error allows from the required corner.
     """
-    if path.domain != interval(0, 1):
+    if path.domain != _UNIT_DOMAIN:
         raise ValueError("only unit-interval paths can be extended")
     tol_sq = (2 * pow2(-check_precision)) ** 2
     for t, corner in zip((Fraction(0), Fraction(1)), _CORNERS[side]):

@@ -5,8 +5,9 @@ parameter interval of one curve and then the other while keeping the
 crossing parity equal to 1, so the surviving intervals always contain a
 genuine intersection parameter pair.  The shrink step walks a grid fine
 enough that curve values move by a sixteenth of the target radius,
-measures grid-value distances to the opposing image, and keeps one
-low-distance run whose parity is odd.
+decides for each grid value whether it lies within half the target
+radius of the opposing image, and keeps one low-distance run whose
+parity is odd.
 """
 
 from __future__ import annotations
@@ -94,9 +95,12 @@ def shrink_first(
 
     Requires 2^-n below the endpoint clearance and parity 1 on (i, j);
     both are certified here unless the caller vouches for them.  Grid
-    values of f are classified low/high against 2^-n/2 using distances
-    measured to within 2^-n/16; runs of low points bounded by their high
-    neighbors split the parity additively, so some low run is odd.
+    values of f are classified low/high against 2^-n/2: a value is low
+    iff its exact squared distance q to the polyline approximating g is
+    below 4^-(n+1), which is the rule "sqrt_enclosure(q, n+9).lo <
+    2^-n/2" decided without rounding.  Runs of low points bounded by
+    their high neighbors split the parity additively, so some low run
+    is odd.
     """
     eps = pow2(-n)
     if not skip_precondition_checks:
@@ -107,25 +111,30 @@ def shrink_first(
             )
     # consecutive grid values of f move by less than 2^-n/16
     grid = dyadic_grid(i.lo, i.hi, f.modulus(n + 4))
-    # distance error budget: evaluation 2^-(n+9), polyline deviation
-    # 5*2^-(n+9), square-root enclosure 2^-(n+10); total under 2^-n/16
-    q = n_approximation(g, j, n + 9)
+    # distance error budget: evaluation 2^-(n+9) plus polyline deviation
+    # 5*2^-(n+9), under 2^-n/16.  Each grid value is decided against the
+    # exact squared distance q to the polyline, by the thresholds of the
+    # rounded rule lo = isqrt(floor(q*4^(n+10)))/2^(n+10) against
+    # half = 2^-n/2 = 2^9/2^(n+10):
+    #   lo <  half  iff  q < 4^-(n+1)           (low grid value)
+    #   lo <= half  iff  q < 513^2 * 4^-(n+10)  (endpoint not clear)
+    # so the classification equals the rounded one without forming lo.
+    g_track = n_approximation(g, j, n + 9)
     f_vals = [f.eval_approx(s, n + 9) for s in grid]
-    (fv, qv), scale = common_scale(f_vals, list(q.points))
+    (fv, qv), scale = common_scale(f_vals, list(g_track.points))
     idx = PolylineIndex(qv)
-    sq_scale = Fraction(scale * scale)
-    ds = [
-        sqrt_enclosure(idx.sq_dist_to_point(x, y) / sq_scale, n + 9).lo
-        for x, y in fv
-    ]
-
-    half = eps / 2
+    sq_scale = scale * scale
     k = len(grid) - 1
-    if ds[0] <= half or ds[k] <= half:
-        raise PreconditionViolated(
-            "an interval endpoint is not clear of the opposing image"
-        )
-    low = [d < half for d in ds]
+    for x, y in (fv[0], fv[k]):
+        if idx.any_within(x, y, 513 * 513 * sq_scale, 4 ** (n + 10)):
+            raise PreconditionViolated(
+                "an interval endpoint is not clear of the opposing image"
+            )
+    low_rd = 4 ** (n + 1)
+    # the endpoints are clear, so at the smaller low radius they are high
+    low = [False]
+    low.extend(idx.any_within(x, y, sq_scale, low_rd) for x, y in fv[1:k])
+    low.append(False)
     chosen = [0]
     chosen.extend(
         t for t in range(1, k) if not low[t] and (low[t - 1] or low[t + 1])

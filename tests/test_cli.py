@@ -316,6 +316,27 @@ def test_parity_rejects_malformed_interval(tmp_path: Path, capsys) -> None:
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["parity", "SPEC", "-I", "0", "5"],  # window outside [-1, 2]
+        ["parity", "SPEC", "-I", "1/2", "1/2"],  # empty window
+        ["intersect", "SPEC", "--iterations", "-1"],
+        ["intersect", "SPEC", "--iterations", "0", "--effort", "-3"],
+    ],
+)
+def test_invalid_arguments_exit_with_one_error_line(
+    tmp_path: Path, capsys, args: list[str]
+) -> None:
+    spec = tmp_path / "spec.json"
+    spec.write_text(DIAG_SPEC, encoding="utf-8")
+    assert main([str(spec) if a == "SPEC" else a for a in args]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert captured.out == ""
+
+
 # --------------------------------------------------------- render command
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,20 @@ def test_alpha_width_on_disjoint_unit_separated_images() -> None:
 def test_certify_alpha_gives_up_on_zero_clearance() -> None:
     with pytest.raises(EffortExhausted):
         certify_alpha(F_EXT, F_EXT, interval(0, 1), interval(0, 1), effort=10)
+
+
+def test_zero_clearance_fails_fast_at_default_effort() -> None:
+    # three-crossing pair: psi(1/2) = (1/2, 1/2) lies on phi's image, so
+    # no probe can certify the clearance; the probe budget must stop the
+    # precision doubling long before the default effort of 64
+    phi = PolylinePath(
+        [(0, (0, 0)), ("1/3", ("4/5", "2/5")), ("2/3", ("1/5", "3/5")), (1, (1, 1))]
+    )
+    psi = PolylinePath([(0, (0, 1)), (1, (1, 0))])
+    start = time.perf_counter()
+    with pytest.raises(EffortExhausted):
+        function_parity(phi, psi, interval("1/3", 1), interval(0, "1/2"))
+    assert time.perf_counter() - start < 30
 
 
 def test_certified_alpha_bounds_the_diagonal_value() -> None:
