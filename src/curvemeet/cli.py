@@ -26,7 +26,7 @@ from .errors import (
     SpecFileError,
     UsageError,
 )
-from .exact_geom import Interval, interval, pow2, pt, rat, smallest_n_below
+from .exact_geom import Interval, interval, pow2, pt, smallest_n_below
 from .parity import certify_alpha, function_parity
 from .paths import (
     PathOracle,
@@ -50,6 +50,20 @@ _CERT_FORMAT = "curvemeet-certificate"
 # ---------------------------------------------------------------- parsing
 
 
+_RATIONAL_LITERAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _parse_rational(text: str) -> Fraction:
+    """Fraction from an integer or 'p/q' literal, the only accepted forms.
+
+    `Fraction(str)` alone also takes exponents, and "1e999999999" would
+    build a billion-digit integer before anything could reject it.
+    """
+    if not _RATIONAL_LITERAL.fullmatch(text):
+        raise ValueError(f"expected an integer or 'p/q' literal, got {text!r}")
+    return Fraction(text)
+
+
 def _rat_value(value) -> Fraction:
     """Rational from the JSON encodings: integer or 'p/q' string."""
     if isinstance(value, bool):
@@ -57,7 +71,7 @@ def _rat_value(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return _parse_rational(value)
     raise SpecFileError(
         f"rationals must be integers or 'p/q' strings, got {value!r}"
     )
@@ -278,7 +292,7 @@ def _cli_interval(bounds: list[str] | None) -> Interval:
     if bounds is None:
         return _EXTENDED
     try:
-        lo, hi = rat(bounds[0]), rat(bounds[1])
+        lo, hi = _parse_rational(bounds[0]), _parse_rational(bounds[1])
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"invalid interval bound: {exc}") from exc
     if lo >= hi:

@@ -286,6 +286,9 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError("interval bounds out of order")
 
+    def __str__(self) -> str:
+        return f"[{self.lo}, {self.hi}]"
+
     def width(self) -> Fraction:
         return self.hi - self.lo
 

@@ -15,6 +15,7 @@ other way around.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from abc import ABC, abstractmethod
 from bisect import bisect_right
@@ -37,7 +38,6 @@ from .exact_geom import (
 from .track import Track, line_set, spiral_search
 
 _JITTER_SPAN = 32  # random vertex offsets stay within 32 pitches per axis
-# domains are checked on every evaluation, so they are built once
 _UNIT_DOMAIN = interval(0, 1)
 _EXTENDED_DOMAIN = interval(-1, 2)
 
@@ -57,9 +57,15 @@ class PathOracle(ABC):
     def modulus(self, n: int) -> int:
         """m with |t - t'| < 2^-m  =>  |f(t) - f(t')| < 2^-n."""
 
-    def _check_param(self, t: Fraction) -> None:
-        if t not in self.domain:
-            raise OutOfDomain(f"parameter {t} outside {self.domain}")
+
+def _out_of_domain(t: Fraction, domain: Interval) -> OutOfDomain:
+    return OutOfDomain(f"parameter {t} outside {domain}")
+
+
+def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """A common denominator d of the values and their numerators over d."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def _lipschitz_shift(l1_bound: Fraction) -> int:
@@ -85,12 +91,22 @@ class PolylinePath(PathOracle):
             if s1 <= s0:
                 raise ValueError("polyline parameters must increase strictly")
         self._entries = tuple(cooked)
-        self._params = tuple(s for s, _ in cooked)
-        self._domain = Interval(self._params[0], self._params[-1])
+        self._domain = Interval(cooked[0][0], cooked[-1][0])
+        # integer forms, built once: the parameters over their common
+        # denominator for the lookup and the domain test, and each segment
+        # as x = (x_span*b + dx*r) / (den*b), r = a*e - p0*b, at t = a/b
+        self._pscale, self._pnums = _over_lcm([s for s, _ in cooked])
+        segments = []
         slope = Fraction(0)
         for (s0, a), (s1, b) in zip(cooked, cooked[1:]):
-            d = b - a
-            slope = max(slope, (abs(d.x) + abs(d.y)) / (s1 - s0))
+            e, (p0, p1) = _over_lcm([s0, s1])
+            d, (ax, ay, bx, by) = _over_lcm([a.x, a.y, b.x, b.y])
+            span = p1 - p0
+            segments.append(
+                (e, p0, ax * span, bx - ax, ay * span, by - ay, d * span)
+            )
+            slope = max(slope, Fraction(abs(bx - ax) + abs(by - ay), d) / (s1 - s0))
+        self._segments = tuple(segments)
         self._shift = _lipschitz_shift(slope)
 
     @property
@@ -102,23 +118,35 @@ class PolylinePath(PathOracle):
         return self._domain
 
     def eval_approx(self, t: Fraction, n: int) -> Point:
-        self._check_param(t)
-        i = bisect_right(self._params, t) - 1
-        if i == len(self._params) - 1:
+        a, b = t.numerator, t.denominator
+        q, pnums = a * self._pscale, self._pnums
+        if q < pnums[0] * b or q > pnums[-1] * b:
+            raise _out_of_domain(t, self._domain)
+        # the sample parameters are integers, so p <= q/b iff p <= floor(q/b)
+        i = bisect_right(pnums, q // b) - 1
+        if i == len(pnums) - 1:
             return self._entries[-1][1]
-        s0, a = self._entries[i]
-        s1, b = self._entries[i + 1]
-        return a + (b - a).scale((t - s0) / (s1 - s0))
+        e, p0, x_span, dx, y_span, dy, den = self._segments[i]
+        r = a * e - p0 * b
+        den *= b
+        return Point(
+            Fraction(x_span * b + dx * r, den), Fraction(y_span * b + dy * r, den)
+        )
 
     def modulus(self, n: int) -> int:
         return n + self._shift
 
 
 class QuadBezierPath(PathOracle):
-    """Quadratic Bezier on [0, 1], evaluated exactly by de Casteljau."""
+    """Quadratic Bezier on [0, 1], evaluated exactly in integers.
+
+    The control points are kept over a common denominator D; at t = a/b
+    the Bernstein weights (b-a)^2, 2a(b-a) and a^2 put the value over D*b^2.
+    """
 
     def __init__(self, p0: Point, p1: Point, p2: Point):
         self.p0, self.p1, self.p2 = p0, p1, p2
+        self._den, self._ints = _over_lcm([p0.x, p1.x, p2.x, p0.y, p1.y, p2.y])
         d1, d2 = p1 - p0, p2 - p1
         bound = 2 * max(abs(d1.x) + abs(d1.y), abs(d2.x) + abs(d2.y))
         self._shift = _lipschitz_shift(Fraction(bound))
@@ -128,10 +156,17 @@ class QuadBezierPath(PathOracle):
         return _UNIT_DOMAIN
 
     def eval_approx(self, t: Fraction, n: int) -> Point:
-        self._check_param(t)
-        a = self.p0 + (self.p1 - self.p0).scale(t)
-        b = self.p1 + (self.p2 - self.p1).scale(t)
-        return a + (b - a).scale(t)
+        a, b = t.numerator, t.denominator
+        if a < 0 or a > b:
+            raise _out_of_domain(t, _UNIT_DOMAIN)
+        u = b - a
+        w0, w1, w2 = u * u, 2 * a * u, a * a
+        x0, x1, x2, y0, y1, y2 = self._ints
+        den = self._den * b * b
+        return Point(
+            Fraction(x0 * w0 + x1 * w1 + x2 * w2, den),
+            Fraction(y0 * w0 + y1 * w1 + y2 * w2, den),
+        )
 
     def modulus(self, n: int) -> int:
         return n + self._shift
@@ -197,6 +232,11 @@ _CORNERS = {
     Side.LOWER: (pt(0, 0), pt(1, 1)),
     Side.UPPER: (pt(0, 1), pt(1, 0)),
 }
+# heights of the left and right tails
+_TAIL_Y = {
+    Side.LOWER: (Fraction(0), Fraction(1)),
+    Side.UPPER: (Fraction(1), Fraction(0)),
+}
 
 
 @dataclass(frozen=True)
@@ -211,12 +251,13 @@ class ExtendedPath(PathOracle):
         return _EXTENDED_DOMAIN
 
     def eval_approx(self, t: Fraction, n: int) -> Point:
-        self._check_param(t)
-        left_y, right_y = (0, 1) if self.side is Side.LOWER else (1, 0)
-        if t <= 0:
-            return pt(t, left_y)
-        if t >= 1:
-            return pt(t, right_y)
+        a, b = t.numerator, t.denominator
+        if a < -b or a > 2 * b:
+            raise _out_of_domain(t, _EXTENDED_DOMAIN)
+        if a <= 0:
+            return Point(rat(t), _TAIL_Y[self.side][0])
+        if a >= b:
+            return Point(rat(t), _TAIL_Y[self.side][1])
         return self.inner.eval_approx(t, n)
 
     def modulus(self, n: int) -> int:

@@ -3,7 +3,9 @@ exit codes, printed parity output and SVG rendering."""
 
 from __future__ import annotations
 
+import hashlib
 import json
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
@@ -18,8 +20,11 @@ from curvemeet import (
     QuadBezierPath,
     RefinementRecord,
     TablePath,
+    curved_pair,
+    diagonal_pair,
     interval,
     pt,
+    refine_sequence,
 )
 from curvemeet.cli import (
     emit_certificate,
@@ -155,6 +160,24 @@ def test_certificate_round_trip(cert: Certificate) -> None:
     assert meta_back == meta
 
 
+@pytest.mark.parametrize("literal", ["1e999999999", "0.5", " 1/2", "1/-2", "+1", "1/0"])
+def test_spec_values_accept_only_integer_and_fraction_literals(
+    literal: str,
+) -> None:
+    def spec(value) -> str:
+        return json.dumps(
+            {
+                "phi": {"type": "polyline", "data": [[0, 0, 0], [1, value, 1]]},
+                "psi": {"type": "polyline", "data": [[0, 0, 1], [1, 1, 0]]},
+            }
+        )
+
+    phi, _ = parse_path_spec(spec("-3/4"))
+    assert phi.entries[1][1] == pt(F(-3, 4), 1)
+    with pytest.raises(SpecFileError):
+        parse_path_spec(spec(literal))
+
+
 def test_parse_certificate_rejects_bad_documents() -> None:
     base = {
         "meta": {},
@@ -186,6 +209,23 @@ def test_parse_certificate_rejects_bad_documents() -> None:
         parse_certificate(json.dumps({"meta": {}}))
     with pytest.raises(SpecFileError):
         parse_certificate("{")
+
+
+# ------------------------------------------------------ certificate pins
+
+# sha256 prefixes of emit_certificate(refine_sequence(pair, 4), {}); any
+# change that must leave certificates unchanged has to keep them
+CERTIFICATE_PINS = {
+    "diagonals": (diagonal_pair, "a42aa772ea7ace87"),
+    "curved": (curved_pair, "997d14b1e59cac4b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_PINS))
+def test_four_round_certificates_are_pinned(name: str) -> None:
+    pair, prefix = CERTIFICATE_PINS[name]
+    text = emit_certificate(refine_sequence(*pair(), 4), {})
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == prefix
 
 
 # ------------------------------------------------------ intersect command
@@ -335,6 +375,35 @@ def test_invalid_arguments_exit_with_one_error_line(
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert captured.out == ""
+
+
+def test_window_outside_domain_error_names_both_intervals(
+    tmp_path: Path, capsys
+) -> None:
+    spec = tmp_path / "spec.json"
+    spec.write_text(DIAG_SPEC, encoding="utf-8")
+    assert main(["parity", str(spec), "-I", "0", "5"]) == 2
+    assert capsys.readouterr().err == "error: [0, 5] is not inside [-1, 2]\n"
+
+
+def test_exponent_literals_fail_fast(tmp_path: Path, capsys) -> None:
+    # Fraction("1e999999999") would build 10^999999999 and stall
+    spec = tmp_path / "spec.json"
+    spec.write_text(DIAG_SPEC, encoding="utf-8")
+    bad_spec = tmp_path / "bad.json"
+    bad_spec.write_text(
+        DIAG_SPEC.replace("[1, 1, 1]", '[1, "1e999999999", 1]'), encoding="utf-8"
+    )
+    for args in (
+        ["parity", str(bad_spec)],
+        ["parity", str(spec), "-I", "1e999999999", "1"],
+        ["parity", str(spec), "-J", "0", "1e999999999"],
+    ):
+        start = time.perf_counter()
+        assert main(args) == 2
+        assert time.perf_counter() - start < 10
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'1e999999999'" in err
 
 
 # --------------------------------------------------------- render command
