@@ -256,6 +256,119 @@ class PolylineIndex:
         return False
 
 
+class BoxLevels:
+    """Bounding boxes over runs of consecutive integer points.
+
+    The lowest level boxes each run of `RUN` points; each level above
+    merges neighbouring boxes pairwise, up to one root box.  `stab` walks
+    the levels root first and keeps a box only if a line can pass within
+    `pad` of it.  Every test is an exact integer sign test, so the query
+    prunes and never decides: the caller still settles each candidate.
+    """
+
+    RUN = 8
+    __slots__ = ("pts", "levels")
+
+    def __init__(self, ipts: Sequence[IntPoint]):
+        run = self.RUN
+        boxes = []
+        for k in range(0, len(ipts), run):
+            xs = [x for x, _ in ipts[k : k + run]]
+            ys = [y for _, y in ipts[k : k + run]]
+            boxes.append((min(xs), max(xs), min(ys), max(ys)))
+        levels = [boxes]
+        while len(boxes) > 1:
+            merged = [
+                (
+                    min(a[0], b[0]),
+                    max(a[1], b[1]),
+                    min(a[2], b[2]),
+                    max(a[3], b[3]),
+                )
+                for a, b in zip(boxes[::2], boxes[1::2])
+            ]
+            if len(boxes) % 2:
+                merged.append(boxes[-1])
+            boxes = merged
+            levels.append(boxes)
+        levels.reverse()
+        self.pts = ipts
+        self.levels = levels
+
+    def stab(self, a: int, b: int, c: int, pad: int) -> list[int]:
+        """Indices of the points (x, y) whose square [x-pad, x+pad] x
+        [y-pad, y+pad] meets the line a*x + b*y = c, in index order.
+
+        Since a*x + b*y ranges over +-(|a|+|b|)*pad on such a square, a
+        point qualifies iff |a*x + b*y - c| <= (|a|+|b|)*pad; with pad 0
+        that is exact incidence.
+        """
+        reach = (abs(a) + abs(b)) * pad
+        lo, hi = c - reach, c + reach
+        # box corners minimising and maximising a*x + b*y
+        x_min, x_max = (0, 1) if a >= 0 else (1, 0)
+        y_min, y_max = (2, 3) if b >= 0 else (3, 2)
+        levels = self.levels
+        root = levels[0][0]
+        if not (
+            a * root[x_min] + b * root[y_min] <= hi
+            and a * root[x_max] + b * root[y_max] >= lo
+        ):
+            return []
+        live = [0]
+        for boxes in levels[1:]:
+            n_boxes = len(boxes)
+            live = [
+                k
+                for i in live
+                for k in (2 * i, 2 * i + 1)
+                if k < n_boxes
+                and a * boxes[k][x_min] + b * boxes[k][y_min] <= hi
+                and a * boxes[k][x_max] + b * boxes[k][y_max] >= lo
+            ]
+            if not live:
+                return []
+        pts, run = self.pts, self.RUN
+        return [
+            k
+            for i in live
+            for k in range(i * run, min(i * run + run, len(pts)))
+            if lo <= a * pts[k][0] + b * pts[k][1] <= hi
+        ]
+
+
+def canonical_lines(ipts: Sequence[IntPoint]) -> set[tuple[int, int, int]]:
+    """Lines a*x + b*y = c spanned by consecutive points (which must
+    differ), each once: gcd(a, b, c) = 1 and (a, b) lexicographically
+    positive, so a collinear run yields one line."""
+    out = set()
+    for (x0, y0), (x1, y1) in zip(ipts, ipts[1:]):
+        a, b = y1 - y0, x0 - x1
+        c = a * x0 + b * y0
+        g = math.gcd(a, b, c)
+        if a < 0 or (a == 0 and b < 0):
+            g = -g
+        out.add((a // g, b // g, c // g))
+    return out
+
+
+def weakly_separated_ints(
+    a_ipts: Sequence[IntPoint], b_ipts: Sequence[IntPoint]
+) -> bool:
+    """No point of either polyline on a line spanned by consecutive
+    points of the other.
+
+    Each distinct spanned line stabs the other polyline's `BoxLevels`,
+    so a line costs O(log N) box tests plus the points it passes near,
+    not O(N) incidence tests; the integer equality at the leaves decides.
+    """
+    for pts, other in ((a_ipts, b_ipts), (b_ipts, a_ipts)):
+        boxes = BoxLevels(pts)
+        if any(boxes.stab(a, b, c, 0) for a, b, c in canonical_lines(other)):
+            return False
+    return True
+
+
 def min_sqdist_exceeds(
     a_ipts: Sequence[IntPoint],
     b_index: PolylineIndex,

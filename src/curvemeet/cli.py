@@ -45,6 +45,10 @@ from .refine import (
 
 _EXTENDED = interval(-1, 2)
 _CERT_FORMAT = "curvemeet-certificate"
+# `TablePath.validate` compares every pair of samples closer in t than the
+# table's widest modulus window: about 2.7 s for 500 rows that all share
+# one window (Python 3.11, 2 CPUs), growing with the square of the rows.
+MAX_TABLE_ROWS = 500
 
 
 # ---------------------------------------------------------------- parsing
@@ -106,6 +110,10 @@ def _build_path(node) -> PathOracle:
     if kind == "table":
         if "modulus" not in node or not isinstance(node["modulus"], int):
             raise SpecFileError("a table path needs an integer 'modulus' offset")
+        if len(data) > MAX_TABLE_ROWS:
+            raise SpecFileError(
+                f"a table path has at most {MAX_TABLE_ROWS} rows, got {len(data)}"
+            )
         path = TablePath(
             [_sample_row(r) for r in data], modulus_offset=node["modulus"]
         )

@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -233,10 +233,6 @@ def sq_dist_segment_segment(s1: Segment, s2: Segment) -> Fraction:
         sq_dist_point_segment(s2.a, s1),
         sq_dist_point_segment(s2.b, s1),
     )
-
-
-def sq_dist_point_points(p: Point, others: Iterable[Point]) -> Fraction:
-    return min((p - o).sq_norm() for o in others)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._fastgeom import PolylineIndex, common_scale, min_sqdist_exceeds
+from ._fastgeom import (
+    PolylineIndex,
+    common_scale,
+    min_sqdist_exceeds,
+    weakly_separated_ints,
+)
 from .errors import (
     EffortExhausted,
     NotSeparated,
@@ -23,7 +28,7 @@ from .errors import (
 )
 from .exact_geom import Interval, Point, pow2, smallest_n_below, sqrt_enclosure
 from .paths import PathOracle, n_approximation, n_approximation_pair
-from .track import Track, weakly_separated
+from .track import Track
 
 Crossing = tuple[Fraction, Fraction, Point]
 
@@ -49,13 +54,17 @@ def _report(crossings: list[Crossing]) -> CrossingReport:
 def crossing_count(p: Track, q: Track) -> CrossingReport:
     """Count and locate the crossings of two weakly separated tracks.
 
-    Weak separation is verified up front.  It rules out every vertex
-    incidence, so inside the loop a zero orientation sign is not a
-    boundary case to classify but an internal consistency failure.
+    Weak separation is verified up front, on the same integer points the
+    sweep uses, by `weakly_separated_ints`: each distinct spanned line
+    stabs the other track's box levels, box tests only prune and the
+    integer equality decides, at about O(log N) box tests per line
+    instead of O(|p| * |q|) incidence tests.  Separation rules out every
+    vertex incidence, so inside the sweep a zero orientation sign is not
+    a boundary case to classify but an internal consistency failure.
     """
-    if not weakly_separated(p, q):
-        raise NotSeparated("tracks are not weakly separated")
     (pi, qi), _scale = common_scale(list(p.points), list(q.points))
+    if not weakly_separated_ints(pi, qi):
+        raise NotSeparated("tracks are not weakly separated")
     qidx = PolylineIndex(qi)
     p_entries = p.entries
     q_entries = q.entries

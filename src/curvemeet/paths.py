@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from ._fastgeom import lcm_denominators, scale_points
+from ._fastgeom import BoxLevels, canonical_lines, lcm_denominators, scale_points
 from .errors import EndpointViolation, OutOfDomain, PreconditionViolated
 from .exact_geom import (
     Interval,
-    Line,
     Point,
     ceil_log2,
     interval,
@@ -35,7 +34,7 @@ from .exact_geom import (
     pt,
     rat,
 )
-from .track import Track, line_set, spiral_search
+from .track import Track, spiral_search
 
 _JITTER_SPAN = 32  # random vertex offsets stay within 32 pitches per axis
 _UNIT_DOMAIN = interval(0, 1)
@@ -201,24 +200,37 @@ class TablePath(PolylinePath):
         return self._fn(n)  # type: ignore[misc]
 
     def validate(self, max_n: int = 64) -> None:
-        """Cross-check the asserted modulus against all sample pairs."""
+        """Cross-check the asserted modulus against all sample pairs.
+
+        Samples at ti < tj refute the modulus at n when tj - ti <
+        2^-modulus(n) but |zj - zi| >= 2^-n.  The windows 2^-modulus(n)
+        shrink as n grows, so the pair refutes the modulus iff it does so
+        at the smallest n with |zj - zi| >= 2^-n; and a pair at least
+        2^-modulus(0) apart in t refutes nothing.  So each pair closer
+        than that costs one comparison, and the scan from each sample
+        stops at the first sample beyond that window.
+        """
         for n in range(max_n):
             if self.modulus(n + 1) <= self.modulus(n):
                 raise PreconditionViolated("modulus is not increasing")
+        if max_n <= 0:
+            return
+        windows = [pow2(-self.modulus(n)) for n in range(max_n)]
         entries = self._entries
-        for i in range(len(entries)):
-            ti, zi = entries[i]
-            for j in range(i + 1, len(entries)):
-                tj, zj = entries[j]
-                dt = tj - ti
+        for i, (ti, zi) in enumerate(entries):
+            horizon = ti + windows[0]
+            for tj, zj in entries[i + 1 :]:
+                if tj >= horizon:
+                    break
                 sq = (zj - zi).sq_norm()
-                for n in range(max_n):
-                    if dt >= pow2(-self.modulus(n)):
-                        break
-                    if sq >= pow2(-2 * n):
-                        raise PreconditionViolated(
-                            f"samples at {ti} and {tj} refute the modulus at n={n}"
-                        )
+                if sq == 0:
+                    continue
+                # smallest n >= 0 with 4^-n <= sq
+                n = max(0, (ceil_log2(1 / sq) + 1) // 2)
+                if n < max_n and tj - ti < windows[n]:
+                    raise PreconditionViolated(
+                        f"samples at {ti} and {tj} refute the modulus at n={n}"
+                    )
 
 
 class Side(enum.Enum):
@@ -303,43 +315,63 @@ def dyadic_grid(lo: Fraction, hi: Fraction, md: int) -> list[Fraction]:
     return [lo, *inner, hi]
 
 
-def _approx_vertices(
+def _base_points(
     f: PathOracle,
     grid: Sequence[Fraction],
     n: int,
-    accept_extra: Callable[[Point, Point | None], bool],
     rng: random.Random | None,
 ) -> list[Point]:
-    """Vertices within 2^-n of f on the grid, adjacent ones distinct.
-
-    Each vertex starts from an evaluation at precision n+2 (plus an
-    optional random sub-budget jitter) and walks a dyadic spiral of pitch
-    2^-(n+8) until the predicates accept; the combined offset stays
-    strictly below 2^-n.
-    """
+    """Evaluations at precision n+2 on the grid, each moved by an optional
+    random jitter of up to _JITTER_SPAN pitches 2^-(n+8) per axis."""
     pitch = pow2(-(n + 8))
-    sq_budget = pow2(-(n + 2)) ** 2
-    out: list[Point] = []
+    out = []
     for s in grid:
         base = f.eval_approx(s, n + 2)
         if rng is not None:
             i = rng.randint(-_JITTER_SPAN, _JITTER_SPAN)
             j = rng.randint(-_JITTER_SPAN, _JITTER_SPAN)
             base = Point(base.x + i * pitch, base.y + j * pitch)
+        out.append(base)
+    return out
+
+
+def _fix_vertices(
+    bases: Sequence[Point],
+    n: int,
+    accept_extra: Callable[[int, Point, Point | None], bool],
+) -> list[Point]:
+    """Vertices within 2^-n of the curve, adjacent ones distinct.
+
+    Vertex k starts from bases[k] and walks a dyadic spiral of pitch
+    2^-(n+8) until it differs from its predecessor and accept_extra(k,
+    candidate, predecessor) holds.  Every candidate stays strictly within
+    2^-(n+2) of its base, so the combined offset stays below 2^-n.
+    """
+    pitch = pow2(-(n + 8))
+    sq_budget = pow2(-(n + 2)) ** 2
+    out: list[Point] = []
+    for k, base in enumerate(bases):
         prev = out[-1] if out else None
-        # the unmoved evaluation is almost always acceptable; the spiral
+        # the unmoved base is almost always acceptable; the spiral
         # machinery is only paid for on rejection
-        if (prev is None or base != prev) and accept_extra(base, prev):
+        if (prev is None or base != prev) and accept_extra(k, base, prev):
             out.append(base)
             continue
 
-        def ok(cand: Point, _prev: Point | None = prev) -> bool:
+        def ok(cand: Point, _k: int = k, _prev: Point | None = prev) -> bool:
             if _prev is not None and cand == _prev:
                 return False
-            return accept_extra(cand, _prev)
+            return accept_extra(_k, cand, _prev)
 
         out.append(spiral_search(base, pitch, sq_budget, ok))
     return out
+
+
+def _param_grid(f: PathOracle, i: Interval, n: int) -> list[Fraction]:
+    """The dyadic grid of a precision-n track of f on i."""
+    if not f.domain.contains_interval(i):
+        raise OutOfDomain(f"{i} is not inside {f.domain}")
+    return dyadic_grid(i.lo, i.hi, f.modulus(n))
 
 
 def n_approximation(
@@ -350,13 +382,16 @@ def n_approximation(
 ) -> Track:
     """A track following f on i: gaps below 2^-modulus(n), vertices
     within 2^-n of the curve, consecutive vertices distinct."""
-    if not f.domain.contains_interval(i):
-        raise OutOfDomain(f"{i} is not inside {f.domain}")
-    if i.lo >= i.hi:
-        raise ValueError("empty parameter interval")
-    grid = dyadic_grid(i.lo, i.hi, f.modulus(n))
-    pts = _approx_vertices(f, grid, n, lambda c, p: True, rng)
-    return Track(tuple(zip(grid, pts)))
+    grid = _param_grid(f, i, n)
+    bases = _base_points(f, grid, n, rng)
+    return Track(tuple(zip(grid, _fix_vertices(bases, n, lambda k, c, p: True))))
+
+
+def _on_grid(z: Point, scale: int) -> tuple[int, int, int]:
+    """(x, y, e) with z = (x, y) / (scale * e) and e as small as possible."""
+    xd, yd = z.x.denominator, z.y.denominator
+    full = math.lcm(scale, xd, yd)
+    return z.x.numerator * (full // xd), z.y.numerator * (full // yd), full // scale
 
 
 def n_approximation_pair(
@@ -369,38 +404,54 @@ def n_approximation_pair(
 ) -> tuple[Track, Track]:
     """Weakly separated approximation tracks for f on i and g on j.
 
-    Two phases: the f-track is built freely, then each g-vertex is also
-    required to avoid every spanned line of the f-track and to span with
-    its predecessor a line through no f-vertex.  Separation therefore
+    Two phases: the f-track p is built freely, then each g-vertex is also
+    required (A) to avoid every spanned line of p and (B) to span with its
+    predecessor a line through no vertex of p.  Separation therefore
     holds by construction, not by rejection sampling.
+
+    Both checks run on one integer grid holding p and all of g's base
+    points (the rng is drawn in the same order as vertex by vertex, since
+    the spiral search draws nothing).  For (A), each distinct line of p
+    stabs the squares of half-width 2^-(n+2) around the bases, which
+    contain every candidate the spiral may try, so each vertex tests only
+    the few lines passing near it.  For (B), the integer line through the
+    predecessor and the candidate stabs p's box levels.  Box tests only
+    prune; the integer equality a*x + b*y == c decides every incidence,
+    so the tracks are those of testing every line against every vertex.
+    Cost: O(log |p|) box tests per line of p and per candidate, plus the
+    vertices each passes close to, instead of O(|p|) tests per candidate.
     """
     p = n_approximation(f, i, n, rng)
-    scale = lcm_denominators(p.points)
-    p_scaled = scale_points(p.points, scale)
-    lines_p = [(ln.A, ln.B, ln.C) for ln in line_set(p)]
+    grid = _param_grid(g, j, n)
+    bases = _base_points(g, grid, n, rng)
+    scale = math.lcm(lcm_denominators(p.points), lcm_denominators(bases))
+    p_ints = scale_points(p.points, scale)
+    p_boxes = BoxLevels(p_ints)
+    base_boxes = BoxLevels(scale_points(bases, scale))
+    reach = -(-scale // 2 ** (n + 2))
+    near_lines: dict[int, list[tuple[int, int, int]]] = {}
+    for line in canonical_lines(p_ints):
+        for k in base_boxes.stab(*line, reach):
+            near_lines.setdefault(k, []).append(line)
 
-    def clears(cand: Point, prev: Point | None) -> bool:
-        xn, xd = cand.x.numerator, cand.x.denominator
-        yn, yd = cand.y.numerator, cand.y.denominator
-        u, v, w = xn * yd, yn * xd, xd * yd
-        for a, b, c in lines_p:
-            if a * u + b * v == c * w:
+    def clears(k: int, cand: Point, prev: Point | None) -> bool:
+        x, y, e = _on_grid(cand, scale)
+        for a, b, c in near_lines.get(k, ()):
+            if a * x + b * y == c * e:
                 return False
-        if prev is not None:
-            ln = Line.through(prev, cand)
-            a, b, c_scaled = ln.A, ln.B, ln.C * scale
-            for vx, vy in p_scaled:
-                if a * vx + b * vy == c_scaled:
-                    return False
-        return True
+        if prev is None:
+            return True
+        x0, y0, e0 = _on_grid(prev, scale)
+        if e0 != e:
+            e_both = math.lcm(e0, e)
+            x, y = x * (e_both // e), y * (e_both // e)
+            x0, y0 = x0 * (e_both // e0), y0 * (e_both // e0)
+            e = e_both
+        a, b = y - y0, x0 - x
+        # p's vertices sit on the grid at scale*e as (e*px, e*py)
+        return not p_boxes.stab(a * e, b * e, a * x0 + b * y0, 0)
 
-    if not g.domain.contains_interval(j):
-        raise OutOfDomain(f"{j} is not inside {g.domain}")
-    if j.lo >= j.hi:
-        raise ValueError("empty parameter interval")
-    grid = dyadic_grid(j.lo, j.hi, g.modulus(n))
-    pts = _approx_vertices(g, grid, n, clears, rng)
-    return p, Track(tuple(zip(grid, pts)))
+    return p, Track(tuple(zip(grid, _fix_vertices(bases, n, clears))))
 
 
 def diagonal_pair() -> tuple[PolylinePath, PolylinePath]:

@@ -12,8 +12,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
+from ._fastgeom import common_scale, weakly_separated_ints
 from .errors import GridMismatch, InvariantViolation, OutOfDomain
 from .exact_geom import Line, Point, orient, pt, rat
 
@@ -92,29 +93,19 @@ def full_line_set(p: Track) -> frozenset[Line]:
     return frozenset(out)
 
 
-def _clears_lines(vertices: Sequence[Point], lines: Iterable[Line]) -> bool:
-    # hot path: precompute cross-multiplied vertex triples once
-    triples = [
-        (
-            v.x.numerator * v.y.denominator,
-            v.y.numerator * v.x.denominator,
-            v.x.denominator * v.y.denominator,
-        )
-        for v in vertices
-    ]
-    for line in lines:
-        a, b, c = line.A, line.B, line.C
-        for u, v, w in triples:
-            if a * u + b * v == c * w:
-                return False
-    return True
-
-
 def weakly_separated(p: Track, q: Track) -> bool:
-    """No vertex of either track lies on a spanned line of the other."""
-    return _clears_lines(p.points, line_set(q)) and _clears_lines(
-        q.points, line_set(p)
-    )
+    """No vertex of either track lies on a spanned line of the other.
+
+    Both tracks are scaled to one integer grid.  Each distinct spanned
+    line (a collinear run counts once) stabs the other track's
+    `BoxLevels`: box tests only prune, and the integer equality
+    a*x + b*y == c still decides every incidence.  A line costs
+    O(log N) box tests plus the vertices it passes close to, so the whole
+    test is about O((|p| + |q|) log) for tracks that do not run along
+    each other's lines, instead of O(|p| * |q|).
+    """
+    (pi, qi), _scale = common_scale(p.points, q.points)
+    return weakly_separated_ints(pi, qi)
 
 
 def sup_track_distance(p: Track, pbar: Track) -> Fraction:

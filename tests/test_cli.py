@@ -27,6 +27,7 @@ from curvemeet import (
     refine_sequence,
 )
 from curvemeet.cli import (
+    MAX_TABLE_ROWS,
     emit_certificate,
     main,
     parse_certificate,
@@ -404,6 +405,33 @@ def test_exponent_literals_fail_fast(tmp_path: Path, capsys) -> None:
         assert time.perf_counter() - start < 10
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'1e999999999'" in err
+
+
+def _table_spec(rows: int, modulus: int) -> str:
+    data = [[f"{k}/{rows - 1}"] * 3 for k in range(rows)]
+    return json.dumps(
+        {
+            "phi": {"type": "table", "modulus": modulus, "data": data},
+            "psi": {"type": "polyline", "data": [[0, 0, 1], [1, 1, 0]]},
+        }
+    )
+
+
+def test_table_rows_are_bounded(tmp_path: Path, capsys) -> None:
+    # validating a table compares sample pairs; 10k rows used to take
+    # about 20 minutes
+    spec = tmp_path / "spec.json"
+    spec.write_text(_table_spec(10_000, 2), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["parity", str(spec)]) == 2
+    assert time.perf_counter() - start < 10
+    assert capsys.readouterr().err == (
+        f"error: a table path has at most {MAX_TABLE_ROWS} rows, got 10000\n"
+    )
+    phi, _ = parse_path_spec(_table_spec(MAX_TABLE_ROWS, 3))
+    assert isinstance(phi, TablePath)
+    with pytest.raises(SpecFileError):
+        parse_path_spec(_table_spec(MAX_TABLE_ROWS + 1, 3))
 
 
 # --------------------------------------------------------- render command

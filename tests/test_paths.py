@@ -79,6 +79,47 @@ def test_table_path_modulus_validation() -> None:
         TablePath([(0, (0, 0)), (1, (1, 1))])
 
 
+def _ref_validate(path: TablePath, max_n: int = 64) -> str | None:
+    """The all-pairs, all-precisions check; the refutation message or None."""
+    entries = path.entries
+    for i in range(len(entries)):
+        ti, zi = entries[i]
+        for j in range(i + 1, len(entries)):
+            tj, zj = entries[j]
+            sq = (zj - zi).sq_norm()
+            for n in range(max_n):
+                if tj - ti >= pow2(-path.modulus(n)):
+                    break
+                if sq >= pow2(-2 * n):
+                    return f"samples at {ti} and {tj} refute the modulus at n={n}"
+    return None
+
+
+def test_table_validation_matches_all_pairs_reference() -> None:
+    rng = random.Random(3)
+    verdicts = set()
+    for trial in range(120):
+        rows = rng.randint(2, 30)
+        params = sorted(rng.sample(range(4 * rows), rows))
+        den = rng.choice((4, 16, 64, 100))
+        step = Fraction(rng.randint(1, 6), den)
+        entries = []
+        z = pt(0, 0)
+        for k in params:
+            entries.append((Fraction(k, 4 * rows), z))
+            z = z + pt(step * rng.randint(-3, 3), step * rng.randint(-3, 3))
+        path = TablePath(entries, modulus_offset=rng.randint(0, 4))
+        want = _ref_validate(path)
+        verdicts.add(want is None)
+        if want is None:
+            path.validate()
+        else:
+            with pytest.raises(PreconditionViolated) as err:
+                path.validate()
+            assert str(err.value) == want, trial
+    assert verdicts == {True, False}
+
+
 @given(st.integers(min_value=0, max_value=30))
 def test_moduli_increase(n: int) -> None:
     for path in (*diagonal_pair(), *curved_pair(), DIAG_EXT, ANTI_EXT):
