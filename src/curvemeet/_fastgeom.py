@@ -151,41 +151,39 @@ class PolylineIndex:
 
     def _tree(self) -> list[tuple]:
         # node: (minx, maxx, miny, maxy, left, right, ax, ay, bx, by);
-        # left/right are node indices, -1 marks a leaf holding a segment
+        # left/right are node indices, -1 marks a leaf holding a segment.
+        # Built bottom-up: each level pairs up the nodes of the one below,
+        # and an unpaired last node moves up unchanged.
         if self._nodes is not None:
             return self._nodes
         pts = self._pts
         nodes: list[tuple] = []
-
-        def build(lo: int, hi: int) -> int:
-            if hi - lo == 1:
-                ax, ay = pts[lo]
-                bx, by = pts[lo + 1]
-                minx, maxx = (ax, bx) if ax <= bx else (bx, ax)
-                miny, maxy = (ay, by) if ay <= by else (by, ay)
-                nodes.append((minx, maxx, miny, maxy, -1, -1, ax, ay, bx, by))
-            else:
-                mid = (lo + hi) // 2
-                li = build(lo, mid)
-                ri = build(mid, hi)
-                lnode, rnode = nodes[li], nodes[ri]
+        for (ax, ay), (bx, by) in zip(pts, pts[1:]):
+            minx, maxx = (ax, bx) if ax <= bx else (bx, ax)
+            miny, maxy = (ay, by) if ay <= by else (by, ay)
+            nodes.append((minx, maxx, miny, maxy, -1, -1, ax, ay, bx, by))
+        lo, hi = 0, len(nodes)
+        while hi - lo > 1:
+            for i in range(lo, hi - 1, 2):
+                a, b = nodes[i], nodes[i + 1]
                 nodes.append(
                     (
-                        min(lnode[0], rnode[0]),
-                        max(lnode[1], rnode[1]),
-                        min(lnode[2], rnode[2]),
-                        max(lnode[3], rnode[3]),
-                        li,
-                        ri,
+                        a[0] if a[0] <= b[0] else b[0],
+                        a[1] if a[1] >= b[1] else b[1],
+                        a[2] if a[2] <= b[2] else b[2],
+                        a[3] if a[3] >= b[3] else b[3],
+                        i,
+                        i + 1,
                         0,
                         0,
                         0,
                         0,
                     )
                 )
-            return len(nodes) - 1
-
-        self._root = build(0, len(pts) - 1)
+            if (hi - lo) % 2:
+                nodes.append(nodes[hi - 1])
+            lo, hi = hi, len(nodes)
+        self._root = lo
         self._nodes = nodes
         return nodes
 

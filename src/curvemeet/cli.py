@@ -265,8 +265,11 @@ def render_svg(
 def _write_output(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_intersect(args: argparse.Namespace) -> int:

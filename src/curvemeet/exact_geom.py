@@ -53,6 +53,9 @@ class Point:
     x: Fraction
     y: Fraction
 
+    def __str__(self) -> str:
+        return f"({self.x}, {self.y})"
+
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
 

@@ -14,12 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._fastgeom import (
-    PolylineIndex,
-    common_scale,
-    min_sqdist_exceeds,
-    weakly_separated_ints,
-)
+from ._fastgeom import PolylineIndex, min_sqdist_exceeds, weakly_separated_ints
 from .errors import (
     EffortExhausted,
     NotSeparated,
@@ -28,7 +23,7 @@ from .errors import (
 )
 from .exact_geom import Interval, Point, pow2, smallest_n_below, sqrt_enclosure
 from .paths import PathOracle, n_approximation, n_approximation_pair
-from .track import Track
+from .track import Track, common_verts
 
 Crossing = tuple[Fraction, Fraction, Point]
 
@@ -62,12 +57,10 @@ def crossing_count(p: Track, q: Track) -> CrossingReport:
     vertex incidence, so inside the sweep a zero orientation sign is not
     a boundary case to classify but an internal consistency failure.
     """
-    (pi, qi), _scale = common_scale(list(p.points), list(q.points))
+    pi, qi, den = common_verts(p, q)
     if not weakly_separated_ints(pi, qi):
         raise NotSeparated("tracks are not weakly separated")
     qidx = PolylineIndex(qi)
-    p_entries = p.entries
-    q_entries = q.entries
 
     hits: list[tuple[int, int, int, int, int, int]] = []
     for i in range(len(pi) - 1):
@@ -98,16 +91,19 @@ def crossing_count(p: Track, q: Track) -> CrossingReport:
             hits.append((i, j, o1, o2, o3, o4))
 
     hits.sort(key=lambda h: (h[0], h[1]))
+    ps, qs = p.snums, q.snums
     crossings: list[Crossing] = []
     for i, j, o1, o2, o3, o4 in hits:
-        u = Fraction(o3, o3 - o4)  # position along p's segment
-        v = Fraction(o1, o1 - o2)  # position along q's segment
-        s0, a = p_entries[i]
-        s1, b = p_entries[i + 1]
-        t0, _ = q_entries[j]
-        t1, _ = q_entries[j + 1]
-        point = a + (b - a).scale(u)
-        crossings.append((s0 + u * (s1 - s0), t0 + v * (t1 - t0), point))
+        # at u = o3/w along p's segment i and v = o1/w2 along q's segment j
+        w, w2 = o3 - o4, o1 - o2
+        (ax, ay), (bx, by) = pi[i], pi[i + 1]
+        s = Fraction(ps[i] * w + (ps[i + 1] - ps[i]) * o3, p.sden * w)
+        t = Fraction(qs[j] * w2 + (qs[j + 1] - qs[j]) * o1, q.sden * w2)
+        point = Point(
+            Fraction(ax * w + (bx - ax) * o3, den * w),
+            Fraction(ay * w + (by - ay) * o3, den * w),
+        )
+        crossings.append((s, t, point))
     return _report(crossings)
 
 
@@ -136,8 +132,8 @@ def alpha_enclosure(
     """
     p = n_approximation(f, i, n)
     q = n_approximation(g, j, n)
-    (pi, qi), scale = common_scale(list(p.points), list(q.points))
-    sq_scale = Fraction(scale * scale)
+    pi, qi, den = common_verts(p, q)
+    sq_scale = Fraction(den * den)
     qidx = PolylineIndex(qi)
     pidx = PolylineIndex(pi)
     d_f_ends = min(
@@ -235,8 +231,8 @@ def function_parity(
         enc = certify_alpha(f, g, i, j, effort, probe_start)
         n = smallest_n_below(enc.lo / 16)
     p, q = n_approximation_pair(f, g, i, j, n, rng)
-    (pi, qi), scale = common_scale(list(p.points), list(q.points))
+    pi, qi, den = common_verts(p, q)
     threshold = (11 * pow2(-n)) ** 2
-    if min_sqdist_exceeds(pi, PolylineIndex(qi), threshold, scale):
+    if min_sqdist_exceeds(pi, PolylineIndex(qi), threshold, den):
         return 0
     return crossing_count(p, q).parity

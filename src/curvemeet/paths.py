@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from ._fastgeom import BoxLevels, canonical_lines, lcm_denominators, scale_points
+from ._fastgeom import BoxLevels, IntPoint, canonical_lines
 from .errors import EndpointViolation, OutOfDomain, PreconditionViolated
 from .exact_geom import (
     Interval,
@@ -34,7 +34,7 @@ from .exact_geom import (
     pt,
     rat,
 )
-from .track import Track, spiral_search
+from .track import SPIRAL_LEVELS, Track, spiral_search
 
 _JITTER_SPAN = 32  # random vertex offsets stay within 32 pitches per axis
 _UNIT_DOMAIN = interval(0, 1)
@@ -42,7 +42,14 @@ _EXTENDED_DOMAIN = interval(-1, 2)
 
 
 class PathOracle(ABC):
-    """A curve known through approximations and a continuity modulus."""
+    """A curve known through approximations and a continuity modulus.
+
+    The builtin oracles also provide `eval_dyadic(k0, k1, e, n)`: the
+    values at every k/2^e for k0 <= k <= k1, as integer numerators over
+    one denominator they state.  Track construction uses it where
+    present; any other curve is evaluated point by point through
+    `eval_approx` (see `dyadic_values`).
+    """
 
     @property
     @abstractmethod
@@ -65,6 +72,15 @@ def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """A common denominator d of the values and their numerators over d."""
     d = math.lcm(*(v.denominator for v in values))
     return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def _points_over_lcm(points: Sequence[Point]) -> tuple[int, list[IntPoint]]:
+    """A common denominator d of the points and their numerators over d."""
+    d = math.lcm(*(c.denominator for z in points for c in (z.x, z.y)))
+    return d, [
+        (z.x.numerator * (d // z.x.denominator), z.y.numerator * (d // z.y.denominator))
+        for z in points
+    ]
 
 
 def _lipschitz_shift(l1_bound: Fraction) -> int:
@@ -92,20 +108,29 @@ class PolylinePath(PathOracle):
         self._entries = tuple(cooked)
         self._domain = Interval(cooked[0][0], cooked[-1][0])
         # integer forms, built once: the parameters over their common
-        # denominator for the lookup and the domain test, and each segment
-        # as x = (x_span*b + dx*r) / (den*b), r = a*e - p0*b, at t = a/b
-        self._pscale, self._pnums = _over_lcm([s for s, _ in cooked])
+        # denominator for the lookup and the domain test, and segment k
+        # as the value (alpha*b + beta*a) / (vden*b) per axis at t = a/b
+        self._pscale, pnums = _over_lcm([s for s, _ in cooked])
+        self._pnums = pnums
+        d, verts = _points_over_lcm([z for _, z in cooked])
+        spans = [p1 - p0 for p0, p1 in zip(pnums, pnums[1:])]
+        span_lcm = math.lcm(*spans)
+        self._vden = d * span_lcm
         segments = []
         slope = Fraction(0)
-        for (s0, a), (s1, b) in zip(cooked, cooked[1:]):
-            e, (p0, p1) = _over_lcm([s0, s1])
-            d, (ax, ay, bx, by) = _over_lcm([a.x, a.y, b.x, b.y])
-            span = p1 - p0
+        for k, span in enumerate(spans):
+            (x0, y0), (x1, y1) = verts[k], verts[k + 1]
+            dx, dy, w = x1 - x0, y1 - y0, span_lcm // span
             segments.append(
-                (e, p0, ax * span, bx - ax, ay * span, by - ay, d * span)
+                (
+                    w * (x0 * span - dx * pnums[k]),
+                    w * dx * self._pscale,
+                    w * (y0 * span - dy * pnums[k]),
+                    w * dy * self._pscale,
+                )
             )
-            slope = max(slope, Fraction(abs(bx - ax) + abs(by - ay), d) / (s1 - s0))
-        self._segments = tuple(segments)
+            slope = max(slope, Fraction((abs(dx) + abs(dy)) * self._pscale, d * span))
+        self._segments = segments
         self._shift = _lipschitz_shift(slope)
 
     @property
@@ -121,16 +146,30 @@ class PolylinePath(PathOracle):
         q, pnums = a * self._pscale, self._pnums
         if q < pnums[0] * b or q > pnums[-1] * b:
             raise _out_of_domain(t, self._domain)
-        # the sample parameters are integers, so p <= q/b iff p <= floor(q/b)
-        i = bisect_right(pnums, q // b) - 1
-        if i == len(pnums) - 1:
-            return self._entries[-1][1]
-        e, p0, x_span, dx, y_span, dy, den = self._segments[i]
-        r = a * e - p0 * b
-        den *= b
-        return Point(
-            Fraction(x_span * b + dx * r, den), Fraction(y_span * b + dy * r, den)
-        )
+        # the sample parameters are integers, so p <= q/b iff p <= floor(q/b);
+        # the last segment also serves the last sample parameter
+        i = min(bisect_right(pnums, q // b) - 1, len(self._segments) - 1)
+        ax, bx, ay, by = self._segments[i]
+        den = self._vden * b
+        return Point(Fraction(ax * b + bx * a, den), Fraction(ay * b + by * a, den))
+
+    def eval_dyadic(self, k0: int, k1: int, e: int, n: int) -> tuple[int, list[IntPoint]]:
+        scale, pnums, segments = self._pscale, self._pnums, self._segments
+        for k in (k0, k1):
+            if k * scale < pnums[0] << e or k * scale > pnums[-1] << e:
+                raise _out_of_domain(Fraction(k, 1 << e), self._domain)
+        out: list[IntPoint] = []
+        i = min(bisect_right(pnums, (k0 * scale) >> e) - 1, len(segments) - 1)
+        k = k0
+        while k <= k1:
+            ax, bx, ay, by = segments[i]
+            ax, ay = ax << e, ay << e
+            # the segment's formula holds on its closed parameter range
+            stop = min(k1, (pnums[i + 1] << e) // scale)
+            out += [(ax + bx * j, ay + by * j) for j in range(k, stop + 1)]
+            k = max(k, stop + 1)
+            i += 1
+        return self._vden << e, out
 
     def modulus(self, n: int) -> int:
         return n + self._shift
@@ -166,6 +205,20 @@ class QuadBezierPath(PathOracle):
             Fraction(x0 * w0 + x1 * w1 + x2 * w2, den),
             Fraction(y0 * w0 + y1 * w1 + y2 * w2, den),
         )
+
+    def eval_dyadic(self, k0: int, k1: int, e: int, n: int) -> tuple[int, list[IntPoint]]:
+        b = 1 << e
+        if k0 < 0 or k1 > b:
+            raise _out_of_domain(Fraction(k0 if k0 < 0 else k1, b), _UNIT_DOMAIN)
+        # at t = k/b the numerator over den*b^2 is, expanded in powers of k,
+        # c0 + k*(c1 + k*c2) per axis
+        x0, x1, x2, y0, y1, y2 = self._ints
+        cx0, cx1, cx2 = x0 * b * b, 2 * b * (x1 - x0), x0 - 2 * x1 + x2
+        cy0, cy1, cy2 = y0 * b * b, 2 * b * (y1 - y0), y0 - 2 * y1 + y2
+        return self._den * b * b, [
+            (cx0 + k * (cx1 + k * cx2), cy0 + k * (cy1 + k * cy2))
+            for k in range(k0, k1 + 1)
+        ]
 
     def modulus(self, n: int) -> int:
         return n + self._shift
@@ -272,6 +325,19 @@ class ExtendedPath(PathOracle):
             return Point(rat(t), _TAIL_Y[self.side][1])
         return self.inner.eval_approx(t, n)
 
+    def eval_dyadic(self, k0: int, k1: int, e: int, n: int) -> tuple[int, list[IntPoint]]:
+        b = 1 << e
+        if k0 < -b or k1 > 2 * b:
+            raise _out_of_domain(Fraction(k0 if k0 < -b else k1, b), _EXTENDED_DOMAIN)
+        inner_den, inner = dyadic_values(self.inner, max(k0, 1), min(k1, b - 1), e, n)
+        den = math.lcm(inner_den, b)
+        m, step = den // inner_den, den >> e
+        left, right = (y.numerator * den for y in _TAIL_Y[self.side])
+        out = [(k * step, left) for k in range(k0, min(k1, 0) + 1)]
+        out += inner if m == 1 else [(x * m, y * m) for x, y in inner]
+        out += [(k * step, right) for k in range(max(k0, b), k1 + 1)]
+        return den, out
+
     def modulus(self, n: int) -> int:
         # one extra bit pays for parameter pairs straddling a junction:
         # split at the junction and add the two halves' deviations
@@ -297,8 +363,15 @@ def extend(path: PathOracle, side: Side, check_precision: int = 20) -> ExtendedP
     return ExtendedPath(path, side)
 
 
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
+def _grid_bounds(lo: Fraction, hi: Fraction, md: int) -> tuple[int, int, int]:
+    """(e, k0, k1): the grid of `dyadic_grid(lo, hi, md)` between its
+    endpoints is k/2^e for k0 <= k <= k1."""
+    if lo >= hi:
+        raise ValueError("empty parameter interval")
+    e = md + 1
+    k0 = (lo.numerator << e) // lo.denominator + 1
+    k1 = -((-hi.numerator << e) // hi.denominator) - 1
+    return e, k0, k1
 
 
 def dyadic_grid(lo: Fraction, hi: Fraction, md: int) -> list[Fraction]:
@@ -306,72 +379,109 @@ def dyadic_grid(lo: Fraction, hi: Fraction, md: int) -> list[Fraction]:
 
     Every gap is positive and strictly below 2^-md.
     """
-    if lo >= hi:
-        raise ValueError("empty parameter interval")
-    scale = 2 ** (md + 1)
-    k0 = _floor(lo * scale) + 1
-    k1 = -_floor(-hi * scale) - 1
-    inner = [Fraction(k, scale) for k in range(k0, k1 + 1)]
-    return [lo, *inner, hi]
+    e, k0, k1 = _grid_bounds(lo, hi, md)
+    return [lo, *(Fraction(k, 1 << e) for k in range(k0, k1 + 1)), hi]
+
+
+def dyadic_values(
+    f: PathOracle, k0: int, k1: int, e: int, n: int
+) -> tuple[int, list[IntPoint]]:
+    """Values of f at precision n at k/2^e for k0 <= k <= k1, as integer
+    numerators over one denominator.
+
+    This is the one place where a curve without `eval_dyadic` (a user
+    oracle that has only `eval_approx`, `modulus` and `domain`) is
+    evaluated, point by point.
+    """
+    if k0 > k1:
+        return 1, []
+    eval_dyadic = getattr(f, "eval_dyadic", None)
+    if eval_dyadic is not None:
+        return eval_dyadic(k0, k1, e, n)
+    return _points_over_lcm([f.eval_approx(Fraction(k, 1 << e), n) for k in range(k0, k1 + 1)])
+
+
+def grid_values(
+    f: PathOracle, lo: Fraction, hi: Fraction, md: int, n: int
+) -> tuple[int, list[int], int, list[IntPoint]]:
+    """f at precision n on `dyadic_grid(lo, hi, md)`, in integers:
+    (sden, snums, vden, values) with grid point k at snums[k] / sden
+    and its value at values[k] / vden."""
+    e, k0, k1 = _grid_bounds(lo, hi, md)
+    inner_den, inner = dyadic_values(f, k0, k1, e, n)
+    ends_den, (z_lo, z_hi) = _points_over_lcm([f.eval_approx(lo, n), f.eval_approx(hi, n)])
+    vden = math.lcm(inner_den, ends_den)
+    m, m_ends = vden // inner_den, vden // ends_den
+    values = [(z_lo[0] * m_ends, z_lo[1] * m_ends)]
+    values += inner if m == 1 else [(x * m, y * m) for x, y in inner]
+    values.append((z_hi[0] * m_ends, z_hi[1] * m_ends))
+    sden = math.lcm(1 << e, lo.denominator, hi.denominator)
+    step = sden >> e
+    snums = [lo.numerator * (sden // lo.denominator)]
+    snums += range(k0 * step, (k1 + 1) * step, step)
+    snums.append(hi.numerator * (sden // hi.denominator))
+    return sden, snums, vden, values
 
 
 def _base_points(
-    f: PathOracle,
-    grid: Sequence[Fraction],
-    n: int,
-    rng: random.Random | None,
-) -> list[Point]:
-    """Evaluations at precision n+2 on the grid, each moved by an optional
-    random jitter of up to _JITTER_SPAN pitches 2^-(n+8) per axis."""
-    pitch = pow2(-(n + 8))
-    out = []
-    for s in grid:
-        base = f.eval_approx(s, n + 2)
-        if rng is not None:
-            i = rng.randint(-_JITTER_SPAN, _JITTER_SPAN)
-            j = rng.randint(-_JITTER_SPAN, _JITTER_SPAN)
-            base = Point(base.x + i * pitch, base.y + j * pitch)
-        out.append(base)
-    return out
+    f: PathOracle, i: Interval, n: int, rng: random.Random | None
+) -> tuple[int, list[int], int, list[IntPoint]]:
+    """The grid of a precision-n track of f on i and its base points:
+    evaluations at precision n+2, each moved by an optional random
+    jitter of up to _JITTER_SPAN pitches 2^-(n+8) per axis.
+
+    The vertex denominator is a multiple of 2^(n+8) times 2^11, so that
+    the jitter, the spiral pitch 2^-(n+8) and its halvings are integers.
+    """
+    if not f.domain.contains_interval(i):
+        raise OutOfDomain(f"{i} is not inside {f.domain}")
+    sden, snums, vden, values = grid_values(f, i.lo, i.hi, f.modulus(n), n + 2)
+    den = math.lcm(vden, 1 << (n + 7 + SPIRAL_LEVELS))
+    m = den // vden
+    if rng is None:
+        return sden, snums, den, values if m == 1 else [(x * m, y * m) for x, y in values]
+    pitch, span, randint = den >> (n + 8), _JITTER_SPAN, rng.randint
+    bases = [
+        (x * m + randint(-span, span) * pitch, y * m + randint(-span, span) * pitch)
+        for x, y in values
+    ]
+    return sden, snums, den, bases
 
 
 def _fix_vertices(
-    bases: Sequence[Point],
+    bases: Sequence[IntPoint],
     n: int,
-    accept_extra: Callable[[int, Point, Point | None], bool],
-) -> list[Point]:
-    """Vertices within 2^-n of the curve, adjacent ones distinct.
+    den: int,
+    accept_extra: Callable[[int, IntPoint, IntPoint | None], bool] | None = None,
+) -> list[IntPoint]:
+    """Vertices within 2^-n of the curve, adjacent ones distinct, as
+    numerators over den.
 
     Vertex k starts from bases[k] and walks a dyadic spiral of pitch
     2^-(n+8) until it differs from its predecessor and accept_extra(k,
     candidate, predecessor) holds.  Every candidate stays strictly within
     2^-(n+2) of its base, so the combined offset stays below 2^-n.
     """
-    pitch = pow2(-(n + 8))
-    sq_budget = pow2(-(n + 2)) ** 2
-    out: list[Point] = []
+    pitch = den >> (n + 8)
+    sq_budget = (den >> (n + 2)) ** 2
+    out: list[IntPoint] = []
+    prev = None
     for k, base in enumerate(bases):
-        prev = out[-1] if out else None
         # the unmoved base is almost always acceptable; the spiral
         # machinery is only paid for on rejection
-        if (prev is None or base != prev) and accept_extra(k, base, prev):
+        if base != prev and (accept_extra is None or accept_extra(k, base, prev)):
             out.append(base)
+            prev = base
             continue
 
-        def ok(cand: Point, _k: int = k, _prev: Point | None = prev) -> bool:
-            if _prev is not None and cand == _prev:
+        def ok(cand: IntPoint, _k: int = k, _prev: IntPoint | None = prev) -> bool:
+            if cand == _prev:
                 return False
-            return accept_extra(_k, cand, _prev)
+            return accept_extra is None or accept_extra(_k, cand, _prev)
 
-        out.append(spiral_search(base, pitch, sq_budget, ok))
+        prev = spiral_search(base, pitch, sq_budget, ok)
+        out.append(prev)
     return out
-
-
-def _param_grid(f: PathOracle, i: Interval, n: int) -> list[Fraction]:
-    """The dyadic grid of a precision-n track of f on i."""
-    if not f.domain.contains_interval(i):
-        raise OutOfDomain(f"{i} is not inside {f.domain}")
-    return dyadic_grid(i.lo, i.hi, f.modulus(n))
 
 
 def n_approximation(
@@ -382,16 +492,8 @@ def n_approximation(
 ) -> Track:
     """A track following f on i: gaps below 2^-modulus(n), vertices
     within 2^-n of the curve, consecutive vertices distinct."""
-    grid = _param_grid(f, i, n)
-    bases = _base_points(f, grid, n, rng)
-    return Track(tuple(zip(grid, _fix_vertices(bases, n, lambda k, c, p: True))))
-
-
-def _on_grid(z: Point, scale: int) -> tuple[int, int, int]:
-    """(x, y, e) with z = (x, y) / (scale * e) and e as small as possible."""
-    xd, yd = z.x.denominator, z.y.denominator
-    full = math.lcm(scale, xd, yd)
-    return z.x.numerator * (full // xd), z.y.numerator * (full // yd), full // scale
+    sden, snums, den, bases = _base_points(f, i, n, rng)
+    return Track.from_ints(sden, snums, den, _fix_vertices(bases, n, den))
 
 
 def n_approximation_pair(
@@ -422,36 +524,32 @@ def n_approximation_pair(
     vertices each passes close to, instead of O(|p|) tests per candidate.
     """
     p = n_approximation(f, i, n, rng)
-    grid = _param_grid(g, j, n)
-    bases = _base_points(g, grid, n, rng)
-    scale = math.lcm(lcm_denominators(p.points), lcm_denominators(bases))
-    p_ints = scale_points(p.points, scale)
+    sden, snums, g_den, bases = _base_points(g, j, n, rng)
+    den = math.lcm(p.vden, g_den)
+    m = den // g_den
+    if m != 1:
+        bases = [(x * m, y * m) for x, y in bases]
+    p_ints = p.verts_over(den)
     p_boxes = BoxLevels(p_ints)
-    base_boxes = BoxLevels(scale_points(bases, scale))
-    reach = -(-scale // 2 ** (n + 2))
+    base_boxes = BoxLevels(bases)
+    reach = den >> (n + 2)
     near_lines: dict[int, list[tuple[int, int, int]]] = {}
     for line in canonical_lines(p_ints):
         for k in base_boxes.stab(*line, reach):
             near_lines.setdefault(k, []).append(line)
 
-    def clears(k: int, cand: Point, prev: Point | None) -> bool:
-        x, y, e = _on_grid(cand, scale)
+    def clears(k: int, cand: IntPoint, prev: IntPoint | None) -> bool:
+        x, y = cand
         for a, b, c in near_lines.get(k, ()):
-            if a * x + b * y == c * e:
+            if a * x + b * y == c:
                 return False
         if prev is None:
             return True
-        x0, y0, e0 = _on_grid(prev, scale)
-        if e0 != e:
-            e_both = math.lcm(e0, e)
-            x, y = x * (e_both // e), y * (e_both // e)
-            x0, y0 = x0 * (e_both // e0), y0 * (e_both // e0)
-            e = e_both
+        x0, y0 = prev
         a, b = y - y0, x0 - x
-        # p's vertices sit on the grid at scale*e as (e*px, e*py)
-        return not p_boxes.stab(a * e, b * e, a * x0 + b * y0, 0)
+        return not p_boxes.stab(a, b, a * x0 + b * y0, 0)
 
-    return p, Track(tuple(zip(grid, _fix_vertices(bases, n, clears))))
+    return p, Track.from_ints(sden, snums, den, _fix_vertices(bases, n, den, clears))
 
 
 def diagonal_pair() -> tuple[PolylinePath, PolylinePath]:

@@ -12,11 +12,12 @@ parity is odd.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._fastgeom import PolylineIndex, common_scale
+from ._fastgeom import PolylineIndex
 from .errors import InvariantViolation, NotConverged, PreconditionViolated
 from .exact_geom import (
     Interval,
@@ -30,7 +31,8 @@ from .exact_geom import (
     sqrt_enclosure,
 )
 from .parity import certify_alpha, function_parity
-from .paths import PathOracle, Side, dyadic_grid, extend, n_approximation
+from .paths import PathOracle, Side, extend, grid_values, n_approximation
+from .track import common_verts
 
 _EXTENDED = interval(-1, 2)
 _UNIT = interval(0, 1)
@@ -109,8 +111,6 @@ def shrink_first(
             raise PreconditionViolated(
                 "crossing parity on the input intervals is 0"
             )
-    # consecutive grid values of f move by less than 2^-n/16
-    grid = dyadic_grid(i.lo, i.hi, f.modulus(n + 4))
     # distance error budget: evaluation 2^-(n+9) plus polyline deviation
     # 5*2^-(n+9), under 2^-n/16.  Each grid value is decided against the
     # exact squared distance q to the polyline, by the thresholds of the
@@ -120,11 +120,15 @@ def shrink_first(
     #   lo <= half  iff  q < 513^2 * 4^-(n+10)  (endpoint not clear)
     # so the classification equals the rounded one without forming lo.
     g_track = n_approximation(g, j, n + 9)
-    f_vals = [f.eval_approx(s, n + 9) for s in grid]
-    (fv, qv), scale = common_scale(f_vals, list(g_track.points))
-    idx = PolylineIndex(qv)
-    sq_scale = scale * scale
-    k = len(grid) - 1
+    # consecutive grid values of f move by less than 2^-n/16
+    sden, snums, f_den, fv = grid_values(f, i.lo, i.hi, f.modulus(n + 4), n + 9)
+    den = math.lcm(f_den, g_track.vden)
+    m = den // f_den
+    if m != 1:
+        fv = [(x * m, y * m) for x, y in fv]
+    idx = PolylineIndex(g_track.verts_over(den))
+    sq_scale = den * den
+    k = len(fv) - 1
     for x, y in (fv[0], fv[k]):
         if idx.any_within(x, y, 513 * 513 * sq_scale, 4 ** (n + 10)):
             raise PreconditionViolated(
@@ -146,7 +150,7 @@ def shrink_first(
             continue
         if not all(low[a + 1 : b]):
             raise InvariantViolation("mixed run between chosen grid indices")
-        cand = Interval(grid[a], grid[b])
+        cand = Interval(Fraction(snums[a], sden), Fraction(snums[b], sden))
         # run endpoints measured >= 2^-n/2, so the true clearance of
         # (cand, j) is at least 7/16 * 2^-n and precision n+6 satisfies
         # the parity stability margin 2^-(n+6) < (7/16)*2^-n / 16
@@ -269,10 +273,10 @@ def _check_neighborhood(
         n_v -= 1
     pa = n_approximation(a, ia, n_v)
     qb = n_approximation(b, jb, n_v)
-    (ap, bp), scale = common_scale(list(pa.points), list(qb.points))
+    ap, bp, den = common_verts(pa, qb)
     idx = PolylineIndex(bp)
     allowed = pow2(-level) + 6 * pow2(-n_v)
-    lim = allowed * allowed * scale * scale
+    lim = allowed * allowed * den * den
     for x, y in ap:
         if idx.sq_dist_to_point(x, y) > lim:
             raise InvariantViolation(
@@ -332,11 +336,11 @@ def extract_point(
     for rec in cert.records:
         n_ap = rec.m + 6
         track = n_approximation(f, rec.i, n_ap)
-        xs = [p.x for p in track.points]
-        ys = [p.y for p in track.points]
-        cx = (min(xs) + max(xs)) / 2
-        cy = (min(ys) + max(ys)) / 2
-        half_sq = (max(xs) - cx) ** 2 + (max(ys) - cy) ** 2
+        xs = [x for x, _ in track.verts]
+        ys = [y for _, y in track.verts]
+        x0, x1, y0, y1, d = min(xs), max(xs), min(ys), max(ys), 2 * track.vden
+        cx, cy = Fraction(x0 + x1, d), Fraction(y0 + y1, d)
+        half_sq = Fraction((x1 - x0) ** 2 + (y1 - y0) ** 2, d * d)
         radius = sqrt_enclosure(half_sq, n_ap).hi + 5 * pow2(-n_ap)
         if radius <= eps:
             return PointApproximation(pt(cx, cy), radius, rec.m)

@@ -9,47 +9,119 @@ sign computation.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
-from ._fastgeom import common_scale, weakly_separated_ints
+from ._fastgeom import IntPoint, weakly_separated_ints
 from .errors import GridMismatch, InvariantViolation, OutOfDomain
 from .exact_geom import Line, Point, orient, pt, rat
 
 LineSet = frozenset
 
+# pitches a spiral search tries: the given one and eleven halvings
+SPIRAL_LEVELS = 12
 
-@dataclass(frozen=True)
+
 class Track:
-    entries: tuple[tuple[Fraction, Point], ...]
+    """A polygon track held in integers over two denominators.
 
-    def __post_init__(self) -> None:
-        if len(self.entries) < 2:
+    Parameter k is snums[k] / sden and vertex k is verts[k] / vden, so
+    the sign tests, distance queries and crossing sweeps read the
+    integers directly.  `entries`, `params` and `points` are `Fraction`
+    views built on demand, for tests and the API.
+
+    `Track(entries)` checks that the parameters increase strictly and
+    that consecutive vertices differ.  Tracks built by the approximation
+    code hold both by construction and come through `from_ints`, which
+    checks nothing.
+    """
+
+    __slots__ = ("sden", "snums", "vden", "verts")
+
+    def __init__(self, entries: Iterable[tuple[Fraction, Point]]):
+        entries = tuple(entries)
+        if len(entries) < 2:
             raise ValueError("a track needs at least two vertices")
-        for (s0, x0), (s1, x1) in zip(self.entries, self.entries[1:]):
+        for (s0, x0), (s1, x1) in zip(entries, entries[1:]):
             if s1 <= s0:
                 raise ValueError("track parameters must increase strictly")
             if x0 == x1:
                 raise ValueError("consecutive track vertices must differ")
+        sden = math.lcm(*(s.denominator for s, _ in entries))
+        vden = math.lcm(*(c.denominator for _, z in entries for c in (z.x, z.y)))
+        self.sden = sden
+        self.snums = tuple(s.numerator * (sden // s.denominator) for s, _ in entries)
+        self.vden = vden
+        self.verts = tuple(
+            (z.x.numerator * (vden // z.x.denominator), z.y.numerator * (vden // z.y.denominator))
+            for _, z in entries
+        )
+
+    @classmethod
+    def from_ints(
+        cls, sden: int, snums: Sequence[int], vden: int, verts: Sequence[IntPoint]
+    ) -> "Track":
+        """A track from integer forms that are valid by construction."""
+        track = cls.__new__(cls)
+        track.sden, track.snums, track.vden, track.verts = sden, snums, vden, verts
+        return track
+
+    def param(self, k: int) -> Fraction:
+        return Fraction(self.snums[k], self.sden)
+
+    def point(self, k: int) -> Point:
+        x, y = self.verts[k]
+        return Point(Fraction(x, self.vden), Fraction(y, self.vden))
 
     @property
     def params(self) -> tuple[Fraction, ...]:
-        return tuple(s for s, _ in self.entries)
+        return tuple(Fraction(s, self.sden) for s in self.snums)
 
     @property
     def points(self) -> tuple[Point, ...]:
-        return tuple(x for _, x in self.entries)
+        d = self.vden
+        return tuple(Point(Fraction(x, d), Fraction(y, d)) for x, y in self.verts)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, Point], ...]:
+        return tuple(zip(self.params, self.points))
+
+    def verts_over(self, den: int) -> Sequence[IntPoint]:
+        """The vertex numerators over den, a multiple of vden."""
+        m = den // self.vden
+        if m == 1:
+            return self.verts
+        return [(x * m, y * m) for x, y in self.verts]
 
     def domain(self) -> tuple[Fraction, Fraction]:
-        return self.entries[0][0], self.entries[-1][0]
+        return self.param(0), self.param(-1)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.snums)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Track):
+            return NotImplemented
+        if self.sden == other.sden and self.vden == other.vden:
+            return self.snums == other.snums and self.verts == other.verts
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"Track(entries={self.entries!r})"
 
 
-def make_track(raw: Iterable[tuple] ) -> Track:
+def common_verts(p: Track, q: Track) -> tuple[Sequence[IntPoint], Sequence[IntPoint], int]:
+    """The vertices of both tracks over one common denominator."""
+    den = math.lcm(p.vden, q.vden)
+    return p.verts_over(den), q.verts_over(den), den
+
+
+def make_track(raw: Iterable[tuple]) -> Track:
     """Build a Track from (s, (x, y)) or (s, Point) pairs."""
     entries = []
     for s, p in raw:
@@ -60,16 +132,23 @@ def make_track(raw: Iterable[tuple] ) -> Track:
 
 def eval_track(p: Track, s: Fraction) -> Point:
     """Value of the polygon path of p at parameter s (exact)."""
-    params = p.params
-    if s < params[0] or s > params[-1]:
-        raise OutOfDomain(f"parameter {s} outside [{params[0]}, {params[-1]}]")
-    i = bisect_right(params, s) - 1
-    if i == len(params) - 1:
-        return p.entries[-1][1]
-    s0, x0 = p.entries[i]
-    s1, x1 = p.entries[i + 1]
-    t = (s - s0) / (s1 - s0)
-    return x0 + (x1 - x0).scale(t)
+    s = rat(s)
+    a, b = s.numerator, s.denominator
+    snums, sden = p.snums, p.sden
+    q = a * sden
+    if q < snums[0] * b or q > snums[-1] * b:
+        lo, hi = p.domain()
+        raise OutOfDomain(f"parameter {s} outside [{lo}, {hi}]")
+    # the numerators are integers, so snums[k] <= q/b iff snums[k] <= q // b
+    i = bisect_right(snums, q // b) - 1
+    if i == len(snums) - 1:
+        return p.point(i)
+    # at t = (q - s0*b) / (b*(s1 - s0)) along the segment
+    r = q - snums[i] * b
+    w = b * (snums[i + 1] - snums[i])
+    (x0, y0), (x1, y1) = p.verts[i], p.verts[i + 1]
+    den = p.vden * w
+    return Point(Fraction(x0 * w + (x1 - x0) * r, den), Fraction(y0 * w + (y1 - y0) * r, den))
 
 
 def vertex_set(p: Track) -> frozenset[Point]:
@@ -104,7 +183,7 @@ def weakly_separated(p: Track, q: Track) -> bool:
     test is about O((|p| + |q|) log) for tracks that do not run along
     each other's lines, instead of O(|p| * |q|).
     """
-    (pi, qi), _scale = common_scale(p.points, q.points)
+    pi, qi, _den = common_verts(p, q)
     return weakly_separated_ints(pi, qi)
 
 
@@ -142,11 +221,22 @@ def spiral_search(
     offset below sq_budget.  If no grid point within budget is accepted
     the pitch is halved and the scan restarts, so a candidate is found
     whenever the rejected set is a finite union of lines and points.
+
+    The center may also be an integer pair, with an integer pitch and
+    budget in the same units; the candidates are then integer pairs in
+    the same order.  The pitch must then be a multiple of 2^11, so that
+    every halving stays on the integers.
     """
     if pitch <= 0 or sq_budget <= 0:
         raise ValueError("pitch and budget must be positive")
-    for _ in range(12):
-        limit = sq_budget / (pitch * pitch)
+    as_point = isinstance(center, Point)
+    if not as_point and pitch % (1 << (SPIRAL_LEVELS - 1)):
+        raise ValueError("an integer pitch must be a multiple of 2^11")
+    cx, cy = (center.x, center.y) if as_point else center
+    for level in range(SPIRAL_LEVELS):
+        if level:
+            pitch = pitch / 2 if as_point else pitch >> 1
+        limit = Fraction(sq_budget) / (pitch * pitch)
         lim_num, lim_den = limit.numerator, limit.denominator
         r = 0
         while True:
@@ -154,13 +244,13 @@ def spiral_search(
             for i, j in _ring_offsets(r):
                 if (i * i + j * j) * lim_den < lim_num:
                     in_budget = True
-                    cand = Point(center.x + i * pitch, center.y + j * pitch)
+                    x, y = cx + i * pitch, cy + j * pitch
+                    cand = Point(x, y) if as_point else (x, y)
                     if accept(cand):
                         return cand
             if r > 0 and not in_budget:
                 break
             r += 1
-        pitch = pitch / 2
     raise InvariantViolation("spiral search exhausted twelve pitch refinements")
 
 

@@ -229,6 +229,20 @@ def test_four_round_certificates_are_pinned(name: str) -> None:
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == prefix
 
 
+# the same for refine_sequence(pair, 6)
+SIX_ROUND_CERTIFICATE_PINS = {
+    "diagonals": (diagonal_pair, "0fdc89e36881ce31"),
+    "curved": (curved_pair, "90b6dc8972e42ccc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIX_ROUND_CERTIFICATE_PINS))
+def test_six_round_certificates_are_pinned(name: str) -> None:
+    pair, prefix = SIX_ROUND_CERTIFICATE_PINS[name]
+    text = emit_certificate(refine_sequence(*pair(), 6), {})
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == prefix
+
+
 # ------------------------------------------------------ intersect command
 
 
@@ -312,6 +326,48 @@ def test_intersect_rejects_wrong_corners(tmp_path: Path, capsys) -> None:
     )
     assert main(["intersect", str(spec), "-o", str(tmp_path / "c")]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_wrong_corner_error_prints_the_corner_as_a_pair(
+    tmp_path: Path, capsys
+) -> None:
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "phi": {"type": "polyline", "data": [[0, 0, 0], [1, 1, "1/2"]]},
+                "psi": {"type": "polyline", "data": [[0, 0, 1], [1, 1, 0]]},
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert main(["intersect", str(spec)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: path value at 1 is provably not the corner (1, 1)\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["intersect", "SPEC", "--iterations", "1", "-o", "MISSING/c.json"],
+        ["intersect", "SPEC", "--iterations", "1", "-o", "OUT", "--emit-svg", "MISSING/x.svg"],
+        ["render", "SPEC", "-o", "MISSING/x.svg"],
+    ],
+)
+def test_unwritable_output_exits_with_one_error_line(
+    tmp_path: Path, capsys, args: list[str]
+) -> None:
+    spec = tmp_path / "spec.json"
+    spec.write_text(DIAG_SPEC, encoding="utf-8")
+    paths = {"SPEC": str(spec), "OUT": str(tmp_path / "c.json")}
+    missing = str(tmp_path / "missing" / "dir")
+    argv = [paths.get(a, a.replace("MISSING", missing)) for a in args]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {missing}/")
+    assert captured.out == ""
 
 
 # --------------------------------------------------------- parity command
