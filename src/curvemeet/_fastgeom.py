@@ -12,35 +12,39 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .exact_geom import Point
 
 IntPoint = tuple[int, int]
 
 
-def lcm_denominators(points: Iterable[Point]) -> int:
-    d = 1
-    for p in points:
-        d = math.lcm(d, p.x.denominator, p.y.denominator)
-    return d
+def over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """A common denominator d of the values and their numerators over d."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
-def scale_points(points: Sequence[Point], scale: int) -> list[IntPoint]:
-    return [
-        (
-            p.x.numerator * (scale // p.x.denominator),
-            p.y.numerator * (scale // p.y.denominator),
-        )
-        for p in points
+def points_over_lcm(points: Sequence[Point]) -> tuple[int, list[IntPoint]]:
+    """A common denominator d of the points and their numerators over d."""
+    d = math.lcm(*(c.denominator for z in points for c in (z.x, z.y)))
+    return d, [
+        (z.x.numerator * (d // z.x.denominator), z.y.numerator * (d // z.y.denominator))
+        for z in points
     ]
 
 
+def rescale(ipts: Sequence[IntPoint], m: int) -> Sequence[IntPoint]:
+    """The points times m; the same sequence when m is 1."""
+    return ipts if m == 1 else [(x * m, y * m) for x, y in ipts]
+
+
 def common_scale(*point_groups: Sequence[Point]) -> tuple[list[list[IntPoint]], int]:
-    scale = 1
-    for group in point_groups:
-        scale = math.lcm(scale, lcm_denominators(group))
-    return [scale_points(g, scale) for g in point_groups], scale
+    """The groups' numerators over one common denominator, and that
+    denominator.  Tracks are built in integers, so only the tests use it."""
+    converted = [points_over_lcm(group) for group in point_groups]
+    scale = math.lcm(*(d for d, _ in converted))
+    return [list(rescale(ints, scale // d)) for d, ints in converted], scale
 
 
 def seg_point_sqdist(
@@ -110,7 +114,8 @@ class PolylineIndex:
 
     An x-sorted list serves window queries for the crossing sweep.  For
     distance queries a bounding-box tree over the segments in curve
-    order is built on first use.  `sq_dist_to_point` returns the exact
+    order is built.  Each is built on first use, so a caller that needs
+    only one pays for one.  `sq_dist_to_point` returns the exact
     nearest squared distance by branch-and-bound descent, visiting only
     the nodes whose box is closer than the best distance found so far.
     `any_within` decides the predicate "squared distance < rn/rd"
@@ -120,28 +125,29 @@ class PolylineIndex:
     nearest segment that the caller never needed.
     """
 
-    __slots__ = ("segs", "minxs", "max_extent", "_pts", "_nodes", "_root")
+    __slots__ = ("_by_x", "_pts", "_nodes", "_root")
 
     def __init__(self, ipts: Sequence[IntPoint]):
         if len(ipts) < 2:
             raise ValueError("empty polyline")
-        segs = []
-        for idx, ((ax, ay), (bx, by)) in enumerate(zip(ipts, ipts[1:])):
-            minx, maxx = (ax, bx) if ax <= bx else (bx, ax)
-            miny, maxy = (ay, by) if ay <= by else (by, ay)
-            segs.append((minx, maxx, miny, maxy, ax, ay, bx, by, idx))
-        segs.sort(key=lambda s: s[0])
-        self.segs = segs
-        self.minxs = [s[0] for s in segs]
-        self.max_extent = max(s[1] - s[0] for s in segs)
-        self._pts = list(ipts)
+        self._pts = ipts
+        self._by_x: tuple[list[tuple], list[int], int] | None = None
         self._nodes: list[tuple] | None = None
         self._root = 0
 
     def overlapping(self, xlo: int, xhi: int) -> Iterator[tuple]:
         """Segments whose x-range meets [xlo, xhi]."""
-        segs, minxs = self.segs, self.minxs
-        stop = xlo - self.max_extent
+        if self._by_x is None:
+            segs = []
+            pts = self._pts
+            for idx, ((ax, ay), (bx, by)) in enumerate(zip(pts, pts[1:])):
+                minx, maxx = (ax, bx) if ax <= bx else (bx, ax)
+                miny, maxy = (ay, by) if ay <= by else (by, ay)
+                segs.append((minx, maxx, miny, maxy, ax, ay, bx, by, idx))
+            segs.sort(key=lambda s: s[0])
+            self._by_x = (segs, [s[0] for s in segs], max(s[1] - s[0] for s in segs))
+        segs, minxs, max_extent = self._by_x
+        stop = xlo - max_extent
         for i in range(bisect_right(minxs, xhi) - 1, -1, -1):
             seg = segs[i]
             if seg[0] < stop:

@@ -23,7 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from ._fastgeom import BoxLevels, IntPoint, canonical_lines
+from ._fastgeom import (
+    BoxLevels,
+    IntPoint,
+    canonical_lines,
+    over_lcm,
+    points_over_lcm,
+    rescale,
+)
 from .errors import EndpointViolation, OutOfDomain, PreconditionViolated
 from .exact_geom import (
     Interval,
@@ -68,21 +75,6 @@ def _out_of_domain(t: Fraction, domain: Interval) -> OutOfDomain:
     return OutOfDomain(f"parameter {t} outside {domain}")
 
 
-def _over_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """A common denominator d of the values and their numerators over d."""
-    d = math.lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
-
-
-def _points_over_lcm(points: Sequence[Point]) -> tuple[int, list[IntPoint]]:
-    """A common denominator d of the points and their numerators over d."""
-    d = math.lcm(*(c.denominator for z in points for c in (z.x, z.y)))
-    return d, [
-        (z.x.numerator * (d // z.x.denominator), z.y.numerator * (d // z.y.denominator))
-        for z in points
-    ]
-
-
 def _lipschitz_shift(l1_bound: Fraction) -> int:
     """Modulus offset from an L1 derivative bound (Euclidean <= L1)."""
     return ceil_log2(max(l1_bound, Fraction(1)))
@@ -110,9 +102,9 @@ class PolylinePath(PathOracle):
         # integer forms, built once: the parameters over their common
         # denominator for the lookup and the domain test, and segment k
         # as the value (alpha*b + beta*a) / (vden*b) per axis at t = a/b
-        self._pscale, pnums = _over_lcm([s for s, _ in cooked])
+        self._pscale, pnums = over_lcm([s for s, _ in cooked])
         self._pnums = pnums
-        d, verts = _points_over_lcm([z for _, z in cooked])
+        d, verts = points_over_lcm([z for _, z in cooked])
         spans = [p1 - p0 for p0, p1 in zip(pnums, pnums[1:])]
         span_lcm = math.lcm(*spans)
         self._vden = d * span_lcm
@@ -153,7 +145,9 @@ class PolylinePath(PathOracle):
         den = self._vden * b
         return Point(Fraction(ax * b + bx * a, den), Fraction(ay * b + by * a, den))
 
-    def eval_dyadic(self, k0: int, k1: int, e: int, n: int) -> tuple[int, list[IntPoint]]:
+    def eval_dyadic(
+        self, k0: int, k1: int, e: int, n: int
+    ) -> tuple[int, list[IntPoint]]:
         scale, pnums, segments = self._pscale, self._pnums, self._segments
         for k in (k0, k1):
             if k * scale < pnums[0] << e or k * scale > pnums[-1] << e:
@@ -184,7 +178,7 @@ class QuadBezierPath(PathOracle):
 
     def __init__(self, p0: Point, p1: Point, p2: Point):
         self.p0, self.p1, self.p2 = p0, p1, p2
-        self._den, self._ints = _over_lcm([p0.x, p1.x, p2.x, p0.y, p1.y, p2.y])
+        self._den, self._ints = over_lcm([p0.x, p1.x, p2.x, p0.y, p1.y, p2.y])
         d1, d2 = p1 - p0, p2 - p1
         bound = 2 * max(abs(d1.x) + abs(d1.y), abs(d2.x) + abs(d2.y))
         self._shift = _lipschitz_shift(Fraction(bound))
@@ -206,7 +200,9 @@ class QuadBezierPath(PathOracle):
             Fraction(y0 * w0 + y1 * w1 + y2 * w2, den),
         )
 
-    def eval_dyadic(self, k0: int, k1: int, e: int, n: int) -> tuple[int, list[IntPoint]]:
+    def eval_dyadic(
+        self, k0: int, k1: int, e: int, n: int
+    ) -> tuple[int, list[IntPoint]]:
         b = 1 << e
         if k0 < 0 or k1 > b:
             raise _out_of_domain(Fraction(k0 if k0 < 0 else k1, b), _UNIT_DOMAIN)
@@ -325,16 +321,18 @@ class ExtendedPath(PathOracle):
             return Point(rat(t), _TAIL_Y[self.side][1])
         return self.inner.eval_approx(t, n)
 
-    def eval_dyadic(self, k0: int, k1: int, e: int, n: int) -> tuple[int, list[IntPoint]]:
+    def eval_dyadic(
+        self, k0: int, k1: int, e: int, n: int
+    ) -> tuple[int, list[IntPoint]]:
         b = 1 << e
         if k0 < -b or k1 > 2 * b:
             raise _out_of_domain(Fraction(k0 if k0 < -b else k1, b), _EXTENDED_DOMAIN)
         inner_den, inner = dyadic_values(self.inner, max(k0, 1), min(k1, b - 1), e, n)
         den = math.lcm(inner_den, b)
-        m, step = den // inner_den, den >> e
+        step = den >> e
         left, right = (y.numerator * den for y in _TAIL_Y[self.side])
         out = [(k * step, left) for k in range(k0, min(k1, 0) + 1)]
-        out += inner if m == 1 else [(x * m, y * m) for x, y in inner]
+        out += rescale(inner, den // inner_den)
         out += [(k * step, right) for k in range(max(k0, b), k1 + 1)]
         return den, out
 
@@ -398,7 +396,9 @@ def dyadic_values(
     eval_dyadic = getattr(f, "eval_dyadic", None)
     if eval_dyadic is not None:
         return eval_dyadic(k0, k1, e, n)
-    return _points_over_lcm([f.eval_approx(Fraction(k, 1 << e), n) for k in range(k0, k1 + 1)])
+    b = 1 << e
+    values = [f.eval_approx(Fraction(k, b), n) for k in range(k0, k1 + 1)]
+    return points_over_lcm(values)
 
 
 def grid_values(
@@ -409,12 +409,10 @@ def grid_values(
     and its value at values[k] / vden."""
     e, k0, k1 = _grid_bounds(lo, hi, md)
     inner_den, inner = dyadic_values(f, k0, k1, e, n)
-    ends_den, (z_lo, z_hi) = _points_over_lcm([f.eval_approx(lo, n), f.eval_approx(hi, n)])
+    ends_den, ends = points_over_lcm([f.eval_approx(lo, n), f.eval_approx(hi, n)])
     vden = math.lcm(inner_den, ends_den)
-    m, m_ends = vden // inner_den, vden // ends_den
-    values = [(z_lo[0] * m_ends, z_lo[1] * m_ends)]
-    values += inner if m == 1 else [(x * m, y * m) for x, y in inner]
-    values.append((z_hi[0] * m_ends, z_hi[1] * m_ends))
+    z_lo, z_hi = rescale(ends, vden // ends_den)
+    values = [z_lo, *rescale(inner, vden // inner_den), z_hi]
     sden = math.lcm(1 << e, lo.denominator, hi.denominator)
     step = sden >> e
     snums = [lo.numerator * (sden // lo.denominator)]
@@ -437,14 +435,13 @@ def _base_points(
         raise OutOfDomain(f"{i} is not inside {f.domain}")
     sden, snums, vden, values = grid_values(f, i.lo, i.hi, f.modulus(n), n + 2)
     den = math.lcm(vden, 1 << (n + 7 + SPIRAL_LEVELS))
-    m = den // vden
-    if rng is None:
-        return sden, snums, den, values if m == 1 else [(x * m, y * m) for x, y in values]
-    pitch, span, randint = den >> (n + 8), _JITTER_SPAN, rng.randint
-    bases = [
-        (x * m + randint(-span, span) * pitch, y * m + randint(-span, span) * pitch)
-        for x, y in values
-    ]
+    bases = rescale(values, den // vden)
+    if rng is not None:
+        pitch, span, randint = den >> (n + 8), _JITTER_SPAN, rng.randint
+        bases = [
+            (x + randint(-span, span) * pitch, y + randint(-span, span) * pitch)
+            for x, y in bases
+        ]
     return sden, snums, den, bases
 
 
@@ -526,9 +523,7 @@ def n_approximation_pair(
     p = n_approximation(f, i, n, rng)
     sden, snums, g_den, bases = _base_points(g, j, n, rng)
     den = math.lcm(p.vden, g_den)
-    m = den // g_den
-    if m != 1:
-        bases = [(x * m, y * m) for x, y in bases]
+    bases = rescale(bases, den // g_den)
     p_ints = p.verts_over(den)
     p_boxes = BoxLevels(p_ints)
     base_boxes = BoxLevels(bases)

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._fastgeom import PolylineIndex
+from ._fastgeom import PolylineIndex, rescale
 from .errors import InvariantViolation, NotConverged, PreconditionViolated
 from .exact_geom import (
     Interval,
@@ -123,9 +123,7 @@ def shrink_first(
     # consecutive grid values of f move by less than 2^-n/16
     sden, snums, f_den, fv = grid_values(f, i.lo, i.hi, f.modulus(n + 4), n + 9)
     den = math.lcm(f_den, g_track.vden)
-    m = den // f_den
-    if m != 1:
-        fv = [(x * m, y * m) for x, y in fv]
+    fv = rescale(fv, den // f_den)
     idx = PolylineIndex(g_track.verts_over(den))
     sq_scale = den * den
     k = len(fv) - 1

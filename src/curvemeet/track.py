@@ -14,7 +14,13 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from ._fastgeom import IntPoint, weakly_separated_ints
+from ._fastgeom import (
+    IntPoint,
+    over_lcm,
+    points_over_lcm,
+    rescale,
+    weakly_separated_ints,
+)
 from .errors import GridMismatch, InvariantViolation, OutOfDomain
 from .exact_geom import Line, Point, orient, pt, rat
 
@@ -49,15 +55,8 @@ class Track:
                 raise ValueError("track parameters must increase strictly")
             if x0 == x1:
                 raise ValueError("consecutive track vertices must differ")
-        sden = math.lcm(*(s.denominator for s, _ in entries))
-        vden = math.lcm(*(c.denominator for _, z in entries for c in (z.x, z.y)))
-        self.sden = sden
-        self.snums = tuple(s.numerator * (sden // s.denominator) for s, _ in entries)
-        self.vden = vden
-        self.verts = tuple(
-            (z.x.numerator * (vden // z.x.denominator), z.y.numerator * (vden // z.y.denominator))
-            for _, z in entries
-        )
+        self.sden, self.snums = over_lcm([s for s, _ in entries])
+        self.vden, self.verts = points_over_lcm([z for _, z in entries])
 
     @classmethod
     def from_ints(
@@ -90,10 +89,7 @@ class Track:
 
     def verts_over(self, den: int) -> Sequence[IntPoint]:
         """The vertex numerators over den, a multiple of vden."""
-        m = den // self.vden
-        if m == 1:
-            return self.verts
-        return [(x * m, y * m) for x, y in self.verts]
+        return rescale(self.verts, den // self.vden)
 
     def domain(self) -> tuple[Fraction, Fraction]:
         return self.param(0), self.param(-1)
@@ -115,7 +111,9 @@ class Track:
         return f"Track(entries={self.entries!r})"
 
 
-def common_verts(p: Track, q: Track) -> tuple[Sequence[IntPoint], Sequence[IntPoint], int]:
+def common_verts(
+    p: Track, q: Track
+) -> tuple[Sequence[IntPoint], Sequence[IntPoint], int]:
     """The vertices of both tracks over one common denominator."""
     den = math.lcm(p.vden, q.vden)
     return p.verts_over(den), q.verts_over(den), den
@@ -148,7 +146,9 @@ def eval_track(p: Track, s: Fraction) -> Point:
     w = b * (snums[i + 1] - snums[i])
     (x0, y0), (x1, y1) = p.verts[i], p.verts[i + 1]
     den = p.vden * w
-    return Point(Fraction(x0 * w + (x1 - x0) * r, den), Fraction(y0 * w + (y1 - y0) * r, den))
+    return Point(
+        Fraction(x0 * w + (x1 - x0) * r, den), Fraction(y0 * w + (y1 - y0) * r, den)
+    )
 
 
 def vertex_set(p: Track) -> frozenset[Point]:

@@ -20,23 +20,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvemeet import (
+    CrossingReport,
     ExtendedPath,
     OutOfDomain,
     PolylinePath,
     QuadBezierPath,
     Side,
+    PointApproximation,
+    SegKind,
+    Segment,
     TablePath,
     Track,
+    classify_segment_pair,
+    crossing_count,
     curved_pair,
     diagonal_pair,
     eval_track,
     extend,
+    extract_point,
     interval,
     n_approximation,
     n_approximation_pair,
     pow2,
     pt,
     refine_sequence,
+    sqrt_enclosure,
 )
 from curvemeet._fastgeom import BoxLevels, canonical_lines
 from curvemeet.cli import emit_certificate
@@ -240,6 +248,11 @@ def test_grid_values_match_eval_approx_on_the_dyadic_grid(name, a, b, md) -> Non
 
 # --------------------------------------------------------------- tracks
 
+
+def _extended(pair):
+    return extend(pair[0], Side.LOWER), extend(pair[1], Side.UPPER)
+
+
 SEEDS = (None, 0, 1, 2, 3, 4)
 
 
@@ -257,10 +270,6 @@ def test_n_approximation_matches_fraction_builder(name: str) -> None:
                 want = ref_n_approximation(f, iv, n, _rng(seed))
                 assert got.entries == want.entries, (iv, n, seed)
                 assert got == want
-
-
-def _extended(pair):
-    return extend(pair[0], Side.LOWER), extend(pair[1], Side.UPPER)
 
 
 EXT = interval(-1, 2)
@@ -351,6 +360,63 @@ def test_integer_spiral_visits_candidates_in_point_order() -> None:
         spiral_search((0, 0), 3, 100, reject_ints)
 
 
+# ------------------------------------------------------------ consumers
+
+
+def ref_crossing_report(p: Track, q: Track) -> CrossingReport:
+    """Every segment pair classified on the Fraction views."""
+    pe, qe = p.entries, q.entries
+    out = []
+    for (s0, a), (s1, b) in zip(pe, pe[1:]):
+        for (t0, c), (t1, d) in zip(qe, qe[1:]):
+            rel = classify_segment_pair(Segment(a, b), Segment(c, d))
+            if rel.kind is SegKind.PROPER_CROSSING:
+                z = rel.point
+                u = (z.x - a.x) / (b.x - a.x) if a.x != b.x else (z.y - a.y) / (b.y - a.y)
+                v = (z.x - c.x) / (d.x - c.x) if c.x != d.x else (z.y - c.y) / (d.y - c.y)
+                out.append((s0 + u * (s1 - s0), t0 + v * (t1 - t0), z))
+    return CrossingReport(tuple(out), len(out), len(out) % 2)
+
+
+@pytest.mark.parametrize(
+    "f, g, n",
+    [
+        (*_extended(curved_pair()), 2),
+        (*_extended(diagonal_pair()), 2),
+        (ZIGZAG, diagonal_pair()[1], 4),
+    ],
+)
+def test_crossing_reports_match_fraction_reference(f, g, n) -> None:
+    for seed in (None, 0, 1):
+        p, q = n_approximation_pair(f, g, f.domain, g.domain, n, _rng(seed))
+        report = crossing_count(p, q)
+        assert report.count > 0
+        assert report == ref_crossing_report(p, q)
+
+
+def ref_extract_point(cert, phi, eps) -> PointApproximation:
+    """The ball from the Fraction builder's tracks and Fraction bounds."""
+    f = extend(phi, Side.LOWER)
+    for rec in cert.records:
+        n_ap = rec.m + 6
+        points = ref_n_approximation(f, rec.i, n_ap).points
+        xs, ys = [z.x for z in points], [z.y for z in points]
+        cx, cy = (min(xs) + max(xs)) / 2, (min(ys) + max(ys)) / 2
+        half_sq = (max(xs) - cx) ** 2 + (max(ys) - cy) ** 2
+        radius = sqrt_enclosure(half_sq, n_ap).hi + 5 * pow2(-n_ap)
+        if radius <= eps:
+            return PointApproximation(pt(cx, cy), radius, rec.m)
+    raise AssertionError("no record is small enough")
+
+
+@pytest.mark.parametrize("pair", [curved_pair, diagonal_pair])
+def test_extracted_balls_match_fraction_reference(pair) -> None:
+    phi, psi = pair()
+    cert = refine_sequence(phi, psi, 3)
+    for eps in (F(1, 2), F(1, 32), F(1, 64)):
+        assert extract_point(cert, phi, eps) == ref_extract_point(cert, phi, eps)
+
+
 # ------------------------------------------------------------ track API
 
 
@@ -367,6 +433,10 @@ def test_track_views_and_integer_forms_agree() -> None:
         assert [track.point(k) for k in range(len(track))] == list(track.points)
         assert repr(rebuilt) == repr(track)
         assert hash(rebuilt) == hash(track)
+    # equal grids and denominators, different jitter
+    a, b = (n_approximation(f, iv, 4, random.Random(seed)) for seed in (0, 1))
+    assert (a.sden, a.snums, a.vden) == (b.sden, b.snums, b.vden)
+    assert a != b and a == n_approximation(f, iv, 4, random.Random(0))
 
 
 @given(t=st.fractions(min_value=0, max_value=1, max_denominator=10**4))

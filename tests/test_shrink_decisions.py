@@ -18,7 +18,14 @@ import curvemeet.refine as refine_module
 from curvemeet import curved_pair, diagonal_pair, refine_sequence
 from curvemeet._fastgeom import PolylineIndex, common_scale
 from curvemeet.errors import InvariantViolation, PreconditionViolated
-from curvemeet.exact_geom import Interval, pow2, sqrt_enclosure
+from curvemeet.exact_geom import (
+    Interval,
+    Point,
+    Segment,
+    pow2,
+    sq_dist_point_segment,
+    sqrt_enclosure,
+)
 from curvemeet.parity import function_parity
 from curvemeet.paths import dyadic_grid, n_approximation
 
@@ -47,6 +54,27 @@ def test_any_within_matches_exact_distance(poly, px, py, mode, r, k) -> None:
     # an unreduced ratio, as the shrink step passes it
     rn, rd = r.numerator * k, r.denominator * k
     assert idx.any_within(px, py, rn, rd) == (q < r)
+
+
+@given(
+    poly=st.lists(st.tuples(coords, coords), min_size=2, max_size=40),
+    px=coords,
+    py=coords,
+    r=st.fractions(min_value=0, max_value=8000, max_denominator=50),
+)
+@settings(max_examples=300, deadline=None)
+def test_distance_queries_match_brute_force(poly, px, py, r) -> None:
+    # every segment measured, on the Fraction kernel
+    p = Point(F(px), F(py))
+    q = min(
+        sq_dist_point_segment(p, Segment(Point(F(ax), F(ay)), Point(F(bx), F(by))))
+        if (ax, ay) != (bx, by)
+        else F((px - ax) ** 2 + (py - ay) ** 2)
+        for (ax, ay), (bx, by) in zip(poly, poly[1:])
+    )
+    idx = PolylineIndex(poly)
+    assert idx.sq_dist_to_point(px, py) == q
+    assert idx.any_within(px, py, r.numerator, r.denominator) == (q < r)
 
 
 near_thresholds = st.builds(
