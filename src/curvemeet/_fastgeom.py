@@ -10,7 +10,6 @@ projection case divides by a segment's squared length.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -109,165 +108,18 @@ def seg_seg_sqdist(
     return best
 
 
-class PolylineIndex:
-    """Segments of an integer polyline indexed two ways.
-
-    An x-sorted list serves window queries for the crossing sweep.  For
-    distance queries a bounding-box tree over the segments in curve
-    order is built.  Each is built on first use, so a caller that needs
-    only one pays for one.  `sq_dist_to_point` returns the exact
-    nearest squared distance by branch-and-bound descent, visiting only
-    the nodes whose box is closer than the best distance found so far.
-    `any_within` decides the predicate "squared distance < rn/rd"
-    instead: it skips every node whose box lies at least that far away
-    and stops at the first segment strictly inside, so points far from
-    the polyline cost a handful of box tests rather than a search for a
-    nearest segment that the caller never needed.
-    """
-
-    __slots__ = ("_by_x", "_pts", "_nodes", "_root")
-
-    def __init__(self, ipts: Sequence[IntPoint]):
-        if len(ipts) < 2:
-            raise ValueError("empty polyline")
-        self._pts = ipts
-        self._by_x: tuple[list[tuple], list[int], int] | None = None
-        self._nodes: list[tuple] | None = None
-        self._root = 0
-
-    def overlapping(self, xlo: int, xhi: int) -> Iterator[tuple]:
-        """Segments whose x-range meets [xlo, xhi]."""
-        if self._by_x is None:
-            segs = []
-            pts = self._pts
-            for idx, ((ax, ay), (bx, by)) in enumerate(zip(pts, pts[1:])):
-                minx, maxx = (ax, bx) if ax <= bx else (bx, ax)
-                miny, maxy = (ay, by) if ay <= by else (by, ay)
-                segs.append((minx, maxx, miny, maxy, ax, ay, bx, by, idx))
-            segs.sort(key=lambda s: s[0])
-            self._by_x = (segs, [s[0] for s in segs], max(s[1] - s[0] for s in segs))
-        segs, minxs, max_extent = self._by_x
-        stop = xlo - max_extent
-        for i in range(bisect_right(minxs, xhi) - 1, -1, -1):
-            seg = segs[i]
-            if seg[0] < stop:
-                break
-            if seg[1] >= xlo:
-                yield seg
-
-    def _tree(self) -> list[tuple]:
-        # node: (minx, maxx, miny, maxy, left, right, ax, ay, bx, by);
-        # left/right are node indices, -1 marks a leaf holding a segment.
-        # Built bottom-up: each level pairs up the nodes of the one below,
-        # and an unpaired last node moves up unchanged.
-        if self._nodes is not None:
-            return self._nodes
-        pts = self._pts
-        nodes: list[tuple] = []
-        for (ax, ay), (bx, by) in zip(pts, pts[1:]):
-            minx, maxx = (ax, bx) if ax <= bx else (bx, ax)
-            miny, maxy = (ay, by) if ay <= by else (by, ay)
-            nodes.append((minx, maxx, miny, maxy, -1, -1, ax, ay, bx, by))
-        lo, hi = 0, len(nodes)
-        while hi - lo > 1:
-            for i in range(lo, hi - 1, 2):
-                a, b = nodes[i], nodes[i + 1]
-                nodes.append(
-                    (
-                        a[0] if a[0] <= b[0] else b[0],
-                        a[1] if a[1] >= b[1] else b[1],
-                        a[2] if a[2] <= b[2] else b[2],
-                        a[3] if a[3] >= b[3] else b[3],
-                        i,
-                        i + 1,
-                        0,
-                        0,
-                        0,
-                        0,
-                    )
-                )
-            if (hi - lo) % 2:
-                nodes.append(nodes[hi - 1])
-            lo, hi = hi, len(nodes)
-        self._root = lo
-        self._nodes = nodes
-        return nodes
-
-    def sq_dist_to_point(self, px: int, py: int) -> Fraction:
-        """Exact squared distance from an integer point to the polyline."""
-        nodes = self._tree()
-        best_n: int | None = None
-        best_d = 1
-        # stack holds (squared box gap, node); gaps are computed once at
-        # push time and rechecked against the improving bound at pop time
-        stack = [(0, nodes[self._root])]
-        push = stack.append
-        pop = stack.pop
-        while stack:
-            gap_sq, node = pop()
-            if best_n is not None and gap_sq * best_d >= best_n:
-                continue
-            li = node[4]
-            if li < 0:
-                n, d = seg_point_sqdist(
-                    node[6], node[7], node[8], node[9], px, py
-                )
-                if best_n is None or n * best_d < best_n * d:
-                    best_n, best_d = n, d
-            else:
-                lnode = nodes[li]
-                rnode = nodes[node[5]]
-                xg = lnode[0] - px if px < lnode[0] else (px - lnode[1] if px > lnode[1] else 0)
-                yg = lnode[2] - py if py < lnode[2] else (py - lnode[3] if py > lnode[3] else 0)
-                lgap = xg * xg + yg * yg
-                xg = rnode[0] - px if px < rnode[0] else (px - rnode[1] if px > rnode[1] else 0)
-                yg = rnode[2] - py if py < rnode[2] else (py - rnode[3] if py > rnode[3] else 0)
-                rgap = xg * xg + yg * yg
-                # nearer child on top of the stack
-                if lgap <= rgap:
-                    push((rgap, rnode))
-                    push((lgap, lnode))
-                else:
-                    push((lgap, lnode))
-                    push((rgap, rnode))
-        assert best_n is not None
-        return Fraction(best_n, best_d)
-
-    def any_within(self, px: int, py: int, rn: int, rd: int) -> bool:
-        """True iff the squared distance from an integer point to the
-        polyline is strictly below rn/rd (rd > 0)."""
-        nodes = self._tree()
-        stack = [nodes[self._root]]
-        push = stack.append
-        pop = stack.pop
-        while stack:
-            node = pop()
-            xg = node[0] - px if px < node[0] else (px - node[1] if px > node[1] else 0)
-            yg = node[2] - py if py < node[2] else (py - node[3] if py > node[3] else 0)
-            # every segment in the box is at least the box gap away
-            if (xg * xg + yg * yg) * rd >= rn:
-                continue
-            li = node[4]
-            if li < 0:
-                n, d = seg_point_sqdist(
-                    node[6], node[7], node[8], node[9], px, py
-                )
-                if n * rd < rn * d:
-                    return True
-            else:
-                push(nodes[node[5]])
-                push(nodes[li])
-        return False
-
-
 class BoxLevels:
-    """Bounding boxes over runs of consecutive integer points.
+    """The one box hierarchy over an integer polyline, for every query.
 
-    The lowest level boxes each run of `RUN` points; each level above
-    merges neighbouring boxes pairwise, up to one root box.  `stab` walks
-    the levels root first and keeps a box only if a line can pass within
-    `pad` of it.  Every test is an exact integer sign test, so the query
-    prunes and never decides: the caller still settles each candidate.
+    Leaf run k boxes points RUN*k ... RUN*k + RUN: neighbouring runs
+    share one point, so segment s lies inside leaf box s // RUN.  Each
+    level above merges neighbouring boxes pairwise (an unpaired last box
+    moves up unchanged) up to one root; `levels` lists them root first,
+    box k having the children 2k and 2k + 1.  Building costs O(N).  Box
+    tests are exact integer tests that only prune; points and segments
+    decide every answer.  Queries: `stab` (lines), `any_within` (point
+    thresholds), `sq_dist_to_point` (two points or more) and, descending
+    two hierarchies together, `segment_pairs`.
     """
 
     RUN = 8
@@ -276,19 +128,13 @@ class BoxLevels:
     def __init__(self, ipts: Sequence[IntPoint]):
         run = self.RUN
         boxes = []
-        for k in range(0, len(ipts), run):
-            xs = [x for x, _ in ipts[k : k + run]]
-            ys = [y for _, y in ipts[k : k + run]]
+        for k in range(0, max(len(ipts) - 1, 1), run):
+            xs, ys = zip(*ipts[k : k + run + 1])
             boxes.append((min(xs), max(xs), min(ys), max(ys)))
         levels = [boxes]
         while len(boxes) > 1:
             merged = [
-                (
-                    min(a[0], b[0]),
-                    max(a[1], b[1]),
-                    min(a[2], b[2]),
-                    max(a[3], b[3]),
-                )
+                (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
                 for a, b in zip(boxes[::2], boxes[1::2])
             ]
             if len(boxes) % 2:
@@ -299,13 +145,20 @@ class BoxLevels:
         self.pts = ipts
         self.levels = levels
 
+    def _leaf(self, k: int) -> Sequence[IntPoint]:
+        """The points of leaf run k; consecutive ones are its segments."""
+        run = self.RUN
+        return self.pts[k * run : k * run + run + 1]
+
     def stab(self, a: int, b: int, c: int, pad: int) -> list[int]:
         """Indices of the points (x, y) whose square [x-pad, x+pad] x
         [y-pad, y+pad] meets the line a*x + b*y = c, in index order.
 
         Since a*x + b*y ranges over +-(|a|+|b|)*pad on such a square, a
         point qualifies iff |a*x + b*y - c| <= (|a|+|b|)*pad; with pad 0
-        that is exact incidence.
+        that is exact incidence.  Cost: two corner tests per box on the
+        root-to-leaf paths of the boxes the line passes near, plus one
+        test per point of the leaf runs reached.
         """
         reach = (abs(a) + abs(b)) * pad
         lo, hi = c - reach, c + reach
@@ -332,13 +185,160 @@ class BoxLevels:
             ]
             if not live:
                 return []
-        pts, run = self.pts, self.RUN
+        # leaf run i reports its points but the one it shares with run
+        # i + 1, so each point is reported once
+        pts, run, last = self.pts, self.RUN, len(levels[-1]) - 1
         return [
             k
             for i in live
-            for k in range(i * run, min(i * run + run, len(pts)))
+            for k in range(i * run, i * run + run if i < last else len(pts))
             if lo <= a * pts[k][0] + b * pts[k][1] <= hi
         ]
+
+    def any_within(
+        self, px: int, py: int, rn: int, rd: int, closed: bool = False
+    ) -> bool:
+        """True iff the squared distance from an integer point to the
+        polyline is below rn/rd (rd > 0), or at most rn/rd if closed.
+
+        Depth first, skipping every box that lies too far away and
+        stopping at the first segment close enough, so a point far from
+        the polyline costs a few box tests and a point close to it about
+        one root-to-leaf path.
+        """
+        # integer comparisons: x <= y iff x < y + 1
+        slack = 1 if closed else 0
+        cut = rn + slack
+        levels = self.levels
+        last = len(levels) - 1
+        stack = [(0, 0)]
+        push = stack.append
+        pop = stack.pop
+        while stack:
+            depth, k = pop()
+            x0, x1, y0, y1 = levels[depth][k]
+            xg = x0 - px if px < x0 else (px - x1 if px > x1 else 0)
+            yg = y0 - py if py < y0 else (py - y1 if py > y1 else 0)
+            # every segment in the box is at least the box gap away
+            if (xg * xg + yg * yg) * rd >= cut:
+                continue
+            if depth < last:
+                depth += 1
+                if 2 * k + 1 < len(levels[depth]):
+                    push((depth, 2 * k + 1))
+                push((depth, 2 * k))
+                continue
+            seg = self._leaf(k)
+            for (ax, ay), (bx, by) in zip(seg, seg[1:]):
+                n, d = seg_point_sqdist(ax, ay, bx, by, px, py)
+                if n * rd < rn * d + slack:
+                    return True
+        return False
+
+    def sq_dist_to_point(self, px: int, py: int) -> Fraction:
+        """Exact squared distance from an integer point to the polyline.
+
+        Branch and bound: a box is opened only while its squared gap is
+        below the best distance found so far, nearer child first, so the
+        cost is about one root-to-leaf path plus the boxes that tie with
+        the answer.
+        """
+        levels = self.levels
+        last = len(levels) - 1
+        best_n: int | None = None
+        best_d = 1
+        # (squared box gap, depth, box); the gap is rechecked at pop time
+        # against the bound found since the push
+        stack = [(0, 0, 0)]
+        while stack:
+            gap_sq, depth, k = stack.pop()
+            if best_n is not None and gap_sq * best_d >= best_n:
+                continue
+            if depth == last:
+                seg = self._leaf(k)
+                for (ax, ay), (bx, by) in zip(seg, seg[1:]):
+                    n, d = seg_point_sqdist(ax, ay, bx, by, px, py)
+                    if best_n is None or n * best_d < best_n * d:
+                        best_n, best_d = n, d
+                continue
+            depth += 1
+            boxes = levels[depth]
+            kids = [
+                (_sq_gap(boxes[c], (px, px, py, py)), depth, c)
+                for c in range(2 * k, min(2 * k + 2, len(boxes)))
+            ]
+            stack.extend(sorted(kids, reverse=True))  # nearer child on top
+        assert best_n is not None, "a distance query needs a segment"
+        return Fraction(best_n, best_d)
+
+    def near_leaves(self, other: BoxLevels, sq_reach: int) -> list[tuple[int, int]]:
+        """Pairs (k, l) of a leaf run k here and a leaf run l of other
+        whose boxes are at most sqrt(sq_reach) apart.
+
+        Gray and Moore's dual-tree traversal: both hierarchies descend
+        together, the one with more levels left first, and a box pair
+        more than isqrt(sq_reach) apart on an axis is dropped with its
+        descendants; leaf pairs are held to the exact squared gap.  Cost:
+        one box test per child of a passing pair, level by level.
+        """
+        la, lb, r = self.levels, other.levels, math.isqrt(sq_reach)
+        if _sq_gap(la[0][0], lb[0][0]) > sq_reach:
+            return []
+        live = [(0, 0)]
+        da, db = 0, 0
+        while da < len(la) - 1 or db < len(lb) - 1:
+            left_a, left_b = len(la) - 1 - da, len(lb) - 1 - db
+            step_a, step_b = int(left_a >= left_b), int(left_b >= left_a)
+            da, db = da + step_a, db + step_b
+            boxes_a, boxes_b = la[da], lb[db]
+            na, nb = len(boxes_a), len(boxes_b)
+            live = [
+                (k, l)
+                for i, j in live
+                for k in range(i << step_a, min((i << step_a) + 1 + step_a, na))
+                for l in range(j << step_b, min((j << step_b) + 1 + step_b, nb))
+                if boxes_a[k][0] - r <= boxes_b[l][1]
+                and boxes_b[l][0] - r <= boxes_a[k][1]
+                and boxes_a[k][2] - r <= boxes_b[l][3]
+                and boxes_b[l][2] - r <= boxes_a[k][3]
+            ]
+        return [(k, l) for k, l in live if _sq_gap(la[-1][k], lb[-1][l]) <= sq_reach]
+
+    def segment_pairs(self, other: BoxLevels, sq_reach: int) -> Iterator[tuple]:
+        """(i, j, ax, ay, bx, by, cx, cy, dx, dy) for segment i = ab here
+        and segment j = cd of other whose boxes are at most sqrt(sq_reach)
+        apart, leaf pair by leaf pair from `near_leaves`; so every pair at
+        squared distance at most sq_reach is among them.
+        """
+        run = self.RUN
+        for k, l in self.near_leaves(other, sq_reach):
+            bseg = other._leaf(l)
+            bsegs = [
+                (j, c, d, _seg_box(c, d))
+                for j, (c, d) in enumerate(zip(bseg, bseg[1:]), l * run)
+            ]
+            aseg = self._leaf(k)
+            for i, (a, b) in enumerate(zip(aseg, aseg[1:]), k * run):
+                abox = _seg_box(a, b)
+                for j, c, d, cbox in bsegs:
+                    if _sq_gap(abox, cbox) <= sq_reach:
+                        yield i, j, *a, *b, *c, *d
+
+
+def _seg_box(a: IntPoint, b: IntPoint) -> tuple[int, int, int, int]:
+    (ax, ay), (bx, by) = a, b
+    return ((ax, bx) if ax <= bx else (bx, ax)) + ((ay, by) if ay <= by else (by, ay))
+
+
+def _sq_gap(a: tuple, b: tuple) -> int:
+    """Squared distance between boxes (x0, x1, y0, y1)."""
+    xg = max(0, b[0] - a[1], a[0] - b[1])
+    yg = max(0, b[2] - a[3], a[2] - b[3])
+    return xg * xg + yg * yg
+
+
+# the former name, under which perfbench's tracer times sq_dist_to_point
+PolylineIndex = BoxLevels
 
 
 def canonical_lines(ipts: Sequence[IntPoint]) -> set[tuple[int, int, int]]:
@@ -356,43 +356,36 @@ def canonical_lines(ipts: Sequence[IntPoint]) -> set[tuple[int, int, int]]:
     return out
 
 
-def weakly_separated_ints(
-    a_ipts: Sequence[IntPoint], b_ipts: Sequence[IntPoint]
-) -> bool:
+def weakly_separated_ints(a: BoxLevels, b: BoxLevels) -> bool:
     """No point of either polyline on a line spanned by consecutive
     points of the other.
 
-    Each distinct spanned line stabs the other polyline's `BoxLevels`,
-    so a line costs O(log N) box tests plus the points it passes near,
-    not O(N) incidence tests; the integer equality at the leaves decides.
+    Each distinct spanned line stabs the other polyline's hierarchy, so
+    a line costs O(log N) box tests plus the points it passes near, not
+    O(N) incidence tests; the integer equality at the leaves decides.
     """
-    for pts, other in ((a_ipts, b_ipts), (b_ipts, a_ipts)):
-        boxes = BoxLevels(pts)
-        if any(boxes.stab(a, b, c, 0) for a, b, c in canonical_lines(other)):
+    for boxes, other in ((a, b), (b, a)):
+        if any(boxes.stab(*line, 0) for line in canonical_lines(other.pts)):
             return False
     return True
 
 
 def min_sqdist_exceeds(
-    a_ipts: Sequence[IntPoint],
-    b_index: PolylineIndex,
-    threshold: Fraction,
-    scale: int,
+    a: BoxLevels, b: BoxLevels, threshold: Fraction, scale: int
 ) -> bool:
     """True iff every segment pair of the two polylines is strictly
-    farther apart than sqrt(threshold) (threshold in unscaled units)."""
+    farther apart than sqrt(threshold) (threshold in unscaled units).
+
+    `segment_pairs` keeps the pairs whose squared box gap is at most the
+    scaled threshold t, and the exact squared distance decides each.
+    Cost: the dual descent (a few box tests for polylines far apart)
+    plus one exact test per pair kept.
+    """
     tn = threshold.numerator * scale * scale
     td = threshold.denominator
-    radius = math.isqrt(tn // td) + 1
-    for (ax, ay), (bx, by) in zip(a_ipts, a_ipts[1:]):
-        xlo = (ax if ax <= bx else bx) - radius
-        xhi = (ax if ax >= bx else bx) + radius
-        ylo = (ay if ay <= by else by) - radius
-        yhi = (ay if ay >= by else by) + radius
-        for seg in b_index.overlapping(xlo, xhi):
-            if seg[3] < ylo or seg[2] > yhi:
-                continue
-            n, d = seg_seg_sqdist(ax, ay, bx, by, seg[4], seg[5], seg[6], seg[7])
-            if n * td <= tn * d:
-                return False
+    # a squared gap g <= tn/td iff g <= tn // td, g being an integer
+    for _i, _j, *seg_pair in a.segment_pairs(b, tn // td):
+        n, d = seg_seg_sqdist(*seg_pair)
+        if n * td <= tn * d:
+            return False
     return True

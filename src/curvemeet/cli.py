@@ -180,10 +180,13 @@ def parse_certificate(text: str) -> tuple[Certificate, dict]:
     try:
         data = json.loads(text)
         records = []
-        for entry in data["records"]:
+        for position, entry in enumerate(data["records"]):
             m = entry["m"]
             if not isinstance(m, int) or isinstance(m, bool):
                 raise SpecFileError("record levels must be integers")
+            # before pow2(-m), whose cost grows with |m|
+            if m != position:
+                raise SpecFileError(f"record {position} has level {m}")
             if _rat_value(entry["radius"]) != pow2(-m):
                 raise SpecFileError(f"record {m} carries the wrong radius")
             records.append(

@@ -10,11 +10,12 @@ clearance from below and then counts one pair.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._fastgeom import PolylineIndex, min_sqdist_exceeds, weakly_separated_ints
+from ._fastgeom import BoxLevels, min_sqdist_exceeds, weakly_separated_ints
 from .errors import (
     EffortExhausted,
     NotSeparated,
@@ -46,52 +47,50 @@ def _report(crossings: list[Crossing]) -> CrossingReport:
     return CrossingReport(tuple(crossings), len(crossings), len(crossings) % 2)
 
 
-def crossing_count(p: Track, q: Track) -> CrossingReport:
+def crossing_count(
+    p: Track, q: Track, boxes: tuple[BoxLevels, BoxLevels] | None = None
+) -> CrossingReport:
     """Count and locate the crossings of two weakly separated tracks.
 
-    Weak separation is verified up front, on the same integer points the
-    sweep uses, by `weakly_separated_ints`: each distinct spanned line
-    stabs the other track's box levels, box tests only prune and the
-    integer equality decides, at about O(log N) box tests per line
-    instead of O(|p| * |q|) incidence tests.  Separation rules out every
-    vertex incidence, so inside the sweep a zero orientation sign is not
-    a boundary case to classify but an internal consistency failure.
+    `boxes`, the tracks' hierarchies over their `common_verts`, are built
+    when not given.  Separation is verified on them first: each spanned
+    line stabs the other hierarchy, O(log N) box tests per line.  The
+    sweep descends both hierarchies together and orients only segment
+    pairs whose boxes overlap, so it costs the overlapping box pairs
+    level by level, not |p| * |q|.  Separation rules out every vertex
+    incidence, so a zero orientation sign in the sweep is an internal
+    consistency failure, not a boundary case.
     """
-    pi, qi, den = common_verts(p, q)
-    if not weakly_separated_ints(pi, qi):
+    if boxes is None:
+        pi, qi, _den = common_verts(p, q)
+        boxes = BoxLevels(pi), BoxLevels(qi)
+    pb, qb = boxes
+    if not weakly_separated_ints(pb, qb):
         raise NotSeparated("tracks are not weakly separated")
-    qidx = PolylineIndex(qi)
 
     hits: list[tuple[int, int, int, int, int, int]] = []
-    for i in range(len(pi) - 1):
-        ax, ay = pi[i]
-        bx, by = pi[i + 1]
-        pminx, pmaxx = (ax, bx) if ax <= bx else (bx, ax)
-        pminy, pmaxy = (ay, by) if ay <= by else (by, ay)
-        for seg in qidx.overlapping(pminx, pmaxx):
-            if seg[3] < pminy or seg[2] > pmaxy:
-                continue
-            cx, cy, dx, dy, j = seg[4], seg[5], seg[6], seg[7], seg[8]
-            o1 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-            o2 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
-            if o1 == 0 or o2 == 0:
-                raise SeparationInvariantError(
-                    "vertex incidence inside a separated crossing scan"
-                )
-            if (o1 > 0) == (o2 > 0):
-                continue
-            o3 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
-            o4 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
-            if o3 == 0 or o4 == 0:
-                raise SeparationInvariantError(
-                    "vertex incidence inside a separated crossing scan"
-                )
-            if (o3 > 0) == (o4 > 0):
-                continue
-            hits.append((i, j, o1, o2, o3, o4))
+    for i, j, ax, ay, bx, by, cx, cy, dx, dy in pb.segment_pairs(qb, 0):
+        o1 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        o2 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
+        if o1 == 0 or o2 == 0:
+            raise SeparationInvariantError(
+                "vertex incidence inside a separated crossing scan"
+            )
+        if (o1 > 0) == (o2 > 0):
+            continue
+        o3 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
+        o4 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
+        if o3 == 0 or o4 == 0:
+            raise SeparationInvariantError(
+                "vertex incidence inside a separated crossing scan"
+            )
+        if (o3 > 0) == (o4 > 0):
+            continue
+        hits.append((i, j, o1, o2, o3, o4))
 
     hits.sort(key=lambda h: (h[0], h[1]))
-    ps, qs = p.snums, q.snums
+    pi, ps, qs = pb.pts, p.snums, q.snums
+    den = math.lcm(p.vden, q.vden)
     crossings: list[Crossing] = []
     for i, j, o1, o2, o3, o4 in hits:
         # at u = o3/w along p's segment i and v = o1/w2 along q's segment j
@@ -134,8 +133,8 @@ def alpha_enclosure(
     q = n_approximation(g, j, n)
     pi, qi, den = common_verts(p, q)
     sq_scale = Fraction(den * den)
-    qidx = PolylineIndex(qi)
-    pidx = PolylineIndex(pi)
+    qidx = BoxLevels(qi)
+    pidx = BoxLevels(pi)
     d_f_ends = min(
         qidx.sq_dist_to_point(*pi[0]), qidx.sq_dist_to_point(*pi[-1])
     ) / sq_scale
@@ -232,7 +231,8 @@ def function_parity(
         n = smallest_n_below(enc.lo / 16)
     p, q = n_approximation_pair(f, g, i, j, n, rng)
     pi, qi, den = common_verts(p, q)
-    threshold = (11 * pow2(-n)) ** 2
-    if min_sqdist_exceeds(pi, PolylineIndex(qi), threshold, den):
+    # one hierarchy per track serves the far test, separation and sweep
+    boxes = BoxLevels(pi), BoxLevels(qi)
+    if min_sqdist_exceeds(*boxes, (11 * pow2(-n)) ** 2, den):
         return 0
-    return crossing_count(p, q).parity
+    return crossing_count(p, q, boxes).parity

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._fastgeom import PolylineIndex, rescale
+from ._fastgeom import BoxLevels, rescale
 from .errors import InvariantViolation, NotConverged, PreconditionViolated
 from .exact_geom import (
     Interval,
@@ -124,7 +124,7 @@ def shrink_first(
     sden, snums, f_den, fv = grid_values(f, i.lo, i.hi, f.modulus(n + 4), n + 9)
     den = math.lcm(f_den, g_track.vden)
     fv = rescale(fv, den // f_den)
-    idx = PolylineIndex(g_track.verts_over(den))
+    idx = BoxLevels(g_track.verts_over(den))
     sq_scale = den * den
     k = len(fv) - 1
     for x, y in (fv[0], fv[k]):
@@ -272,11 +272,12 @@ def _check_neighborhood(
     pa = n_approximation(a, ia, n_v)
     qb = n_approximation(b, jb, n_v)
     ap, bp, den = common_verts(pa, qb)
-    idx = PolylineIndex(bp)
+    idx = BoxLevels(bp)
     allowed = pow2(-level) + 6 * pow2(-n_v)
     lim = allowed * allowed * den * den
+    # a sample fails only if its squared distance exceeds lim
     for x, y in ap:
-        if idx.sq_dist_to_point(x, y) > lim:
+        if not idx.any_within(x, y, lim.numerator, lim.denominator, closed=True):
             raise InvariantViolation(
                 f"neighborhood radius 2^-{level} fails under dense sampling"
             )

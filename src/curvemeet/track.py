@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from ._fastgeom import (
+    BoxLevels,
     IntPoint,
     over_lcm,
     points_over_lcm,
@@ -184,7 +185,7 @@ def weakly_separated(p: Track, q: Track) -> bool:
     each other's lines, instead of O(|p| * |q|).
     """
     pi, qi, _den = common_verts(p, q)
-    return weakly_separated_ints(pi, qi)
+    return weakly_separated_ints(BoxLevels(pi), BoxLevels(qi))
 
 
 def sup_track_distance(p: Track, pbar: Track) -> Fraction:

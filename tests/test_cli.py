@@ -212,6 +212,25 @@ def test_parse_certificate_rejects_bad_documents() -> None:
         parse_certificate("{")
 
 
+def _huge_level_certificate(position: int, m: int) -> str:
+    records = [
+        {"m": k, "I": ["-1", "2"], "J": ["-1", "2"], "radius": "1"}
+        for k in range(position)
+    ]
+    # the radius 2^-m is never built: the level is checked first
+    records.append({"m": m, "I": ["-1", "2"], "J": ["-1", "2"], "radius": "1"})
+    return json.dumps(
+        {"meta": {}, "records": records, "s_phi": ["0", "1"], "s_psi": ["0", "1"]}
+    )
+
+
+@pytest.mark.parametrize("position", [0, 1])
+@pytest.mark.parametrize("m", [10**12, -(10**12)])
+def test_parse_certificate_rejects_huge_levels_first(position: int, m: int) -> None:
+    with pytest.raises(SpecFileError, match=f"record {position} has level {m}"):
+        parse_certificate(_huge_level_certificate(position, m))
+
+
 # ------------------------------------------------------ certificate pins
 
 # sha256 prefixes of emit_certificate(refine_sequence(pair, 4), {}); any
@@ -567,6 +586,18 @@ def test_render_rejects_invalid_certificate(tmp_path: Path, capsys) -> None:
     )
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("m", [10**12, -(10**12)])
+def test_render_rejects_huge_record_level(tmp_path: Path, capsys, m: int) -> None:
+    spec = tmp_path / "spec.json"
+    spec.write_text(DIAG_SPEC, encoding="utf-8")
+    cert = tmp_path / "huge.json"
+    cert.write_text(_huge_level_certificate(1, m), encoding="utf-8")
+    code = main(["render", str(spec), "--certificate", str(cert), "-o", "-"])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: record 1 has level {m}"]
 
 
 def test_render_api_matches_cli_output(deep_run: dict[str, Path]) -> None:
