@@ -38,14 +38,6 @@ def rescale(ipts: Sequence[IntPoint], m: int) -> Sequence[IntPoint]:
     return ipts if m == 1 else [(x * m, y * m) for x, y in ipts]
 
 
-def common_scale(*point_groups: Sequence[Point]) -> tuple[list[list[IntPoint]], int]:
-    """The groups' numerators over one common denominator, and that
-    denominator.  Tracks are built in integers, so only the tests use it."""
-    converted = [points_over_lcm(group) for group in point_groups]
-    scale = math.lcm(*(d for d, _ in converted))
-    return [list(rescale(ints, scale // d)) for d, ints in converted], scale
-
-
 def seg_point_sqdist(
     ax: int, ay: int, bx: int, by: int, px: int, py: int
 ) -> tuple[int, int]:

@@ -149,19 +149,7 @@ def alpha_enclosure(
     return AlphaEnclosure(max(Fraction(0), lo), hi, n)
 
 
-# Largest track, in vertices, that one clearance probe may build.  Probe
-# tracks grow about twofold per bit of precision, so without a cap a
-# clearance that is zero (a window endpoint on the other curve) keeps
-# doubling the probe precision towards `effort` and stalls instead of
-# failing.  A probe costs about 70 us per vertex (6.1 s for 87k vertices
-# on a 2-CPU host under Python 3.11), so the largest probe allowed takes
-# about a minute.
-MAX_PROBE_VERTICES = 2**20
-
-
-def _probe_vertices(f: PathOracle, i: Interval, n: int) -> Fraction:
-    """Upper bound on the vertex count of f's precision-n track on i."""
-    return i.width() * pow2(f.modulus(n) + 1) + 2
+_PROBE_START = 5  # the first clearance probe's precision
 
 
 def certify_alpha(
@@ -170,7 +158,6 @@ def certify_alpha(
     i: Interval,
     j: Interval,
     effort: int = 64,
-    probe_start: int = 5,
     target: Fraction = Fraction(0),
 ) -> AlphaEnclosure:
     """Refine the clearance enclosure until its floor exceeds target.
@@ -178,23 +165,14 @@ def certify_alpha(
     Raises PreconditionViolated if some enclosure proves the clearance
     is at most target, EffortExhausted if precision `effort` is reached
     without a decision or the next probe would build a track of more
-    than MAX_PROBE_VERTICES vertices.
+    than `paths.MAX_GRID_VERTICES` vertices.
     """
-
-    def probe_at(n: int) -> AlphaEnclosure:
-        if max(_probe_vertices(f, i, n), _probe_vertices(g, j, n)) > MAX_PROBE_VERTICES:
-            raise EffortExhausted(
-                f"clearance > {target} not certified: a probe at precision"
-                f" {n} would exceed {MAX_PROBE_VERTICES} track vertices"
-            )
-        return alpha_enclosure(f, g, i, j, n)
-
-    enc = probe_at(probe_start)
-    probe = probe_start
+    probe = _PROBE_START
+    enc = alpha_enclosure(f, g, i, j, probe)
     hint = smallest_n_below(enc.hi / 16)
     if enc.lo <= target and hint > probe:
         probe = min(hint, effort)
-        enc = probe_at(probe)
+        enc = alpha_enclosure(f, g, i, j, probe)
     while enc.lo <= target:
         if enc.hi <= target:
             raise PreconditionViolated(
@@ -205,7 +183,7 @@ def certify_alpha(
                 f"clearance > {target} not certified up to precision {effort}"
             )
         probe = min(2 * probe, effort)
-        enc = probe_at(probe)
+        enc = alpha_enclosure(f, g, i, j, probe)
     return enc
 
 
@@ -216,7 +194,6 @@ def function_parity(
     j: Interval,
     effort: int = 64,
     n: int | None = None,
-    probe_start: int = 5,
     rng: random.Random | None = None,
 ) -> int:
     """Crossing parity of f on i versus g on j.
@@ -227,7 +204,7 @@ def function_parity(
     the parity is 0 without any crossing enumeration.
     """
     if n is None:
-        enc = certify_alpha(f, g, i, j, effort, probe_start)
+        enc = certify_alpha(f, g, i, j, effort)
         n = smallest_n_below(enc.lo / 16)
     p, q = n_approximation_pair(f, g, i, j, n, rng)
     pi, qi, den = common_verts(p, q)

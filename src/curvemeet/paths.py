@@ -21,17 +21,15 @@ from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from ._fastgeom import (
-    BoxLevels,
-    IntPoint,
-    canonical_lines,
-    over_lcm,
-    points_over_lcm,
-    rescale,
+from ._fastgeom import IntPoint, over_lcm, points_over_lcm, rescale
+from .errors import (
+    EffortExhausted,
+    EndpointViolation,
+    OutOfDomain,
+    PreconditionViolated,
 )
-from .errors import EndpointViolation, OutOfDomain, PreconditionViolated
 from .exact_geom import (
     Interval,
     Point,
@@ -41,9 +39,11 @@ from .exact_geom import (
     pt,
     rat,
 )
-from .track import SPIRAL_LEVELS, Track, spiral_search
+from .track import SPIRAL_LEVELS, Track, separated_vertices
 
 _JITTER_SPAN = 32  # random vertex offsets stay within 32 pitches per axis
+_MODULUS_CHECKS = 64  # TablePath.validate checks a modulus at n < 64
+_CORNER_PRECISION = 20  # extend refutes corners from values at precision 20
 _UNIT_DOMAIN = interval(0, 1)
 _EXTENDED_DOMAIN = interval(-1, 2)
 
@@ -51,11 +51,12 @@ _EXTENDED_DOMAIN = interval(-1, 2)
 class PathOracle(ABC):
     """A curve known through approximations and a continuity modulus.
 
-    The builtin oracles also provide `eval_dyadic(k0, k1, e, n)`: the
-    values at every k/2^e for k0 <= k <= k1, as integer numerators over
-    one denominator they state.  Track construction uses it where
+    The builtin oracles compute their curve in one place, `eval_grid(k0,
+    k1, b, n)`: the values at every k/b for k0 <= k <= k1, as integer
+    numerators over one denominator they state; their `eval_approx` is
+    the one-point grid.  Track construction uses `eval_grid` where
     present; any other curve is evaluated point by point through
-    `eval_approx` (see `dyadic_values`).
+    `eval_approx` (see `grid_points`).
     """
 
     @property
@@ -73,6 +74,12 @@ class PathOracle(ABC):
 
 def _out_of_domain(t: Fraction, domain: Interval) -> OutOfDomain:
     return OutOfDomain(f"parameter {t} outside {domain}")
+
+
+def _one_point(f: PathOracle, t: Fraction, n: int) -> Point:
+    """The value at t of an oracle with `eval_grid`: its one-point grid."""
+    den, [(x, y)] = f.eval_grid(t.numerator, t.numerator, t.denominator, n)
+    return Point(Fraction(x, den), Fraction(y, den))
 
 
 def _lipschitz_shift(l1_bound: Fraction) -> int:
@@ -134,36 +141,27 @@ class PolylinePath(PathOracle):
         return self._domain
 
     def eval_approx(self, t: Fraction, n: int) -> Point:
-        a, b = t.numerator, t.denominator
-        q, pnums = a * self._pscale, self._pnums
-        if q < pnums[0] * b or q > pnums[-1] * b:
-            raise _out_of_domain(t, self._domain)
-        # the sample parameters are integers, so p <= q/b iff p <= floor(q/b);
-        # the last segment also serves the last sample parameter
-        i = min(bisect_right(pnums, q // b) - 1, len(self._segments) - 1)
-        ax, bx, ay, by = self._segments[i]
-        den = self._vden * b
-        return Point(Fraction(ax * b + bx * a, den), Fraction(ay * b + by * a, den))
+        return _one_point(self, t, n)
 
-    def eval_dyadic(
-        self, k0: int, k1: int, e: int, n: int
-    ) -> tuple[int, list[IntPoint]]:
+    def eval_grid(self, k0: int, k1: int, b: int, n: int) -> tuple[int, list[IntPoint]]:
         scale, pnums, segments = self._pscale, self._pnums, self._segments
         for k in (k0, k1):
-            if k * scale < pnums[0] << e or k * scale > pnums[-1] << e:
-                raise _out_of_domain(Fraction(k, 1 << e), self._domain)
+            if k * scale < pnums[0] * b or k * scale > pnums[-1] * b:
+                raise _out_of_domain(Fraction(k, b), self._domain)
         out: list[IntPoint] = []
-        i = min(bisect_right(pnums, (k0 * scale) >> e) - 1, len(segments) - 1)
+        # the sample parameters are integers, so p <= q/b iff p <= floor(q/b);
+        # the last segment also serves the last sample parameter
+        i = min(bisect_right(pnums, k0 * scale // b) - 1, len(segments) - 1)
         k = k0
         while k <= k1:
             ax, bx, ay, by = segments[i]
-            ax, ay = ax << e, ay << e
+            ax, ay = ax * b, ay * b
             # the segment's formula holds on its closed parameter range
-            stop = min(k1, (pnums[i + 1] << e) // scale)
+            stop = min(k1, pnums[i + 1] * b // scale)
             out += [(ax + bx * j, ay + by * j) for j in range(k, stop + 1)]
             k = max(k, stop + 1)
             i += 1
-        return self._vden << e, out
+        return self._vden * b, out
 
     def modulus(self, n: int) -> int:
         return n + self._shift
@@ -172,8 +170,8 @@ class PolylinePath(PathOracle):
 class QuadBezierPath(PathOracle):
     """Quadratic Bezier on [0, 1], evaluated exactly in integers.
 
-    The control points are kept over a common denominator D; at t = a/b
-    the Bernstein weights (b-a)^2, 2a(b-a) and a^2 put the value over D*b^2.
+    The control points are kept over a common denominator D; at t = k/b
+    the Bernstein weights (b-k)^2, 2k(b-k) and k^2 put the value over D*b^2.
     """
 
     def __init__(self, p0: Point, p1: Point, p2: Point):
@@ -188,26 +186,13 @@ class QuadBezierPath(PathOracle):
         return _UNIT_DOMAIN
 
     def eval_approx(self, t: Fraction, n: int) -> Point:
-        a, b = t.numerator, t.denominator
-        if a < 0 or a > b:
-            raise _out_of_domain(t, _UNIT_DOMAIN)
-        u = b - a
-        w0, w1, w2 = u * u, 2 * a * u, a * a
-        x0, x1, x2, y0, y1, y2 = self._ints
-        den = self._den * b * b
-        return Point(
-            Fraction(x0 * w0 + x1 * w1 + x2 * w2, den),
-            Fraction(y0 * w0 + y1 * w1 + y2 * w2, den),
-        )
+        return _one_point(self, t, n)
 
-    def eval_dyadic(
-        self, k0: int, k1: int, e: int, n: int
-    ) -> tuple[int, list[IntPoint]]:
-        b = 1 << e
+    def eval_grid(self, k0: int, k1: int, b: int, n: int) -> tuple[int, list[IntPoint]]:
         if k0 < 0 or k1 > b:
             raise _out_of_domain(Fraction(k0 if k0 < 0 else k1, b), _UNIT_DOMAIN)
-        # at t = k/b the numerator over den*b^2 is, expanded in powers of k,
-        # c0 + k*(c1 + k*c2) per axis
+        # at t = k/b the numerator over den*b^2, x0*(b-k)^2 + 2k(b-k)*x1 +
+        # k^2*x2 per axis, expands in powers of k to c0 + k*(c1 + k*c2)
         x0, x1, x2, y0, y1, y2 = self._ints
         cx0, cx1, cx2 = x0 * b * b, 2 * b * (x1 - x0), x0 - 2 * x1 + x2
         cy0, cy1, cy2 = y0 * b * b, 2 * b * (y1 - y0), y0 - 2 * y1 + y2
@@ -248,8 +233,9 @@ class TablePath(PolylinePath):
             return n + self._offset
         return self._fn(n)  # type: ignore[misc]
 
-    def validate(self, max_n: int = 64) -> None:
-        """Cross-check the asserted modulus against all sample pairs.
+    def validate(self) -> None:
+        """Cross-check the asserted modulus at the precisions n below
+        _MODULUS_CHECKS against all sample pairs.
 
         Samples at ti < tj refute the modulus at n when tj - ti <
         2^-modulus(n) but |zj - zi| >= 2^-n.  The windows 2^-modulus(n)
@@ -259,12 +245,10 @@ class TablePath(PolylinePath):
         than that costs one comparison, and the scan from each sample
         stops at the first sample beyond that window.
         """
-        for n in range(max_n):
+        for n in range(_MODULUS_CHECKS):
             if self.modulus(n + 1) <= self.modulus(n):
                 raise PreconditionViolated("modulus is not increasing")
-        if max_n <= 0:
-            return
-        windows = [pow2(-self.modulus(n)) for n in range(max_n)]
+        windows = [pow2(-self.modulus(n)) for n in range(_MODULUS_CHECKS)]
         entries = self._entries
         for i, (ti, zi) in enumerate(entries):
             horizon = ti + windows[0]
@@ -276,7 +260,7 @@ class TablePath(PolylinePath):
                     continue
                 # smallest n >= 0 with 4^-n <= sq
                 n = max(0, (ceil_log2(1 / sq) + 1) // 2)
-                if n < max_n and tj - ti < windows[n]:
+                if n < _MODULUS_CHECKS and tj - ti < windows[n]:
                     raise PreconditionViolated(
                         f"samples at {ti} and {tj} refute the modulus at n={n}"
                     )
@@ -312,24 +296,14 @@ class ExtendedPath(PathOracle):
         return _EXTENDED_DOMAIN
 
     def eval_approx(self, t: Fraction, n: int) -> Point:
-        a, b = t.numerator, t.denominator
-        if a < -b or a > 2 * b:
-            raise _out_of_domain(t, _EXTENDED_DOMAIN)
-        if a <= 0:
-            return Point(rat(t), _TAIL_Y[self.side][0])
-        if a >= b:
-            return Point(rat(t), _TAIL_Y[self.side][1])
-        return self.inner.eval_approx(t, n)
+        return _one_point(self, t, n)
 
-    def eval_dyadic(
-        self, k0: int, k1: int, e: int, n: int
-    ) -> tuple[int, list[IntPoint]]:
-        b = 1 << e
+    def eval_grid(self, k0: int, k1: int, b: int, n: int) -> tuple[int, list[IntPoint]]:
         if k0 < -b or k1 > 2 * b:
             raise _out_of_domain(Fraction(k0 if k0 < -b else k1, b), _EXTENDED_DOMAIN)
-        inner_den, inner = dyadic_values(self.inner, max(k0, 1), min(k1, b - 1), e, n)
+        inner_den, inner = grid_points(self.inner, max(k0, 1), min(k1, b - 1), b, n)
         den = math.lcm(inner_den, b)
-        step = den >> e
+        step = den // b
         left, right = (y.numerator * den for y in _TAIL_Y[self.side])
         out = [(k * step, left) for k in range(k0, min(k1, 0) + 1)]
         out += rescale(inner, den // inner_den)
@@ -342,7 +316,7 @@ class ExtendedPath(PathOracle):
         return max(self.inner.modulus(n + 1), n + 1)
 
 
-def extend(path: PathOracle, side: Side, check_precision: int = 20) -> ExtendedPath:
+def extend(path: PathOracle, side: Side) -> ExtendedPath:
     """Attach straight tails after checking the corner conditions.
 
     The corners can only be refuted, not confirmed, from approximations:
@@ -351,9 +325,9 @@ def extend(path: PathOracle, side: Side, check_precision: int = 20) -> ExtendedP
     """
     if path.domain != _UNIT_DOMAIN:
         raise ValueError("only unit-interval paths can be extended")
-    tol_sq = (2 * pow2(-check_precision)) ** 2
+    tol_sq = (2 * pow2(-_CORNER_PRECISION)) ** 2
     for t, corner in zip((Fraction(0), Fraction(1)), _CORNERS[side]):
-        z = path.eval_approx(t, check_precision)
+        z = path.eval_approx(t, _CORNER_PRECISION)
         if (z - corner).sq_norm() > tol_sq:
             raise EndpointViolation(
                 f"path value at {t} is provably not the corner {corner}"
@@ -361,14 +335,29 @@ def extend(path: PathOracle, side: Side, check_precision: int = 20) -> ExtendedP
     return ExtendedPath(path, side)
 
 
+# Largest grid, in points, that one track or shrink step may evaluate.
+# Grids grow about twofold per bit of precision, so without a cap a
+# clearance that is zero (a window endpoint on the other curve) keeps
+# doubling the probe precision towards `effort`, and a table claiming a
+# large modulus asks for a grid of 2^40 points or more: either would
+# stall or run out of memory instead of failing.
+MAX_GRID_VERTICES = 2**20
+
+
 def _grid_bounds(lo: Fraction, hi: Fraction, md: int) -> tuple[int, int, int]:
     """(e, k0, k1): the grid of `dyadic_grid(lo, hi, md)` between its
-    endpoints is k/2^e for k0 <= k <= k1."""
+    endpoints is k/2^e for k0 <= k <= k1.  Raises EffortExhausted for a
+    grid of more than MAX_GRID_VERTICES points."""
     if lo >= hi:
         raise ValueError("empty parameter interval")
     e = md + 1
     k0 = (lo.numerator << e) // lo.denominator + 1
     k1 = -((-hi.numerator << e) // hi.denominator) - 1
+    if k1 - k0 + 3 > MAX_GRID_VERTICES:
+        raise EffortExhausted(
+            f"a track grid of {k1 - k0 + 3} points on [{lo}, {hi}] exceeds"
+            f" the budget of {MAX_GRID_VERTICES} vertices"
+        )
     return e, k0, k1
 
 
@@ -381,22 +370,21 @@ def dyadic_grid(lo: Fraction, hi: Fraction, md: int) -> list[Fraction]:
     return [lo, *(Fraction(k, 1 << e) for k in range(k0, k1 + 1)), hi]
 
 
-def dyadic_values(
-    f: PathOracle, k0: int, k1: int, e: int, n: int
+def grid_points(
+    f: PathOracle, k0: int, k1: int, b: int, n: int
 ) -> tuple[int, list[IntPoint]]:
-    """Values of f at precision n at k/2^e for k0 <= k <= k1, as integer
+    """Values of f at precision n at k/b for k0 <= k <= k1, as integer
     numerators over one denominator.
 
-    This is the one place where a curve without `eval_dyadic` (a user
+    This is the one place where a curve without `eval_grid` (a user
     oracle that has only `eval_approx`, `modulus` and `domain`) is
     evaluated, point by point.
     """
     if k0 > k1:
         return 1, []
-    eval_dyadic = getattr(f, "eval_dyadic", None)
-    if eval_dyadic is not None:
-        return eval_dyadic(k0, k1, e, n)
-    b = 1 << e
+    eval_grid = getattr(f, "eval_grid", None)
+    if eval_grid is not None:
+        return eval_grid(k0, k1, b, n)
     values = [f.eval_approx(Fraction(k, b), n) for k in range(k0, k1 + 1)]
     return points_over_lcm(values)
 
@@ -408,7 +396,7 @@ def grid_values(
     (sden, snums, vden, values) with grid point k at snums[k] / sden
     and its value at values[k] / vden."""
     e, k0, k1 = _grid_bounds(lo, hi, md)
-    inner_den, inner = dyadic_values(f, k0, k1, e, n)
+    inner_den, inner = grid_points(f, k0, k1, 1 << e, n)
     ends_den, ends = points_over_lcm([f.eval_approx(lo, n), f.eval_approx(hi, n)])
     vden = math.lcm(inner_den, ends_den)
     z_lo, z_hi = rescale(ends, vden // ends_den)
@@ -445,42 +433,6 @@ def _base_points(
     return sden, snums, den, bases
 
 
-def _fix_vertices(
-    bases: Sequence[IntPoint],
-    n: int,
-    den: int,
-    accept_extra: Callable[[int, IntPoint, IntPoint | None], bool] | None = None,
-) -> list[IntPoint]:
-    """Vertices within 2^-n of the curve, adjacent ones distinct, as
-    numerators over den.
-
-    Vertex k starts from bases[k] and walks a dyadic spiral of pitch
-    2^-(n+8) until it differs from its predecessor and accept_extra(k,
-    candidate, predecessor) holds.  Every candidate stays strictly within
-    2^-(n+2) of its base, so the combined offset stays below 2^-n.
-    """
-    pitch = den >> (n + 8)
-    sq_budget = (den >> (n + 2)) ** 2
-    out: list[IntPoint] = []
-    prev = None
-    for k, base in enumerate(bases):
-        # the unmoved base is almost always acceptable; the spiral
-        # machinery is only paid for on rejection
-        if base != prev and (accept_extra is None or accept_extra(k, base, prev)):
-            out.append(base)
-            prev = base
-            continue
-
-        def ok(cand: IntPoint, _k: int = k, _prev: IntPoint | None = prev) -> bool:
-            if cand == _prev:
-                return False
-            return accept_extra is None or accept_extra(_k, cand, _prev)
-
-        prev = spiral_search(base, pitch, sq_budget, ok)
-        out.append(prev)
-    return out
-
-
 def n_approximation(
     f: PathOracle,
     i: Interval,
@@ -488,9 +440,15 @@ def n_approximation(
     rng: random.Random | None = None,
 ) -> Track:
     """A track following f on i: gaps below 2^-modulus(n), vertices
-    within 2^-n of the curve, consecutive vertices distinct."""
+    within 2^-n of the curve, consecutive vertices distinct.
+
+    Each vertex starts from its base point and, only where it equals its
+    predecessor, walks the spiral of pitch 2^-(n+8) strictly within
+    2^-(n+2) of its base, so the combined offset stays below 2^-n.
+    """
     sden, snums, den, bases = _base_points(f, i, n, rng)
-    return Track.from_ints(sden, snums, den, _fix_vertices(bases, n, den))
+    verts = separated_vertices(bases, (), den >> (n + 8), (den >> (n + 2)) ** 2)
+    return Track.from_ints(sden, snums, den, verts)
 
 
 def n_approximation_pair(
@@ -503,48 +461,23 @@ def n_approximation_pair(
 ) -> tuple[Track, Track]:
     """Weakly separated approximation tracks for f on i and g on j.
 
-    Two phases: the f-track p is built freely, then each g-vertex is also
-    required (A) to avoid every spanned line of p and (B) to span with its
-    predecessor a line through no vertex of p.  Separation therefore
-    holds by construction, not by rejection sampling.
-
-    Both checks run on one integer grid holding p and all of g's base
-    points (the rng is drawn in the same order as vertex by vertex, since
-    the spiral search draws nothing).  For (A), each distinct line of p
-    stabs the squares of half-width 2^-(n+2) around the bases, which
-    contain every candidate the spiral may try, so each vertex tests only
-    the few lines passing near it.  For (B), the integer line through the
-    predecessor and the candidate stabs p's box levels.  Box tests only
-    prune; the integer equality a*x + b*y == c decides every incidence,
-    so the tracks are those of testing every line against every vertex.
-    Cost: O(log |p|) box tests per line of p and per candidate, plus the
-    vertices each passes close to, instead of O(|p|) tests per candidate.
+    Two phases: the f-track p is built freely, then the g-vertices are
+    placed by `separated_vertices` on one integer grid holding p and all
+    of g's base points, with the spiral of `n_approximation`.  Separation
+    therefore holds by construction, not by rejection sampling, and the
+    rng is drawn in the same order as vertex by vertex, since the spiral
+    search draws nothing.
     """
     p = n_approximation(f, i, n, rng)
     sden, snums, g_den, bases = _base_points(g, j, n, rng)
     den = math.lcm(p.vden, g_den)
-    bases = rescale(bases, den // g_den)
-    p_ints = p.verts_over(den)
-    p_boxes = BoxLevels(p_ints)
-    base_boxes = BoxLevels(bases)
-    reach = den >> (n + 2)
-    near_lines: dict[int, list[tuple[int, int, int]]] = {}
-    for line in canonical_lines(p_ints):
-        for k in base_boxes.stab(*line, reach):
-            near_lines.setdefault(k, []).append(line)
-
-    def clears(k: int, cand: IntPoint, prev: IntPoint | None) -> bool:
-        x, y = cand
-        for a, b, c in near_lines.get(k, ()):
-            if a * x + b * y == c:
-                return False
-        if prev is None:
-            return True
-        x0, y0 = prev
-        a, b = y - y0, x0 - x
-        return not p_boxes.stab(a, b, a * x0 + b * y0, 0)
-
-    return p, Track.from_ints(sden, snums, den, _fix_vertices(bases, n, den, clears))
+    verts = separated_vertices(
+        rescale(bases, den // g_den),
+        (p.verts_over(den),),
+        den >> (n + 8),
+        (den >> (n + 2)) ** 2,
+    )
+    return p, Track.from_ints(sden, snums, den, verts)
 
 
 def diagonal_pair() -> tuple[PolylinePath, PolylinePath]:

@@ -36,6 +36,7 @@ from .track import common_verts
 
 _EXTENDED = interval(-1, 2)
 _UNIT = interval(0, 1)
+_MAX_SAMPLES = 4096  # verify_certificate's grid budget per sampled track
 
 
 @dataclass(frozen=True)
@@ -196,14 +197,11 @@ def shrink_pair(
     *,
     effort: int = 64,
     rng: random.Random | None = None,
-    alpha_lo: Fraction | None = None,
-    parity_checked: bool = False,
 ) -> tuple[Interval, Interval]:
     """One refinement round: nested subintervals with parity 1 whose
     images lie in each other's 2^-m neighborhoods."""
-    if alpha_lo is None:
-        alpha_lo = certify_alpha(f, g, i, j, effort).lo
-    if not parity_checked and function_parity(f, g, i, j, effort, rng=rng) != 1:
+    alpha_lo = certify_alpha(f, g, i, j, effort).lo
+    if function_parity(f, g, i, j, effort, rng=rng) != 1:
         raise PreconditionViolated(
             "crossing parity on the input intervals is 0"
         )
@@ -283,13 +281,7 @@ def _check_neighborhood(
             )
 
 
-def verify_certificate(
-    cert: Certificate,
-    phi: PathOracle,
-    psi: PathOracle,
-    *,
-    max_samples: int = 4096,
-) -> None:
+def verify_certificate(cert: Certificate, phi: PathOracle, psi: PathOracle) -> None:
     """Recheck a certificate's neighborhood chain by dense sampling.
 
     For every level m >= 1 the first image over I_m must stay within
@@ -300,8 +292,8 @@ def verify_certificate(
     f = extend(phi, Side.LOWER)
     g = extend(psi, Side.UPPER)
     for prev, rec in zip(cert.records, cert.records[1:]):
-        _check_neighborhood(f, rec.i, g, prev.j, rec.m - 1, max_samples)
-        _check_neighborhood(g, rec.j, f, rec.i, rec.m, max_samples)
+        _check_neighborhood(f, rec.i, g, prev.j, rec.m - 1, _MAX_SAMPLES)
+        _check_neighborhood(g, rec.j, f, rec.i, rec.m, _MAX_SAMPLES)
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,15 @@ from typing import Callable, Iterable, Sequence
 from ._fastgeom import (
     BoxLevels,
     IntPoint,
+    canonical_lines,
     over_lcm,
     points_over_lcm,
     rescale,
     weakly_separated_ints,
 )
 from .errors import GridMismatch, InvariantViolation, OutOfDomain
-from .exact_geom import Line, Point, orient, pt, rat
+from .exact_geom import Line, Point, pt, rat
 
-LineSet = frozenset
 
 # pitches a spiral search tries: the given one and eleven halvings
 SPIRAL_LEVELS = 12
@@ -211,48 +211,103 @@ def _ring_offsets(r: int) -> list[tuple[int, int]]:
 
 
 def spiral_search(
-    center: Point,
-    pitch: Fraction,
-    sq_budget: Fraction,
-    accept: Callable[[Point], bool],
-) -> Point:
-    """First acceptable point of a dyadic grid spiralling out from center.
+    center: IntPoint,
+    pitch: int,
+    sq_budget: int,
+    accept: Callable[[IntPoint], bool],
+) -> IntPoint:
+    """First acceptable point of an integer grid spiralling out from center.
 
-    Scans square rings in a fixed order; every candidate keeps squared
-    offset below sq_budget.  If no grid point within budget is accepted
-    the pitch is halved and the scan restarts, so a candidate is found
-    whenever the rejected set is a finite union of lines and points.
-
-    The center may also be an integer pair, with an integer pitch and
-    budget in the same units; the candidates are then integer pairs in
-    the same order.  The pitch must then be a multiple of 2^11, so that
+    Scans square rings of the given pitch in a fixed order; every
+    candidate keeps squared offset below sq_budget.  If no grid point
+    within budget is accepted the pitch is halved and the scan restarts,
+    so a candidate is found whenever the rejected set is a finite union
+    of lines and points.  The pitch must be a multiple of 2^11, so that
     every halving stays on the integers.
     """
     if pitch <= 0 or sq_budget <= 0:
         raise ValueError("pitch and budget must be positive")
-    as_point = isinstance(center, Point)
-    if not as_point and pitch % (1 << (SPIRAL_LEVELS - 1)):
-        raise ValueError("an integer pitch must be a multiple of 2^11")
-    cx, cy = (center.x, center.y) if as_point else center
-    for level in range(SPIRAL_LEVELS):
-        if level:
-            pitch = pitch / 2 if as_point else pitch >> 1
-        limit = Fraction(sq_budget) / (pitch * pitch)
-        lim_num, lim_den = limit.numerator, limit.denominator
+    if pitch % (1 << (SPIRAL_LEVELS - 1)):
+        raise ValueError("the pitch must be a multiple of 2^11")
+    cx, cy = center
+    for _level in range(SPIRAL_LEVELS):
+        sq_pitch = pitch * pitch
         r = 0
         while True:
             in_budget = False
             for i, j in _ring_offsets(r):
-                if (i * i + j * j) * lim_den < lim_num:
+                if (i * i + j * j) * sq_pitch < sq_budget:
                     in_budget = True
-                    x, y = cx + i * pitch, cy + j * pitch
-                    cand = Point(x, y) if as_point else (x, y)
+                    cand = (cx + i * pitch, cy + j * pitch)
                     if accept(cand):
                         return cand
             if r > 0 and not in_budget:
                 break
             r += 1
+        pitch >>= 1
     raise InvariantViolation("spiral search exhausted twelve pitch refinements")
+
+
+def separated_vertices(
+    bases: Sequence[IntPoint],
+    others: Sequence[Sequence[IntPoint]],
+    pitch: int,
+    sq_budget: int,
+) -> list[IntPoint]:
+    """Vertices near the bases, weakly separated from every polyline in
+    others; all points are integer numerators over one denominator.
+
+    Vertex k keeps bases[k] if that is acceptable and otherwise takes the
+    first acceptable point of `spiral_search(bases[k], pitch, sq_budget)`.
+    A candidate is acceptable if it differs from the vertex before it,
+    (A) lies on no line spanned by consecutive points of another
+    polyline, and (B) spans with the vertex before it a line through no
+    point of one.
+
+    For (A), each distinct line of the others stabs the squares of
+    half-width isqrt(sq_budget) around the bases, which contain every
+    candidate the spiral may try, so each vertex tests only the few lines
+    passing near it.  For (B), the line through the predecessor and the
+    candidate stabs the others' box levels.  Box tests only prune; the
+    integer equality a*x + b*y == c decides every incidence, so the
+    vertices are those of testing every line against every point.  Cost:
+    O(log N) box tests per line and per candidate, plus the points each
+    passes close to, instead of O(N) tests per candidate.
+    """
+    points = [z for pts in others for z in pts]
+    near_lines: dict[int, list[tuple[int, int, int]]] = {}
+    if points:
+        other_boxes = BoxLevels(points)
+        base_boxes, reach = BoxLevels(bases), math.isqrt(sq_budget)
+        for line in set().union(*map(canonical_lines, others)):
+            for k in base_boxes.stab(*line, reach):
+                near_lines.setdefault(k, []).append(line)
+
+    def clears(k: int, cand: IntPoint, prev: IntPoint | None) -> bool:
+        if cand == prev:
+            return False
+        x, y = cand
+        for a, b, c in near_lines.get(k, ()):
+            if a * x + b * y == c:
+                return False
+        if prev is None or not points:
+            return True
+        x0, y0 = prev
+        a, b = y - y0, x0 - x
+        return not other_boxes.stab(a, b, a * x0 + b * y0, 0)
+
+    out: list[IntPoint] = []
+    prev = None
+    for k, base in enumerate(bases):
+        # the unmoved base is almost always acceptable; the spiral
+        # machinery is only paid for on rejection
+        if base == prev or (points and not clears(k, base, prev)):
+            base = spiral_search(
+                base, pitch, sq_budget, lambda c, k=k, p=prev: clears(k, c, p)
+            )
+        out.append(base)
+        prev = base
+    return out
 
 
 def perturb_to_separated(
@@ -261,32 +316,17 @@ def perturb_to_separated(
     """Move each vertex of p less than delta so the result is weakly
     separated from both q and qprime.
 
-    Vertices are fixed one by one: a candidate must avoid every spanned
-    line of q and qprime, differ from its predecessor, and span with it a
-    line through no vertex of q or qprime.  A track that already
+    The vertices are placed by `separated_vertices` with the spiral of
+    pitch delta/8 and budget delta^2, on one integer grid holding p, q
+    and qprime whose denominator is a multiple of 2^14 times delta's, so
+    the pitch and its halvings are integers.  A track that already
     satisfies the predicates is returned unchanged (the zero offset is
     tried first).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    avoid_lines = line_set(q) | line_set(qprime)
-    avoid_points = vertex_set(q) | vertex_set(qprime)
-    sq_budget = delta * delta
-    pitch = delta / 8
-
-    new_points: list[Point] = []
-
-    def acceptable(cand: Point) -> bool:
-        if any(line.contains(cand) for line in avoid_lines):
-            return False
-        if new_points:
-            prev = new_points[-1]
-            if cand == prev:
-                return False
-            if any(orient(prev, cand, v) == 0 for v in avoid_points):
-                return False
-        return True
-
-    for _, x in p.entries:
-        new_points.append(spiral_search(x, pitch, sq_budget, acceptable))
-    return Track(tuple((s, y) for (s, _), y in zip(p.entries, new_points)))
+    den = math.lcm(p.vden, q.vden, qprime.vden, delta.denominator << 14)
+    radius = delta.numerator * (den // delta.denominator)  # delta over den
+    others = (q.verts_over(den), qprime.verts_over(den))
+    verts = separated_vertices(p.verts_over(den), others, radius >> 3, radius**2)
+    return Track.from_ints(p.sden, p.snums, den, verts)

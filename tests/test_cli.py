@@ -509,6 +509,23 @@ def test_table_rows_are_bounded(tmp_path: Path, capsys) -> None:
         parse_path_spec(_table_spec(MAX_TABLE_ROWS + 1, 3))
 
 
+@pytest.mark.parametrize("modulus", (16, 24, 40))
+def test_table_modulus_beyond_the_track_budget_exits_4(
+    tmp_path: Path, capsys, modulus: int
+) -> None:
+    # the first shrink grid of a table claiming modulus m has about
+    # 3 * 2^(m+6) points; such grids used to end in a MemoryError
+    spec = tmp_path / "spec.json"
+    spec.write_text(_table_spec(2, modulus), encoding="utf-8")
+    out = tmp_path / "cert.json"
+    start = time.perf_counter()
+    assert main(["intersect", str(spec), "--iterations", "1", "-o", str(out)]) == 4
+    assert time.perf_counter() - start < 10
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: a track grid of ")
+    assert not out.exists()
+
+
 # --------------------------------------------------------- render command
 
 

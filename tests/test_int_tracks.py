@@ -49,8 +49,10 @@ from curvemeet import (
 from curvemeet._fastgeom import BoxLevels, canonical_lines
 from curvemeet.cli import emit_certificate
 from curvemeet.exact_geom import Interval, Point
-from curvemeet.paths import _fix_vertices, dyadic_values, grid_values
-from curvemeet.track import spiral_search
+from curvemeet.paths import grid_points, grid_values
+from curvemeet.track import separated_vertices, spiral_search
+
+from ref_track import ref_separated_points, ref_spiral_search
 
 F = Fraction
 
@@ -92,7 +94,7 @@ def ref_fix_vertices(bases, n, accept_extra) -> list[Point]:
                 return False
             return accept_extra(_k, cand, _prev)
 
-        out.append(spiral_search(base, pitch, sq_budget, ok))
+        out.append(ref_spiral_search(base, pitch, sq_budget, ok))
     return out
 
 
@@ -210,19 +212,19 @@ def windows(f) -> list[Interval]:
 
 @pytest.mark.parametrize("name", sorted(ORACLES))
 def test_dyadic_values_match_eval_approx(name: str) -> None:
+    # dyadic grids as the tracks use them, and grids k/b for other b
     f = ORACLES[name]
     lo, hi = f.domain.lo, f.domain.hi
-    for e in (0, 1, 3, 6):
-        b = 2**e
+    for b in (1, 2, 8, 64, 3, 10, 35):
         k_lo, k_hi = math.ceil(lo * b), math.floor(hi * b)
         for k0, k1 in ((k_lo, k_hi), (k_lo + 1, k_hi - 1), (k_hi, k_hi), (k_lo, k_lo)):
-            den, values = dyadic_values(f, k0, k1, e, 7)
+            den, values = grid_points(f, k0, k1, b, 7)
             assert len(values) == max(0, k1 - k0 + 1)
             for k, (x, y) in zip(range(k0, k1 + 1), values):
-                assert Point(F(x, den), F(y, den)) == f.eval_approx(F(k, b), 7), (e, k)
+                assert Point(F(x, den), F(y, den)) == f.eval_approx(F(k, b), 7), (b, k)
         for k in (k_lo - 1, k_hi + 1):
             with pytest.raises(OutOfDomain):
-                dyadic_values(f, k, k, e, 7)
+                grid_points(f, k, k, b, 7)
 
 
 @given(
@@ -302,41 +304,35 @@ def test_n_approximation_pair_matches_fraction_builder(name: str, n: int) -> Non
             assert [t.entries for t in got] == [t.entries for t in want], (i, j, seed)
 
 
-@pytest.mark.parametrize("halvings", (1, 2))
+@pytest.mark.parametrize("halvings", (1, 2, 3))
 def test_forced_pitch_halvings_match_fraction_builder(halvings: int) -> None:
-    # three vertices reject each candidate on the lattice of pitch
-    # 2^-(n+7+halvings) around their base, which holds every candidate of
-    # the first `halvings` pitches, so the spiral must halve its pitch
-    f = extend(curved_pair()[0], Side.LOWER)
-    n, iv, picky = 4, interval("-1/24", "1/3"), {1, 5, 6}
-    grid = ref_grid(f, iv, n)
-    ref_bases = ref_base_points(f, grid, n, random.Random(7))
-    coarse = 2 ** (n + 7 + halvings)
-
-    def ref_accept(k, cand, prev) -> bool:
-        if k not in picky:
-            return True
-        off = (cand - ref_bases[k]).scale(F(coarse))
-        return off.x.denominator > 1 or off.y.denominator > 1
-
-    want = ref_fix_vertices(ref_bases, n, ref_accept)
-
-    sden, snums, den, bases = grid_values(f, iv.lo, iv.hi, f.modulus(n), n + 2)
-    den = math.lcm(den, 2 ** (n + 19))
-    bases = [
-        (z.x.numerator * (den // z.x.denominator), z.y.numerator * (den // z.y.denominator))
-        for z in ref_bases
+    # with the budget at one pitch, level l of the spiral tries the points
+    # (i, j) * pitch/2^l with i^2 + j^2 < 4^l; vertical walls through
+    # every x offset of level halvings-1 reject each candidate of the
+    # levels before `halvings` around the picky bases
+    den, pitch, far = 3 * 2**40, 2**20, 2**50
+    bases = [(7 * k * 2**30 + 5 * k, (-1) ** k * 2**31 + 3 * k) for k in range(8)]
+    picky, half = {1, 5, 6}, 2 ** (halvings - 1)
+    walls = [
+        [(x, far), (x, -far)]
+        for k in sorted(picky)
+        for x in (bases[k][0] + i * pitch // half for i in range(1 - half, half))
     ]
+    got = separated_vertices(bases, walls, pitch, pitch * pitch)
 
-    def accept(k, cand, prev) -> bool:
-        if k not in picky:
-            return True
-        (x, y), (bx, by) = cand, bases[k]
-        return (x - bx) * coarse % den != 0 or (y - by) * coarse % den != 0
+    def points(ints):
+        return [Point(F(x, den), F(y, den)) for x, y in ints]
 
-    got = _fix_vertices(bases, n, den, accept)
-    assert [Point(F(x, den), F(y, den)) for x, y in got] == want
-    assert {k for k, (g, b) in enumerate(zip(got, bases)) if g != b} == picky
+    others = [Track(tuple(zip((0, 1), points(w)))) for w in walls]
+    want = ref_separated_points(points(bases), others, F(pitch, den), F(pitch, den) ** 2)
+    assert points(got) == want
+    offsets = {
+        k: (x - bx, y - by)
+        for k, ((x, y), (bx, by)) in enumerate(zip(got, bases))
+        if (x, y) != (bx, by)
+    }
+    # each picky vertex takes the first candidate of level `halvings`
+    assert offsets == {k: (pitch >> halvings, 0) for k in picky}
 
 
 def test_integer_spiral_visits_candidates_in_point_order() -> None:
@@ -352,7 +348,7 @@ def test_integer_spiral_visits_candidates_in_point_order() -> None:
         seen_ints.append(c)
         return len(seen_ints) > 700
 
-    a = spiral_search(center, F(1, 2**14), budget, reject_points)
+    a = ref_spiral_search(center, F(1, 2**14), budget, reject_points)
     b = spiral_search((7 * 2**26, -6 * 2**26), den >> 14, budget * den * den, reject_ints)
     assert [Point(F(x, den), F(y, den)) for x, y in seen_ints] == seen_points
     assert Point(F(b[0], den), F(b[1], den)) == a
@@ -476,7 +472,7 @@ class DuckCurve:
 @pytest.mark.parametrize("pair", [curved_pair, diagonal_pair])
 def test_duck_typed_curves_certify_like_their_builtin_twins(pair) -> None:
     phi, psi = pair()
-    assert not hasattr(DuckCurve(phi), "eval_dyadic")
+    assert not hasattr(DuckCurve(phi), "eval_grid")
     want = emit_certificate(refine_sequence(phi, psi, 2), {})
     got = emit_certificate(refine_sequence(DuckCurve(phi), DuckCurve(psi), 2), {})
     assert got == want

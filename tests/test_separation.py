@@ -33,7 +33,9 @@ from curvemeet import (
 )
 from curvemeet._fastgeom import BoxLevels
 from curvemeet.exact_geom import Line, Point
-from curvemeet.track import line_set, spiral_search
+from curvemeet.track import line_set
+
+from ref_track import ref_spiral_search
 
 # ------------------------------------------------------------ references
 
@@ -70,7 +72,7 @@ def ref_track(f, iv, n, accept_extra, rng) -> Track:
         def ok(cand: Point, _prev=prev) -> bool:
             return (_prev is None or cand != _prev) and accept_extra(cand, _prev)
 
-        out.append(base if ok(base) else spiral_search(base, pitch, sq_budget, ok))
+        out.append(base if ok(base) else ref_spiral_search(base, pitch, sq_budget, ok))
     return Track(tuple(zip(grid, out)))
 
 

@@ -8,6 +8,7 @@ whole refinements to a reference shrink that still rounds.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import curvemeet.refine as refine_module
 from curvemeet import curved_pair, diagonal_pair, refine_sequence
-from curvemeet._fastgeom import PolylineIndex, common_scale
+from curvemeet._fastgeom import PolylineIndex, points_over_lcm, rescale
 from curvemeet.errors import InvariantViolation, PreconditionViolated
 from curvemeet.exact_geom import (
     Interval,
@@ -103,6 +104,14 @@ def test_thresholds_match_rounded_distance(v: Fraction, n: int) -> None:
     half = pow2(-n) / 2
     assert (lo < half) == (q < F(1, 4 ** (n + 1)))
     assert (lo <= half) == (q < F(513**2, 4 ** (n + 10)))
+
+
+def common_scale(*point_groups):
+    """The groups' numerators over one common denominator, and that
+    denominator."""
+    converted = [points_over_lcm(group) for group in point_groups]
+    scale = math.lcm(*(d for d, _ in converted))
+    return [list(rescale(ints, scale // d)) for d, ints in converted], scale
 
 
 def _reference_shrink_first(

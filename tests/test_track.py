@@ -21,7 +21,8 @@ from curvemeet import (
 )
 from curvemeet.track import full_line_set, line_set, vertex_set
 
-from gen import separated_pair
+from gen import rand_track, separated_pair, zigzag_track
+from ref_track import ref_perturb_to_separated
 
 DIAG = make_track([(0, (0, 0)), (1, (1, 1))])
 ANTI = make_track([(0, (0, 1)), (1, (1, 0))])
@@ -223,3 +224,43 @@ def test_perturb_random_configurations() -> None:
         assert weakly_separated(out, q)
         assert sup_track_distance(p, out) < delta * delta
         done += 1
+
+
+def _on_lines(rng: random.Random, q: Track, k: int) -> Track:
+    # k vertices on lines of q's segments, inside and beyond them
+    pts = q.points
+    rows = []
+    for s in range(k):
+        i = rng.randrange(len(pts) - 1)
+        a, b = pts[i], pts[i + 1]
+        rows.append((s, a + (b - a).scale(Fraction(rng.randint(-8, 16), 8))))
+    return make_track(rows)
+
+
+def test_perturb_matches_fraction_reference() -> None:
+    # the integer placement against the Point spiral with Line/orient
+    # tests: random, rich (zigzag) and on-line tracks, with dyadic and
+    # non-dyadic deltas
+    rng = random.Random(4711)
+    deltas = [Fraction(1, 64), Fraction(1, 3), Fraction(2, 7), Fraction(5)]
+    deltas += [Fraction(1, 10**6), Fraction(3, 2**30)]
+    moved = 0
+    for trial in range(300):
+        kind = trial % 3
+        if kind == 0:
+            p, q, qprime = rand_track(rng), rand_track(rng), rand_track(rng)
+        elif kind == 1:
+            p, q = zigzag_track(rng, True), zigzag_track(rng, False)
+            qprime = separated_pair(rng, rich=True)[rng.randrange(2)]
+        else:
+            q = zigzag_track(rng, rng.random() < 0.5)
+            qprime = q if rng.random() < 0.5 else rand_track(rng)
+            try:
+                p = _on_lines(rng, q, rng.randint(2, 6))
+            except ValueError:  # two equal consecutive vertices
+                continue
+        delta = rng.choice(deltas)
+        got = perturb_to_separated(p, q, qprime, delta)
+        assert got.entries == ref_perturb_to_separated(p, q, qprime, delta).entries
+        moved += got.entries != p.entries
+    assert moved > 100  # 122 of 300
