@@ -348,20 +348,6 @@ def canonical_lines(ipts: Sequence[IntPoint]) -> set[tuple[int, int, int]]:
     return out
 
 
-def weakly_separated_ints(a: BoxLevels, b: BoxLevels) -> bool:
-    """No point of either polyline on a line spanned by consecutive
-    points of the other.
-
-    Each distinct spanned line stabs the other polyline's hierarchy, so
-    a line costs O(log N) box tests plus the points it passes near, not
-    O(N) incidence tests; the integer equality at the leaves decides.
-    """
-    for boxes, other in ((a, b), (b, a)):
-        if any(boxes.stab(*line, 0) for line in canonical_lines(other.pts)):
-            return False
-    return True
-
-
 def min_sqdist_exceeds(
     a: BoxLevels, b: BoxLevels, threshold: Fraction, scale: int
 ) -> bool:

@@ -108,15 +108,15 @@ def _build_path(node) -> PathOracle:
         points = [_point_row(r) for r in data]
         return QuadBezierPath(*(pt(x, y) for x, y in points))
     if kind == "table":
-        if "modulus" not in node or not isinstance(node["modulus"], int):
+        offset = node.get("modulus")
+        # JSON true and false are ints to Python, not offsets
+        if not isinstance(offset, int) or isinstance(offset, bool):
             raise SpecFileError("a table path needs an integer 'modulus' offset")
         if len(data) > MAX_TABLE_ROWS:
             raise SpecFileError(
                 f"a table path has at most {MAX_TABLE_ROWS} rows, got {len(data)}"
             )
-        path = TablePath(
-            [_sample_row(r) for r in data], modulus_offset=node["modulus"]
-        )
+        path = TablePath([_sample_row(r) for r in data], modulus_offset=offset)
         path.validate()
         return path
     raise SpecFileError(f"unknown path type {kind!r}")

@@ -5,7 +5,8 @@ crossing, so counting reduces to orientation signs.  The parity of that
 count is invariant across all sufficiently fine separated approximation
 pairs of a curve pair whose endpoint clearance (alpha) dominates the
 approximation error by a factor 16; `function_parity` certifies that
-clearance from below and then counts one pair.
+clearance from below and then counts one pair, which is separated by
+construction; only `crossing_count` checks the tracks a caller passes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._fastgeom import BoxLevels, min_sqdist_exceeds, weakly_separated_ints
+from ._fastgeom import BoxLevels, min_sqdist_exceeds
 from .errors import (
     EffortExhausted,
     NotSeparated,
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .exact_geom import Interval, Point, pow2, smallest_n_below, sqrt_enclosure
 from .paths import PathOracle, n_approximation, n_approximation_pair
-from .track import Track, common_verts
+from .track import Track, common_verts, weakly_separated
 
 Crossing = tuple[Fraction, Fraction, Point]
 
@@ -47,27 +48,23 @@ def _report(crossings: list[Crossing]) -> CrossingReport:
     return CrossingReport(tuple(crossings), len(crossings), len(crossings) % 2)
 
 
-def crossing_count(
-    p: Track, q: Track, boxes: tuple[BoxLevels, BoxLevels] | None = None
-) -> CrossingReport:
-    """Count and locate the crossings of two weakly separated tracks.
+def crossing_count(p: Track, q: Track) -> CrossingReport:
+    """Count and locate the crossings of two tracks from a caller, which
+    must be weakly separated (`weakly_separated`), else NotSeparated."""
+    if not weakly_separated(p, q):
+        raise NotSeparated("tracks are not weakly separated")
+    pi, qi, _den = common_verts(p, q)
+    return _sweep(p, q, BoxLevels(pi), BoxLevels(qi))
 
-    `boxes`, the tracks' hierarchies over their `common_verts`, are built
-    when not given.  Separation is verified on them first: each spanned
-    line stabs the other hierarchy, O(log N) box tests per line.  The
-    sweep descends both hierarchies together and orients only segment
-    pairs whose boxes overlap, so it costs the overlapping box pairs
-    level by level, not |p| * |q|.  Separation rules out every vertex
-    incidence, so a zero orientation sign in the sweep is an internal
+
+def _sweep(p: Track, q: Track, pb: BoxLevels, qb: BoxLevels) -> CrossingReport:
+    """The crossings of weakly separated tracks p and q, from their
+    hierarchies over `common_verts`: both descend together and only
+    segment pairs whose boxes overlap are oriented, so the cost is the
+    overlapping box pairs level by level, not |p| * |q|.  Separation
+    rules out every vertex incidence, so a zero sign is an internal
     consistency failure, not a boundary case.
     """
-    if boxes is None:
-        pi, qi, _den = common_verts(p, q)
-        boxes = BoxLevels(pi), BoxLevels(qi)
-    pb, qb = boxes
-    if not weakly_separated_ints(pb, qb):
-        raise NotSeparated("tracks are not weakly separated")
-
     hits: list[tuple[int, int, int, int, int, int]] = []
     for i, j, ax, ay, bx, by, cx, cy, dx, dy in pb.segment_pairs(qb, 0):
         o1 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
@@ -202,14 +199,19 @@ def function_parity(
     certified first; passing n explicitly asserts that bound and skips
     certification.  If the approximation polygons are provably far apart
     the parity is 0 without any crossing enumeration.
+
+    The pair is counted unchecked: on the grid of `common_verts`, checks
+    A and B of `n_approximation_pair` keep every g-vertex off every
+    f-line and every g-line off every f-vertex, which is weak separation
+    (see its docstring).  The sweep's SeparationInvariantError guards it.
     """
     if n is None:
         enc = certify_alpha(f, g, i, j, effort)
         n = smallest_n_below(enc.lo / 16)
     p, q = n_approximation_pair(f, g, i, j, n, rng)
     pi, qi, den = common_verts(p, q)
-    # one hierarchy per track serves the far test, separation and sweep
-    boxes = BoxLevels(pi), BoxLevels(qi)
-    if min_sqdist_exceeds(*boxes, (11 * pow2(-n)) ** 2, den):
+    # one hierarchy per track serves the far test and the sweep
+    pb, qb = BoxLevels(pi), BoxLevels(qi)
+    if min_sqdist_exceeds(pb, qb, (11 * pow2(-n)) ** 2, den):
         return 0
-    return crossing_count(p, q, boxes).parity
+    return _sweep(p, q, pb, qb).parity

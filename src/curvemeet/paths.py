@@ -243,24 +243,28 @@ class TablePath(PolylinePath):
         at the smallest n with |zj - zi| >= 2^-n; and a pair at least
         2^-modulus(0) apart in t refutes nothing.  So each pair closer
         than that costs one comparison, and the scan from each sample
-        stops at the first sample beyond that window.
+        stops at the first sample beyond that window.  With the
+        parameters as integers over S, tj - ti < 2^-m iff their
+        difference is below ceil(S / 2^m), a right shift of S; so no
+        window is built as a number of m bits, however large m is.
         """
-        for n in range(_MODULUS_CHECKS):
-            if self.modulus(n + 1) <= self.modulus(n):
-                raise PreconditionViolated("modulus is not increasing")
-        windows = [pow2(-self.modulus(n)) for n in range(_MODULUS_CHECKS)]
-        entries = self._entries
+        mods = [self.modulus(n) for n in range(_MODULUS_CHECKS + 1)]
+        if any(m1 <= m0 for m0, m1 in zip(mods, mods[1:])):
+            raise PreconditionViolated("modulus is not increasing")
+        windows = [-(-self._pscale >> m) for m in mods]
+        entries, pnums = self._entries, self._pnums
         for i, (ti, zi) in enumerate(entries):
-            horizon = ti + windows[0]
-            for tj, zj in entries[i + 1 :]:
-                if tj >= horizon:
+            for j in range(i + 1, len(entries)):
+                span = pnums[j] - pnums[i]
+                if span >= windows[0]:
                     break
+                tj, zj = entries[j]
                 sq = (zj - zi).sq_norm()
                 if sq == 0:
                     continue
                 # smallest n >= 0 with 4^-n <= sq
                 n = max(0, (ceil_log2(1 / sq) + 1) // 2)
-                if n < _MODULUS_CHECKS and tj - ti < windows[n]:
+                if n < _MODULUS_CHECKS and span < windows[n]:
                     raise PreconditionViolated(
                         f"samples at {ti} and {tj} refute the modulus at n={n}"
                     )
@@ -341,7 +345,8 @@ def extend(path: PathOracle, side: Side) -> ExtendedPath:
 # doubling the probe precision towards `effort`, and a table claiming a
 # large modulus asks for a grid of 2^40 points or more: either would
 # stall or run out of memory instead of failing.
-MAX_GRID_VERTICES = 2**20
+_MAX_GRID_BITS = 20
+MAX_GRID_VERTICES = 2**_MAX_GRID_BITS
 
 
 def _grid_bounds(lo: Fraction, hi: Fraction, md: int) -> tuple[int, int, int]:
@@ -351,14 +356,18 @@ def _grid_bounds(lo: Fraction, hi: Fraction, md: int) -> tuple[int, int, int]:
     if lo >= hi:
         raise ValueError("empty parameter interval")
     e = md + 1
-    k0 = (lo.numerator << e) // lo.denominator + 1
-    k1 = -((-hi.numerator << e) // hi.denominator) - 1
-    if k1 - k0 + 3 > MAX_GRID_VERTICES:
-        raise EffortExhausted(
-            f"a track grid of {k1 - k0 + 3} points on [{lo}, {hi}] exceeds"
-            f" the budget of {MAX_GRID_VERTICES} vertices"
-        )
-    return e, k0, k1
+    # the grid has (hi - lo) * 2^e + 1 to + 3 points, and 2^b <= (hi -
+    # lo) * 2^e: its size is bounded from exponents before any shift
+    b = e - ceil_log2(1 / (hi - lo))
+    if b < _MAX_GRID_BITS:
+        k0 = (lo.numerator << e) // lo.denominator + 1
+        k1 = -((-hi.numerator << e) // hi.denominator) - 1
+        if k1 - k0 + 3 <= MAX_GRID_VERTICES:
+            return e, k0, k1
+    raise EffortExhausted(
+        f"a track grid of over 2^{b} points on [{lo}, {hi}] exceeds"
+        f" the budget of {MAX_GRID_VERTICES} vertices"
+    )
 
 
 def dyadic_grid(lo: Fraction, hi: Fraction, md: int) -> list[Fraction]:
@@ -463,10 +472,12 @@ def n_approximation_pair(
 
     Two phases: the f-track p is built freely, then the g-vertices are
     placed by `separated_vertices` on one integer grid holding p and all
-    of g's base points, with the spiral of `n_approximation`.  Separation
-    therefore holds by construction, not by rejection sampling, and the
-    rng is drawn in the same order as vertex by vertex, since the spiral
-    search draws nothing.
+    of g's base points (that of `common_verts(p, q)`), with the spiral of
+    `n_approximation`; the rng is drawn as vertex by vertex, since the
+    spiral draws nothing.  The pair is weakly separated by construction:
+    check A keeps each g-vertex off every f-line meeting its budget
+    square, which holds the vertex, and check B each g-line, a g-vertex
+    joined to its predecessor, off every f-vertex.
     """
     p = n_approximation(f, i, n, rng)
     sden, snums, g_den, bases = _base_points(g, j, n, rng)

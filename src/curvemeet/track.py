@@ -21,7 +21,6 @@ from ._fastgeom import (
     over_lcm,
     points_over_lcm,
     rescale,
-    weakly_separated_ints,
 )
 from .errors import GridMismatch, InvariantViolation, OutOfDomain
 from .exact_geom import Line, Point, pt, rat
@@ -174,18 +173,13 @@ def full_line_set(p: Track) -> frozenset[Line]:
 
 
 def weakly_separated(p: Track, q: Track) -> bool:
-    """No vertex of either track lies on a spanned line of the other.
-
-    Both tracks are scaled to one integer grid.  Each distinct spanned
-    line (a collinear run counts once) stabs the other track's
-    `BoxLevels`: box tests only prune, and the integer equality
-    a*x + b*y == c still decides every incidence.  A line costs
-    O(log N) box tests plus the vertices it passes close to, so the whole
-    test is about O((|p| + |q|) log) for tracks that do not run along
-    each other's lines, instead of O(|p| * |q|).
-    """
+    """No vertex of either track lies on a spanned line of the other:
+    on one integer grid every vertex of q, in order, passes `_vertex_test`
+    against p with reach 0 (check A keeps the q-vertices off the lines of
+    p, check B the p-vertices off those of q)."""
     pi, qi, _den = common_verts(p, q)
-    return weakly_separated_ints(BoxLevels(pi), BoxLevels(qi))
+    accept = _vertex_test(qi, (pi,), 0)
+    return all(accept(k, z, qi[k - 1] if k else None) for k, z in enumerate(qi))
 
 
 def sup_track_distance(p: Track, pbar: Track) -> Fraction:
@@ -248,42 +242,31 @@ def spiral_search(
     raise InvariantViolation("spiral search exhausted twelve pitch refinements")
 
 
-def separated_vertices(
-    bases: Sequence[IntPoint],
-    others: Sequence[Sequence[IntPoint]],
-    pitch: int,
-    sq_budget: int,
-) -> list[IntPoint]:
-    """Vertices near the bases, weakly separated from every polyline in
-    others; all points are integer numerators over one denominator.
+def _vertex_test(
+    bases: Sequence[IntPoint], others: Sequence[Sequence[IntPoint]], reach: int
+) -> Callable[[int, IntPoint, IntPoint | None], bool]:
+    """The one weak-separation predicate, accept(k, cand, prev), for a
+    candidate at most reach per axis from bases[k] after the vertex prev
+    (None for the first): cand differs from prev, (A) lies on no line
+    spanned by consecutive points of a polyline in others, and (B) spans
+    with prev a line through no point of one.
 
-    Vertex k keeps bases[k] if that is acceptable and otherwise takes the
-    first acceptable point of `spiral_search(bases[k], pitch, sq_budget)`.
-    A candidate is acceptable if it differs from the vertex before it,
-    (A) lies on no line spanned by consecutive points of another
-    polyline, and (B) spans with the vertex before it a line through no
-    point of one.
-
-    For (A), each distinct line of the others stabs the squares of
-    half-width isqrt(sq_budget) around the bases, which contain every
-    candidate the spiral may try, so each vertex tests only the few lines
-    passing near it.  For (B), the line through the predecessor and the
-    candidate stabs the others' box levels.  Box tests only prune; the
-    integer equality a*x + b*y == c decides every incidence, so the
-    vertices are those of testing every line against every point.  Cost:
-    O(log N) box tests per line and per candidate, plus the points each
-    passes close to, instead of O(N) tests per candidate.
+    The others' distinct lines stab the squares of half-width reach
+    around the bases for (A), each line of (B) the others' box levels;
+    box tests only prune and a*x + b*y == c decides every incidence, at
+    O(log N) box tests per line plus the points each passes close to.
     """
     points = [z for pts in others for z in pts]
     near_lines: dict[int, list[tuple[int, int, int]]] = {}
     if points:
-        other_boxes = BoxLevels(points)
-        base_boxes, reach = BoxLevels(bases), math.isqrt(sq_budget)
+        other_boxes, base_boxes = BoxLevels(points), BoxLevels(bases)
         for line in set().union(*map(canonical_lines, others)):
             for k in base_boxes.stab(*line, reach):
                 near_lines.setdefault(k, []).append(line)
 
-    def clears(k: int, cand: IntPoint, prev: IntPoint | None) -> bool:
+    passed = [0, 0, 1]  # the last line that passed (B); 0 = 1 holds nowhere
+
+    def accept(k: int, cand: IntPoint, prev: IntPoint | None) -> bool:
         if cand == prev:
             return False
         x, y = cand
@@ -293,17 +276,42 @@ def separated_vertices(
         if prev is None or not points:
             return True
         x0, y0 = prev
+        a, b, c = passed
+        if a * x + b * y == c == a * x0 + b * y0:
+            return True  # the line that passed, along a collinear run
         a, b = y - y0, x0 - x
-        return not other_boxes.stab(a, b, a * x0 + b * y0, 0)
+        c = a * x0 + b * y0
+        if other_boxes.stab(a, b, c, 0):
+            return False
+        passed[:] = a, b, c
+        return True
 
+    return accept
+
+
+def separated_vertices(
+    bases: Sequence[IntPoint],
+    others: Sequence[Sequence[IntPoint]],
+    pitch: int,
+    sq_budget: int,
+) -> list[IntPoint]:
+    """Vertices near the bases, weakly separated from every polyline in
+    others; all points are integer numerators over one denominator.
+
+    Vertex k keeps bases[k] if `_vertex_test` accepts it and otherwise
+    takes the first accepted point of `spiral_search(bases[k], pitch,
+    sq_budget)`, whose candidates lie within isqrt(sq_budget) per axis of
+    the base.
+    """
+    accept = _vertex_test(bases, others, math.isqrt(sq_budget))
     out: list[IntPoint] = []
     prev = None
     for k, base in enumerate(bases):
         # the unmoved base is almost always acceptable; the spiral
         # machinery is only paid for on rejection
-        if base == prev or (points and not clears(k, base, prev)):
+        if not accept(k, base, prev):
             base = spiral_search(
-                base, pitch, sq_budget, lambda c, k=k, p=prev: clears(k, c, p)
+                base, pitch, sq_budget, lambda c, k=k, p=prev: accept(k, c, p)
             )
         out.append(base)
         prev = base

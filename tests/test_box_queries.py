@@ -36,6 +36,7 @@ from curvemeet.exact_geom import (
     pow2,
     sq_dist_segment_segment,
 )
+from curvemeet.parity import _sweep
 
 F = Fraction
 SIZES = (2, 8, 9, 16, 17, 65, 200)
@@ -203,8 +204,9 @@ def test_crossing_sweep_matches_all_pairs(size_a: int) -> None:
         q = make_track(list(enumerate(b)))
         report = crossing_count(p, q)
         assert list(report.crossings) == _crossings_all_pairs(a, b)
-        # the hierarchies function_parity passes in give the same report
-        assert crossing_count(p, q, (BoxLevels(a), BoxLevels(b))) == report
+        # the private sweep function_parity runs on its own hierarchies
+        # gives the same report
+        assert _sweep(p, q, BoxLevels(a), BoxLevels(b)) == report
 
 
 def test_crossing_sweep_counts_many_crossings() -> None:

@@ -123,6 +123,16 @@ def test_parse_spec_builds_all_path_kinds() -> None:
                 "psi": {"type": "polyline", "data": [[0, 0, 1], [1, 1, 0]]},
             }
         ),
+        json.dumps(
+            {
+                "phi": {
+                    "type": "table",
+                    "modulus": True,
+                    "data": [[0, 0, 0], [1, 1, 1]],
+                },
+                "psi": {"type": "polyline", "data": [[0, 0, 1], [1, 1, 0]]},
+            }
+        ),
     ],
 )
 def test_parse_spec_rejects_malformed_documents(text: str) -> None:
@@ -509,12 +519,13 @@ def test_table_rows_are_bounded(tmp_path: Path, capsys) -> None:
         parse_path_spec(_table_spec(MAX_TABLE_ROWS + 1, 3))
 
 
-@pytest.mark.parametrize("modulus", (16, 24, 40))
+@pytest.mark.parametrize("modulus", (16, 24, 40, 15000, 10**12))
 def test_table_modulus_beyond_the_track_budget_exits_4(
     tmp_path: Path, capsys, modulus: int
 ) -> None:
     # the first shrink grid of a table claiming modulus m has about
-    # 3 * 2^(m+6) points; such grids used to end in a MemoryError
+    # 3 * 2^(m+6) points; such grids used to end in a MemoryError, and
+    # from m = 15000 on in a traceback or a stall while sizing them
     spec = tmp_path / "spec.json"
     spec.write_text(_table_spec(2, modulus), encoding="utf-8")
     out = tmp_path / "cert.json"

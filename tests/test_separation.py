@@ -1,20 +1,24 @@
 """Weak separation decided by box-level line stabbing.
 
-`weakly_separated`, `crossing_count`'s pre-pass and `n_approximation_pair`
-prune with `BoxLevels.stab` and decide by integer equality.  They are
+`weakly_separated` and `n_approximation_pair` share one predicate, which
+prunes with `BoxLevels.stab` and decides by integer equality.  They are
 checked here against the all-pairs scans they replaced, kept in this file
 as references: every spanned line tested against every vertex, and the
 g-track built vertex by vertex with both line tests run over all of p.
+`function_parity` counts the pairs of `n_approximation_pair` without a
+check, so the pairs it builds are held to the first reference too.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import curvemeet.parity as parity_module
 from curvemeet import (
     NotSeparated,
     PolylinePath,
@@ -25,6 +29,7 @@ from curvemeet import (
     diagonal_pair,
     dyadic_grid,
     extend,
+    function_parity,
     interval,
     make_track,
     n_approximation_pair,
@@ -226,6 +231,25 @@ def test_weakly_separated_degenerate_tracks() -> None:
         assert not weakly_separated(p, p)
 
 
+def test_collinear_run_stabs_once(monkeypatch) -> None:
+    # a straight track spans one line; the zigzag around it meets that
+    # line in every box, so stabbing it once per segment would cost
+    # O(|zig|) per segment
+    line = make_track((k, (k, 0)) for k in range(400))
+    zig = make_track((k, (Fraction(3 * k + 1, 3), (-1) ** k)) for k in range(400))
+    horizontal = []
+    stab = BoxLevels.stab
+
+    def counting_stab(self, a, b, c, pad):
+        horizontal.append(a == 0)
+        return stab(self, a, b, c, pad)
+
+    monkeypatch.setattr(BoxLevels, "stab", counting_stab)
+    assert weakly_separated(zig, line) and weakly_separated(line, zig)
+    assert sum(horizontal) == 2  # the line's (B) stab, and its (A) stab
+    assert ref_weakly_separated(zig, line)
+
+
 def test_crossing_count_rejects_what_the_reference_rejects() -> None:
     rng = random.Random(21)
     for _ in range(150):
@@ -287,3 +311,67 @@ def test_diagonal_tails_are_moved_off_far_lines() -> None:
     tails = {k for k, s in enumerate(q.params) if s <= 0 or s >= 1}
     assert len(tails) > 200 and tails <= moved
     assert weakly_separated(p, q)
+
+
+# ------------------------------------------------------------ function_parity
+
+# windows per pair, each with a clearance that certifies n <= 9 and
+# tracks short enough for the reference
+WINDOWS = {
+    "diagonals": [
+        (interval("3/8", "5/8"), interval("3/8", "5/8")),
+        (interval(-1, "-1/2"), interval("1/4", "3/4")),
+    ],
+    "curved": [
+        (interval("3/8", "1/2"), interval("1/4", "5/16")),
+        (interval("1/2", "3/4"), interval("1/2", "3/4")),
+    ],
+    "three_crossing": [
+        (interval("1/4", "3/4"), interval("1/4", "3/4")),
+        (interval(0, "1/4"), interval(0, "3/8")),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_function_parity_counts_only_separated_pairs(name: str, monkeypatch) -> None:
+    # function_parity counts its pair without a separation check, so every
+    # pair it builds must pass the all-lines-all-vertices reference
+    built: list[tuple[Track, Track]] = []
+
+    def recording_pair(*args, **kwargs):
+        built.append(n_approximation_pair(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(parity_module, "n_approximation_pair", recording_pair)
+    f, g, _iv = PAIRS[name]
+    parities = set()
+    for i, j in WINDOWS[name]:
+        for n in (None, 3, 5, 7):
+            for seed in (None, 0, 3):
+                rng = None if seed is None else random.Random(seed)
+                parities.add(function_parity(f, g, i, j, n=n, rng=rng))
+    assert len(built) == 2 * 4 * 3 and 1 in parities
+    for p, q in built:
+        assert ref_weakly_separated(p, q)
+
+
+def test_crossing_reports_are_pinned() -> None:
+    # sha256 prefix of the crossings (s, t and point) of separated pairs;
+    # any change that must leave the parity layer's output unchanged has
+    # to keep it
+    lines = []
+    for name in sorted(PAIRS):
+        f, g, iv = PAIRS[name]
+        for n in (3, 5, 7):
+            for seed in (None, 0, 3):
+                rng = None if seed is None else random.Random(seed)
+                p, q = n_approximation_pair(f, g, iv, iv, n, rng)
+                rep = crossing_count(p, q)
+                lines.append(
+                    f"{name} n={n} seed={seed} count={rep.count}"
+                    f" |p|={len(p)} |q|={len(q)}"
+                )
+                lines += [f"{s} {t} {z.x} {z.y}" for s, t, z in rep.crossings]
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest[:16] == "0511b7c6760aafb1"
