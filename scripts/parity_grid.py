@@ -10,7 +10,7 @@ Rows sum, mod 2, to the parity of the full row window: the odd cells
 of each row trace where the crossing can hide.
 
 Usage:
-    python scripts/parity_grid.py --pair diagonals --cells 6
+    python scripts/parity_grid.py --pair diagonals --cells 5
 """
 
 from __future__ import annotations

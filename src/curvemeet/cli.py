@@ -26,8 +26,8 @@ from .errors import (
     SpecFileError,
     UsageError,
 )
-from .exact_geom import Interval, interval, pow2, pt, smallest_n_below
-from .parity import certify_alpha, function_parity
+from .exact_geom import Interval, interval, pow2, pt
+from .parity import function_parity, working_precision
 from .paths import (
     PathOracle,
     PolylinePath,
@@ -320,8 +320,7 @@ def _cmd_parity(args: argparse.Namespace) -> int:
     phi, psi, _ = load_path_spec(args.spec)
     f = extend(phi, Side.LOWER)
     g = extend(psi, Side.UPPER)
-    enc = certify_alpha(f, g, i, j, effort=args.effort)
-    n = smallest_n_below(enc.lo / 16)
+    enc, n = working_precision(f, g, i, j, effort=args.effort)
     parity = function_parity(f, g, i, j, effort=args.effort, n=n)
     print(f"parity {parity}")
     print(

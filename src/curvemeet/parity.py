@@ -5,8 +5,9 @@ crossing, so counting reduces to orientation signs.  The parity of that
 count is invariant across all sufficiently fine separated approximation
 pairs of a curve pair whose endpoint clearance (alpha) dominates the
 approximation error by a factor 16; `function_parity` certifies that
-clearance from below and then counts one pair, which is separated by
-construction; only `crossing_count` checks the tracks a caller passes.
+clearance from below, picks the working precision from the tightened
+floor (`working_precision`) and then counts one pair, which is separated
+by construction; only `crossing_count` checks the tracks a caller passes.
 """
 
 from __future__ import annotations
@@ -157,18 +158,19 @@ def certify_alpha(
     effort: int = 64,
     target: Fraction = Fraction(0),
 ) -> AlphaEnclosure:
-    """Refine the clearance enclosure until its floor exceeds target.
+    """Refine the clearance enclosure until its floor exceeds target,
+    probing first at precision min(5, effort).
 
     Raises PreconditionViolated if some enclosure proves the clearance
     is at most target, EffortExhausted if precision `effort` is reached
     without a decision or the next probe would build a track of more
     than `paths.MAX_GRID_VERTICES` vertices.
     """
-    probe = _PROBE_START
+    probe = min(_PROBE_START, effort)
     enc = alpha_enclosure(f, g, i, j, probe)
-    hint = smallest_n_below(enc.hi / 16)
+    hint = min(smallest_n_below(enc.hi / 16), effort)
     if enc.lo <= target and hint > probe:
-        probe = min(hint, effort)
+        probe = hint
         enc = alpha_enclosure(f, g, i, j, probe)
     while enc.lo <= target:
         if enc.hi <= target:
@@ -184,6 +186,32 @@ def certify_alpha(
     return enc
 
 
+def working_precision(
+    f: PathOracle, g: PathOracle, i: Interval, j: Interval, effort: int = 64
+) -> tuple[AlphaEnclosure, int]:
+    """The clearance enclosure of `certify_alpha`, tightened, and the
+    working precision n = smallest_n_below(lo / 16) it certifies.
+
+    A barely positive first floor can cost several bits of n, and each
+    bit doubles the separated pair built at n.  So while the next probe
+    precision stays below n and within effort, and the ceiling still
+    allows a smaller n, one more probe keeps the larger floor and the
+    smaller ceiling.  A probe below n builds two unseparated tracks of
+    at most half the pair's vertices: it costs a fraction of the parity
+    it can halve, and it meets no grid budget the parity would not.
+    The returned enclosure carries the last probe's precision.
+    """
+    enc = certify_alpha(f, g, i, j, effort)
+    lo, hi, probe = enc.lo, enc.hi, enc.precision_used
+    n = smallest_n_below(lo / 16)
+    while probe + 1 < n and probe < effort and n > smallest_n_below(hi / 16):
+        probe += 1
+        enc = alpha_enclosure(f, g, i, j, probe)
+        lo, hi = max(lo, enc.lo), min(hi, enc.hi)
+        n = smallest_n_below(lo / 16)
+    return AlphaEnclosure(lo, hi, probe), n
+
+
 def function_parity(
     f: PathOracle,
     g: PathOracle,
@@ -196,9 +224,10 @@ def function_parity(
     """Crossing parity of f on i versus g on j.
 
     With n omitted, a working precision satisfying 16 * 2^-n < alpha is
-    certified first; passing n explicitly asserts that bound and skips
-    certification.  If the approximation polygons are provably far apart
-    the parity is 0 without any crossing enumeration.
+    certified first (`working_precision`); passing n explicitly asserts
+    that bound and skips certification.  If the approximation polygons
+    are provably far apart the parity is 0 without any crossing
+    enumeration.
 
     The pair is counted unchecked: on the grid of `common_verts`, checks
     A and B of `n_approximation_pair` keep every g-vertex off every
@@ -206,8 +235,7 @@ def function_parity(
     (see its docstring).  The sweep's SeparationInvariantError guards it.
     """
     if n is None:
-        enc = certify_alpha(f, g, i, j, effort)
-        n = smallest_n_below(enc.lo / 16)
+        _enc, n = working_precision(f, g, i, j, effort)
     p, q = n_approximation_pair(f, g, i, j, n, rng)
     pi, qi, den = common_verts(p, q)
     # one hierarchy per track serves the far test and the sweep

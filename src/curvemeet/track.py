@@ -264,7 +264,8 @@ def _vertex_test(
             for k in base_boxes.stab(*line, reach):
                 near_lines.setdefault(k, []).append(line)
 
-    passed = [0, 0, 1]  # the last line that passed (B); 0 = 1 holds nowhere
+    # the last lines that passed and failed (B); 0 = 1 holds nowhere
+    passed, failed = [0, 0, 1], [0, 0, 1]
 
     def accept(k: int, cand: IntPoint, prev: IntPoint | None) -> bool:
         if cand == prev:
@@ -279,9 +280,13 @@ def _vertex_test(
         a, b, c = passed
         if a * x + b * y == c == a * x0 + b * y0:
             return True  # the line that passed, along a collinear run
+        a, b, c = failed
+        if a * x + b * y == c == a * x0 + b * y0:
+            return False  # the line that failed, met again
         a, b = y - y0, x0 - x
         c = a * x0 + b * y0
         if other_boxes.stab(a, b, c, 0):
+            failed[:] = a, b, c
             return False
         passed[:] = a, b, c
         return True

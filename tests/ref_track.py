@@ -1,20 +1,23 @@
 """Rational references for the integer vertex placement in `track.py`.
 
-`spiral_search` and `perturb_to_separated` work on integer numerators
-over one denominator.  These are the `Fraction` forms they replaced: a
-spiral over `Point` candidates, and a perturbation that tests each
-candidate with `Line.contains` and `orient` against every spanned line
-and every vertex of the other tracks.  Tests require equal results.
+`spiral_search`, `perturb_to_separated` and `n_approximation_pair` work
+on integer numerators over one denominator.  These are the `Fraction`
+forms they replaced: a spiral over `Point` candidates, a perturbation
+that tests each candidate with `Line.contains` and `orient` against
+every spanned line and every vertex of the other tracks, and a track
+pair whose second track is built vertex by vertex against all of the
+first.  Tests require equal results.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable
 
-from curvemeet import Track
+from curvemeet import Track, dyadic_grid, pow2
 from curvemeet.errors import InvariantViolation
-from curvemeet.exact_geom import Point, orient
+from curvemeet.exact_geom import Line, Point, orient
 from curvemeet.track import SPIRAL_LEVELS, line_set, vertex_set
 
 
@@ -94,3 +97,59 @@ def ref_perturb_to_separated(
         raise ValueError("delta must be positive")
     points = ref_separated_points(p.points, (q, qprime), delta / 8, delta * delta)
     return Track(tuple(zip(p.params, points)))
+
+
+def ref_vertex_track(f, iv, n, accept_extra, rng) -> Track:
+    """The vertex-by-vertex construction: jittered base, then a spiral
+    until the candidate differs from its predecessor and is accepted."""
+    grid = dyadic_grid(iv.lo, iv.hi, f.modulus(n))
+    pitch = pow2(-(n + 8))
+    sq_budget = pow2(-(n + 2)) ** 2
+    out: list[Point] = []
+    for s in grid:
+        base = f.eval_approx(s, n + 2)
+        if rng is not None:
+            i = rng.randint(-32, 32)
+            j = rng.randint(-32, 32)
+            base = Point(base.x + i * pitch, base.y + j * pitch)
+        prev = out[-1] if out else None
+
+        def ok(cand: Point, _prev=prev) -> bool:
+            return (_prev is None or cand != _prev) and accept_extra(cand, _prev)
+
+        out.append(base if ok(base) else ref_spiral_search(base, pitch, sq_budget, ok))
+    return Track(tuple(zip(grid, out)))
+
+
+def ref_pair(f, g, i, j, n, rng) -> tuple[Track, Track]:
+    """The former `n_approximation_pair`: the `clears` closure tests every
+    line of p and, through `Line.through`, every vertex of p."""
+    p = ref_vertex_track(f, i, n, lambda c, prev: True, rng)
+    scale = 1
+    for v in p.points:
+        scale = math.lcm(scale, v.x.denominator, v.y.denominator)
+    p_scaled = [
+        (
+            v.x.numerator * (scale // v.x.denominator),
+            v.y.numerator * (scale // v.y.denominator),
+        )
+        for v in p.points
+    ]
+    lines_p = [(ln.A, ln.B, ln.C) for ln in line_set(p)]
+
+    def clears(cand: Point, prev: Point | None) -> bool:
+        xn, xd = cand.x.numerator, cand.x.denominator
+        yn, yd = cand.y.numerator, cand.y.denominator
+        u, v, w = xn * yd, yn * xd, xd * yd
+        for a, b, c in lines_p:
+            if a * u + b * v == c * w:
+                return False
+        if prev is not None:
+            ln = Line.through(prev, cand)
+            a, b, c_scaled = ln.A, ln.B, ln.C * scale
+            for vx, vy in p_scaled:
+                if a * vx + b * vy == c_scaled:
+                    return False
+        return True
+
+    return p, ref_vertex_track(g, j, n, clears, rng)

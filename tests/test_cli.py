@@ -53,6 +53,16 @@ BEZIER_SPEC = json.dumps(
         "psi": {"type": "quad_bezier", "data": [[0, 1], ["1/2", "1/10"], [1, 0]]},
     }
 )
+# a zigzag against the anti-diagonal: three crossings
+THREE_CROSSING_SPEC = json.dumps(
+    {
+        "phi": {
+            "type": "polyline",
+            "data": [[0, 0, 0], ["1/3", "4/5", "2/5"], ["2/3", "1/5", "3/5"], [1, 1, 1]],
+        },
+        "psi": {"type": "polyline", "data": [[0, 0, 1], [1, 1, 0]]},
+    }
+)
 
 
 # ----------------------------------------------------------- spec parsing
@@ -419,6 +429,35 @@ def test_parity_far_windows_print_zero(tmp_path: Path, capsys) -> None:
     )
     assert code == 0
     assert "parity 0" in capsys.readouterr().out
+
+
+def test_parity_prints_the_working_precision(tmp_path: Path, capsys) -> None:
+    # the first positive floor, 1/128 at precision 6, alone would set
+    # n = 12; tightened, the floor certifies n = 8
+    spec = tmp_path / "spec.json"
+    spec.write_text(THREE_CROSSING_SPEC, encoding="utf-8")
+    assert main(["parity", str(spec), "-I", "5/8", "1", "-J", "0", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "parity 1\n"
+        "alpha in [21/256, 67/512] (measured at precision 8, working precision 8)\n"
+    )
+
+
+@pytest.mark.parametrize("effort", [1, 3])
+def test_parity_effort_caps_the_first_probe(
+    tmp_path: Path, capsys, effort: int
+) -> None:
+    spec = tmp_path / "spec.json"
+    spec.write_text(DIAG_SPEC, encoding="utf-8")
+    code = main(["parity", str(spec), "--effort", str(effort)])
+    captured = capsys.readouterr()
+    if code == 4:
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+    else:
+        assert code == 0
+        measured = captured.out.split("measured at precision ")[1]
+        assert int(measured.split(",")[0]) <= effort
 
 
 def test_parity_endpoint_on_curve_exhausts_effort(

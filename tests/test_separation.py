@@ -2,9 +2,10 @@
 
 `weakly_separated` and `n_approximation_pair` share one predicate, which
 prunes with `BoxLevels.stab` and decides by integer equality.  They are
-checked here against the all-pairs scans they replaced, kept in this file
-as references: every spanned line tested against every vertex, and the
-g-track built vertex by vertex with both line tests run over all of p.
+checked here against the all-pairs scans they replaced: every spanned
+line tested against every vertex (`ref_weakly_separated`), and the
+g-track built vertex by vertex with both line tests run over all of p
+(`ref_track.ref_pair`).
 `function_parity` counts the pairs of `n_approximation_pair` without a
 check, so the pairs it builds are held to the first reference too.
 """
@@ -27,20 +28,17 @@ from curvemeet import (
     crossing_count,
     curved_pair,
     diagonal_pair,
-    dyadic_grid,
     extend,
     function_parity,
     interval,
     make_track,
     n_approximation_pair,
-    pow2,
     weakly_separated,
 )
 from curvemeet._fastgeom import BoxLevels
-from curvemeet.exact_geom import Line, Point
 from curvemeet.track import line_set
 
-from ref_track import ref_spiral_search
+from ref_track import ref_pair
 
 # ------------------------------------------------------------ references
 
@@ -57,62 +55,6 @@ def ref_weakly_separated(p: Track, q: Track) -> bool:
     return ref_clears_lines(p.points, line_set(q)) and ref_clears_lines(
         q.points, line_set(p)
     )
-
-
-def ref_track(f, iv, n, accept_extra, rng) -> Track:
-    """The vertex-by-vertex construction: jittered base, then a spiral
-    until the candidate differs from its predecessor and is accepted."""
-    grid = dyadic_grid(iv.lo, iv.hi, f.modulus(n))
-    pitch = pow2(-(n + 8))
-    sq_budget = pow2(-(n + 2)) ** 2
-    out: list[Point] = []
-    for s in grid:
-        base = f.eval_approx(s, n + 2)
-        if rng is not None:
-            i = rng.randint(-32, 32)
-            j = rng.randint(-32, 32)
-            base = Point(base.x + i * pitch, base.y + j * pitch)
-        prev = out[-1] if out else None
-
-        def ok(cand: Point, _prev=prev) -> bool:
-            return (_prev is None or cand != _prev) and accept_extra(cand, _prev)
-
-        out.append(base if ok(base) else ref_spiral_search(base, pitch, sq_budget, ok))
-    return Track(tuple(zip(grid, out)))
-
-
-def ref_pair(f, g, i, j, n, rng) -> tuple[Track, Track]:
-    """The former `n_approximation_pair`: the `clears` closure tests every
-    line of p and, through `Line.through`, every vertex of p."""
-    p = ref_track(f, i, n, lambda c, prev: True, rng)
-    scale = 1
-    for v in p.points:
-        scale = math.lcm(scale, v.x.denominator, v.y.denominator)
-    p_scaled = [
-        (
-            v.x.numerator * (scale // v.x.denominator),
-            v.y.numerator * (scale // v.y.denominator),
-        )
-        for v in p.points
-    ]
-    lines_p = [(ln.A, ln.B, ln.C) for ln in line_set(p)]
-
-    def clears(cand: Point, prev: Point | None) -> bool:
-        xn, xd = cand.x.numerator, cand.x.denominator
-        yn, yd = cand.y.numerator, cand.y.denominator
-        u, v, w = xn * yd, yn * xd, xd * yd
-        for a, b, c in lines_p:
-            if a * u + b * v == c * w:
-                return False
-        if prev is not None:
-            ln = Line.through(prev, cand)
-            a, b, c_scaled = ln.A, ln.B, ln.C * scale
-            for vx, vy in p_scaled:
-                if a * vx + b * vy == c_scaled:
-                    return False
-        return True
-
-    return p, ref_track(g, j, n, clears, rng)
 
 
 # ------------------------------------------------------------ BoxLevels
@@ -311,6 +253,37 @@ def test_diagonal_tails_are_moved_off_far_lines() -> None:
     tails = {k for k, s in enumerate(q.params) if s <= 0 or s >= 1}
     assert len(tails) > 200 and tails <= moved
     assert weakly_separated(p, q)
+
+
+def _canonical(a: int, b: int, c: int) -> tuple[int, int, int]:
+    k = math.gcd(a, b, c)
+    if a < 0 or (a == 0 and b < 0):
+        k = -k
+    return a // k, b // k, c // k
+
+
+@pytest.mark.parametrize("n", (5, 6, 7))
+def test_failed_line_is_not_stabbed_again(n: int, monkeypatch) -> None:
+    # along y = 1 - x every psi-line meets phi's vertex (1/2, 1/2), and the
+    # spiral re-tests its rejected center first: check B remembers the
+    # line that failed, so no failing line is stabbed twice in a row
+    f, g, iv = PAIRS["diagonals"]
+    stabs: list[tuple[tuple[int, int, int], bool]] = []
+    stab = BoxLevels.stab
+
+    def recording_stab(self, a, b, c, pad):
+        hits = stab(self, a, b, c, pad)
+        if pad == 0:  # check B; check A stabs with the budget's reach
+            stabs.append((_canonical(a, b, c), bool(hits)))
+        return hits
+
+    monkeypatch.setattr(BoxLevels, "stab", recording_stab)
+    got = n_approximation_pair(f, g, iv, iv, n)
+    monkeypatch.undo()
+    assert any(hit for _line, hit in stabs)
+    for (line, hit), (after, _) in zip(stabs, stabs[1:]):
+        assert not (hit and after == line), line
+    assert got == ref_pair(f, g, iv, iv, n, None)
 
 
 # ------------------------------------------------------------ function_parity
