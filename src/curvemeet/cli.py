@@ -371,7 +371,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "--effort",
             type=int,
             default=64,
-            help="maximum working precision for clearance search (default 64)",
+            help=(
+                "maximum precision of the clearance probes, not of the"
+                " working precision they certify (default 64)"
+            ),
         )
 
     p_int = sub.add_parser(

@@ -25,11 +25,6 @@ class NotSeparated(CurveMeetError):
     """A track pair fails the weak separation precondition."""
 
 
-class SeparationInvariantError(CurveMeetError):
-    """Internal consistency failure: a configuration that weak separation
-    rules out (touching or collinear overlapping segments) was observed."""
-
-
 class EffortExhausted(CurveMeetError):
     """Positivity of a distance could not be certified within the
     configured precision budget."""

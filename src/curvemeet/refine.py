@@ -31,8 +31,7 @@ from .exact_geom import (
     sqrt_enclosure,
 )
 from .parity import certify_alpha, function_parity
-from .paths import PathOracle, Side, extend, grid_values, n_approximation
-from .track import common_verts
+from .paths import PathOracle, Side, _base_points, extend, grid_values, n_approximation
 
 _EXTENDED = interval(-1, 2)
 _UNIT = interval(0, 1)
@@ -120,12 +119,13 @@ def shrink_first(
     #   lo <  half  iff  q < 4^-(n+1)           (low grid value)
     #   lo <= half  iff  q < 513^2 * 4^-(n+10)  (endpoint not clear)
     # so the classification equals the rounded one without forming lo.
-    g_track = n_approximation(g, j, n + 9)
+    # distances need no separated track: g's base points, repeats kept
+    g_den, gv = _base_points(g, j, n + 9, None)[2:]
     # consecutive grid values of f move by less than 2^-n/16
     sden, snums, f_den, fv = grid_values(f, i.lo, i.hi, f.modulus(n + 4), n + 9)
-    den = math.lcm(f_den, g_track.vden)
+    den = math.lcm(f_den, g_den)
     fv = rescale(fv, den // f_den)
-    idx = BoxLevels(g_track.verts_over(den))
+    idx = BoxLevels(rescale(gv, den // g_den))
     sq_scale = den * den
     k = len(fv) - 1
     for x, y in (fv[0], fv[k]):
@@ -267,10 +267,13 @@ def _check_neighborhood(
         or jb.width() * pow2(b.modulus(n_v) + 1) > max_samples
     ):
         n_v -= 1
-    pa = n_approximation(a, ia, n_v)
-    qb = n_approximation(b, jb, n_v)
-    ap, bp, den = common_verts(pa, qb)
-    idx = BoxLevels(bp)
+    # the base points of both tracks; a zero-length segment of a repeat
+    # is a point, which the distance queries measure correctly
+    a_den, ap = _base_points(a, ia, n_v, None)[2:]
+    b_den, bp = _base_points(b, jb, n_v, None)[2:]
+    den = math.lcm(a_den, b_den)
+    ap = rescale(ap, den // a_den)
+    idx = BoxLevels(rescale(bp, den // b_den))
     allowed = pow2(-level) + 6 * pow2(-n_v)
     lim = allowed * allowed * den * den
     # a sample fails only if its squared distance exceeds lim

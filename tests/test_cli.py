@@ -460,6 +460,27 @@ def test_parity_effort_caps_the_first_probe(
         assert int(measured.split(",")[0]) <= effort
 
 
+def test_effort_help_names_the_probes_not_the_working_precision(capsys) -> None:
+    with pytest.raises(SystemExit):
+        main(["parity", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "maximum precision of the clearance probes, not of the working" in text
+
+
+def test_intersect_certificate_does_not_depend_on_effort(tmp_path: Path, capsys) -> None:
+    # intersect runs no clearance probe, so --effort changes nothing
+    spec = tmp_path / "spec.json"
+    spec.write_text(DIAG_SPEC, encoding="utf-8")
+    outputs = []
+    for effort in ("1", "64"):
+        out = tmp_path / f"cert{effort}.json"
+        args = ["intersect", str(spec), "--iterations", "3", "-o", str(out)]
+        assert main(args + ["--effort", effort, "--verify-base-parity"]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    capsys.readouterr()
+
+
 def test_parity_endpoint_on_curve_exhausts_effort(
     tmp_path: Path, capsys
 ) -> None:

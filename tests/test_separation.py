@@ -6,8 +6,9 @@ checked here against the all-pairs scans they replaced: every spanned
 line tested against every vertex (`ref_weakly_separated`), and the
 g-track built vertex by vertex with both line tests run over all of p
 (`ref_track.ref_pair`).
-`function_parity` counts the pairs of `n_approximation_pair` without a
-check, so the pairs it builds are held to the first reference too.
+`function_parity` builds no separated pair: it counts base-point
+polylines under a symbolic translation, and is held here to the parity
+of the checked pair `n_approximation_pair` builds.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from fractions import Fraction
 
 import pytest
 
-import curvemeet.parity as parity_module
 from curvemeet import (
     NotSeparated,
     PolylinePath,
@@ -32,13 +32,17 @@ from curvemeet import (
     function_parity,
     interval,
     make_track,
+    n_approximation,
     n_approximation_pair,
     weakly_separated,
+    working_precision,
 )
 from curvemeet._fastgeom import BoxLevels
 from curvemeet.track import line_set
 
 from ref_track import ref_pair
+from test_working_precision import WINDOWS as WP_WINDOWS
+from test_working_precision import _case as wp_case
 
 # ------------------------------------------------------------ references
 
@@ -306,27 +310,66 @@ WINDOWS = {
 }
 
 
+def _paper_parity(f, g, i, j, n, seed) -> int:
+    """The parity by the paper's route: count a separated pair, checked."""
+    rng = None if seed is None else random.Random(seed)
+    return crossing_count(*n_approximation_pair(f, g, i, j, n, rng)).parity
+
+
+def _function_parity(f, g, i, j, n, seed) -> int:
+    rng = None if seed is None else random.Random(seed)
+    return function_parity(f, g, i, j, n=n, rng=rng)
+
+
 @pytest.mark.parametrize("name", sorted(PAIRS))
-def test_function_parity_counts_only_separated_pairs(name: str, monkeypatch) -> None:
-    # function_parity counts its pair without a separation check, so every
-    # pair it builds must pass the all-lines-all-vertices reference
-    built: list[tuple[Track, Track]] = []
-
-    def recording_pair(*args, **kwargs):
-        built.append(n_approximation_pair(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(parity_module, "n_approximation_pair", recording_pair)
+def test_function_parity_matches_separated_pair_parity(name: str) -> None:
+    # function_parity counts base-point polylines under a symbolic
+    # translation; the separated pair of the same n and rng draws, counted
+    # by the checked route, must have the same parity
     f, g, _iv = PAIRS[name]
     parities = set()
     for i, j in WINDOWS[name]:
+        certified = working_precision(f, g, i, j)[1]
         for n in (None, 3, 5, 7):
             for seed in (None, 0, 3):
-                rng = None if seed is None else random.Random(seed)
-                parities.add(function_parity(f, g, i, j, n=n, rng=rng))
-    assert len(built) == 2 * 4 * 3 and 1 in parities
-    for p, q in built:
-        assert ref_weakly_separated(p, q)
+                got = _function_parity(f, g, i, j, n, seed)
+                assert got == _paper_parity(f, g, i, j, n or certified, seed), (
+                    i, j, n, seed
+                )
+                parities.add(got)
+    assert parities == {0, 1}
+
+
+@pytest.mark.parametrize("window", WP_WINDOWS, ids=[" ".join(w) for w in WP_WINDOWS])
+def test_function_parity_matches_on_working_precision_windows(window) -> None:
+    f, g, _c1, _c2, i, j = wp_case(*window)
+    n = working_precision(f, g, i, j)[1]
+    assert function_parity(f, g, i, j) == _paper_parity(f, g, i, j, n, None)
+
+
+# diagonal windows around t = 1/2, a grid parameter at every n: both
+# base-point polylines pass through the crossing point (1/2, 1/2), where
+# the untranslated orientation signs are 0
+VERTEX_WINDOWS = [
+    (interval("1/4", "3/4"), interval("1/4", "3/4")),
+    (interval("3/8", "5/8"), interval("1/4", "3/4")),
+    (interval(0, 1), interval("1/4", "3/4")),
+    (interval("-1/2", "3/2"), interval(0, 1)),
+]
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_function_parity_matches_where_the_crossing_is_a_shared_vertex(
+    n: int,
+) -> None:
+    f, g, _iv = PAIRS["diagonals"]
+    half = (Fraction(1, 2), Fraction(1, 2))
+    for i, j in VERTEX_WINDOWS:
+        p, q = n_approximation(f, i, n), n_approximation(g, j, n)
+        assert half in {(z.x, z.y) for z in p.points} & {(z.x, z.y) for z in q.points}
+        for seed in (None, 0):
+            got = _function_parity(f, g, i, j, n, seed)
+            assert got == _paper_parity(f, g, i, j, n, seed) == 1, (i, j, seed)
 
 
 def test_crossing_reports_are_pinned() -> None:
