@@ -4,7 +4,8 @@ Builds the round that perfbench would run for WORKLOAD and seed N, runs
 it once to warm up (imports, caches, first allocations), then profiles a
 second run of it and prints the K functions with the largest self time.
 The round and its answer checks come from perfbench/workloads.py, which
-this script only imports.
+this script only imports.  The round's timing clock is replaced by a bare
+one, so that perfbench's calibration loop stays out of the profile.
 
 Usage, from the root of a checkout:
     python3 scripts/profile_round.py curved --seed 11 [--top 25]
@@ -26,6 +27,13 @@ import curvemeet.cli  # noqa: E402,F401  (the ball round emits a certificate)
 from perfbench import workloads  # noqa: E402
 
 
+class BareClock:
+    """A `perfbench.clock.Clock` stand-in that only calls fn."""
+
+    def measure(self, fn):
+        return fn(), 0.0, 0.0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=sorted(workloads.PAIRS_USED))
@@ -36,6 +44,7 @@ def main(argv=None) -> int:
     pairs = workloads.make_pairs()
     queries = workloads.make_windows(args.workload, args.seed, pairs)
     state = workloads.State(curvemeet, args.workload, pairs, queries)
+    state.clock = BareClock()
     workloads.run_round(state, workloads.Tally())
     tally = workloads.Tally()
     profile = cProfile.Profile()

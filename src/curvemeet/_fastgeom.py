@@ -357,7 +357,10 @@ def min_sqdist_exceeds(
     `segment_pairs` keeps the pairs whose squared box gap is at most the
     scaled threshold t, and the exact squared distance decides each.
     Cost: the dual descent (a few box tests for polylines far apart)
-    plus one exact test per pair kept.
+    plus one exact test per pair kept.  No production code calls it:
+    the crossing sweep opens a subset of its box pairs, so a far test
+    before the sweep saves nothing.  It stays for its tests and for
+    perfbench's tracer, which patches it by name.
     """
     tn = threshold.numerator * scale * scale
     td = threshold.denominator

@@ -45,6 +45,12 @@ This is simulation of simplicity (Edelsbrunner and Muecke, ACM TOG 9(1),
 meaning of perturbations in geometric computing*, DCG 19, 1998): the
 signs are decided exactly in integers and the sweep (`_sweep`) is the
 one that `crossing_count` runs, where no O is 0.
+
+No far test runs before the sweep.  The sweep's dual descent keeps only
+box pairs that touch (reach 0); a test settling far-apart polylines as
+parity 0 (`_fastgeom.min_sqdist_exceeds` at reach 11 * 2^-n) opens
+every one of those pairs and more.  So where it would answer 0 the sweep
+costs no more than it, and on every other window it is wasted work.
 """
 
 from __future__ import annotations
@@ -54,10 +60,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._fastgeom import BoxLevels, min_sqdist_exceeds
+from ._fastgeom import BoxLevels, rescale
 from .errors import EffortExhausted, NotSeparated, PreconditionViolated
 from .exact_geom import Interval, Point, pow2, smallest_n_below, sqrt_enclosure
-from .paths import PathOracle, _base_points, n_approximation
+from .paths import PathOracle, _base_points
 from .track import Track, common_verts, weakly_separated
 
 Crossing = tuple[Fraction, Fraction, Point]
@@ -86,8 +92,7 @@ def crossing_count(p: Track, q: Track) -> CrossingReport:
     must be weakly separated (`weakly_separated`), else NotSeparated."""
     if not weakly_separated(p, q):
         raise NotSeparated("tracks are not weakly separated")
-    pi, qi, _den = common_verts(p, q)
-    return _sweep(p, q, BoxLevels(pi), BoxLevels(qi))
+    return _sweep(p, q)
 
 
 def translated_sign(o: int, ex: int, ey: int) -> int:
@@ -99,21 +104,24 @@ def translated_sign(o: int, ex: int, ey: int) -> int:
     return o or -ey or ex
 
 
-def _sweep(p: Track, q: Track, pb: BoxLevels, qb: BoxLevels) -> CrossingReport:
-    """The crossings of p and of q translated by t = (eps, eps^2), from
-    their hierarchies over `common_verts`; no segment may have length 0.
+def _sweep(p: Track, q: Track) -> CrossingReport:
+    """The crossings of p and of q translated by t = (eps, eps^2); no
+    segment may have length 0.
 
-    Both hierarchies descend together and only segment pairs whose boxes
-    touch are oriented, so the cost is the overlapping box pairs level by
-    level, not |p| * |q|.  Each sign is `translated_sign` of the exact
-    orientation O; the translated pair is weakly separated (see the
-    module docstring), so a segment pair crosses iff each separates the
-    other's endpoints.  On a weakly separated pair no O is 0 and t
-    changes nothing.  A crossing is located at eps = 0: where O is 0 it
-    sits at the vertex on the other segment's line.
+    The hierarchies of both tracks over `common_verts` descend together
+    and only segment pairs whose boxes touch are oriented, so the cost is
+    the overlapping box pairs level by level, not |p| * |q|.  Each sign
+    is `translated_sign` of the exact orientation O; the translated pair
+    is weakly separated (see the module docstring), so a segment pair
+    crosses iff each separates the other's endpoints.  On a weakly
+    separated pair no O is 0 and t changes nothing.  A crossing is
+    located at eps = 0: where O is 0 it sits at the vertex on the other
+    segment's line.
     """
+    pi, qi, den = common_verts(p, q)
+    pairs = BoxLevels(pi).segment_pairs(BoxLevels(qi), 0)
     hits: list[tuple[int, int, int, int, int, int]] = []
-    for i, j, ax, ay, bx, by, cx, cy, dx, dy in pb.segment_pairs(qb, 0):
+    for i, j, ax, ay, bx, by, cx, cy, dx, dy in pairs:
         ex, ey = bx - ax, by - ay
         o1 = ex * (cy - ay) - ey * (cx - ax)
         o2 = ex * (dy - ay) - ey * (dx - ax)
@@ -127,8 +135,7 @@ def _sweep(p: Track, q: Track, pb: BoxLevels, qb: BoxLevels) -> CrossingReport:
         hits.append((i, j, o1, o2, o3, o4))
 
     hits.sort(key=lambda h: (h[0], h[1]))
-    pi, ps, qs = pb.pts, p.snums, q.snums
-    den = math.lcm(p.vden, q.vden)
+    ps, qs = p.snums, q.snums
     crossings: list[Crossing] = []
     for i, j, o1, o2, o3, o4 in hits:
         # at u = o3/w along p's segment i and v = o1/w2 along q's segment j
@@ -164,23 +171,25 @@ def alpha_enclosure(
 ) -> AlphaEnclosure:
     """Two-sided bound on the endpoint clearance at working precision n.
 
-    Measured between approximation tracks, then widened by the vertex
-    error (2^-n) plus the polygon-vs-curve error (5 * 2^-n) per side.
+    Measured between the base-point polylines (`paths._base_points`,
+    repeats kept: a zero-length segment is measured as its point), then
+    widened by the vertex error (2^-n) plus the polygon-vs-curve error
+    (5 * 2^-n) per side.  Base points lie within 2^-(n+2) of the curve,
+    so the pad that covers an n-approximation's vertices covers them.
     """
-    p = n_approximation(f, i, n)
-    q = n_approximation(g, j, n)
-    pi, qi, den = common_verts(p, q)
+    p_den, pv = _base_points(f, i, n, None)[2:]
+    q_den, qv = _base_points(g, j, n, None)[2:]
+    den = math.lcm(p_den, q_den)
+    pi, qi = rescale(pv, den // p_den), rescale(qv, den // q_den)
     sq_scale = Fraction(den * den)
-    qidx = BoxLevels(qi)
-    pidx = BoxLevels(pi)
+    pidx, qidx = BoxLevels(pi), BoxLevels(qi)
     d_f_ends = min(
         qidx.sq_dist_to_point(*pi[0]), qidx.sq_dist_to_point(*pi[-1])
     ) / sq_scale
     d_g_ends = min(
         pidx.sq_dist_to_point(*qi[0]), pidx.sq_dist_to_point(*qi[-1])
     ) / sq_scale
-    e1 = sqrt_enclosure(d_f_ends, n)
-    e2 = sqrt_enclosure(d_g_ends, n)
+    e1, e2 = sqrt_enclosure(d_f_ends, n), sqrt_enclosure(d_g_ends, n)
     pad = 6 * pow2(-n)
     lo = min(e1.lo, e2.lo) - pad
     hi = min(e1.hi, e2.hi) + pad
@@ -239,9 +248,9 @@ def working_precision(
     floor and the smaller ceiling.  A probe below n builds two tracks of
     at most half the polylines' vertices, and it meets no grid budget
     the parity would not.  With the count this cheap, certification is
-    the larger part of a query: `working_precision` took 32 to 42 % of
-    the time of perfbench's window queries (seeds 4101 to 4103, on a
-    2-CPU x86-64 machine under Python 3.11).
+    close to half of a query: `working_precision` took 42 to 49 % of
+    the time of perfbench's window queries (seeds 4101 to 4103, best of
+    3 per query, on a 2-CPU x86-64 machine under Python 3.11).
     The returned enclosure carries the last probe's precision.
     """
     enc = certify_alpha(f, g, i, j, effort)
@@ -282,23 +291,18 @@ def function_parity(
 
     With n omitted, a working precision satisfying 16 * 2^-n < alpha is
     certified first (`working_precision`); passing n explicitly asserts
-    that bound and skips certification.  If the base-point polylines are
-    provably far apart the parity is 0 without any crossing enumeration.
+    that bound and skips certification.
 
-    Otherwise it is the crossing count of the base-point polylines of f
-    and g, the second translated by t = (eps, eps^2) (`_sweep`).  Under
-    the bound, that count has the parity of every weakly separated
-    n-approximation pair, `n_approximation_pair` included: the mod-2
-    intersection number is invariant under perturbations that keep the
-    endpoints off the other polyline, and t is generic (see the module
-    docstring).
+    The parity is that of the crossing count of the base-point
+    polylines of f and g, the second translated by t = (eps, eps^2)
+    (`_sweep`).  Under the bound, that count has the parity of every
+    weakly separated n-approximation pair, `n_approximation_pair`
+    included: the mod-2 intersection number is invariant under
+    perturbations that keep the endpoints off the other polyline, and t
+    is generic (see the module docstring).  Polylines far apart need no
+    separate test: the sweep opens a subset of the box pairs any
+    distance test would open, and finds no crossing among them.
     """
     if n is None:
         _enc, n = working_precision(f, g, i, j, effort)
-    p, q = _base_track(f, i, n, rng), _base_track(g, j, n, rng)
-    pi, qi, den = common_verts(p, q)
-    # one hierarchy per track serves the far test and the sweep
-    pb, qb = BoxLevels(pi), BoxLevels(qi)
-    if min_sqdist_exceeds(pb, qb, (11 * pow2(-n)) ** 2, den):
-        return 0
-    return _sweep(p, q, pb, qb).parity
+    return _sweep(_base_track(f, i, n, rng), _base_track(g, j, n, rng)).parity

@@ -21,7 +21,8 @@ from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from itertools import accumulate, islice, repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._fastgeom import IntPoint, over_lcm, points_over_lcm, rescale
 from .errors import (
@@ -194,15 +195,22 @@ class QuadBezierPath(PathOracle):
         # at t = k/b the numerator over den*b^2, x0*(b-k)^2 + 2k(b-k)*x1 +
         # k^2*x2 per axis, expands in powers of k to c0 + k*(c1 + k*c2)
         x0, x1, x2, y0, y1, y2 = self._ints
-        cx0, cx1, cx2 = x0 * b * b, 2 * b * (x1 - x0), x0 - 2 * x1 + x2
-        cy0, cy1, cy2 = y0 * b * b, 2 * b * (y1 - y0), y0 - 2 * y1 + y2
-        return self._den * b * b, [
-            (cx0 + k * (cx1 + k * cx2), cy0 + k * (cy1 + k * cy2))
-            for k in range(k0, k1 + 1)
-        ]
+        count = k1 - k0 + 1
+        xs = _quadratic_run(x0 * b * b, 2 * b * (x1 - x0), x0 - 2 * x1 + x2, k0, count)
+        ys = _quadratic_run(y0 * b * b, 2 * b * (y1 - y0), y0 - 2 * y1 + y2, k0, count)
+        return self._den * b * b, list(islice(zip(xs, ys), max(count, 0)))
 
     def modulus(self, n: int) -> int:
         return n + self._shift
+
+
+def _quadratic_run(c0: int, c1: int, c2: int, k0: int, count: int) -> Iterator[int]:
+    """c0 + k*(c1 + k*c2) for k = k0, k0 + 1, ..., at least count values,
+    by exact forward differences: the second difference 2*c2 is constant,
+    so each value costs two additions (Knuth, TAOCP vol. 2, 4.6.4)."""
+    first = c1 + c2 * (2 * k0 + 1)  # the value at k0 + 1 minus that at k0
+    firsts = accumulate(repeat(2 * c2, count - 1), initial=first)
+    return accumulate(firsts, initial=c0 + k0 * (c1 + k0 * c2))
 
 
 class TablePath(PolylinePath):
@@ -425,21 +433,29 @@ def _base_points(
     evaluations at precision n+2, each moved by an optional random
     jitter of up to _JITTER_SPAN pitches 2^-(n+8) per axis.
 
-    The vertex denominator is a multiple of 2^(n+8) times 2^11, so that
-    the jitter, the spiral pitch 2^-(n+8) and its halvings are integers.
+    Without rng the vertex denominator is the oracle's own.  With rng it
+    is that of `_on_spiral_grid`, so that the jitter is in integers.
     """
     if not f.domain.contains_interval(i):
         raise OutOfDomain(f"{i} is not inside {f.domain}")
-    sden, snums, vden, values = grid_values(f, i.lo, i.hi, f.modulus(n), n + 2)
-    den = math.lcm(vden, 1 << (n + 7 + SPIRAL_LEVELS))
-    bases = rescale(values, den // vden)
+    sden, snums, den, bases = grid_values(f, i.lo, i.hi, f.modulus(n), n + 2)
     if rng is not None:
+        den, bases = _on_spiral_grid(den, bases, n)
         pitch, span, randint = den >> (n + 8), _JITTER_SPAN, rng.randint
         bases = [
             (x + randint(-span, span) * pitch, y + randint(-span, span) * pitch)
             for x, y in bases
         ]
     return sden, snums, den, bases
+
+
+def _on_spiral_grid(
+    den: int, pts: Sequence[IntPoint], n: int
+) -> tuple[int, Sequence[IntPoint]]:
+    """The points over a multiple of den and of 2^(n+8) times 2^11, on
+    which the spiral pitch 2^-(n+8) and its halvings are integers."""
+    spiral_den = math.lcm(den, 1 << (n + 7 + SPIRAL_LEVELS))
+    return spiral_den, rescale(pts, spiral_den // den)
 
 
 def n_approximation(
@@ -456,6 +472,7 @@ def n_approximation(
     2^-(n+2) of its base, so the combined offset stays below 2^-n.
     """
     sden, snums, den, bases = _base_points(f, i, n, rng)
+    den, bases = _on_spiral_grid(den, bases, n)
     verts = separated_vertices(bases, (), den >> (n + 8), (den >> (n + 2)) ** 2)
     return Track.from_ints(sden, snums, den, verts)
 
@@ -472,12 +489,13 @@ def n_approximation_pair(
 
     Two phases: the f-track p is built freely, then the g-vertices are
     placed by `separated_vertices` on one integer grid holding p and all
-    of g's base points (that of `common_verts(p, q)`), with the spiral of
-    `n_approximation`; the rng is drawn as vertex by vertex, since the
-    spiral draws nothing.  The pair is weakly separated by construction:
-    check A keeps each g-vertex off every f-line meeting its budget
-    square, which holds the vertex, and check B each g-line, a g-vertex
-    joined to its predecessor, off every f-vertex.
+    of g's base points (that of `common_verts(p, q)`, a spiral grid of
+    `_on_spiral_grid` as p's is), with the spiral of `n_approximation`;
+    the rng is drawn as vertex by vertex, since the spiral draws
+    nothing.  The pair is weakly separated by construction: check A
+    keeps each g-vertex off every f-line meeting its budget square,
+    which holds the vertex, and check B each g-line, a g-vertex joined
+    to its predecessor, off every f-vertex.
     """
     p = n_approximation(f, i, n, rng)
     sden, snums, g_den, bases = _base_points(g, j, n, rng)

@@ -7,6 +7,10 @@ that tests each candidate with `Line.contains` and `orient` against
 every spanned line and every vertex of the other tracks, and a track
 pair whose second track is built vertex by vertex against all of the
 first.  Tests require equal results.
+
+`ref_alpha_enclosure` is the clearance enclosure measured between two
+`n_approximation` tracks, spiral included, as `parity.alpha_enclosure`
+measured it before it moved to the base points.
 """
 
 from __future__ import annotations
@@ -15,10 +19,12 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-from curvemeet import Track, dyadic_grid, pow2
+from curvemeet import Track, dyadic_grid, n_approximation, pow2, sqrt_enclosure
+from curvemeet._fastgeom import BoxLevels
 from curvemeet.errors import InvariantViolation
 from curvemeet.exact_geom import Line, Point, orient
-from curvemeet.track import SPIRAL_LEVELS, line_set, vertex_set
+from curvemeet.parity import AlphaEnclosure
+from curvemeet.track import SPIRAL_LEVELS, common_verts, line_set, vertex_set
 
 
 def _ring_offsets(r: int) -> list[tuple[int, int]]:
@@ -153,3 +159,26 @@ def ref_pair(f, g, i, j, n, rng) -> tuple[Track, Track]:
         return True
 
     return p, ref_vertex_track(g, j, n, clears, rng)
+
+
+def ref_alpha_enclosure(f, g, i, j, n) -> AlphaEnclosure:
+    """The endpoint clearance between the n-approximation tracks of f on
+    i and g on j, widened by 6 * 2^-n per side."""
+    p = n_approximation(f, i, n)
+    q = n_approximation(g, j, n)
+    pi, qi, den = common_verts(p, q)
+    sq_scale = Fraction(den * den)
+    qidx = BoxLevels(qi)
+    pidx = BoxLevels(pi)
+    d_f_ends = min(
+        qidx.sq_dist_to_point(*pi[0]), qidx.sq_dist_to_point(*pi[-1])
+    ) / sq_scale
+    d_g_ends = min(
+        pidx.sq_dist_to_point(*qi[0]), pidx.sq_dist_to_point(*qi[-1])
+    ) / sq_scale
+    e1 = sqrt_enclosure(d_f_ends, n)
+    e2 = sqrt_enclosure(d_g_ends, n)
+    pad = 6 * pow2(-n)
+    lo = min(e1.lo, e2.lo) - pad
+    hi = min(e1.hi, e2.hi) + pad
+    return AlphaEnclosure(max(Fraction(0), lo), hi, n)

@@ -204,9 +204,9 @@ def test_crossing_sweep_matches_all_pairs(size_a: int) -> None:
         q = make_track(list(enumerate(b)))
         report = crossing_count(p, q)
         assert list(report.crossings) == _crossings_all_pairs(a, b)
-        # the private sweep function_parity runs on its own hierarchies
-        # gives the same report
-        assert _sweep(p, q, BoxLevels(a), BoxLevels(b)) == report
+        # the private sweep function_parity runs without the separation
+        # check gives the same report
+        assert _sweep(p, q) == report
 
 
 def test_crossing_sweep_counts_many_crossings() -> None:

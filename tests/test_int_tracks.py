@@ -49,7 +49,7 @@ from curvemeet import (
 from curvemeet._fastgeom import BoxLevels, canonical_lines
 from curvemeet.cli import emit_certificate
 from curvemeet.exact_geom import Interval, Point
-from curvemeet.paths import grid_points, grid_values
+from curvemeet.paths import _base_points, grid_points, grid_values
 from curvemeet.track import separated_vertices, spiral_search
 
 from ref_track import ref_separated_points, ref_spiral_search
@@ -272,6 +272,27 @@ def test_n_approximation_matches_fraction_builder(name: str) -> None:
                 want = ref_n_approximation(f, iv, n, _rng(seed))
                 assert got.entries == want.entries, (iv, n, seed)
                 assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_base_points_match_fraction_reference(name: str) -> None:
+    # without rng the base points keep the oracle's own denominator; the
+    # jitter and the spiral put them over a multiple of 2^(n+19)
+    f = ORACLES[name]
+    for iv in windows(f):
+        for n in (2, 5):
+            grid = ref_grid(f, iv, n)
+            oracle_den = grid_values(f, iv.lo, iv.hi, f.modulus(n), n + 2)[2]
+            for seed in SEEDS:
+                sden, snums, den, bases = _base_points(f, iv, n, _rng(seed))
+                want = ref_base_points(f, grid, n, _rng(seed))
+                assert [Point(F(x, den), F(y, den)) for x, y in bases] == want
+                assert [F(s, sden) for s in snums] == grid
+                if seed is None:
+                    assert den == oracle_den
+                else:
+                    assert den % 2 ** (n + 19) == 0
+            assert n_approximation(f, iv, n).vden % 2 ** (n + 19) == 0
 
 
 EXT = interval(-1, 2)

@@ -4,7 +4,8 @@
 evaluate in integer arithmetic.  Every value they return must equal the
 Fraction computation kept here (de Casteljau, linear interpolation, the
 straight tails), and `OutOfDomain` must be raised exactly outside each
-domain.
+domain.  The Bezier grid, built by forward differences, must also equal
+the Horner form it replaced, integer for integer.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from curvemeet import (
     diagonal_pair,
     pt,
 )
+from curvemeet._fastgeom import over_lcm
 from curvemeet.errors import OutOfDomain
 from curvemeet.exact_geom import Point
 from curvemeet.paths import ExtendedPath
@@ -177,3 +179,36 @@ def test_random_parameters_match_reference(t: Fraction) -> None:
         else:
             with pytest.raises(OutOfDomain):
                 f.eval_approx(t, 30)
+
+
+def ref_horner_grid(path: QuadBezierPath, k0: int, k1: int, b: int):
+    """`QuadBezierPath.eval_grid` as a Horner list comprehension: per
+    axis c0 + k*(c1 + k*c2) over den*b^2 at every k/b."""
+    den, (x0, x1, x2, y0, y1, y2) = over_lcm(
+        [path.p0.x, path.p1.x, path.p2.x, path.p0.y, path.p1.y, path.p2.y]
+    )
+    cx0, cx1, cx2 = x0 * b * b, 2 * b * (x1 - x0), x0 - 2 * x1 + x2
+    cy0, cy1, cy2 = y0 * b * b, 2 * b * (y1 - y0), y0 - 2 * y1 + y2
+    return den * b * b, [
+        (cx0 + k * (cx1 + k * cx2), cy0 + k * (cy1 + k * cy2))
+        for k in range(k0, k1 + 1)
+    ]
+
+
+coords = st.fractions(min_value=-4, max_value=4, max_denominator=10**4)
+
+
+@given(
+    control=st.lists(st.tuples(coords, coords), min_size=3, max_size=3),
+    b=st.one_of(st.integers(1, 300), st.integers(1, 2**30)),
+    start=st.fractions(min_value=0, max_value=1),
+    count=st.one_of(st.just(1), st.integers(1, 300)),
+)
+@settings(max_examples=300, deadline=None)
+def test_bezier_grid_matches_horner_reference(control, b, start, count) -> None:
+    path = QuadBezierPath(*(pt(x, y) for x, y in control))
+    k0 = min(int(start * b), b)
+    k1 = min(k0 + count - 1, b)
+    assert path.eval_grid(k0, k1, b, 30) == ref_horner_grid(path, k0, k1, b)
+    assert path.eval_grid(k0, k0, b, 30) == ref_horner_grid(path, k0, k0, b)
+    assert path.eval_grid(k0 + 1, k0, b, 30) == (path.eval_grid(k0, k0, b, 30)[0], [])

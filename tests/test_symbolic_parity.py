@@ -21,7 +21,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curvemeet import crossing_count, make_track, perturb_to_separated
-from curvemeet._fastgeom import BoxLevels
 from curvemeet.parity import _sweep, translated_sign
 
 R = 3  # inner coordinates range over -R ... R
@@ -66,7 +65,7 @@ def _sign(x) -> int:
 
 
 def _symbolic_count(p, q) -> int:
-    return _sweep(_track(p), _track(q), BoxLevels(p), BoxLevels(q)).count
+    return _sweep(_track(p), _track(q)).count
 
 
 def _track(pts):

@@ -5,7 +5,9 @@ tightens its floor by probes below the precision it certifies.  The
 enclosures are checked here against exact clearances: squared distances,
 in `Fraction`s, from each window's endpoint values to the other curve's
 polyline image, computed from the polylines' vertex lists alone and
-sharing no code with `alpha_enclosure`.
+sharing no code with `alpha_enclosure`.  Each probe's enclosure must
+also equal the one measured between spiral tracks (`ref_alpha_enclosure`),
+and a window query must run without the spiral or separated tracks.
 """
 
 from __future__ import annotations
@@ -14,11 +16,15 @@ from fractions import Fraction
 
 import pytest
 
+import curvemeet._fastgeom as fastgeom_module
 import curvemeet.parity as parity_module
+import curvemeet.paths as paths_module
+import curvemeet.track as track_module
 from curvemeet import (
     PolylinePath,
     Side,
     certify_alpha,
+    curved_pair,
     diagonal_pair,
     extend,
     function_parity,
@@ -27,6 +33,8 @@ from curvemeet import (
     working_precision,
 )
 from curvemeet.exact_geom import smallest_n_below
+
+from ref_track import ref_alpha_enclosure
 
 F = Fraction
 
@@ -214,3 +222,52 @@ def test_barely_positive_first_floor_is_tightened() -> None:
     assert smallest_n_below(certify_alpha(f, g, i, j).lo / 16) == 12
     enc, n = working_precision(f, g, i, j)
     assert n <= 8 and enc.lo == F(21, 256)
+
+
+# ------------------------------------------------------------ route
+
+# the separated-track route and the far test, which a window query skips
+SKIPPED = (
+    "n_approximation",
+    "separated_vertices",
+    "spiral_search",
+    "min_sqdist_exceeds",
+)
+MODULES = (parity_module, paths_module, track_module, fastgeom_module)
+BUILTIN = [
+    (*(extend(c, side) for c, side in zip(pair(), Side)), interval(-1, 2))
+    for pair in (diagonal_pair, curved_pair)
+]
+
+
+def test_window_queries_skip_the_separated_route(monkeypatch) -> None:
+    def skipped(*args, **kwargs):
+        raise AssertionError("a window query reached the separated-track route")
+
+    for module in MODULES:
+        for name in SKIPPED:
+            monkeypatch.setattr(module, name, skipped, raising=False)
+    for window in WINDOWS:
+        f, g, _c1, _c2, i, j = _case(*window)
+        working_precision(f, g, i, j)
+        function_parity(f, g, i, j)
+    for f, g, full in BUILTIN:
+        working_precision(f, g, full, full)
+        assert function_parity(f, g, full, full) == 1
+
+
+@pytest.mark.parametrize("window", WINDOWS, ids=IDS)
+def test_probes_equal_the_spiral_track_enclosure(window, monkeypatch) -> None:
+    f, g, _c1, _c2, i, j = _case(*window)
+    probes = []
+    enclose = parity_module.alpha_enclosure
+
+    def recording_enclosure(*args):
+        probes.append((args, enclose(*args)))
+        return probes[-1][1]
+
+    monkeypatch.setattr(parity_module, "alpha_enclosure", recording_enclosure)
+    working_precision(f, g, i, j)
+    assert probes
+    for args, enc in probes:
+        assert enc == ref_alpha_enclosure(*args), args[-1]
