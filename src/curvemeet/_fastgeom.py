@@ -38,6 +38,15 @@ def rescale(ipts: Sequence[IntPoint], m: int) -> Sequence[IntPoint]:
     return ipts if m == 1 else [(x * m, y * m) for x, y in ipts]
 
 
+def pair_over_lcm(
+    a_den: int, a: Sequence[IntPoint], b_den: int, b: Sequence[IntPoint]
+) -> tuple[Sequence[IntPoint], Sequence[IntPoint], int]:
+    """Points a over a_den and b over b_den, both moved onto the common
+    denominator den = lcm(a_den, b_den): (a, b, den)."""
+    den = math.lcm(a_den, b_den)
+    return rescale(a, den // a_den), rescale(b, den // b_den), den
+
+
 def seg_point_sqdist(
     ax: int, ay: int, bx: int, by: int, px: int, py: int
 ) -> tuple[int, int]:

@@ -55,12 +55,11 @@ costs no more than it, and on every other window it is wasted work.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._fastgeom import BoxLevels, rescale
+from ._fastgeom import BoxLevels, pair_over_lcm
 from .errors import EffortExhausted, NotSeparated, PreconditionViolated
 from .exact_geom import Interval, Point, pow2, smallest_n_below, sqrt_enclosure
 from .paths import PathOracle, _base_points
@@ -177,10 +176,9 @@ def alpha_enclosure(
     (5 * 2^-n) per side.  Base points lie within 2^-(n+2) of the curve,
     so the pad that covers an n-approximation's vertices covers them.
     """
-    p_den, pv = _base_points(f, i, n, None)[2:]
-    q_den, qv = _base_points(g, j, n, None)[2:]
-    den = math.lcm(p_den, q_den)
-    pi, qi = rescale(pv, den // p_den), rescale(qv, den // q_den)
+    pi, qi, den = pair_over_lcm(
+        *_base_points(f, i, n, None)[2:], *_base_points(g, j, n, None)[2:]
+    )
     sq_scale = Fraction(den * den)
     pidx, qidx = BoxLevels(pi), BoxLevels(qi)
     d_f_ends = min(
@@ -212,8 +210,8 @@ def certify_alpha(
 
     Raises PreconditionViolated if some enclosure proves the clearance
     is at most target, EffortExhausted if precision `effort` is reached
-    without a decision or the next probe would build a track of more
-    than `paths.MAX_GRID_VERTICES` vertices.
+    without a decision or the next probe's grid (`paths.grid_values`)
+    would hold more than `paths.MAX_GRID_VERTICES` points.
     """
     probe = min(_PROBE_START, effort)
     enc = alpha_enclosure(f, g, i, j, probe)
@@ -245,12 +243,13 @@ def working_precision(
     bit doubles the two polylines the parity counts at n.  So while the
     next probe precision stays below n and within effort, and the
     ceiling still allows a smaller n, one more probe keeps the larger
-    floor and the smaller ceiling.  A probe below n builds two tracks of
-    at most half the polylines' vertices, and it meets no grid budget
-    the parity would not.  With the count this cheap, certification is
-    close to half of a query: `working_precision` took 42 to 49 % of
-    the time of perfbench's window queries (seeds 4101 to 4103, best of
-    3 per query, on a 2-CPU x86-64 machine under Python 3.11).
+    floor and the smaller ceiling.  A probe below n measures between
+    base-point polylines of at most half the vertices of those the
+    parity counts, and it meets no grid budget the parity would not.
+    With the count this cheap, certification is close to half of a
+    query: `working_precision` took 42 to 49 % of the time of
+    perfbench's window queries (seeds 4101 to 4103, best of 3 per query,
+    on a 2-CPU x86-64 machine under Python 3.11).
     The returned enclosure carries the last probe's precision.
     """
     enc = certify_alpha(f, g, i, j, effort)

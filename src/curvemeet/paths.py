@@ -22,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from ._fastgeom import IntPoint, over_lcm, points_over_lcm, rescale
 from .errors import (
@@ -434,28 +434,27 @@ def _base_points(
     jitter of up to _JITTER_SPAN pitches 2^-(n+8) per axis.
 
     Without rng the vertex denominator is the oracle's own.  With rng it
-    is that of `_on_spiral_grid`, so that the jitter is in integers.
+    is also a multiple of 2^(n+8), so that the jitter is in integers.
     """
     if not f.domain.contains_interval(i):
         raise OutOfDomain(f"{i} is not inside {f.domain}")
     sden, snums, den, bases = grid_values(f, i.lo, i.hi, f.modulus(n), n + 2)
     if rng is not None:
-        den, bases = _on_spiral_grid(den, bases, n)
-        pitch, span, randint = den >> (n + 8), _JITTER_SPAN, rng.randint
+        jitter_den = math.lcm(den, 1 << (n + 8))
+        pitch, span, randint = jitter_den >> (n + 8), _JITTER_SPAN, rng.randint
         bases = [
             (x + randint(-span, span) * pitch, y + randint(-span, span) * pitch)
-            for x, y in bases
+            for x, y in rescale(bases, jitter_den // den)
         ]
+        den = jitter_den
     return sden, snums, den, bases
 
 
-def _on_spiral_grid(
-    den: int, pts: Sequence[IntPoint], n: int
-) -> tuple[int, Sequence[IntPoint]]:
-    """The points over a multiple of den and of 2^(n+8) times 2^11, on
-    which the spiral pitch 2^-(n+8) and its halvings are integers."""
-    spiral_den = math.lcm(den, 1 << (n + 7 + SPIRAL_LEVELS))
-    return spiral_den, rescale(pts, spiral_den // den)
+def _spiral_den(den: int, n: int) -> int:
+    """The least common multiple of den and 2^(n+19): the vertex
+    denominator on which the spiral pitch 2^-(n+8) and its 11 halvings
+    are integers."""
+    return math.lcm(den, 1 << (n + 7 + SPIRAL_LEVELS))
 
 
 def n_approximation(
@@ -471,8 +470,9 @@ def n_approximation(
     predecessor, walks the spiral of pitch 2^-(n+8) strictly within
     2^-(n+2) of its base, so the combined offset stays below 2^-n.
     """
-    sden, snums, den, bases = _base_points(f, i, n, rng)
-    den, bases = _on_spiral_grid(den, bases, n)
+    sden, snums, b_den, bases = _base_points(f, i, n, rng)
+    den = _spiral_den(b_den, n)
+    bases = rescale(bases, den // b_den)
     verts = separated_vertices(bases, (), den >> (n + 8), (den >> (n + 2)) ** 2)
     return Track.from_ints(sden, snums, den, verts)
 
@@ -489,17 +489,17 @@ def n_approximation_pair(
 
     Two phases: the f-track p is built freely, then the g-vertices are
     placed by `separated_vertices` on one integer grid holding p and all
-    of g's base points (that of `common_verts(p, q)`, a spiral grid of
-    `_on_spiral_grid` as p's is), with the spiral of `n_approximation`;
-    the rng is drawn as vertex by vertex, since the spiral draws
-    nothing.  The pair is weakly separated by construction: check A
-    keeps each g-vertex off every f-line meeting its budget square,
-    which holds the vertex, and check B each g-line, a g-vertex joined
-    to its predecessor, off every f-vertex.
+    of g's base points (a `_spiral_den` over both denominators), with
+    the spiral of `n_approximation`; the rng is drawn as vertex by
+    vertex, since the spiral draws nothing.  The pair is weakly
+    separated by construction: check A keeps each g-vertex off every
+    f-line meeting its budget square, which holds the vertex, and check
+    B each g-line, a g-vertex joined to its predecessor, off every
+    f-vertex.
     """
     p = n_approximation(f, i, n, rng)
     sden, snums, g_den, bases = _base_points(g, j, n, rng)
-    den = math.lcm(p.vden, g_den)
+    den = _spiral_den(math.lcm(p.vden, g_den), n)
     verts = separated_vertices(
         rescale(bases, den // g_den),
         (p.verts_over(den),),

@@ -12,12 +12,11 @@ parity is odd.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._fastgeom import BoxLevels, rescale
+from ._fastgeom import BoxLevels, pair_over_lcm
 from .errors import InvariantViolation, NotConverged, PreconditionViolated
 from .exact_geom import (
     Interval,
@@ -123,9 +122,8 @@ def shrink_first(
     g_den, gv = _base_points(g, j, n + 9, None)[2:]
     # consecutive grid values of f move by less than 2^-n/16
     sden, snums, f_den, fv = grid_values(f, i.lo, i.hi, f.modulus(n + 4), n + 9)
-    den = math.lcm(f_den, g_den)
-    fv = rescale(fv, den // f_den)
-    idx = BoxLevels(rescale(gv, den // g_den))
+    fv, gv, den = pair_over_lcm(f_den, fv, g_den, gv)
+    idx = BoxLevels(gv)
     sq_scale = den * den
     k = len(fv) - 1
     for x, y in (fv[0], fv[k]):
@@ -269,11 +267,10 @@ def _check_neighborhood(
         n_v -= 1
     # the base points of both tracks; a zero-length segment of a repeat
     # is a point, which the distance queries measure correctly
-    a_den, ap = _base_points(a, ia, n_v, None)[2:]
-    b_den, bp = _base_points(b, jb, n_v, None)[2:]
-    den = math.lcm(a_den, b_den)
-    ap = rescale(ap, den // a_den)
-    idx = BoxLevels(rescale(bp, den // b_den))
+    ap, bp, den = pair_over_lcm(
+        *_base_points(a, ia, n_v, None)[2:], *_base_points(b, jb, n_v, None)[2:]
+    )
+    idx = BoxLevels(bp)
     allowed = pow2(-level) + 6 * pow2(-n_v)
     lim = allowed * allowed * den * den
     # a sample fails only if its squared distance exceeds lim

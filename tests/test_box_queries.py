@@ -36,7 +36,6 @@ from curvemeet.exact_geom import (
     pow2,
     sq_dist_segment_segment,
 )
-from curvemeet.parity import _sweep
 
 F = Fraction
 SIZES = (2, 8, 9, 16, 17, 65, 200)
@@ -204,9 +203,6 @@ def test_crossing_sweep_matches_all_pairs(size_a: int) -> None:
         q = make_track(list(enumerate(b)))
         report = crossing_count(p, q)
         assert list(report.crossings) == _crossings_all_pairs(a, b)
-        # the private sweep function_parity runs without the separation
-        # check gives the same report
-        assert _sweep(p, q) == report
 
 
 def test_crossing_sweep_counts_many_crossings() -> None:

@@ -277,7 +277,8 @@ def test_n_approximation_matches_fraction_builder(name: str) -> None:
 @pytest.mark.parametrize("name", sorted(ORACLES))
 def test_base_points_match_fraction_reference(name: str) -> None:
     # without rng the base points keep the oracle's own denominator; the
-    # jitter and the spiral put them over a multiple of 2^(n+19)
+    # jitter puts them over a multiple of 2^(n+8) and the spiral of
+    # n_approximation over one of 2^(n+19)
     f = ORACLES[name]
     for iv in windows(f):
         for n in (2, 5):
@@ -291,8 +292,9 @@ def test_base_points_match_fraction_reference(name: str) -> None:
                 if seed is None:
                     assert den == oracle_den
                 else:
-                    assert den % 2 ** (n + 19) == 0
-            assert n_approximation(f, iv, n).vden % 2 ** (n + 19) == 0
+                    assert den % 2 ** (n + 8) == 0
+                track = n_approximation(f, iv, n, _rng(seed))
+                assert track.vden % 2 ** (n + 19) == 0
 
 
 EXT = interval(-1, 2)
