@@ -2,11 +2,15 @@
 
 Reports the cumulative wall time and final interval width after each
 round, for both builtin pairs, plus the cost of one full-domain parity
-computation at the base working precision.  With --json the same figures,
+computation at the base working precision.  With --spec FILE the pair of
+a path spec file is timed instead of the builtin pairs;
+`scripts/table_spec.json` holds two 300-row tables, written by
+`bent_table_spec(300)` in `tests/gen.py`.  With --json the same figures,
 the Python version and the CPU count are also written to a file.
 
 Usage:
     python scripts/bench_refine.py --max-rounds 8 [--json BENCH_refine.json]
+    python scripts/bench_refine.py --spec scripts/table_spec.json
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import json
 import os
 import platform
 import time
+from pathlib import Path
 
 from curvemeet import (
     Side,
@@ -26,15 +31,23 @@ from curvemeet import (
     interval,
     refine_sequence,
 )
+from curvemeet.cli import load_path_spec
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-rounds", type=int, default=8)
     parser.add_argument(
+        "--spec", metavar="FILE", help="time this path spec's pair instead"
+    )
+    parser.add_argument(
         "--json", metavar="PATH", help="also write the figures to this file"
     )
     args = parser.parse_args()
+    if args.spec:
+        pairs = [(Path(args.spec).name, load_path_spec(args.spec)[:2])]
+    else:
+        pairs = [("diagonals", diagonal_pair()), ("curved", curved_pair())]
 
     report: dict = {
         "python": platform.python_version(),
@@ -42,10 +55,7 @@ def main() -> int:
         "pairs": {},
     }
     full = interval(-1, 2)
-    for name, (phi, psi) in (
-        ("diagonals", diagonal_pair()),
-        ("curved", curved_pair()),
-    ):
+    for name, (phi, psi) in pairs:
         f = extend(phi, Side.LOWER)
         g = extend(psi, Side.UPPER)
         start = time.perf_counter()

@@ -13,9 +13,10 @@ incidence is a transversal interior crossing, and `crossing_count`
 checks a caller's pair (else NotSeparated) and reports every crossing.
 
 `function_parity` builds no separated pair.  It counts the base-point
-polylines of the two tracks (`paths._base_points`: no spiral, no
-separation checks, zero-length segments dropped) with the second one
-translated by the infinitesimal vector t = (eps, eps^2):
+polylines of the two tracks (no spiral, no separation checks,
+zero-length segments dropped; without rng only the two ends of each
+straight run, `paths._turn_points`) with the second one translated by
+the infinitesimal vector t = (eps, eps^2):
 
 * The crossing parity of two polygon paths is their mod-2 intersection
   number, invariant under every perturbation that keeps each path's
@@ -39,6 +40,13 @@ translated by the infinitesimal vector t = (eps, eps^2):
 * An infinitesimal translation moves no endpoint across the other path,
   whose clearance is positive, so the count under it has the parity of
   the untranslated polylines.
+* Leaving out the grid points inside a straight run changes no count.
+  The kept polyline is the full one parameter by parameter (a run's
+  values are affine in its parameter), so P and Q + t meet in the same
+  points at the same parameter pairs.  Its segments lie on lines of the
+  full polyline and its vertices are some of the full vertices, so the
+  translated pair stays weakly separated and each meeting is still one
+  transversal crossing of one segment pair.
 
 This is simulation of simplicity (Edelsbrunner and Muecke, ACM TOG 9(1),
 1990; Yap, J. Symbolic Computation 10, 1990; Seidel, *The nature and
@@ -62,7 +70,7 @@ from fractions import Fraction
 from ._fastgeom import BoxLevels, pair_over_lcm
 from .errors import EffortExhausted, NotSeparated, PreconditionViolated
 from .exact_geom import Interval, Point, pow2, smallest_n_below, sqrt_enclosure
-from .paths import PathOracle, _base_points
+from .paths import PathOracle, _base_points, _turn_points
 from .track import Track, common_verts, weakly_separated
 
 Crossing = tuple[Fraction, Fraction, Point]
@@ -170,14 +178,16 @@ def alpha_enclosure(
 ) -> AlphaEnclosure:
     """Two-sided bound on the endpoint clearance at working precision n.
 
-    Measured between the base-point polylines (`paths._base_points`,
-    repeats kept: a zero-length segment is measured as its point), then
-    widened by the vertex error (2^-n) plus the polygon-vs-curve error
-    (5 * 2^-n) per side.  Base points lie within 2^-(n+2) of the curve,
-    so the pad that covers an n-approximation's vertices covers them.
+    Measured between the base-point polylines with only the ends of
+    each straight run kept (`paths._turn_points`, repeats kept: a
+    zero-length segment is measured as its point), then widened by the
+    vertex error (2^-n) plus the polygon-vs-curve error (5 * 2^-n) per
+    side.  The kept polyline is the full one, so each distance is the
+    full form's.  Base points lie within 2^-(n+2) of the curve, so the
+    pad that covers an n-approximation's vertices covers them.
     """
     pi, qi, den = pair_over_lcm(
-        *_base_points(f, i, n, None)[2:], *_base_points(g, j, n, None)[2:]
+        *_turn_points(f, i, n)[2:], *_turn_points(g, j, n)[2:]
     )
     sq_scale = Fraction(den * den)
     pidx, qidx = BoxLevels(pi), BoxLevels(qi)
@@ -206,7 +216,11 @@ def certify_alpha(
     target: Fraction = Fraction(0),
 ) -> AlphaEnclosure:
     """Refine the clearance enclosure until its floor exceeds target,
-    probing first at precision min(5, effort).
+    probing first at precision min(5, effort), then at the precision its
+    ceiling hints at.  A floor still at the target is often only just
+    there, so the next probe is one bit higher, and only after that does
+    the probe double from the hint: no probe is larger than doubling
+    alone would make it.
 
     Raises PreconditionViolated if some enclosure proves the clearance
     is at most target, EffortExhausted if precision `effort` is reached
@@ -219,6 +233,7 @@ def certify_alpha(
     if enc.lo <= target and hint > probe:
         probe = hint
         enc = alpha_enclosure(f, g, i, j, probe)
+    ladder = [min(2 * probe, effort), min(probe + 1, effort)]
     while enc.lo <= target:
         if enc.hi <= target:
             raise PreconditionViolated(
@@ -228,7 +243,7 @@ def certify_alpha(
             raise EffortExhausted(
                 f"clearance > {target} not certified up to precision {effort}"
             )
-        probe = min(2 * probe, effort)
+        probe = ladder.pop() if ladder else min(2 * probe, effort)
         enc = alpha_enclosure(f, g, i, j, probe)
     return enc
 
@@ -268,8 +283,14 @@ def _base_track(
 ) -> Track:
     """The polyline through the base points of `n_approximation(f, i, n,
     rng)` (the same rng draws), each repeat of its predecessor dropped:
-    a zero-length segment crosses nothing."""
-    sden, snums, den, bases = _base_points(f, i, n, rng)
+    a zero-length segment crosses nothing.  Without rng only the two
+    ends of each straight run are kept (`paths._turn_points`): the same
+    polyline, so the sweep counts the same crossings (see the module
+    docstring); the jittered points are all kept, since jitter bends
+    every run."""
+    sden, snums, den, bases = (
+        _turn_points(f, i, n) if rng is None else _base_points(f, i, n, rng)
+    )
     keep = [k for k in range(1, len(bases)) if bases[k] != bases[k - 1]]
     if len(keep) < len(bases) - 1:
         snums = [snums[0], *(snums[k] for k in keep)]

@@ -22,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._fastgeom import IntPoint, over_lcm, points_over_lcm, rescale
 from .errors import (
@@ -58,6 +58,15 @@ class PathOracle(ABC):
     the one-point grid.  Track construction uses `eval_grid` where
     present; any other curve is evaluated point by point through
     `eval_approx` (see `grid_points`).
+
+    An oracle may also state its grid as pieces, `eval_runs(k0, k1, b,
+    n)`: a denominator that b divides and, in grid order, straight runs
+    (k_a, k_b, ax, bx, ay, by), whose value at k/b for k_a <= k <= k_b
+    is (ax + bx*k, ay + by*k) (none if k_a > k_b), and lists holding the
+    values of any other stretch.  The piecewise-linear oracles do, and
+    expand their `eval_grid` from it; distance queries and the parity
+    sweep then get only the ends of each run (`_turn_points`).  Other
+    oracles are one list of all their grid values (`grid_runs`).
     """
 
     @property
@@ -81,6 +90,19 @@ def _one_point(f: PathOracle, t: Fraction, n: int) -> Point:
     """The value at t of an oracle with `eval_grid`: its one-point grid."""
     den, [(x, y)] = f.eval_grid(t.numerator, t.numerator, t.denominator, n)
     return Point(Fraction(x, den), Fraction(y, den))
+
+
+def _expanded(f, k0: int, k1: int, b: int, n: int) -> tuple[int, list[IntPoint]]:
+    """`eval_grid` of an oracle with `eval_runs`: every value of its pieces."""
+    den, pieces = f.eval_runs(k0, k1, b, n)
+    out: list[IntPoint] = []
+    for piece in pieces:
+        if isinstance(piece, list):
+            out += piece
+        else:
+            ka, kb, ax, bx, ay, by = piece
+            out += [(ax + bx * k, ay + by * k) for k in range(ka, kb + 1)]
+    return den, out
 
 
 def _lipschitz_shift(l1_bound: Fraction) -> int:
@@ -144,25 +166,27 @@ class PolylinePath(PathOracle):
     def eval_approx(self, t: Fraction, n: int) -> Point:
         return _one_point(self, t, n)
 
-    def eval_grid(self, k0: int, k1: int, b: int, n: int) -> tuple[int, list[IntPoint]]:
+    def eval_runs(self, k0: int, k1: int, b: int, n: int) -> tuple[int, list]:
+        """The grid as one straight run per segment it meets."""
         scale, pnums, segments = self._pscale, self._pnums, self._segments
         for k in (k0, k1):
             if k * scale < pnums[0] * b or k * scale > pnums[-1] * b:
                 raise _out_of_domain(Fraction(k, b), self._domain)
-        out: list[IntPoint] = []
+        runs = []
         # the sample parameters are integers, so p <= q/b iff p <= floor(q/b);
         # the last segment also serves the last sample parameter
         i = min(bisect_right(pnums, k0 * scale // b) - 1, len(segments) - 1)
         k = k0
         while k <= k1:
             ax, bx, ay, by = segments[i]
-            ax, ay = ax * b, ay * b
             # the segment's formula holds on its closed parameter range
             stop = min(k1, pnums[i + 1] * b // scale)
-            out += [(ax + bx * j, ay + by * j) for j in range(k, stop + 1)]
+            runs.append((k, stop, ax * b, bx, ay * b, by))
             k = max(k, stop + 1)
             i += 1
-        return self._vden * b, out
+        return self._vden * b, runs
+
+    eval_grid = _expanded
 
     def modulus(self, n: int) -> int:
         return n + self._shift
@@ -310,17 +334,19 @@ class ExtendedPath(PathOracle):
     def eval_approx(self, t: Fraction, n: int) -> Point:
         return _one_point(self, t, n)
 
-    def eval_grid(self, k0: int, k1: int, b: int, n: int) -> tuple[int, list[IntPoint]]:
+    def eval_runs(self, k0: int, k1: int, b: int, n: int) -> tuple[int, list]:
+        """The grid as a straight run per tail and the inner curve's
+        pieces between them (`grid_runs`)."""
         if k0 < -b or k1 > 2 * b:
             raise _out_of_domain(Fraction(k0 if k0 < -b else k1, b), _EXTENDED_DOMAIN)
-        inner_den, inner = grid_points(self.inner, max(k0, 1), min(k1, b - 1), b, n)
-        den = math.lcm(inner_den, b)
+        den, inner = grid_runs(self.inner, max(k0, 1), min(k1, b - 1), b, n)
         step = den // b
+        # on a tail of height y the value at k/b is (k * step, y * den)
         left, right = (y.numerator * den for y in _TAIL_Y[self.side])
-        out = [(k * step, left) for k in range(k0, min(k1, 0) + 1)]
-        out += rescale(inner, den // inner_den)
-        out += [(k * step, right) for k in range(max(k0, b), k1 + 1)]
-        return den, out
+        tails = (k0, min(k1, 0), 0, step, left, 0), (max(k0, b), k1, 0, step, right, 0)
+        return den, [tails[0], *inner, tails[1]]
+
+    eval_grid = _expanded
 
     def modulus(self, n: int) -> int:
         # one extra bit pays for parameter pairs straddling a junction:
@@ -406,6 +432,61 @@ def grid_points(
     return points_over_lcm(values)
 
 
+def grid_runs(f: PathOracle, k0: int, k1: int, b: int, n: int) -> tuple[int, list]:
+    """`grid_points` as pieces (see `PathOracle`): those of `eval_runs`
+    where f has it, else one list of all the values over a denominator
+    that b divides."""
+    eval_runs = getattr(f, "eval_runs", None)
+    if eval_runs is not None and k0 <= k1:
+        return eval_runs(k0, k1, b, n)
+    den, values = grid_points(f, k0, k1, b, n)
+    m = math.lcm(den, b) // den
+    return den * m, [rescale(values, m)]
+
+
+def _run_ends(k0: int, pieces: list) -> tuple[list[int], list[IntPoint]]:
+    """The grid indices and values of pieces starting at index k0, each
+    straight run cut to its two ends."""
+    ks: list[int] = []
+    out: list[IntPoint] = []
+    for piece in pieces:
+        if isinstance(piece, list):
+            ks += range(k0, k0 + len(piece))
+            out += piece
+            k0 += len(piece)
+        else:
+            ka, kb, ax, bx, ay, by = piece
+            for k in (ka, kb)[: kb - ka + 1]:  # none, one or both ends
+                ks.append(k)
+                out.append((ax + bx * k, ay + by * k))
+            k0 = max(k0, kb + 1)
+    return ks, out
+
+
+def _with_ends(
+    f: PathOracle,
+    lo: Fraction,
+    hi: Fraction,
+    e: int,
+    ks: Sequence[int],
+    inner_den: int,
+    inner: Sequence[IntPoint],
+    n: int,
+) -> tuple[int, list[int], int, list[IntPoint]]:
+    """The grid values inner at k/2^e for k in ks, between the values at
+    lo and hi, as (sden, snums, vden, values)."""
+    ends_den, ends = points_over_lcm([f.eval_approx(lo, n), f.eval_approx(hi, n)])
+    vden = math.lcm(inner_den, ends_den)
+    z_lo, z_hi = rescale(ends, vden // ends_den)
+    values = [z_lo, *rescale(inner, vden // inner_den), z_hi]
+    sden = math.lcm(1 << e, lo.denominator, hi.denominator)
+    step = sden >> e
+    snums = [lo.numerator * (sden // lo.denominator)]
+    snums += ks if step == 1 else map(step.__mul__, ks)
+    snums.append(hi.numerator * (sden // hi.denominator))
+    return sden, snums, vden, values
+
+
 def grid_values(
     f: PathOracle, lo: Fraction, hi: Fraction, md: int, n: int
 ) -> tuple[int, list[int], int, list[IntPoint]]:
@@ -414,16 +495,7 @@ def grid_values(
     and its value at values[k] / vden."""
     e, k0, k1 = _grid_bounds(lo, hi, md)
     inner_den, inner = grid_points(f, k0, k1, 1 << e, n)
-    ends_den, ends = points_over_lcm([f.eval_approx(lo, n), f.eval_approx(hi, n)])
-    vden = math.lcm(inner_den, ends_den)
-    z_lo, z_hi = rescale(ends, vden // ends_den)
-    values = [z_lo, *rescale(inner, vden // inner_den), z_hi]
-    sden = math.lcm(1 << e, lo.denominator, hi.denominator)
-    step = sden >> e
-    snums = [lo.numerator * (sden // lo.denominator)]
-    snums += range(k0 * step, (k1 + 1) * step, step)
-    snums.append(hi.numerator * (sden // hi.denominator))
-    return sden, snums, vden, values
+    return _with_ends(f, lo, hi, e, range(k0, k1 + 1), inner_den, inner, n)
 
 
 def _base_points(
@@ -448,6 +520,24 @@ def _base_points(
         ]
         den = jitter_den
     return sden, snums, den, bases
+
+
+def _turn_points(
+    f: PathOracle, i: Interval, n: int
+) -> tuple[int, list[int], int, list[IntPoint]]:
+    """`_base_points(f, i, n, None)` with only the two ends of each
+    straight run kept (`grid_runs`): an in-order subsequence with the
+    same first and last point, and the same polyline, parameter by
+    parameter, since a run's values are affine in its parameter.  So
+    every distance to it and every crossing with it is that of the full
+    form.  The grid budget is checked on the full grid first.
+    """
+    if not f.domain.contains_interval(i):
+        raise OutOfDomain(f"{i} is not inside {f.domain}")
+    e, k0, k1 = _grid_bounds(i.lo, i.hi, f.modulus(n))
+    den, pieces = grid_runs(f, k0, k1, 1 << e, n + 2)
+    ks, inner = _run_ends(k0, pieces)
+    return _with_ends(f, i.lo, i.hi, e, ks, den, inner, n + 2)
 
 
 def _spiral_den(den: int, n: int) -> int:

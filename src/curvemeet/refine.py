@@ -30,7 +30,9 @@ from .exact_geom import (
     sqrt_enclosure,
 )
 from .parity import certify_alpha, function_parity
-from .paths import PathOracle, Side, _base_points, extend, grid_values, n_approximation
+from .paths import (
+    PathOracle, Side, _base_points, _turn_points, extend, grid_values, n_approximation
+)
 
 _EXTENDED = interval(-1, 2)
 _UNIT = interval(0, 1)
@@ -118,8 +120,9 @@ def shrink_first(
     #   lo <  half  iff  q < 4^-(n+1)           (low grid value)
     #   lo <= half  iff  q < 513^2 * 4^-(n+10)  (endpoint not clear)
     # so the classification equals the rounded one without forming lo.
-    # distances need no separated track: g's base points, repeats kept
-    g_den, gv = _base_points(g, j, n + 9, None)[2:]
+    # distances need no separated track: g's base points, repeats kept,
+    # and only the ends of each straight run, which give the same polyline
+    g_den, gv = _turn_points(g, j, n + 9)[2:]
     # consecutive grid values of f move by less than 2^-n/16
     sden, snums, f_den, fv = grid_values(f, i.lo, i.hi, f.modulus(n + 4), n + 9)
     fv, gv, den = pair_over_lcm(f_den, fv, g_den, gv)
@@ -265,10 +268,11 @@ def _check_neighborhood(
         or jb.width() * pow2(b.modulus(n_v) + 1) > max_samples
     ):
         n_v -= 1
-    # the base points of both tracks; a zero-length segment of a repeat
+    # the base points of both tracks, b's with only the ends of each
+    # straight run, the same polyline; a zero-length segment of a repeat
     # is a point, which the distance queries measure correctly
     ap, bp, den = pair_over_lcm(
-        *_base_points(a, ia, n_v, None)[2:], *_base_points(b, jb, n_v, None)[2:]
+        *_base_points(a, ia, n_v, None)[2:], *_turn_points(b, jb, n_v)[2:]
     )
     idx = BoxLevels(bp)
     allowed = pow2(-level) + 6 * pow2(-n_v)

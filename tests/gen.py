@@ -6,6 +6,7 @@ only the oracles have to stay independent.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -103,3 +104,17 @@ def triangle_move_config(
             q2 = make_track([(0, y), (Fraction(1, 2), z2), (1, yp)])
             if weakly_separated(p, q1) and weakly_separated(p, q2):
                 return p, q1, q2
+
+
+def bent_table_spec(rows: int) -> str:
+    """A path spec of two tables of `rows` samples each, modulus offset
+    2: phi samples (t, t^2) and psi (t, (1 - t)^2) at t = k / (rows - 1),
+    one row per line.  They cross once, at t = 1/2 on both."""
+
+    def table(y) -> str:
+        ts = [Fraction(k, rows - 1) for k in range(rows)]
+        data = ",\n".join(json.dumps([str(t), str(t), str(y(t))]) for t in ts)
+        return f'{{"type": "table", "modulus": 2, "data": [\n{data}\n]}}'
+
+    phi, psi = table(lambda t: t * t), table(lambda t: (1 - t) ** 2)
+    return f'{{"phi": {phi},\n"psi": {psi}}}\n'

@@ -11,6 +11,11 @@ first.  Tests require equal results.
 `ref_alpha_enclosure` is the clearance enclosure measured between two
 `n_approximation` tracks, spiral included, as `parity.alpha_enclosure`
 measured it before it moved to the base points.
+
+`ref_full_points` is every base point of a track without jitter, as the
+clearance probes, the parity sweep and the distance sides of the shrink
+step and `verify_certificate` read them before they kept only the ends
+of straight runs (`paths._turn_points`).
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from curvemeet._fastgeom import BoxLevels
 from curvemeet.errors import InvariantViolation
 from curvemeet.exact_geom import Line, Point, orient
 from curvemeet.parity import AlphaEnclosure
+from curvemeet.paths import _base_points
 from curvemeet.track import SPIRAL_LEVELS, common_verts, line_set, vertex_set
 
 
@@ -182,3 +188,10 @@ def ref_alpha_enclosure(f, g, i, j, n) -> AlphaEnclosure:
     lo = min(e1.lo, e2.lo) - pad
     hi = min(e1.hi, e2.hi) + pad
     return AlphaEnclosure(max(Fraction(0), lo), hi, n)
+
+
+def ref_full_points(f, i, n):
+    """(sden, snums, vden, values): f at precision n+2 on the whole grid
+    of a precision-n track on i, as integer numerators; `_base_points`
+    without rng, which `test_int_tracks` holds to `eval_approx`."""
+    return _base_points(f, i, n, None)

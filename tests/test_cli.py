@@ -37,6 +37,8 @@ from curvemeet.cli import (
 from curvemeet.errors import SpecFileError
 from curvemeet.exact_geom import Interval
 
+from gen import bent_table_spec
+
 F = Fraction
 FULL = interval(-1, 2)
 UNIT = interval(0, 1)
@@ -279,6 +281,23 @@ SIX_ROUND_CERTIFICATE_PINS = {
 def test_six_round_certificates_are_pinned(name: str) -> None:
     pair, prefix = SIX_ROUND_CERTIFICATE_PINS[name]
     text = emit_certificate(refine_sequence(*pair(), 6), {})
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == prefix
+
+
+# the same for refine_sequence(pair, rounds) at 12 and 16 rounds, which
+# run the parity route and the shrink step at higher precisions
+DEEP_CERTIFICATE_PINS = {
+    ("diagonals", 12): (diagonal_pair, "009f485f3fdfe146"),
+    ("diagonals", 16): (diagonal_pair, "c5c1879b2168f834"),
+    ("curved", 12): (curved_pair, "c14fb621236fe049"),
+    ("curved", 16): (curved_pair, "664fa6c5090b79c8"),
+}
+
+
+@pytest.mark.parametrize("name, rounds", sorted(DEEP_CERTIFICATE_PINS))
+def test_deep_certificates_are_pinned(name: str, rounds: int) -> None:
+    pair, prefix = DEEP_CERTIFICATE_PINS[name, rounds]
+    text = emit_certificate(refine_sequence(*pair(), rounds), {})
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == prefix
 
 
@@ -577,6 +596,15 @@ def test_table_rows_are_bounded(tmp_path: Path, capsys) -> None:
     assert isinstance(phi, TablePath)
     with pytest.raises(SpecFileError):
         parse_path_spec(_table_spec(MAX_TABLE_ROWS + 1, 3))
+
+
+def test_the_benchmark_table_spec_is_the_generated_one() -> None:
+    # `scripts/bench_refine.py --spec` times this file
+    path = Path(__file__).parents[1] / "scripts" / "table_spec.json"
+    text = path.read_text(encoding="utf-8")
+    assert text == bent_table_spec(300)
+    phi, psi = parse_path_spec(text)
+    assert isinstance(phi, TablePath) and isinstance(psi, TablePath)
 
 
 @pytest.mark.parametrize("modulus", (16, 24, 40, 15000, 10**12))

@@ -32,6 +32,7 @@ from curvemeet import (
     pow2,
     working_precision,
 )
+from curvemeet.errors import EffortExhausted
 from curvemeet.exact_geom import smallest_n_below
 
 from ref_track import ref_alpha_enclosure
@@ -222,6 +223,86 @@ def test_barely_positive_first_floor_is_tightened() -> None:
     assert smallest_n_below(certify_alpha(f, g, i, j).lo / 16) == 12
     enc, n = working_precision(f, g, i, j)
     assert n <= 8 and enc.lo == F(21, 256)
+
+
+def _recording_probes(monkeypatch) -> tuple[list[int], list[int]]:
+    """Record each probe's precision, and the points of each grid the
+    probes evaluate (`paths._grid_bounds` raises before a grid over the
+    budget is evaluated, so that one is not recorded)."""
+    probes, grids = [], []
+    enclose, bounds = parity_module.alpha_enclosure, paths_module._grid_bounds
+
+    def recording_enclosure(*args):
+        probes.append(args[-1])
+        return enclose(*args)
+
+    def recording_bounds(*args):
+        e, k0, k1 = bounds(*args)
+        grids.append(k1 - k0 + 3)
+        return e, k0, k1
+
+    monkeypatch.setattr(parity_module, "alpha_enclosure", recording_enclosure)
+    monkeypatch.setattr(paths_module, "_grid_bounds", recording_bounds)
+    return probes, grids
+
+
+def test_a_zero_floor_is_probed_one_bit_higher_first(monkeypatch) -> None:
+    # the probes at 5 and at the hint 6 give the floor 0; doubling went
+    # on at 12, where one bit more, 7, already gives the floor 3/128
+    f, g, _c1, _c2, i, j = _case("three_crossing", "1/4", "3/4", "1/4", "3/4")
+    probes, _grids = _recording_probes(monkeypatch)
+    enc = certify_alpha(f, g, i, j)
+    assert probes == [5, 6, 7] and enc.lo == F(3, 128)
+    probes.clear()
+    enc, n = working_precision(f, g, i, j)
+    assert max(probes) <= 8 and probes == [5, 6, 7, 8]
+    assert 16 * pow2(-n) < enc.lo
+    assert function_parity(f, g, i, j) == 1
+
+
+# zero-clearance queries: the probe precisions, and the largest grid any
+# probe evaluated when the probe doubled straight after the hint
+ZERO_CLEARANCE = {
+    "diagonal_on_itself": (
+        lambda f, g: certify_alpha(f, f, interval(0, 1), interval(0, 1), effort=10),
+        "diagonals",
+        [5, 7, 8, 10],
+        8193,
+    ),
+    "endpoint_on_curve": (
+        lambda f, g: function_parity(f, g, interval("1/2", 2), interval(-1, 2)),
+        "diagonals",
+        [5, 7, 8, 14, 28],
+        393217,
+    ),
+    "endpoint_on_curve_effort_8": (
+        lambda f, g: function_parity(
+            f, g, interval("1/2", 2), interval(-1, 2), effort=8
+        ),
+        "diagonals",
+        [5, 7, 8],
+        6145,
+    ),
+    "three_crossing": (
+        lambda f, g: function_parity(f, g, interval("1/3", 1), interval(0, "1/2")),
+        "three_crossing",
+        [5, 7, 8, 14, 28],
+        87383,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_CLEARANCE))
+def test_zero_clearance_fails_as_before_and_within_its_former_grids(
+    name, monkeypatch
+) -> None:
+    query, pair, want_probes, largest_grid = ZERO_CLEARANCE[name]
+    f, g = PAIRS[pair][:2]
+    probes, grids = _recording_probes(monkeypatch)
+    with pytest.raises(EffortExhausted):
+        query(f, g)
+    assert probes == want_probes
+    assert max(grids) <= largest_grid
 
 
 # ------------------------------------------------------------ route
