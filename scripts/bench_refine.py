@@ -1,16 +1,23 @@
 """Timing profile of the refinement pipeline.
 
-Reports the cumulative wall time and final interval width after each
-round, for both builtin pairs, plus the cost of one full-domain parity
+Reports the cumulative time and final interval width after each round,
+for both builtin pairs, plus the cost of one full-domain parity
 computation at the base working precision.  With --spec FILE the pair of
 a path spec file is timed instead of the builtin pairs;
 `scripts/table_spec.json` holds two 300-row tables, written by
 `bent_table_spec(300)` in `tests/gen.py`.  With --json the same figures,
 the Python version and the CPU count are also written to a file.
 
+Each figure is timed by perfbench's drift-corrected clock
+(`perfbench.clock.Clock.measure`): "ref s" is seconds at the clock's
+reference speed, comparable across runs on a host whose speed drifts,
+and "raw s" the wall seconds.  curvemeet is imported from the path, so
+`PYTHONPATH=src` times this checkout and another checkout's src times
+that one with the same script.
+
 Usage:
-    python scripts/bench_refine.py --max-rounds 8 [--json BENCH_refine.json]
-    python scripts/bench_refine.py --spec scripts/table_spec.json
+    PYTHONPATH=src python scripts/bench_refine.py --max-rounds 8 [--json OUT.json]
+    PYTHONPATH=src python scripts/bench_refine.py --spec scripts/table_spec.json
 """
 
 from __future__ import annotations
@@ -19,8 +26,10 @@ import argparse
 import json
 import os
 import platform
-import time
+import sys
 from pathlib import Path
+
+sys.path.append(str(Path(__file__).resolve().parent.parent))
 
 from curvemeet import (
     Side,
@@ -32,6 +41,7 @@ from curvemeet import (
     refine_sequence,
 )
 from curvemeet.cli import load_path_spec
+from perfbench.clock import Clock
 
 
 def main() -> int:
@@ -55,25 +65,26 @@ def main() -> int:
         "pairs": {},
     }
     full = interval(-1, 2)
+    clock = Clock()
     for name, (phi, psi) in pairs:
         f = extend(phi, Side.LOWER)
         g = extend(psi, Side.UPPER)
-        start = time.perf_counter()
-        parity = function_parity(f, g, full, full, n=5)
-        base = time.perf_counter() - start
-        print(f"{name}: base parity {parity} at n=5 in {base:.2f}s")
-        print(f"{'rounds':>7} {'total s':>9} {'I width':>12}")
+        parity, base, base_raw = clock.measure(
+            lambda: function_parity(f, g, full, full, n=5)
+        )
+        print(f"{name}: base parity {parity} at n=5 in {base:.3f} ref s", end=" ")
+        print(f"({base_raw:.3f} raw s)")
+        print(f"{'rounds':>7} {'ref s':>9} {'raw s':>9} {'I width':>12}")
         runs = []
         for rounds in range(0, args.max_rounds + 1, 2):
-            start = time.perf_counter()
-            cert = refine_sequence(phi, psi, rounds)
-            elapsed = time.perf_counter() - start
+            cert, ref_s, raw_s = clock.measure(lambda: refine_sequence(phi, psi, rounds))
             width = float(cert.final.i.width())
-            print(f"{rounds:>7} {elapsed:>9.2f} {width:>12.3e}")
+            print(f"{rounds:>7} {ref_s:>9.3f} {raw_s:>9.3f} {width:>12.3e}")
             runs.append(
                 {
                     "rounds": rounds,
-                    "wall_s": round(elapsed, 3),
+                    "ref_s": round(ref_s, 4),
+                    "raw_s": round(raw_s, 4),
                     "i_width": width,
                     "j_width": float(cert.final.j.width()),
                 }
@@ -81,7 +92,8 @@ def main() -> int:
         print()
         report["pairs"][name] = {
             "base_parity": parity,
-            "base_parity_s": round(base, 3),
+            "base_parity_ref_s": round(base, 4),
+            "base_parity_raw_s": round(base_raw, 4),
             "runs": runs,
         }
     if args.json:

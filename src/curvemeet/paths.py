@@ -404,6 +404,14 @@ def _grid_bounds(lo: Fraction, hi: Fraction, md: int) -> tuple[int, int, int]:
     )
 
 
+def _checked_bounds(f: PathOracle, i: Interval, md: int) -> tuple[int, int, int]:
+    """`_grid_bounds` of f's grid on i, after checking that i lies in
+    f's domain."""
+    if not f.domain.contains_interval(i):
+        raise OutOfDomain(f"{i} is not inside {f.domain}")
+    return _grid_bounds(i.lo, i.hi, md)
+
+
 def dyadic_grid(lo: Fraction, hi: Fraction, md: int) -> list[Fraction]:
     """Endpoints plus all multiples of 2^-(md+1) strictly between them.
 
@@ -532,9 +540,7 @@ def _turn_points(
     every distance to it and every crossing with it is that of the full
     form.  The grid budget is checked on the full grid first.
     """
-    if not f.domain.contains_interval(i):
-        raise OutOfDomain(f"{i} is not inside {f.domain}")
-    e, k0, k1 = _grid_bounds(i.lo, i.hi, f.modulus(n))
+    e, k0, k1 = _checked_bounds(f, i, f.modulus(n))
     den, pieces = grid_runs(f, k0, k1, 1 << e, n + 2)
     ks, inner = _run_ends(k0, pieces)
     return _with_ends(f, i.lo, i.hi, e, ks, den, inner, n + 2)

@@ -7,16 +7,22 @@ genuine intersection parameter pair.  The shrink step walks a grid fine
 enough that curve values move by a sixteenth of the target radius,
 decides for each grid value whether it lies within half the target
 radius of the opposing image, and keeps one low-distance run whose
-parity is odd.
+parity is odd.  The opposing curve is evaluated at the fine precision
+only near the walked grid: by its modulus, its values on a coarse grid
+at the walked grid's spacing are within 2^-(n+4) + 2^-(n+10) of every
+fine value between them, so a dual descent over both box hierarchies
+with reach 578 * 2^-(n+10) finds every stretch that a threshold can
+see (`_shrink_low`).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._fastgeom import BoxLevels, pair_over_lcm
+from ._fastgeom import BoxLevels, pair_over_lcm, rescale
 from .errors import InvariantViolation, NotConverged, PreconditionViolated
 from .exact_geom import (
     Interval,
@@ -31,7 +37,14 @@ from .exact_geom import (
 )
 from .parity import certify_alpha, function_parity
 from .paths import (
-    PathOracle, Side, _base_points, _turn_points, extend, grid_values, n_approximation
+    PathOracle,
+    Side,
+    _base_points,
+    _checked_bounds,
+    _turn_points,
+    extend,
+    grid_values,
+    n_approximation,
 )
 
 _EXTENDED = interval(-1, 2)
@@ -98,12 +111,9 @@ def shrink_first(
 
     Requires 2^-n below the endpoint clearance and parity 1 on (i, j);
     both are certified here unless the caller vouches for them.  Grid
-    values of f are classified low/high against 2^-n/2: a value is low
-    iff its exact squared distance q to the polyline approximating g is
-    below 4^-(n+1), which is the rule "sqrt_enclosure(q, n+9).lo <
-    2^-n/2" decided without rounding.  Runs of low points bounded by
-    their high neighbors split the parity additively, so some low run
-    is odd.
+    values of f are classified low/high against 2^-n/2 (`_shrink_low`).
+    Runs of low points bounded by their high neighbors split the parity
+    additively, so some low run is odd.
     """
     eps = pow2(-n)
     if not skip_precondition_checks:
@@ -112,33 +122,8 @@ def shrink_first(
             raise PreconditionViolated(
                 "crossing parity on the input intervals is 0"
             )
-    # distance error budget: evaluation 2^-(n+9) plus polyline deviation
-    # 5*2^-(n+9), under 2^-n/16.  Each grid value is decided against the
-    # exact squared distance q to the polyline, by the thresholds of the
-    # rounded rule lo = isqrt(floor(q*4^(n+10)))/2^(n+10) against
-    # half = 2^-n/2 = 2^9/2^(n+10):
-    #   lo <  half  iff  q < 4^-(n+1)           (low grid value)
-    #   lo <= half  iff  q < 513^2 * 4^-(n+10)  (endpoint not clear)
-    # so the classification equals the rounded one without forming lo.
-    # distances need no separated track: g's base points, repeats kept,
-    # and only the ends of each straight run, which give the same polyline
-    g_den, gv = _turn_points(g, j, n + 9)[2:]
-    # consecutive grid values of f move by less than 2^-n/16
-    sden, snums, f_den, fv = grid_values(f, i.lo, i.hi, f.modulus(n + 4), n + 9)
-    fv, gv, den = pair_over_lcm(f_den, fv, g_den, gv)
-    idx = BoxLevels(gv)
-    sq_scale = den * den
-    k = len(fv) - 1
-    for x, y in (fv[0], fv[k]):
-        if idx.any_within(x, y, 513 * 513 * sq_scale, 4 ** (n + 10)):
-            raise PreconditionViolated(
-                "an interval endpoint is not clear of the opposing image"
-            )
-    low_rd = 4 ** (n + 1)
-    # the endpoints are clear, so at the smaller low radius they are high
-    low = [False]
-    low.extend(idx.any_within(x, y, sq_scale, low_rd) for x, y in fv[1:k])
-    low.append(False)
+    sden, snums, low = _shrink_low(f, g, i, j, n)
+    k = len(low) - 1
     chosen = [0]
     chosen.extend(
         t for t in range(1, k) if not low[t] and (low[t - 1] or low[t + 1])
@@ -159,22 +144,119 @@ def shrink_first(
     raise InvariantViolation("no low-distance run carries an odd crossing count")
 
 
+def _shrink_low(
+    f: PathOracle, g: PathOracle, i: Interval, j: Interval, n: int
+) -> tuple[int, list[int], list[bool]]:
+    """(sden, snums, low): f's grid on i, point k at snums[k] / sden,
+    and which of its values are low, with PreconditionViolated if an
+    endpoint value is not clear of g's image over j.
+
+    The grid is `dyadic_grid(i.lo, i.hi, f.modulus(n + 4))`, so
+    consecutive values move by less than 2^-n/16.  Each value, at
+    precision n+9, is decided against its exact squared distance q to
+    the fine polyline of g: `_turn_points(g, j, n + 9)`, g's values at
+    precision n+11 every 2^-(g.modulus(n + 9) + 1).  The distance error
+    budget, evaluation 2^-(n+9) plus polyline deviation 5*2^-(n+9), is
+    under 2^-n/16.  With the rounded rule lo =
+    isqrt(floor(q*4^(n+10)))/2^(n+10) against half = 2^-n/2 =
+    2^9/2^(n+10):
+      lo <  half  iff  q < 4^-(n+1)           (low value)
+      lo <= half  iff  q < 513^2 * 4^-(n+10)  (endpoint not clear)
+    so the classification equals the rounded one without forming lo.
+
+    Only the part of g near f's grid is evaluated finely, indexed and
+    tested.  Coarse g is g at precision n+11 on `dyadic_grid(j.lo, j.hi,
+    md)` with md = min(g.modulus(n + 4), g.modulus(n + 9)): a subset of
+    the fine grid, since the fine grid is the multiples of a smaller or
+    equal power of two, so each block between coarse neighbours is a run
+    of fine steps, for any modulus.  A block spans less than 2^-md, so
+    by the modulus at n+4 or at n+9, whichever gave md, the exact values
+    in it are within 2^-(n+4) of those at its ends.  With both
+    evaluation errors, 2^-(n+11) each, every fine vertex of the block,
+    and so every point of its fine segments, is within 2^-(n+4) +
+    2^-(n+10) of both coarse end values.
+
+    So if a value x is within 513*2^-(n+10) of the fine polyline, at a
+    point of some block, both coarse ends of that block are within
+    reach = 578*2^-(n+10) of x.  A dual descent
+    (`BoxLevels.near_leaves`) pairs f's leaf boxes with coarse g's leaf
+    boxes at most reach apart, so every leaf holding x is paired with
+    the coarse leaf holding that block.  Each maximal run of paired
+    coarse leaves is evaluated as one piece by `_turn_points`, the same
+    fine polyline on that parameter range, and only values in paired f
+    leaves are tested, against the pieces.  A value not tested is at
+    least 513*2^-(n+10) from the whole fine polyline: high and clear,
+    as in the full form.  A tested value nearer than that has its
+    nearest point on a piece, so its distance to the pieces is the full
+    one; one farther away is farther still from the pieces, which are
+    part of the polyline.  So every answer is the full form's.
+    """
+    g_md = g.modulus(n + 9)
+    # the fine grid's budget, before anything is evaluated
+    _checked_bounds(g, j, g_md)
+    csden, csnums, c_den, cv = grid_values(
+        g, j.lo, j.hi, min(g.modulus(n + 4), g_md), n + 11
+    )
+    sden, snums, f_den, fv = grid_values(f, i.lo, i.hi, f.modulus(n + 4), n + 9)
+    fv, cv, den = pair_over_lcm(f_den, fv, c_den, cv)
+    reach = -(-578 * den >> (n + 10))  # rounded up
+    run, k = BoxLevels.RUN, len(fv) - 1
+    near = BoxLevels(fv).near_leaves(BoxLevels(cv), reach * reach)
+    # the pieces' coarse index ranges; leaf c holds points run*c to run*c + run
+    spans: list[list[int]] = []
+    for c in sorted({c for _, c in near}):
+        a, b = run * c, min(run * c + run, len(cv) - 1)
+        if spans and spans[-1][1] == a:
+            spans[-1][1] = b
+        else:
+            spans.append([a, b])
+    pieces = [
+        _turn_points(g, Interval(*(Fraction(csnums[e], csden) for e in ab)), n + 9)[2:]
+        for ab in spans
+    ]
+    p_den = math.lcm(den, *(d for d, _ in pieces))
+    idxs = [BoxLevels(rescale(pv, p_den // d)) for d, pv in pieces]
+    scale, sq_scale = p_den // den, p_den * p_den
+
+    def near_g(t: int, rn: int, rd: int) -> bool:
+        x, y = fv[t]
+        return any(idx.any_within(x * scale, y * scale, rn, rd) for idx in idxs)
+
+    tested = {t for fk, _ in near for t in range(run * fk, min(run * fk + run, k) + 1)}
+    for t in tested & {0, k}:
+        if near_g(t, 513 * 513 * sq_scale, 4 ** (n + 10)):
+            raise PreconditionViolated(
+                "an interval endpoint is not clear of the opposing image"
+            )
+    low = [False] * (k + 1)
+    for t in tested - {0, k}:
+        low[t] = near_g(t, sq_scale, 4 ** (n + 1))
+    return sden, snums, low
+
+
 def _shrink_pair_certified(
     f: PathOracle,
     g: PathOracle,
     i: Interval,
     j: Interval,
     m: int,
-    alpha_lo: Fraction,
+    alpha_lo: Fraction | None,
     effort: int,
     rng: random.Random | None,
 ) -> tuple[Interval, Interval, Fraction]:
-    """Shrink both sides once the caller certifies parity 1 and a
-    clearance strictly above some power 2^-n with 2^-n < alpha_lo.
+    """Shrink both sides given parity 1 and a clearance strictly above
+    some power 2^-n with 2^-n < alpha_lo; with alpha_lo None, both are
+    certified here first.
 
     Returns the new pair plus a constructive clearance lower bound for
     it, saving the next round a measurement from scratch.
     """
+    if alpha_lo is None:
+        alpha_lo = certify_alpha(f, g, i, j, effort).lo
+        if function_parity(f, g, i, j, effort, rng=rng) != 1:
+            raise PreconditionViolated(
+                "crossing parity on the input intervals is 0"
+            )
     n = max(m + 1, smallest_n_below(alpha_lo))
     i2 = shrink_first(
         f, g, i, j, n, effort=effort, rng=rng, skip_precondition_checks=True
@@ -201,13 +283,7 @@ def shrink_pair(
 ) -> tuple[Interval, Interval]:
     """One refinement round: nested subintervals with parity 1 whose
     images lie in each other's 2^-m neighborhoods."""
-    alpha_lo = certify_alpha(f, g, i, j, effort).lo
-    if function_parity(f, g, i, j, effort, rng=rng) != 1:
-        raise PreconditionViolated(
-            "crossing parity on the input intervals is 0"
-        )
-    i2, j2, _ = _shrink_pair_certified(f, g, i, j, m, alpha_lo, effort, rng)
-    return i2, j2
+    return _shrink_pair_certified(f, g, i, j, m, None, effort, rng)[:2]
 
 
 def refine_sequence(

@@ -12,6 +12,10 @@ first.  Tests require equal results.
 `n_approximation` tracks, spiral included, as `parity.alpha_enclosure`
 measured it before it moved to the base points.
 
+`ref_shrink_low` is the shrink step's low/high classification measured
+against g's fine polyline over all of j, as `refine._shrink_low` did
+before it evaluated g finely only near f's grid.
+
 `ref_full_points` is every base point of a track without jitter, as the
 clearance probes, the parity sweep and the distance sides of the shrink
 step and `verify_certificate` read them before they kept only the ends
@@ -25,11 +29,11 @@ from fractions import Fraction
 from typing import Callable
 
 from curvemeet import Track, dyadic_grid, n_approximation, pow2, sqrt_enclosure
-from curvemeet._fastgeom import BoxLevels
-from curvemeet.errors import InvariantViolation
+from curvemeet._fastgeom import BoxLevels, pair_over_lcm
+from curvemeet.errors import InvariantViolation, PreconditionViolated
 from curvemeet.exact_geom import Line, Point, orient
 from curvemeet.parity import AlphaEnclosure
-from curvemeet.paths import _base_points
+from curvemeet.paths import _base_points, _turn_points, grid_values
 from curvemeet.track import SPIRAL_LEVELS, common_verts, line_set, vertex_set
 
 
@@ -195,3 +199,25 @@ def ref_full_points(f, i, n):
     of a precision-n track on i, as integer numerators; `_base_points`
     without rng, which `test_int_tracks` holds to `eval_approx`."""
     return _base_points(f, i, n, None)
+
+
+def ref_shrink_low(f, g, i, j, n):
+    """(sden, snums, low): f's shrink grid on i and which of its values
+    are low, each value tested against one index over g's whole fine
+    polyline on j; PreconditionViolated if an endpoint value is not
+    clear."""
+    g_den, gv = _turn_points(g, j, n + 9)[2:]
+    sden, snums, f_den, fv = grid_values(f, i.lo, i.hi, f.modulus(n + 4), n + 9)
+    fv, gv, den = pair_over_lcm(f_den, fv, g_den, gv)
+    idx = BoxLevels(gv)
+    sq_scale = den * den
+    k = len(fv) - 1
+    for x, y in (fv[0], fv[k]):
+        if idx.any_within(x, y, 513 * 513 * sq_scale, 4 ** (n + 10)):
+            raise PreconditionViolated(
+                "an interval endpoint is not clear of the opposing image"
+            )
+    low = [False]
+    low.extend(idx.any_within(x, y, sq_scale, 4 ** (n + 1)) for x, y in fv[1:k])
+    low.append(False)
+    return sden, snums, low
