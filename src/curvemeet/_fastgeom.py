@@ -120,7 +120,7 @@ class BoxLevels:
     tests are exact integer tests that only prune; points and segments
     decide every answer.  Queries: `stab` (lines), `any_within` (point
     thresholds), `sq_dist_to_point` (two points or more) and, descending
-    two hierarchies together, `segment_pairs`.
+    two hierarchies together, `near_leaves` and `segment_pairs`.
     """
 
     RUN = 8
@@ -145,6 +145,17 @@ class BoxLevels:
         levels.reverse()
         self.pts = ipts
         self.levels = levels
+
+    def scaled(self, m: int) -> BoxLevels:
+        """This hierarchy over the points times m; scaling the boxes
+        costs a fraction of building them from the points."""
+        out = BoxLevels.__new__(BoxLevels)
+        out.pts = rescale(self.pts, m)
+        out.levels = [
+            [(x0 * m, x1 * m, y0 * m, y1 * m) for x0, x1, y0, y1 in boxes]
+            for boxes in self.levels
+        ]
+        return out
 
     def _leaf(self, k: int) -> Sequence[IntPoint]:
         """The points of leaf run k; consecutive ones are its segments."""

@@ -280,11 +280,7 @@ def _cmd_intersect(args: argparse.Namespace) -> int:
         raise UsageError("--iterations must not be negative")
     phi, psi, raw = load_path_spec(args.spec)
     cert = refine_sequence(
-        phi,
-        psi,
-        args.iterations,
-        effort=args.effort,
-        verify_base_parity=args.verify_base_parity,
+        phi, psi, args.iterations, verify_base_parity=args.verify_base_parity
     )
     if args.verify_postconditions:
         verify_certificate(cert, phi, psi)
@@ -315,6 +311,8 @@ def _cli_interval(bounds: list[str] | None) -> Interval:
 
 
 def _cmd_parity(args: argparse.Namespace) -> int:
+    if args.effort < 1:
+        raise UsageError("--effort must be positive")
     i = _cli_interval(args.first_interval)
     j = _cli_interval(args.second_interval)
     phi, psi, _ = load_path_spec(args.spec)
@@ -354,6 +352,10 @@ class _Parser(argparse.ArgumentParser):
             r"^-\d+(/\d+)?$|^-\d*\.\d+$"
         )
 
+    # a malformed command line is invalid input: one error line, exit 2
+    def error(self, message: str):
+        raise UsageError(message)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -365,22 +367,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("spec", help="path spec JSON file")
-        p.add_argument(
-            "--effort",
-            type=int,
-            default=64,
-            help=(
-                "maximum precision of the clearance probes, not of the"
-                " working precision they certify (default 64)"
-            ),
-        )
-
     p_int = sub.add_parser(
         "intersect", help="refine nested intervals around a crossing"
     )
-    common(p_int)
+    p_int.add_argument("spec", help="path spec JSON file")
     p_int.add_argument(
         "--iterations",
         type=int,
@@ -408,7 +398,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_par = sub.add_parser(
         "parity", help="crossing parity of the extended curves on a window"
     )
-    common(p_par)
+    p_par.add_argument("spec", help="path spec JSON file")
+    p_par.add_argument(
+        "--effort",
+        type=int,
+        default=64,
+        help=(
+            "maximum precision of the clearance probes, not of the"
+            " working precision they certify (default 64)"
+        ),
+    )
     p_par.add_argument(
         "-I",
         "--first-interval",
@@ -426,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_par.set_defaults(func=_cmd_parity)
 
     p_ren = sub.add_parser("render", help="draw the curves as SVG")
-    common(p_ren)
+    p_ren.add_argument("spec", help="path spec JSON file")
     p_ren.add_argument(
         "--certificate", metavar="PATH", help="highlight this certificate's final intervals"
     )
@@ -450,10 +449,8 @@ _EXIT_CODES: tuple[tuple[type[CurveMeetError], int], ...] = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        if args.effort < 1:
-            raise UsageError("--effort must be positive")
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except CurveMeetError as exc:
         print(f"error: {exc}", file=sys.stderr)

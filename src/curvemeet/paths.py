@@ -487,12 +487,20 @@ def _with_ends(
     vden = math.lcm(inner_den, ends_den)
     z_lo, z_hi = rescale(ends, vden // ends_den)
     values = [z_lo, *rescale(inner, vden // inner_den), z_hi]
+    return (*_grid_params(lo, hi, e, ks), vden, values)
+
+
+def _grid_params(
+    lo: Fraction, hi: Fraction, e: int, ks: Sequence[int]
+) -> tuple[int, list[int]]:
+    """(sden, snums): the parameters lo, k/2^e for k in ks, and hi, as
+    numerators over one denominator."""
     sden = math.lcm(1 << e, lo.denominator, hi.denominator)
     step = sden >> e
     snums = [lo.numerator * (sden // lo.denominator)]
     snums += ks if step == 1 else map(step.__mul__, ks)
     snums.append(hi.numerator * (sden // hi.denominator))
-    return sden, snums, vden, values
+    return sden, snums
 
 
 def grid_values(

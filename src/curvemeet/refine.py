@@ -7,12 +7,16 @@ genuine intersection parameter pair.  The shrink step walks a grid fine
 enough that curve values move by a sixteenth of the target radius,
 decides for each grid value whether it lies within half the target
 radius of the opposing image, and keeps one low-distance run whose
-parity is odd.  The opposing curve is evaluated at the fine precision
-only near the walked grid: by its modulus, its values on a coarse grid
-at the walked grid's spacing are within 2^-(n+4) + 2^-(n+10) of every
-fine value between them, so a dual descent over both box hierarchies
-with reach 578 * 2^-(n+10) finds every stretch that a threshold can
-see (`_shrink_low`).
+parity is odd.  Each curve is evaluated at the step's precisions only
+near the other.  By the moduli, every walked value is within
+516 * 2^-(n+10) of the points of a coarse grid of the walked curve
+around it, and every fine point of the opposing polyline within
+2^-(n+4) + 2^-(n+10) of those of a coarse grid at the walked grid's
+spacing.  So dual descents over the box hierarchies, first of the two
+coarse grids at reach 1094 * 2^-(n+10) and then of the walked values
+found at reach 578 * 2^-(n+10), find every stretch of either curve that
+a threshold can see, and each run's parity check counts only the
+stretch of the opposing curve near the run (`_shrink_decisions`).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterable
 
 from ._fastgeom import BoxLevels, pair_over_lcm, rescale
 from .errors import InvariantViolation, NotConverged, PreconditionViolated
@@ -41,6 +46,8 @@ from .paths import (
     Side,
     _base_points,
     _checked_bounds,
+    _grid_bounds,
+    _grid_params,
     _turn_points,
     extend,
     grid_values,
@@ -111,9 +118,12 @@ def shrink_first(
 
     Requires 2^-n below the endpoint clearance and parity 1 on (i, j);
     both are certified here unless the caller vouches for them.  Grid
-    values of f are classified low/high against 2^-n/2 (`_shrink_low`).
-    Runs of low points bounded by their high neighbors split the parity
-    additively, so some low run is odd.
+    values of f are classified low/high against 2^-n/2
+    (`_shrink_decisions`).  Runs of low points bounded by their high
+    neighbors split the parity additively, so some low run is odd.  A
+    run's parity is counted against g on the run's stretch of j, which
+    holds every crossing; with rng on all of j, since the jittered
+    polyline on a part of j would draw other offsets.
     """
     eps = pow2(-n)
     if not skip_precondition_checks:
@@ -122,7 +132,7 @@ def shrink_first(
             raise PreconditionViolated(
                 "crossing parity on the input intervals is 0"
             )
-    sden, snums, low = _shrink_low(f, g, i, j, n)
+    sden, snums, low, stretch = _shrink_decisions(f, g, i, j, n)
     k = len(low) - 1
     chosen = [0]
     chosen.extend(
@@ -139,17 +149,42 @@ def shrink_first(
         # run endpoints measured >= 2^-n/2, so the true clearance of
         # (cand, j) is at least 7/16 * 2^-n and precision n+6 satisfies
         # the parity stability margin 2^-(n+6) < (7/16)*2^-n / 16
-        if function_parity(f, g, cand, j, effort, n=n + 6, rng=rng) == 1:
+        near = j if rng is not None else stretch(a, b)
+        if function_parity(f, g, cand, near, effort, n=n + 6, rng=rng) == 1:
             return cand
     raise InvariantViolation("no low-distance run carries an odd crossing count")
+
+
+def _leaf_spans(leaves: Iterable[int], last: int) -> list[list[int]]:
+    """The maximal runs of some leaves of a `BoxLevels` over points 0 to
+    last, as point index spans [a, b]; leaf c holds points RUN*c to
+    RUN*c + RUN."""
+    run = BoxLevels.RUN
+    spans: list[list[int]] = []
+    for c in sorted(set(leaves)):
+        a, b = run * c, min(run * c + run, last)
+        if spans and spans[-1][1] == a:
+            spans[-1][1] = b
+        else:
+            spans.append([a, b])
+    return spans
 
 
 def _shrink_low(
     f: PathOracle, g: PathOracle, i: Interval, j: Interval, n: int
 ) -> tuple[int, list[int], list[bool]]:
-    """(sden, snums, low): f's grid on i, point k at snums[k] / sden,
-    and which of its values are low, with PreconditionViolated if an
-    endpoint value is not clear of g's image over j.
+    """(sden, snums, low) of `_shrink_decisions`."""
+    return _shrink_decisions(f, g, i, j, n)[:3]
+
+
+def _shrink_decisions(
+    f: PathOracle, g: PathOracle, i: Interval, j: Interval, n: int
+) -> tuple[int, list[int], list[bool], Callable[[int, int], Interval]]:
+    """(sden, snums, low, stretch): f's grid on i, point k at snums[k] /
+    sden, which of its values are low, and stretch(a, b), the part of j
+    that the parity check of the low values between points a and b
+    needs; PreconditionViolated if an endpoint value is not clear of g's
+    image over j.
 
     The grid is `dyadic_grid(i.lo, i.hi, f.modulus(n + 4))`, so
     consecutive values move by less than 2^-n/16.  Each value, at
@@ -163,75 +198,135 @@ def _shrink_low(
       lo <  half  iff  q < 4^-(n+1)           (low value)
       lo <= half  iff  q < 513^2 * 4^-(n+10)  (endpoint not clear)
     so the classification equals the rounded one without forming lo.
+    The budgets of both grids are checked before anything is evaluated.
 
-    Only the part of g near f's grid is evaluated finely, indexed and
-    tested.  Coarse g is g at precision n+11 on `dyadic_grid(j.lo, j.hi,
-    md)` with md = min(g.modulus(n + 4), g.modulus(n + 9)): a subset of
-    the fine grid, since the fine grid is the multiples of a smaller or
-    equal power of two, so each block between coarse neighbours is a run
-    of fine steps, for any modulus.  A block spans less than 2^-md, so
-    by the modulus at n+4 or at n+9, whichever gave md, the exact values
-    in it are within 2^-(n+4) of those at its ends.  With both
-    evaluation errors, 2^-(n+11) each, every fine vertex of the block,
-    and so every point of its fine segments, is within 2^-(n+4) +
-    2^-(n+10) of both coarse end values.
+    Only values near the other curve are evaluated at these precisions,
+    indexed and tested; below, u = 2^-(n+10).  Coarse g is g at
+    precision n+11 on `dyadic_grid(j.lo, j.hi, md)` with md =
+    min(g.modulus(n + 4), g.modulus(n + 9)): a subset of the fine grid,
+    since the fine grid is the multiples of a smaller or equal power of
+    two, so each block between coarse neighbours is a run of fine steps,
+    for any modulus.  A block spans less than 2^-md, so by the modulus
+    at n+4 or at n+9, whichever gave md, the exact values in it are
+    within 2^-(n+4) = 64u of those at its ends.  With both evaluation
+    errors, u/2 each, every fine vertex of the block, and so every point
+    of its fine segments, is within 65u of both coarse end values.
+    Coarse f is f at precision n+9 on the grid of min(f.modulus(n + 1),
+    f.modulus(n + 4)), in the same way a subset of the decision grid, so
+    its values are decision values, and every decision value in a block
+    between coarse f neighbours is within 2^-(n+1) + 2 * 2^-(n+9) = 516u
+    of both ends of that block.
 
-    So if a value x is within 513*2^-(n+10) of the fine polyline, at a
-    point of some block, both coarse ends of that block are within
-    reach = 578*2^-(n+10) of x.  A dual descent
-    (`BoxLevels.near_leaves`) pairs f's leaf boxes with coarse g's leaf
-    boxes at most reach apart, so every leaf holding x is paired with
-    the coarse leaf holding that block.  Each maximal run of paired
-    coarse leaves is evaluated as one piece by `_turn_points`, the same
-    fine polyline on that parameter range, and only values in paired f
-    leaves are tested, against the pieces.  A value not tested is at
-    least 513*2^-(n+10) from the whole fine polyline: high and clear,
-    as in the full form.  A tested value nearer than that has its
-    nearest point on a piece, so its distance to the pieces is the full
-    one; one farther away is farther still from the pieces, which are
-    part of the polyline.  So every answer is the full form's.
+    So if a decision value x is within 513u of the fine polyline, at a
+    point of some coarse g block, both ends of that block are within
+    578u of x, and within 1094u of both ends of x's coarse f block.  A
+    dual descent (`BoxLevels.near_leaves`) pairs coarse f's leaf boxes
+    with coarse g's at most 1094u apart, and the decision grid is
+    evaluated only on each maximal run of paired coarse f leaves.  A
+    second descent pairs the leaves of the evaluated values with coarse
+    g's at most 578u apart, so a leaf holding x is paired with the
+    coarse leaf holding that block.  Each maximal run of paired coarse g
+    leaves is evaluated as one piece by `_turn_points`, the same fine
+    polyline on that parameter range, and only values in paired leaves
+    are tested, against the pieces.  A value not tested is at least 513u
+    from the whole fine polyline: high and clear, as in the full form.
+    A tested value nearer than that has its nearest point on a piece, so
+    its distance to the pieces is the full one; one farther away is
+    farther still from the pieces, which are part of the polyline.  So
+    every answer is the full form's.
+
+    stretch(a, b) is the hull of the coarse g leaves paired with the
+    leaves of the values a+1 to b-1, widened outward to points of g's
+    grid at precision n+6 and clipped to j.  The parity check counts the
+    crossings of P, f's polyline on [s_a, s_b] at precision n+6, with Q,
+    g's, translated by an infinitesimal t (`function_parity`).  Their
+    base points lie within 4u of the curve, at grid points whose exact
+    values are less than 2^-(n+6) = 16u apart, so every segment is
+    shorter than 24u.  Each crossing lies on a segment of Q, between
+    grid points u_k and u_k+1, that meets P at t = 0 in some point p.
+    p is within 12u + 4u of f(s) for a grid point s of P; as b - a >= 2,
+    s is less than one decision step from a point among a+1 to b-1, so
+    f(s) is within 64u of it, and its low decision value x within 2u
+    more.  So g(u_k) is within 24u + 16u + 64u + 2u + 4u = 110u of x,
+    and both ends of the coarse block holding u_k within 175u: x's leaf
+    is paired with that block's leaf, and u_k, as u_k+1, lies in the
+    hull, on Q's grid and in j.  Q on stretch(a, b), whose ends are
+    points of Q's grid, is Q's part there, parameter by parameter, so
+    it meets P in exactly the points that Q does, under t as without:
+    the check counts exactly the crossings over all of j.
     """
-    g_md = g.modulus(n + 9)
-    # the fine grid's budget, before anything is evaluated
+    f_md, g_md = f.modulus(n + 4), g.modulus(n + 9)
     _checked_bounds(g, j, g_md)
+    e, k0, k1 = _checked_bounds(f, i, f_md)
+    sden, snums = _grid_params(i.lo, i.hi, e, range(k0, k1 + 1))
+    k = len(snums) - 1
+    cf_md = min(f.modulus(n + 1), f_md)
+    ce, ck0, _ = _grid_bounds(i.lo, i.hi, cf_md)
+    cf_den, cfv = grid_values(f, i.lo, i.hi, cf_md, n + 9)[2:]
     csden, csnums, c_den, cv = grid_values(
         g, j.lo, j.hi, min(g.modulus(n + 4), g_md), n + 11
     )
-    sden, snums, f_den, fv = grid_values(f, i.lo, i.hi, f.modulus(n + 4), n + 9)
-    fv, cv, den = pair_over_lcm(f_den, fv, c_den, cv)
-    reach = -(-578 * den >> (n + 10))  # rounded up
-    run, k = BoxLevels.RUN, len(fv) - 1
-    near = BoxLevels(fv).near_leaves(BoxLevels(cv), reach * reach)
-    # the pieces' coarse index ranges; leaf c holds points run*c to run*c + run
-    spans: list[list[int]] = []
-    for c in sorted({c for _, c in near}):
-        a, b = run * c, min(run * c + run, len(cv) - 1)
-        if spans and spans[-1][1] == a:
-            spans[-1][1] = b
-        else:
-            spans.append([a, b])
+    cf, cg, den = pair_over_lcm(cf_den, cfv, c_den, cv)
+    reach = -(-1094 * den >> (n + 10))  # rounded up
+    cg_levels = BoxLevels(cg)
+    coarse_near = BoxLevels(cf).near_leaves(cg_levels, reach * reach)
+
+    # f's decision values on each run of paired coarse leaves, the value
+    # at position p being that of decision point ts[p]; coarse point c
+    # is decision point fine[c]
+    last = len(cfv) - 1
+    fine = [0, *(((ck0 + c) << (e - ce)) - k0 + 1 for c in range(last - 1)), k]
+    spans = [(fine[a], fine[b]) for a, b in _leaf_spans((c for c, _ in coarse_near), last)]
     pieces = [
-        _turn_points(g, Interval(*(Fraction(csnums[e], csden) for e in ab)), n + 9)[2:]
+        grid_values(f, *(Fraction(snums[t], sden) for t in ab), f_md, n + 9)[2:]
         for ab in spans
+    ]
+    m = math.lcm(den, *(d for d, _ in pieces)) // den
+    den *= m
+    fv = [z for d, pv in pieces for z in rescale(pv, den // d)]
+    ts = [t for a, b in spans for t in range(a, b + 1)]
+    reach = -(-578 * den >> (n + 10))
+    run, last = BoxLevels.RUN, len(fv) - 1
+    near = BoxLevels(fv).near_leaves(cg_levels.scaled(m), reach * reach) if fv else []
+
+    pieces = [
+        _turn_points(g, Interval(*(Fraction(csnums[c], csden) for c in ab)), n + 9)[2:]
+        for ab in _leaf_spans((l for _, l in near), len(cv) - 1)
     ]
     p_den = math.lcm(den, *(d for d, _ in pieces))
     idxs = [BoxLevels(rescale(pv, p_den // d)) for d, pv in pieces]
     scale, sq_scale = p_den // den, p_den * p_den
 
-    def near_g(t: int, rn: int, rd: int) -> bool:
-        x, y = fv[t]
+    def near_g(p: int, rn: int, rd: int) -> bool:
+        x, y = fv[p]
         return any(idx.any_within(x * scale, y * scale, rn, rd) for idx in idxs)
 
-    tested = {t for fk, _ in near for t in range(run * fk, min(run * fk + run, k) + 1)}
-    for t in tested & {0, k}:
-        if near_g(t, 513 * 513 * sq_scale, 4 ** (n + 10)):
+    tested = {p for fk, _ in near for p in range(run * fk, min(run * fk + run, last) + 1)}
+    for p in tested:
+        if ts[p] in (0, k) and near_g(p, 513 * 513 * sq_scale, 4 ** (n + 10)):
             raise PreconditionViolated(
                 "an interval endpoint is not clear of the opposing image"
             )
     low = [False] * (k + 1)
-    for t in tested - {0, k}:
-        low[t] = near_g(t, sq_scale, 4 ** (n + 1))
-    return sden, snums, low
+    for p in tested:
+        if 0 < ts[p] < k:
+            low[ts[p]] = near_g(p, sq_scale, 4 ** (n + 1))
+
+    # each pair as the first and last decision point of its f leaf and
+    # its coarse g leaf
+    leaf_pairs = [(ts[run * fk], ts[min(run * fk + run, last)], l) for fk, l in near]
+    e6 = g.modulus(n + 6) + 1
+
+    def stretch(a: int, b: int) -> Interval:
+        leaves = (l for t0, t1, l in leaf_pairs if t0 < b and t1 > a)
+        hull = _leaf_spans(leaves, len(cv) - 1)
+        lo, hi = csnums[hull[0][0]], csnums[hull[-1][1]]
+        return Interval(
+            max(j.lo, Fraction((lo << e6) // csden, 1 << e6)),
+            min(j.hi, Fraction(-((-hi << e6) // csden), 1 << e6)),
+        )
+
+    return sden, snums, low, stretch
 
 
 def _shrink_pair_certified(

@@ -279,3 +279,11 @@ def test_box_levels_leaf_runs_share_one_point() -> None:
         assert (y0, y1) == (min(y for _, y in run), max(y for _, y in run))
     xs, ys = [x for x, _ in pts], [y for _, y in pts]
     assert boxes.levels[0] == [(min(xs), max(xs), min(ys), max(ys))]
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_a_scaled_hierarchy_is_the_one_over_the_scaled_points(size: int) -> None:
+    pts = _walk(random.Random(400 + size), size, 7)
+    scaled = BoxLevels(pts).scaled(12)
+    built = BoxLevels([(12 * x, 12 * y) for x, y in pts])
+    assert (scaled.pts, scaled.levels) == (built.pts, built.levels)

@@ -486,18 +486,19 @@ def test_effort_help_names_the_probes_not_the_working_precision(capsys) -> None:
     assert "maximum precision of the clearance probes, not of the working" in text
 
 
-def test_intersect_certificate_does_not_depend_on_effort(tmp_path: Path, capsys) -> None:
-    # intersect runs no clearance probe, so --effort changes nothing
+def test_effort_is_an_option_of_parity_only(tmp_path: Path, capsys) -> None:
+    # intersect and render run no clearance probe, so they take no --effort
     spec = tmp_path / "spec.json"
     spec.write_text(DIAG_SPEC, encoding="utf-8")
-    outputs = []
-    for effort in ("1", "64"):
-        out = tmp_path / f"cert{effort}.json"
-        args = ["intersect", str(spec), "--iterations", "3", "-o", str(out)]
-        assert main(args + ["--effort", effort, "--verify-base-parity"]) == 0
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
-    capsys.readouterr()
+    for command in ("intersect", "render"):
+        assert main([command, str(spec), "--effort", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "--effort" in lines[0]
+    assert main(["parity", str(spec), "--effort", "3"]) == 0
+    assert capsys.readouterr().out.startswith("parity 1\n")
 
 
 def test_parity_endpoint_on_curve_exhausts_effort(
@@ -528,6 +529,8 @@ def test_parity_rejects_malformed_interval(tmp_path: Path, capsys) -> None:
         ["parity", "SPEC", "-I", "1/2", "1/2"],  # empty window
         ["intersect", "SPEC", "--iterations", "-1"],
         ["intersect", "SPEC", "--iterations", "0", "--effort", "-3"],
+        ["parity", "SPEC", "--effort", "0"],
+        ["intersect", "SPEC", "--iterations", "two"],
     ],
 )
 def test_invalid_arguments_exit_with_one_error_line(

@@ -1,21 +1,26 @@
-"""The shrink step's localized distance side.
+"""The shrink step's localized decisions and parity checks.
 
-`refine._shrink_low` evaluates g finely, indexes it and tests f's grid
-values against it only where a coarse pass at f's grid spacing finds g
-near f.  These tests hold it to the classification over all of j
-(`ref_shrink_low`): equal low arrays, exceptions and shrink steps, the
-fine grid's budget checked before any evaluation, and a bound on the g
-points evaluated at fine precision in a refinement.
+`refine._shrink_decisions` evaluates f's grid and g's fine polyline,
+indexes them and tests f's values against g only where coarse passes
+bounded by the moduli find the two curves near each other, and each
+run's parity check counts g only on the run's stretch of j.  These
+tests hold it to the classification over all of j (`ref_shrink_low`):
+equal low arrays, exceptions and shrink steps, equal crossing counts
+over each run's stretch and over j, both grids' budgets checked before
+any evaluation, and bounds on the values evaluated and the polyline
+points counted in a refinement.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curvemeet.parity as parity_module
 import curvemeet.refine as refine_module
 from curvemeet import (
     PolylinePath,
@@ -28,7 +33,8 @@ from curvemeet import (
 )
 from curvemeet.exact_geom import Interval
 from curvemeet.errors import CurveMeetError, EffortExhausted
-from curvemeet.refine import _shrink_low, shrink_first
+from curvemeet.parity import _base_track, _sweep
+from curvemeet.refine import _shrink_decisions, _shrink_low, shrink_first
 
 from ref_track import ref_shrink_low
 from test_turn_points import (
@@ -49,6 +55,13 @@ WOBBLE = TablePath(
     [(s, (p.x, p.y)) for s, p in ZIGZAG.entries],
     modulus_fn=lambda n: n + 8 if n % 3 == 0 else n + 2,
 )
+# f's samples under a modulus that is not monotone either: for n = 3
+# mod 4, f.modulus(n + 1) exceeds f.modulus(n + 4), so f's coarse grid
+# is its decision grid
+F_WOBBLE = TablePath(
+    [(s, (p.x, p.y)) for s, p in ANTI.entries],
+    modulus_fn=lambda n: n + 5 if n % 4 == 0 else n + 1,
+)
 EXT_ANTI = extend(ANTI, Side.UPPER)
 # f's windows: the whole domain, ends off the grid, and one end on g
 UNIT_I = [interval(0, 1), interval("1/5", "5/7"), interval("1/2", 1)]
@@ -60,6 +73,7 @@ G_ORACLES = {
     "extended_bezier": (EXT_CURVED, EXT_ANTI, EXT_I, EXT_WINDOWS),
     "duck": (DuckCurve(ZIGZAG), ANTI, UNIT_I, UNIT_WINDOWS),
     "wobble_modulus": (WOBBLE, ANTI, UNIT_I, UNIT_WINDOWS),
+    "wobble_f_modulus": (ZIGZAG, F_WOBBLE, UNIT_I, UNIT_WINDOWS),
 }
 PRECISIONS = range(2, 10)
 # the duck is evaluated point by point in Fraction arithmetic, and over
@@ -135,8 +149,103 @@ def test_shrink_steps_equal_those_over_all_of_j(name, monkeypatch) -> None:
         ]
 
     localized = shrinks()
-    monkeypatch.setattr(refine_module, "_shrink_low", ref_shrink_low)
+    monkeypatch.setattr(refine_module, "_shrink_decisions", _over_all_of_j)
     assert shrinks() == localized
+
+
+def _over_all_of_j(f, g, i, j, n):
+    """`_shrink_decisions` in the full form: the classification over all
+    of j, and every run's parity counted over all of j."""
+    return (*ref_shrink_low(f, g, i, j, n), lambda a, b: j)
+
+
+def _low_runs(low):
+    """(a, b) for each maximal run of low values a+1 to b-1: the
+    candidate runs of `shrink_first`."""
+    t = 1
+    while t < len(low) - 1:
+        if low[t]:
+            a = t - 1
+            while low[t]:
+                t += 1
+            yield a, t
+        t += 1
+
+
+def _crossings(f, g, i, j, n):
+    return _sweep(_base_track(f, i, n, None), _base_track(g, j, n, None)).count
+
+
+def _run_counts(f, g, i, j, n):
+    """For each candidate run: its window, its stretch of j, and the
+    crossings the parity check counts over each."""
+    sden, snums, low, stretch = _shrink_decisions(f, g, i, j, n)
+    for a, b in _low_runs(low):
+        cand = Interval(Fraction(snums[a], sden), Fraction(snums[b], sden))
+        near = stretch(a, b)
+        # a part of j whose ends are points of g's grid at n+6, so that
+        # g's polyline on it is a part of that on j
+        e = g.modulus(n + 6) + 1
+        assert j.contains_interval(near)
+        for end in (near.lo, near.hi):
+            assert end in (j.lo, j.hi) or end * 2**e % 1 == 0
+        yield cand, near, _crossings(f, g, cand, near, n + 6), _crossings(
+            f, g, cand, j, n + 6
+        )
+
+
+@pytest.mark.parametrize("name", sorted(G_ORACLES))
+def test_each_run_counts_the_crossings_over_all_of_j(name) -> None:
+    runs = 0
+    for f, g, i, j, n in [(*case, n) for case in _cases(name) for n in (2, 4)]:
+        try:
+            counts = list(_run_counts(f, g, i, j, n))
+        except CurveMeetError:
+            continue  # an endpoint not clear, or a grid over the budget
+        for cand, near, here, everywhere in counts:
+            assert here == everywhere, (i, j, n, cand, near)
+            runs += 1
+    assert runs > 0
+
+
+def test_a_run_near_two_stretches_of_g_counts_both() -> None:
+    # g crosses f (y = 1/2) once on its way down, stays 2/5 below it,
+    # and crosses it twice more in a spike: at n = 2 one run of f is near
+    # both stretches of g, at n = 4 each stretch has its own run
+    f = PolylinePath([(0, (0, "1/2")), (1, (1, "1/2"))])
+    g = PolylinePath(
+        [
+            (0, ("2/5", 1)),
+            ("1/5", ("9/20", "1/10")),
+            ("1/2", ("11/20", "1/10")),
+            ("3/5", ("29/50", "7/10")),
+            ("7/10", ("61/100", "1/10")),
+            (1, ("13/20", 0)),
+        ]
+    )
+    unit = interval(0, 1)
+    [(_, near, here, everywhere)] = _run_counts(f, g, unit, unit, 2)
+    assert here == everywhere == 3
+    assert near.lo < Fraction(1, 5) and near.hi > Fraction(3, 5)
+    assert near != unit
+    counts = list(_run_counts(f, g, unit, unit, 4))
+    assert [c[2:] for c in counts] == [(1, 1), (2, 2)]
+    assert all(near.width() < Fraction(1, 2) for _, near, *_ in counts)
+
+
+def test_a_jittered_refinement_equals_one_checked_over_all_of_j(monkeypatch) -> None:
+    want = refine_sequence(*curved_pair(), 3, rng=random.Random(7))
+    monkeypatch.setattr(refine_module, "_shrink_decisions", _all_of_j(_shrink_decisions))
+    assert refine_sequence(*curved_pair(), 3, rng=random.Random(7)) == want
+
+
+def _all_of_j(decisions):
+    """decisions with every run's parity counted over all of j."""
+
+    def patched(f, g, i, j, n):
+        return (*decisions(f, g, i, j, n)[:3], lambda a, b: j)
+
+    return patched
 
 
 class CountingCurve(DuckCurve):
@@ -155,11 +264,7 @@ class CountingCurve(DuckCurve):
         return self._modulus_fn(n)
 
 
-def test_an_over_budget_fine_grid_raises_before_any_evaluation() -> None:
-    # g's fine grid at precision n + 9 has over 2^40 points, its coarse
-    # one 2^9 + 1
-    f = CountingCurve(ANTI, lambda n: n + 1)
-    g = CountingCurve(ZIGZAG, lambda n: n + 2 if n < 8 else 40)
+def _raises_before_any_evaluation(f, g) -> None:
     unit = interval(0, 1)
     want = _outcome(ref_shrink_low, f, g, unit, unit, 2)
     assert want[0] is EffortExhausted
@@ -169,6 +274,22 @@ def test_an_over_budget_fine_grid_raises_before_any_evaluation() -> None:
         shrink_first, f, g, unit, unit, 2, skip_precondition_checks=True
     ) == want
     assert f.evals == g.evals == 0
+
+
+def test_an_over_budget_fine_grid_raises_before_any_evaluation() -> None:
+    # g's fine grid at precision n + 9 has over 2^40 points, its coarse
+    # one 2^9 + 1
+    f = CountingCurve(ANTI, lambda n: n + 1)
+    g = CountingCurve(ZIGZAG, lambda n: n + 2 if n < 8 else 40)
+    _raises_before_any_evaluation(f, g)
+
+
+def test_an_over_budget_decision_grid_raises_before_any_evaluation() -> None:
+    # f's decision grid at precision n + 4 has over 2^40 points, its
+    # coarse one 2^5 + 1
+    f = CountingCurve(ANTI, lambda n: n + 1 if n < 6 else 40)
+    g = CountingCurve(ZIGZAG, lambda n: n + 2)
+    _raises_before_any_evaluation(f, g)
 
 
 def test_refinement_evaluates_g_finely_only_near_f(monkeypatch) -> None:
@@ -186,3 +307,41 @@ def test_refinement_evaluates_g_finely_only_near_f(monkeypatch) -> None:
     monkeypatch.setattr(refine_module, "_turn_points", counted)
     refine_sequence(*curved_pair(), 2)
     assert 0 < count <= 25_000
+
+
+def test_refinement_evaluates_f_and_counts_g_only_near_each_other(monkeypatch) -> None:
+    # over all of i the two rounds evaluate 17 844 values of f at the
+    # decision precision n+9 on the curved pair, and the parity checks
+    # count 11 636 polyline points over all of j; localized, about 3 600
+    # and 4 500
+    decisions, values, base_track = (
+        refine_module._shrink_decisions,
+        refine_module.grid_values,
+        parity_module._base_track,
+    )
+    step = []
+    evaluated = counted = 0
+
+    def recorded(f, g, i, j, n):
+        step[:] = [f, n]
+        return decisions(f, g, i, j, n)
+
+    def counted_values(h, lo, hi, md, n):
+        nonlocal evaluated
+        out = values(h, lo, hi, md, n)
+        if h is step[0] and n == step[1] + 9:
+            evaluated += len(out[3])
+        return out
+
+    def counted_track(h, i, n, rng):
+        nonlocal counted
+        track = base_track(h, i, n, rng)
+        counted += len(track.snums)
+        return track
+
+    monkeypatch.setattr(refine_module, "_shrink_decisions", recorded)
+    monkeypatch.setattr(refine_module, "grid_values", counted_values)
+    monkeypatch.setattr(parity_module, "_base_track", counted_track)
+    refine_sequence(*curved_pair(), 2)
+    assert 0 < evaluated <= 5_000
+    assert 0 < counted <= 6_000

@@ -1,0 +1,43 @@
+"""Each script under scripts/ runs once, on a small input, to the end.
+
+The scripts import curvemeet's internals and perfbench, so a change to
+either can break them without any other test noticing.  Each runs in a
+fresh process from an empty directory, with curvemeet taken from src/,
+and must exit 0 and leave that directory empty.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+RUNS = [
+    ["cert_hashes.py", "--rounds", "6", "--expect", "0fdc89e36881ce31",
+     "90b6dc8972e42ccc"],
+    ["bench_refine.py", "--max-rounds", "1"],
+    ["profile_round.py", "windows", "--seed", "1", "--top", "1"],
+    ["parity_grid.py", "--pair", "diagonals", "--cells", "2"],
+    ["refine_demo.py", "--pair", "diagonals", "--iterations", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=[run[0] for run in RUNS])
+def test_script_runs_and_writes_nothing(tmp_path: Path, argv: list[str]) -> None:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    assert list(tmp_path.iterdir()) == []
