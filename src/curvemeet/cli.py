@@ -44,6 +44,7 @@ from .refine import (
 )
 
 _EXTENDED = interval(-1, 2)
+_UNIT = interval(0, 1)
 _CERT_FORMAT = "curvemeet-certificate"
 # `TablePath.validate` compares every pair of samples closer in t than the
 # table's widest modulus window: about 2.7 s for 500 rows that all share
@@ -101,13 +102,13 @@ def _build_path(node) -> PathOracle:
     if not isinstance(data, list):
         raise SpecFileError("each path descriptor needs a 'data' array")
     if kind == "polyline":
-        return PolylinePath([_sample_row(r) for r in data])
-    if kind == "quad_bezier":
+        path = PolylinePath([_sample_row(r) for r in data])
+    elif kind == "quad_bezier":
         if len(data) != 3:
             raise SpecFileError("a quadratic Bezier needs 3 control points")
         points = [_point_row(r) for r in data]
-        return QuadBezierPath(*(pt(x, y) for x, y in points))
-    if kind == "table":
+        path = QuadBezierPath(*(pt(x, y) for x, y in points))
+    elif kind == "table":
         offset = node.get("modulus")
         # JSON true and false are ints to Python, not offsets
         if not isinstance(offset, int) or isinstance(offset, bool):
@@ -118,8 +119,12 @@ def _build_path(node) -> PathOracle:
             )
         path = TablePath([_sample_row(r) for r in data], modulus_offset=offset)
         path.validate()
-        return path
-    raise SpecFileError(f"unknown path type {kind!r}")
+    else:
+        raise SpecFileError(f"unknown path type {kind!r}")
+    # only a unit-interval path can be extended to [-1, 2]
+    if path.domain != _UNIT:
+        raise SpecFileError(f"a path must run over t in [0, 1], not {path.domain}")
+    return path
 
 
 def parse_path_spec(text: str) -> tuple[PathOracle, PathOracle]:
@@ -133,7 +138,7 @@ def parse_path_spec(text: str) -> tuple[PathOracle, PathOracle]:
         return _build_path(data["phi"]), _build_path(data["psi"])
     except SpecFileError:
         raise
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError) as exc:
         raise SpecFileError(f"invalid path spec: {exc}") from exc
 
 
@@ -205,7 +210,7 @@ def parse_certificate(text: str) -> tuple[Certificate, dict]:
         return cert, meta
     except SpecFileError:
         raise
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError) as exc:
         raise SpecFileError(f"invalid certificate: {exc}") from exc
 
 

@@ -6,23 +6,24 @@ crossing parity equal to 1, so the surviving intervals always contain a
 genuine intersection parameter pair.  The shrink step walks a grid fine
 enough that curve values move by a sixteenth of the target radius,
 decides for each grid value whether it lies within half the target
-radius of the opposing image, and keeps one low-distance run whose
-parity is odd.  Each curve is evaluated at the step's precisions only
-near the other.  By the moduli, every walked value is within
-516 * 2^-(n+10) of the points of a coarse grid of the walked curve
-around it, and every fine point of the opposing polyline within
+radius of the opposing image, and keeps one run of such low values
+whose parity is odd; the decisions come as these runs alone, each
+bounded by its high neighbours.  Each curve is evaluated at the step's
+precisions only near the other.  By the moduli, every walked value is
+within 516 * 2^-(n+10) of the points of a coarse grid of the walked
+curve around it, and every fine point of the opposing polyline within
 2^-(n+4) + 2^-(n+10) of those of a coarse grid at the walked grid's
 spacing.  So dual descents over the box hierarchies, first of the two
 coarse grids at reach 1094 * 2^-(n+10) and then of the walked values
 found at reach 578 * 2^-(n+10), find every stretch of either curve that
-a threshold can see, and each run's parity check counts only the
-stretch of the opposing curve near the run (`_shrink_decisions`).
+a threshold can see, the runs are read off the values tested, and
+each run's parity check counts only the stretch of the opposing curve
+near the run (`_shrink_decisions`).
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -109,8 +110,6 @@ def shrink_first(
     j: Interval,
     n: int,
     *,
-    effort: int = 64,
-    rng: random.Random | None = None,
     skip_precondition_checks: bool = False,
 ) -> Interval:
     """Subinterval of i keeping parity 1, with f's image pulled into the
@@ -118,39 +117,25 @@ def shrink_first(
 
     Requires 2^-n below the endpoint clearance and parity 1 on (i, j);
     both are certified here unless the caller vouches for them.  Grid
-    values of f are classified low/high against 2^-n/2
-    (`_shrink_decisions`).  Runs of low points bounded by their high
-    neighbors split the parity additively, so some low run is odd.  A
-    run's parity is counted against g on the run's stretch of j, which
-    holds every crossing; with rng on all of j, since the jittered
-    polyline on a part of j would draw other offsets.
+    values of f are classified low/high against 2^-n/2, and come back
+    as the maximal runs of low points, each with its two high
+    neighbours (`_shrink_decisions`).  These runs split the parity
+    additively, so some run is odd.  A run's parity is counted against
+    g on the run's stretch of j, which holds every crossing.
     """
-    eps = pow2(-n)
     if not skip_precondition_checks:
-        certify_alpha(f, g, i, j, effort, target=eps)
-        if function_parity(f, g, i, j, effort, rng=rng) != 1:
+        certify_alpha(f, g, i, j, target=pow2(-n))
+        if function_parity(f, g, i, j) != 1:
             raise PreconditionViolated(
                 "crossing parity on the input intervals is 0"
             )
-    sden, snums, low, stretch = _shrink_decisions(f, g, i, j, n)
-    k = len(low) - 1
-    chosen = [0]
-    chosen.extend(
-        t for t in range(1, k) if not low[t] and (low[t - 1] or low[t + 1])
-    )
-    chosen.append(k)
-
-    for a, b in zip(chosen, chosen[1:]):
-        if b - a < 2 or not low[a + 1]:
-            continue
-        if not all(low[a + 1 : b]):
-            raise InvariantViolation("mixed run between chosen grid indices")
+    sden, snums, runs, stretch = _shrink_decisions(f, g, i, j, n)
+    for a, b in runs:
         cand = Interval(Fraction(snums[a], sden), Fraction(snums[b], sden))
         # run endpoints measured >= 2^-n/2, so the true clearance of
         # (cand, j) is at least 7/16 * 2^-n and precision n+6 satisfies
         # the parity stability margin 2^-(n+6) < (7/16)*2^-n / 16
-        near = j if rng is not None else stretch(a, b)
-        if function_parity(f, g, cand, near, effort, n=n + 6, rng=rng) == 1:
+        if function_parity(f, g, cand, stretch(a, b), n=n + 6) == 1:
             return cand
     raise InvariantViolation("no low-distance run carries an odd crossing count")
 
@@ -170,21 +155,15 @@ def _leaf_spans(leaves: Iterable[int], last: int) -> list[list[int]]:
     return spans
 
 
-def _shrink_low(
-    f: PathOracle, g: PathOracle, i: Interval, j: Interval, n: int
-) -> tuple[int, list[int], list[bool]]:
-    """(sden, snums, low) of `_shrink_decisions`."""
-    return _shrink_decisions(f, g, i, j, n)[:3]
-
-
 def _shrink_decisions(
     f: PathOracle, g: PathOracle, i: Interval, j: Interval, n: int
-) -> tuple[int, list[int], list[bool], Callable[[int, int], Interval]]:
-    """(sden, snums, low, stretch): f's grid on i, point k at snums[k] /
-    sden, which of its values are low, and stretch(a, b), the part of j
-    that the parity check of the low values between points a and b
-    needs; PreconditionViolated if an endpoint value is not clear of g's
-    image over j.
+) -> tuple[int, list[int], list[tuple[int, int]], Callable[[int, int], Interval]]:
+    """(sden, snums, runs, stretch): f's grid on i, point k at snums[k] /
+    sden; runs, in ascending order, the pairs (a, b) of points such that
+    the values a+1 to b-1 are low and form a maximal run of low values;
+    and stretch(a, b), the part of j that the parity check of such a
+    run needs.  PreconditionViolated if an endpoint value is not clear
+    of g's image over j.
 
     The grid is `dyadic_grid(i.lo, i.hi, f.modulus(n + 4))`, so
     consecutive values move by less than 2^-n/16.  Each value, at
@@ -233,7 +212,9 @@ def _shrink_decisions(
     A tested value nearer than that has its nearest point on a piece, so
     its distance to the pieces is the full one; one farther away is
     farther still from the pieces, which are part of the polyline.  So
-    every answer is the full form's.
+    every answer is the full form's.  As every value not tested is high,
+    the runs are the maximal runs of consecutive points among the tested
+    values found low; the endpoints 0 and k are never low.
 
     stretch(a, b) is the hull of the coarse g leaves paired with the
     leaves of the values a+1 to b-1, widened outward to points of g's
@@ -307,10 +288,13 @@ def _shrink_decisions(
             raise PreconditionViolated(
                 "an interval endpoint is not clear of the opposing image"
             )
-    low = [False] * (k + 1)
-    for p in tested:
-        if 0 < ts[p] < k:
-            low[ts[p]] = near_g(p, sq_scale, 4 ** (n + 1))
+    lows = (ts[p] for p in tested if 0 < ts[p] < k and near_g(p, sq_scale, 4 ** (n + 1)))
+    runs: list[tuple[int, int]] = []
+    for t in sorted(lows):
+        if runs and runs[-1][1] == t:
+            runs[-1] = (runs[-1][0], t + 1)
+        else:
+            runs.append((t - 1, t + 1))
 
     # each pair as the first and last decision point of its f leaf and
     # its coarse g leaf
@@ -326,7 +310,7 @@ def _shrink_decisions(
             min(j.hi, Fraction(-((-hi << e6) // csden), 1 << e6)),
         )
 
-    return sden, snums, low, stretch
+    return sden, snums, runs, stretch
 
 
 def _shrink_pair_certified(
@@ -336,8 +320,6 @@ def _shrink_pair_certified(
     j: Interval,
     m: int,
     alpha_lo: Fraction | None,
-    effort: int,
-    rng: random.Random | None,
 ) -> tuple[Interval, Interval, Fraction]:
     """Shrink both sides given parity 1 and a clearance strictly above
     some power 2^-n with 2^-n < alpha_lo; with alpha_lo None, both are
@@ -347,38 +329,27 @@ def _shrink_pair_certified(
     it, saving the next round a measurement from scratch.
     """
     if alpha_lo is None:
-        alpha_lo = certify_alpha(f, g, i, j, effort).lo
-        if function_parity(f, g, i, j, effort, rng=rng) != 1:
+        alpha_lo = certify_alpha(f, g, i, j).lo
+        if function_parity(f, g, i, j) != 1:
             raise PreconditionViolated(
                 "crossing parity on the input intervals is 0"
             )
     n = max(m + 1, smallest_n_below(alpha_lo))
-    i2 = shrink_first(
-        f, g, i, j, n, effort=effort, rng=rng, skip_precondition_checks=True
-    )
+    i2 = shrink_first(f, g, i, j, n, skip_precondition_checks=True)
     # the kept run's endpoints sit at distance >= 7/16 * 2^-n from g's
     # image, and g's endpoint values only moved farther from the smaller
     # f image, so the clearance of (i2, j) is at least 7/16 * 2^-n
     n2 = max(m + 1, smallest_n_below(Fraction(7, 16) * pow2(-n)))
-    j2 = shrink_first(
-        g, f, j, i2, n2, effort=effort, rng=rng, skip_precondition_checks=True
-    )
+    j2 = shrink_first(g, f, j, i2, n2, skip_precondition_checks=True)
     return i2, j2, Fraction(7, 16) * pow2(-n2)
 
 
 def shrink_pair(
-    f: PathOracle,
-    g: PathOracle,
-    i: Interval,
-    j: Interval,
-    m: int,
-    *,
-    effort: int = 64,
-    rng: random.Random | None = None,
+    f: PathOracle, g: PathOracle, i: Interval, j: Interval, m: int
 ) -> tuple[Interval, Interval]:
     """One refinement round: nested subintervals with parity 1 whose
     images lie in each other's 2^-m neighborhoods."""
-    return _shrink_pair_certified(f, g, i, j, m, None, effort, rng)[:2]
+    return _shrink_pair_certified(f, g, i, j, m, None)[:2]
 
 
 def refine_sequence(
@@ -386,9 +357,7 @@ def refine_sequence(
     psi: PathOracle,
     iterations: int,
     *,
-    effort: int = 64,
     verify_base_parity: bool = False,
-    rng: random.Random | None = None,
 ) -> Certificate:
     """Pinch a crossing of two corner-to-corner unit-square paths.
 
@@ -404,14 +373,12 @@ def refine_sequence(
     f = extend(phi, Side.LOWER)
     g = extend(psi, Side.UPPER)
     i = j = _EXTENDED
-    if verify_base_parity and function_parity(f, g, i, j, effort, n=5, rng=rng) != 1:
+    if verify_base_parity and function_parity(f, g, i, j, n=5) != 1:
         raise InvariantViolation("base crossing parity is not 1")
     records = [RefinementRecord(0, i, j)]
     alpha_lo = Fraction(1)
     for m in range(1, iterations + 1):
-        i, j, alpha_lo = _shrink_pair_certified(
-            f, g, i, j, m, alpha_lo, effort, rng
-        )
+        i, j, alpha_lo = _shrink_pair_certified(f, g, i, j, m, alpha_lo)
         records.append(RefinementRecord(m, i, j))
     try:
         s_phi = i.clip(_UNIT)
@@ -429,14 +396,13 @@ def _check_neighborhood(
     b: PathOracle,
     jb: Interval,
     level: int,
-    max_samples: int,
 ) -> None:
     # sampling precision adapts downward until both grids fit the budget
     n_v = level + 5
     floor_n = max(1, level + 1)
     while n_v > floor_n and (
-        ia.width() * pow2(a.modulus(n_v) + 1) > max_samples
-        or jb.width() * pow2(b.modulus(n_v) + 1) > max_samples
+        ia.width() * pow2(a.modulus(n_v) + 1) > _MAX_SAMPLES
+        or jb.width() * pow2(b.modulus(n_v) + 1) > _MAX_SAMPLES
     ):
         n_v -= 1
     # the base points of both tracks, b's with only the ends of each
@@ -467,8 +433,8 @@ def verify_certificate(cert: Certificate, phi: PathOracle, psi: PathOracle) -> N
     f = extend(phi, Side.LOWER)
     g = extend(psi, Side.UPPER)
     for prev, rec in zip(cert.records, cert.records[1:]):
-        _check_neighborhood(f, rec.i, g, prev.j, rec.m - 1, _MAX_SAMPLES)
-        _check_neighborhood(g, rec.j, f, rec.i, rec.m, _MAX_SAMPLES)
+        _check_neighborhood(f, rec.i, g, prev.j, rec.m - 1)
+        _check_neighborhood(g, rec.j, f, rec.i, rec.m)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ first.  Tests require equal results.
 measured it before it moved to the base points.
 
 `ref_shrink_low` is the shrink step's low/high classification measured
-against g's fine polyline over all of j, as `refine._shrink_low` did
-before it evaluated g finely only near f's grid.
+against g's fine polyline over all of j, as the shrink step made it
+before it evaluated g finely only near f's grid; `low_runs` turns its
+list into the runs that `refine._shrink_decisions` returns.
 
 `ref_full_points` is every base point of a track without jitter, as the
 clearance probes, the parity sweep and the distance sides of the shrink
@@ -221,3 +222,16 @@ def ref_shrink_low(f, g, i, j, n):
     low.extend(idx.any_within(x, y, sq_scale, 4 ** (n + 1)) for x, y in fv[1:k])
     low.append(False)
     return sden, snums, low
+
+
+def low_runs(low):
+    """(a, b) for each maximal run of low values a+1 to b-1: the
+    candidate runs of `shrink_first`."""
+    t = 1
+    while t < len(low) - 1:
+        if low[t]:
+            a = t - 1
+            while low[t]:
+                t += 1
+            yield a, t
+        t += 1

@@ -252,7 +252,7 @@ def test_point_queries_match_all_segments(size: int) -> None:
 
 @pytest.mark.parametrize("level", [1, 3])
 def test_check_neighborhood_fails_only_beyond_the_radius(level: int) -> None:
-    # two level lines; with a large sample budget the sampling precision
+    # two level lines; within the sample budget the sampling precision
     # is level + 5, so the allowed distance is 2^-level + 6 * 2^-(level+5)
     allowed = pow2(-level) + 6 * pow2(-(level + 5))
     flat = PolylinePath([(0, (0, 0)), (1, (1, 0))])
@@ -260,7 +260,7 @@ def test_check_neighborhood_fails_only_beyond_the_radius(level: int) -> None:
 
     def check(gap: Fraction) -> None:
         other = PolylinePath([(0, (0, gap)), (1, (1, gap))])
-        refine_module._check_neighborhood(flat, unit, other, unit, level, 10**9)
+        refine_module._check_neighborhood(flat, unit, other, unit, level)
 
     check(allowed)  # exactly at the radius: passes
     check(allowed - F(1, 2**20))

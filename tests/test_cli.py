@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curvemeet.refine as refine_module
 from curvemeet import (
     Certificate,
     PolylinePath,
@@ -145,6 +146,25 @@ def test_parse_spec_builds_all_path_kinds() -> None:
                 "psi": {"type": "polyline", "data": [[0, 0, 1], [1, 1, 0]]},
             }
         ),
+        # paths not parameterized on [0, 1] cannot be extended
+        json.dumps(
+            {
+                "phi": {"type": "polyline", "data": [[0, 0, 0], [2, 1, 1]]},
+                "psi": {"type": "polyline", "data": [[0, 0, 1], [1, 1, 0]]},
+            }
+        ),
+        json.dumps(
+            {
+                "phi": {"type": "polyline", "data": [[0, 0, 0], [1, 1, 1]]},
+                "psi": {
+                    "type": "table",
+                    "modulus": 2,
+                    "data": [["-1/2", 0, 1], [1, 1, 0]],
+                },
+            }
+        ),
+        # nesting deeper than the JSON decoder's recursion limit
+        "[" * 100_000 + "]" * 100_000,
     ],
 )
 def test_parse_spec_rejects_malformed_documents(text: str) -> None:
@@ -232,6 +252,8 @@ def test_parse_certificate_rejects_bad_documents() -> None:
         parse_certificate(json.dumps({"meta": {}}))
     with pytest.raises(SpecFileError):
         parse_certificate("{")
+    with pytest.raises(SpecFileError):
+        parse_certificate("[" * 100_000 + "]" * 100_000)
 
 
 def _huge_level_certificate(position: int, m: int) -> str:
@@ -369,6 +391,21 @@ def test_intersect_reports_parse_failures(tmp_path: Path, capsys) -> None:
     assert "error:" in capsys.readouterr().err
 
     assert main(["intersect", str(tmp_path / "missing.json"), "-o", "-"]) == 2
+
+
+def test_intersect_reports_a_failed_invariant(
+    tmp_path: Path, capsys, monkeypatch
+) -> None:
+    # no low run with an odd crossing count: exit 6, one error line
+    monkeypatch.setattr(refine_module, "function_parity", lambda *args, **kwargs: 0)
+    spec = tmp_path / "spec.json"
+    spec.write_text(DIAG_SPEC, encoding="utf-8")
+    assert main(["intersect", str(spec), "--iterations", "1", "-o", "-"]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "error: no low-distance run carries an odd crossing count"
+    ]
 
 
 def test_intersect_rejects_wrong_corners(tmp_path: Path, capsys) -> None:

@@ -5,15 +5,14 @@ indexes them and tests f's values against g only where coarse passes
 bounded by the moduli find the two curves near each other, and each
 run's parity check counts g only on the run's stretch of j.  These
 tests hold it to the classification over all of j (`ref_shrink_low`):
-equal low arrays, exceptions and shrink steps, equal crossing counts
-over each run's stretch and over j, both grids' budgets checked before
-any evaluation, and bounds on the values evaluated and the polyline
-points counted in a refinement.
+equal runs of low values, exceptions and shrink steps, equal crossing
+counts over each run's stretch and over j, both grids' budgets checked
+before any evaluation, and bounds on the values evaluated and the
+polyline points counted in a refinement.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -34,9 +33,9 @@ from curvemeet import (
 from curvemeet.exact_geom import Interval
 from curvemeet.errors import CurveMeetError, EffortExhausted
 from curvemeet.parity import _base_track, _sweep
-from curvemeet.refine import _shrink_decisions, _shrink_low, shrink_first
+from curvemeet.refine import _shrink_decisions, shrink_first
 
-from ref_track import ref_shrink_low
+from ref_track import low_runs, ref_shrink_low
 from test_turn_points import (
     ANTI,
     EXT_CURVED,
@@ -90,6 +89,18 @@ def _outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
+def _runs(f, g, i, j, n):
+    """(sden, snums, runs) of `_shrink_decisions`."""
+    return _shrink_decisions(f, g, i, j, n)[:3]
+
+
+def _ref_runs(f, g, i, j, n):
+    """(sden, snums, runs) over all of j: `ref_shrink_low`'s list turned
+    into runs."""
+    sden, snums, low = ref_shrink_low(f, g, i, j, n)
+    return sden, snums, list(low_runs(low))
+
+
 def _cases(name):
     g, f, f_windows, g_windows = G_ORACLES[name]
     for k, j in enumerate(g_windows):
@@ -100,8 +111,8 @@ def _cases(name):
 def test_low_arrays_equal_those_over_all_of_j(name) -> None:
     for f, g, i, j in _cases(name):
         for n in DUCK_PRECISIONS if name == "duck" else PRECISIONS:
-            want = _outcome(ref_shrink_low, f, g, i, j, n)
-            assert _outcome(_shrink_low, f, g, i, j, n) == want, (i, j, n)
+            want = _outcome(_ref_runs, f, g, i, j, n)
+            assert _outcome(_runs, f, g, i, j, n) == want, (i, j, n)
 
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=16)
@@ -120,8 +131,8 @@ def _polyline(points) -> PolylinePath:
 @settings(max_examples=80, deadline=None)
 def test_random_polylines_classify_as_over_all_of_j(f_pts, g_pts, i, j, n) -> None:
     f, g = _polyline(f_pts), _polyline(g_pts)
-    want = _outcome(ref_shrink_low, f, g, i, j, n)
-    assert _outcome(_shrink_low, f, g, i, j, n) == want
+    want = _outcome(_ref_runs, f, g, i, j, n)
+    assert _outcome(_runs, f, g, i, j, n) == want
 
 
 @pytest.mark.parametrize("n", PRECISIONS)
@@ -133,9 +144,10 @@ def test_a_parallel_stretch_just_inside_the_threshold_is_all_low(n) -> None:
     g = PolylinePath([(0, (0, "1/2")), (1, (1, "1/2"))])
     f = PolylinePath([(0, (0, 1)), ("1/4", ("1/4", y)), ("3/4", ("3/4", y)), (1, (1, 1))])
     unit = interval(0, 1)
-    sden, snums, low = _shrink_low(f, g, unit, unit, n)
-    assert (sden, snums, low) == ref_shrink_low(f, g, unit, unit, n)
-    assert all(low[t] for t, s in enumerate(snums) if sden <= 4 * s <= 3 * sden)
+    sden, snums, runs = _runs(f, g, unit, unit, n)
+    assert (sden, snums, runs) == _ref_runs(f, g, unit, unit, n)
+    inside = [t for t, s in enumerate(snums) if sden <= 4 * s <= 3 * sden]
+    assert all(any(a < t < b for a, b in runs) for t in inside)
 
 
 @pytest.mark.parametrize("name", sorted(G_ORACLES))
@@ -156,20 +168,7 @@ def test_shrink_steps_equal_those_over_all_of_j(name, monkeypatch) -> None:
 def _over_all_of_j(f, g, i, j, n):
     """`_shrink_decisions` in the full form: the classification over all
     of j, and every run's parity counted over all of j."""
-    return (*ref_shrink_low(f, g, i, j, n), lambda a, b: j)
-
-
-def _low_runs(low):
-    """(a, b) for each maximal run of low values a+1 to b-1: the
-    candidate runs of `shrink_first`."""
-    t = 1
-    while t < len(low) - 1:
-        if low[t]:
-            a = t - 1
-            while low[t]:
-                t += 1
-            yield a, t
-        t += 1
+    return (*_ref_runs(f, g, i, j, n), lambda a, b: j)
 
 
 def _crossings(f, g, i, j, n):
@@ -179,8 +178,8 @@ def _crossings(f, g, i, j, n):
 def _run_counts(f, g, i, j, n):
     """For each candidate run: its window, its stretch of j, and the
     crossings the parity check counts over each."""
-    sden, snums, low, stretch = _shrink_decisions(f, g, i, j, n)
-    for a, b in _low_runs(low):
+    sden, snums, runs, stretch = _shrink_decisions(f, g, i, j, n)
+    for a, b in runs:
         cand = Interval(Fraction(snums[a], sden), Fraction(snums[b], sden))
         near = stretch(a, b)
         # a part of j whose ends are points of g's grid at n+6, so that
@@ -233,21 +232,6 @@ def test_a_run_near_two_stretches_of_g_counts_both() -> None:
     assert all(near.width() < Fraction(1, 2) for _, near, *_ in counts)
 
 
-def test_a_jittered_refinement_equals_one_checked_over_all_of_j(monkeypatch) -> None:
-    want = refine_sequence(*curved_pair(), 3, rng=random.Random(7))
-    monkeypatch.setattr(refine_module, "_shrink_decisions", _all_of_j(_shrink_decisions))
-    assert refine_sequence(*curved_pair(), 3, rng=random.Random(7)) == want
-
-
-def _all_of_j(decisions):
-    """decisions with every run's parity counted over all of j."""
-
-    def patched(f, g, i, j, n):
-        return (*decisions(f, g, i, j, n)[:3], lambda a, b: j)
-
-    return patched
-
-
 class CountingCurve(DuckCurve):
     """A duck-typed curve that counts its evaluations."""
 
@@ -269,7 +253,7 @@ def _raises_before_any_evaluation(f, g) -> None:
     want = _outcome(ref_shrink_low, f, g, unit, unit, 2)
     assert want[0] is EffortExhausted
     f.evals = g.evals = 0
-    assert _outcome(_shrink_low, f, g, unit, unit, 2) == want
+    assert _outcome(_runs, f, g, unit, unit, 2) == want
     assert _outcome(
         shrink_first, f, g, unit, unit, 2, skip_precondition_checks=True
     ) == want

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curvemeet.refine as refine_module
 from curvemeet import (
     Certificate,
     PointApproximation,
@@ -121,6 +122,21 @@ def test_shrink_guards_endpoint_clearance() -> None:
         shrink_first(
             F_EXT, G_EXT, touching, FULL, 1, skip_precondition_checks=True
         )
+
+
+def test_shrink_without_an_odd_run_raises(monkeypatch) -> None:
+    # with every parity count even, each low run is tried and rejected,
+    # and the loop ends in the invariant failure
+    tried = []
+
+    def even(f, g, i, j, *args, **kwargs):
+        tried.append(i)
+        return 0
+
+    monkeypatch.setattr(refine_module, "function_parity", even)
+    with pytest.raises(InvariantViolation, match="no low-distance run"):
+        shrink_first(F_EXT, G_EXT, FULL, FULL, 2, skip_precondition_checks=True)
+    assert tried
 
 
 def test_pair_shrink_trivial_radius() -> None:

@@ -115,7 +115,7 @@ def common_scale(*point_groups):
 
 
 def _reference_shrink_first(
-    f, g, i, j, n, *, effort=64, rng=None, skip_precondition_checks=False
+    f, g, i, j, n, *, skip_precondition_checks=False
 ) -> Interval:
     """The shrink step as it was before threshold queries: nearest
     squared distances, rounded by a square-root enclosure."""
@@ -147,7 +147,7 @@ def _reference_shrink_first(
         if not all(low[a + 1 : b]):
             raise InvariantViolation("mixed run")
         cand = Interval(grid[a], grid[b])
-        if function_parity(f, g, cand, j, effort, n=n + 6, rng=rng) == 1:
+        if function_parity(f, g, cand, j, n=n + 6) == 1:
             return cand
     raise InvariantViolation("no odd run")
 
