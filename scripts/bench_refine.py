@@ -8,12 +8,12 @@ a path spec file is timed instead of the builtin pairs;
 `bent_table_spec(300)` in `tests/gen.py`.  With --json the same figures,
 the Python version and the CPU count are also written to a file.
 
-Each figure is timed by perfbench's drift-corrected clock
-(`perfbench.clock.Clock.measure`): "ref s" is seconds at the clock's
-reference speed, comparable across runs on a host whose speed drifts,
-and "raw s" the wall seconds.  curvemeet is imported from the path, so
-`PYTHONPATH=src` times this checkout and another checkout's src times
-that one with the same script.
+Each figure is the median of CALLS calls, each timed by perfbench's
+drift-corrected clock (`perfbench.clock.Clock.measure`): "ref s" is
+seconds at the clock's reference speed, comparable across runs on a
+host whose speed drifts, and "raw s" the wall seconds.  curvemeet is
+imported from the path, so `PYTHONPATH=src` times this checkout and
+another checkout's src times that one with the same script.
 
 Usage:
     PYTHONPATH=src python scripts/bench_refine.py --max-rounds 8 [--json OUT.json]
@@ -28,6 +28,7 @@ import os
 import platform
 import sys
 from pathlib import Path
+from statistics import median
 
 sys.path.append(str(Path(__file__).resolve().parent.parent))
 
@@ -42,6 +43,14 @@ from curvemeet import (
 )
 from curvemeet.cli import load_path_spec
 from perfbench.clock import Clock
+
+CALLS = 5  # a single call's time spreads by up to half between runs
+
+
+def _measure(clock: Clock, fn):
+    """(fn(), median reference seconds, median raw seconds) over CALLS calls."""
+    runs = [clock.measure(fn) for _ in range(CALLS)]
+    return runs[0][0], median(r[1] for r in runs), median(r[2] for r in runs)
 
 
 def main() -> int:
@@ -69,15 +78,15 @@ def main() -> int:
     for name, (phi, psi) in pairs:
         f = extend(phi, Side.LOWER)
         g = extend(psi, Side.UPPER)
-        parity, base, base_raw = clock.measure(
-            lambda: function_parity(f, g, full, full, n=5)
+        parity, base, base_raw = _measure(
+            clock, lambda: function_parity(f, g, full, full, n=5)
         )
         print(f"{name}: base parity {parity} at n=5 in {base:.3f} ref s", end=" ")
         print(f"({base_raw:.3f} raw s)")
         print(f"{'rounds':>7} {'ref s':>9} {'raw s':>9} {'I width':>12}")
         runs = []
         for rounds in range(0, args.max_rounds + 1, 2):
-            cert, ref_s, raw_s = clock.measure(lambda: refine_sequence(phi, psi, rounds))
+            cert, ref_s, raw_s = _measure(clock, lambda: refine_sequence(phi, psi, rounds))
             width = float(cert.final.i.width())
             print(f"{rounds:>7} {ref_s:>9.3f} {raw_s:>9.3f} {width:>12.3e}")
             runs.append(

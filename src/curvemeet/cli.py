@@ -26,9 +26,11 @@ from .errors import (
     SpecFileError,
     UsageError,
 )
-from .exact_geom import Interval, interval, pow2, pt
+from .exact_geom import Interval, pow2, pt
 from .parity import function_parity, working_precision
 from .paths import (
+    _EXTENDED_DOMAIN,
+    _UNIT_DOMAIN,
     PathOracle,
     PolylinePath,
     QuadBezierPath,
@@ -43,8 +45,6 @@ from .refine import (
     verify_certificate,
 )
 
-_EXTENDED = interval(-1, 2)
-_UNIT = interval(0, 1)
 _CERT_FORMAT = "curvemeet-certificate"
 # `TablePath.validate` compares every pair of samples closer in t than the
 # table's widest modulus window: about 2.7 s for 500 rows that all share
@@ -122,7 +122,7 @@ def _build_path(node) -> PathOracle:
     else:
         raise SpecFileError(f"unknown path type {kind!r}")
     # only a unit-interval path can be extended to [-1, 2]
-    if path.domain != _UNIT:
+    if path.domain != _UNIT_DOMAIN:
         raise SpecFileError(f"a path must run over t in [0, 1], not {path.domain}")
     return path
 
@@ -245,9 +245,9 @@ def render_svg(
         '<rect x="0" y="0" width="1" height="1" stroke="#999999" '
         'stroke-width="0.008"/>',
         f'<path stroke="#1f5fbf" stroke-width="0.016" '
-        f'd="M {" L ".join(_curve_coords(f, _EXTENDED, 256))}"/>',
+        f'd="M {" L ".join(_curve_coords(f, _EXTENDED_DOMAIN, 256))}"/>',
         f'<path stroke="#bf4f1f" stroke-width="0.016" '
-        f'd="M {" L ".join(_curve_coords(g, _EXTENDED, 256))}"/>',
+        f'd="M {" L ".join(_curve_coords(g, _EXTENDED_DOMAIN, 256))}"/>',
     ]
     if cert is not None:
         final = cert.final
@@ -305,7 +305,7 @@ def _cmd_intersect(args: argparse.Namespace) -> int:
 
 def _cli_interval(bounds: list[str] | None) -> Interval:
     if bounds is None:
-        return _EXTENDED
+        return _EXTENDED_DOMAIN
     try:
         lo, hi = _parse_rational(bounds[0]), _parse_rational(bounds[1])
     except (ValueError, ZeroDivisionError) as exc:
@@ -324,7 +324,7 @@ def _cmd_parity(args: argparse.Namespace) -> int:
     f = extend(phi, Side.LOWER)
     g = extend(psi, Side.UPPER)
     enc, n = working_precision(f, g, i, j, effort=args.effort)
-    parity = function_parity(f, g, i, j, effort=args.effort, n=n)
+    parity = function_parity(f, g, i, j, n=n)
     print(f"parity {parity}")
     print(
         f"alpha in [{enc.lo}, {enc.hi}]"

@@ -34,7 +34,6 @@ from .exact_geom import (
     Interval,
     Point,
     RationalLike,
-    interval,
     pow2,
     pt,
     rat,
@@ -43,6 +42,8 @@ from .exact_geom import (
 )
 from .parity import certify_alpha, function_parity
 from .paths import (
+    _EXTENDED_DOMAIN,
+    _UNIT_DOMAIN,
     PathOracle,
     Side,
     _base_points,
@@ -52,11 +53,8 @@ from .paths import (
     _turn_points,
     extend,
     grid_values,
-    n_approximation,
 )
 
-_EXTENDED = interval(-1, 2)
-_UNIT = interval(0, 1)
 _MAX_SAMPLES = 4096  # verify_certificate's grid budget per sampled track
 
 
@@ -95,12 +93,23 @@ class Certificate:
                 and prev.j.contains_interval(rec.j)
             ):
                 raise ValueError("refinement records must be nested")
-        if not (_UNIT.contains_interval(self.s_phi) and _UNIT.contains_interval(self.s_psi)):
+        if not all(_UNIT_DOMAIN.contains_interval(s) for s in (self.s_phi, self.s_psi)):
             raise ValueError("final intervals must lie in the unit domain")
 
     @property
     def final(self) -> RefinementRecord:
         return self.records[-1]
+
+
+def _certified_floor(
+    f: PathOracle, g: PathOracle, i: Interval, j: Interval, target: Fraction = Fraction(0)
+) -> Fraction:
+    """A floor above target of the endpoint clearance of (i, j), once
+    the crossing parity there is certified to be 1."""
+    floor = certify_alpha(f, g, i, j, target=target).lo
+    if function_parity(f, g, i, j) != 1:
+        raise PreconditionViolated("crossing parity on the input intervals is 0")
+    return floor
 
 
 def shrink_first(
@@ -124,11 +133,7 @@ def shrink_first(
     g on the run's stretch of j, which holds every crossing.
     """
     if not skip_precondition_checks:
-        certify_alpha(f, g, i, j, target=pow2(-n))
-        if function_parity(f, g, i, j) != 1:
-            raise PreconditionViolated(
-                "crossing parity on the input intervals is 0"
-            )
+        _certified_floor(f, g, i, j, pow2(-n))
     sden, snums, runs, stretch = _shrink_decisions(f, g, i, j, n)
     for a, b in runs:
         cand = Interval(Fraction(snums[a], sden), Fraction(snums[b], sden))
@@ -319,21 +324,14 @@ def _shrink_pair_certified(
     i: Interval,
     j: Interval,
     m: int,
-    alpha_lo: Fraction | None,
+    alpha_lo: Fraction,
 ) -> tuple[Interval, Interval, Fraction]:
     """Shrink both sides given parity 1 and a clearance strictly above
-    some power 2^-n with 2^-n < alpha_lo; with alpha_lo None, both are
-    certified here first.
+    some power 2^-n with 2^-n < alpha_lo.
 
     Returns the new pair plus a constructive clearance lower bound for
     it, saving the next round a measurement from scratch.
     """
-    if alpha_lo is None:
-        alpha_lo = certify_alpha(f, g, i, j).lo
-        if function_parity(f, g, i, j) != 1:
-            raise PreconditionViolated(
-                "crossing parity on the input intervals is 0"
-            )
     n = max(m + 1, smallest_n_below(alpha_lo))
     i2 = shrink_first(f, g, i, j, n, skip_precondition_checks=True)
     # the kept run's endpoints sit at distance >= 7/16 * 2^-n from g's
@@ -349,7 +347,7 @@ def shrink_pair(
 ) -> tuple[Interval, Interval]:
     """One refinement round: nested subintervals with parity 1 whose
     images lie in each other's 2^-m neighborhoods."""
-    return _shrink_pair_certified(f, g, i, j, m, None)[:2]
+    return _shrink_pair_certified(f, g, i, j, m, _certified_floor(f, g, i, j))[:2]
 
 
 def refine_sequence(
@@ -372,7 +370,7 @@ def refine_sequence(
         raise ValueError("negative iteration count")
     f = extend(phi, Side.LOWER)
     g = extend(psi, Side.UPPER)
-    i = j = _EXTENDED
+    i = j = _EXTENDED_DOMAIN
     if verify_base_parity and function_parity(f, g, i, j, n=5) != 1:
         raise InvariantViolation("base crossing parity is not 1")
     records = [RefinementRecord(0, i, j)]
@@ -381,8 +379,8 @@ def refine_sequence(
         i, j, alpha_lo = _shrink_pair_certified(f, g, i, j, m, alpha_lo)
         records.append(RefinementRecord(m, i, j))
     try:
-        s_phi = i.clip(_UNIT)
-        s_psi = j.clip(_UNIT)
+        s_phi = i.clip(_UNIT_DOMAIN)
+        s_psi = j.clip(_UNIT_DOMAIN)
     except ValueError as exc:
         raise InvariantViolation(
             "refined intervals escaped the unit domain"
@@ -454,23 +452,33 @@ def extract_point(
     cert: Certificate, phi: PathOracle, eps: RationalLike
 ) -> PointApproximation:
     """Ball of radius at most eps around the crossing point, valid when
-    the intersection is unique.
+    the intersection is unique; phi is extended as `refine_sequence`
+    extends it.
 
-    Each record's first-curve image is covered by the bounding box of an
-    approximation track inflated by the polyline deviation; the first
-    record whose covering ball is small enough wins.
+    Each record's first-curve image f(rec.i) is covered by the bounding
+    box of its turn points at precision n = rec.m + 6
+    (`paths._turn_points`): the base points with only the ends of each
+    straight run kept, the same polyline and so the same box.  The base
+    points lie within 2^-(n+2) of the curve, and between grid
+    neighbours, less than 2^-modulus(n) apart, the curve moves by less
+    than 2^-n, so every point of f(rec.i) is within 1.25 * 2^-n of the
+    box.  The radius is the box's half diagonal, enclosed from above,
+    plus 5 * 2^-n, more than that bound needs: the pad of the paper's
+    n-approximation tracks.  Their boxes are never smaller, as every
+    distinct base point is a track vertex, and on the builtin pairs they
+    are the same, so there the balls are theirs.  The first record whose
+    ball is small enough wins.
     """
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("the target radius must be positive")
-    base = cert.records[0].i
-    f = phi if phi.domain.contains_interval(base) else extend(phi, Side.LOWER)
+    f = extend(phi, Side.LOWER)
     for rec in cert.records:
         n_ap = rec.m + 6
-        track = n_approximation(f, rec.i, n_ap)
-        xs = [x for x, _ in track.verts]
-        ys = [y for _, y in track.verts]
-        x0, x1, y0, y1, d = min(xs), max(xs), min(ys), max(ys), 2 * track.vden
+        den, verts = _turn_points(f, rec.i, n_ap)[2:]
+        xs = [x for x, _ in verts]
+        ys = [y for _, y in verts]
+        x0, x1, y0, y1, d = min(xs), max(xs), min(ys), max(ys), 2 * den
         cx, cy = Fraction(x0 + x1, d), Fraction(y0 + y1, d)
         half_sq = Fraction((x1 - x0) ** 2 + (y1 - y0) ** 2, d * d)
         radius = sqrt_enclosure(half_sq, n_ap).hi + 5 * pow2(-n_ap)

@@ -306,13 +306,20 @@ def test_six_round_certificates_are_pinned(name: str) -> None:
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == prefix
 
 
+def _table_spec_pair():
+    path = Path(__file__).parents[1] / "scripts" / "table_spec.json"
+    return parse_path_spec(path.read_text(encoding="utf-8"))
+
+
 # the same for refine_sequence(pair, rounds) at 12 and 16 rounds, which
-# run the parity route and the shrink step at higher precisions
+# run the parity route and the shrink step at higher precisions, and for
+# the two 300-row tables of scripts/table_spec.json at 8 rounds
 DEEP_CERTIFICATE_PINS = {
     ("diagonals", 12): (diagonal_pair, "009f485f3fdfe146"),
     ("diagonals", 16): (diagonal_pair, "c5c1879b2168f834"),
     ("curved", 12): (curved_pair, "c14fb621236fe049"),
     ("curved", 16): (curved_pair, "664fa6c5090b79c8"),
+    ("table_spec", 8): (_table_spec_pair, "acafeb977fbb23ce"),
 }
 
 

@@ -46,8 +46,9 @@ from curvemeet import (
     refine_sequence,
     sqrt_enclosure,
 )
-from curvemeet._fastgeom import BoxLevels, canonical_lines
+from curvemeet._fastgeom import BoxLevels, canonical_lines, rescale
 from curvemeet.cli import emit_certificate
+from curvemeet.errors import NotConverged
 from curvemeet.exact_geom import Interval, Point
 from curvemeet.paths import _base_points, grid_points, grid_values
 from curvemeet.track import separated_vertices, spiral_search
@@ -434,6 +435,30 @@ def test_extracted_balls_match_fraction_reference(pair) -> None:
     cert = refine_sequence(phi, psi, 3)
     for eps in (F(1, 2), F(1, 32), F(1, 64)):
         assert extract_point(cert, phi, eps) == ref_extract_point(cert, phi, eps)
+
+
+def test_extraction_where_the_spiral_moves_vertices() -> None:
+    # phi pauses at the crossing, so its tracks repeat base points there
+    # and the spiral moves them; the turn points' box can only be smaller
+    half = F(1, 2)
+    phi = PolylinePath(
+        [(0, (0, 0)), (F(1, 3), (half, half)), (F(2, 3), (half, half)), (1, (1, 1))]
+    )
+    cert = refine_sequence(phi, diagonal_pair()[1], 2)
+    f, last = extend(phi, Side.LOWER), cert.final
+    track = n_approximation(f, last.i, last.m + 6)
+    den, bases = _base_points(f, last.i, last.m + 6, None)[2:]
+    assert list(track.verts) != list(rescale(bases, track.vden // den))
+    balls = 0
+    for k in range(1, 10):
+        try:
+            ball = extract_point(cert, phi, pow2(-k))
+        except NotConverged:
+            continue
+        balls += 1
+        assert (ball.center - pt(half, half)).sq_norm() <= ball.radius**2
+        assert ball.radius <= ref_extract_point(cert, phi, pow2(-k)).radius
+    assert balls > 0
 
 
 # ------------------------------------------------------------ track API
