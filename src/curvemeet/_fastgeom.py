@@ -251,9 +251,9 @@ class BoxLevels:
         """Exact squared distance from an integer point to the polyline.
 
         Branch and bound: a box is opened only while its squared gap is
-        below the best distance found so far, nearer child first, so the
-        cost is about one root-to-leaf path plus the boxes that tie with
-        the answer.
+        below the best distance found so far, nearer child first (the
+        left one on a tie), so the cost is about one root-to-leaf path
+        plus the boxes that tie with the answer.
         """
         levels = self.levels
         last = len(levels) - 1
@@ -262,6 +262,7 @@ class BoxLevels:
         # (squared box gap, depth, box); the gap is rechecked at pop time
         # against the bound found since the push
         stack = [(0, 0, 0)]
+        push = stack.append
         while stack:
             gap_sq, depth, k = stack.pop()
             if best_n is not None and gap_sq * best_d >= best_n:
@@ -275,11 +276,25 @@ class BoxLevels:
                 continue
             depth += 1
             boxes = levels[depth]
-            kids = [
-                (_sq_gap(boxes[c], (px, px, py, py)), depth, c)
-                for c in range(2 * k, min(2 * k + 2, len(boxes)))
-            ]
-            stack.extend(sorted(kids, reverse=True))  # nearer child on top
+            c = 2 * k
+            x0, x1, y0, y1 = boxes[c]
+            xg = x0 - px if px < x0 else (px - x1 if px > x1 else 0)
+            yg = y0 - py if py < y0 else (py - y1 if py > y1 else 0)
+            left = (xg * xg + yg * yg, depth, c)
+            if c + 1 == len(boxes):
+                push(left)
+                continue
+            x0, x1, y0, y1 = boxes[c + 1]
+            xg = x0 - px if px < x0 else (px - x1 if px > x1 else 0)
+            yg = y0 - py if py < y0 else (py - y1 if py > y1 else 0)
+            right = (xg * xg + yg * yg, depth, c + 1)
+            # the nearer child on top
+            if right[0] < left[0]:
+                push(left)
+                push(right)
+            else:
+                push(right)
+                push(left)
         assert best_n is not None, "a distance query needs a segment"
         return Fraction(best_n, best_d)
 

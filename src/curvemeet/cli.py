@@ -27,7 +27,7 @@ from .errors import (
     UsageError,
 )
 from .exact_geom import Interval, pow2, pt
-from .parity import function_parity, working_precision
+from .parity import _near_sweep, working_precision
 from .paths import (
     _EXTENDED_DOMAIN,
     _UNIT_DOMAIN,
@@ -324,7 +324,7 @@ def _cmd_parity(args: argparse.Namespace) -> int:
     f = extend(phi, Side.LOWER)
     g = extend(psi, Side.UPPER)
     enc, n = working_precision(f, g, i, j, effort=args.effort)
-    parity = function_parity(f, g, i, j, n=n)
+    parity = _near_sweep(f, g, i, j, n, enc).parity
     print(f"parity {parity}")
     print(
         f"alpha in [{enc.lo}, {enc.hi}]"

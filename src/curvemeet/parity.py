@@ -54,23 +54,28 @@ meaning of perturbations in geometric computing*, DCG 19, 1998): the
 signs are decided exactly in integers and the sweep (`_sweep`) is the
 one that `crossing_count` runs, where no O is 0.
 
-No far test runs before the sweep.  The sweep's dual descent keeps only
-box pairs that touch (reach 0); a test settling far-apart polylines as
-parity 0 (`_fastgeom.min_sqdist_exceeds` at reach 11 * 2^-n) opens
-every one of those pairs and more.  So where it would answer 0 the sweep
-costs no more than it, and on every other window it is wasted work.
+A query without n or rng evaluates and sweeps at n only where the
+curves come near each other (`_near_sweep`).  The last clearance probe,
+at some precision p, has already evaluated and indexed both windows; one
+dual descent over its two hierarchies pairs the leaves at most 2.5 *
+(2^-n + 2^-p) apart, and every crossing at n lies on segments within the
+hulls of the paired leaves.  A far window pairs none and evaluates
+nothing at n, and the others sweep each curve on its hull only, with the
+same crossings at the same parameters.  No separate far test
+(`_fastgeom.min_sqdist_exceeds`) runs: that descent is one.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 from ._fastgeom import BoxLevels, pair_over_lcm
 from .errors import EffortExhausted, NotSeparated, PreconditionViolated
 from .exact_geom import Interval, Point, pow2, smallest_n_below, sqrt_enclosure
-from .paths import PathOracle, _base_points, _turn_points
+from .paths import PathOracle, _base_points, _checked_bounds, _turn_points
 from .track import Track, common_verts, weakly_separated
 
 Crossing = tuple[Fraction, Fraction, Point]
@@ -158,15 +163,34 @@ def _sweep(p: Track, q: Track) -> CrossingReport:
     return _report(crossings)
 
 
+class _Probe(NamedTuple):
+    """What a clearance probe at precision p measured: the turn points of
+    f and of g over one denominator den, with their parameters (numerators
+    over f_sden and g_sden) and their hierarchies."""
+
+    p: int
+    den: int
+    f_sden: int
+    f_snums: Sequence[int]
+    f_idx: BoxLevels
+    g_sden: int
+    g_snums: Sequence[int]
+    g_idx: BoxLevels
+
+
 @dataclass(frozen=True)
 class AlphaEnclosure:
     """Interval around the endpoint clearance of a curve pair: the
     smaller of (distance of f's endpoint values to g's arc) and
-    (distance of g's endpoint values to f's arc)."""
+    (distance of g's endpoint values to f's arc).
+
+    An enclosure from `alpha_enclosure` also keeps the probe it measured,
+    which `_near_sweep` reuses; equality and repr ignore it."""
 
     lo: Fraction
     hi: Fraction
     precision_used: int
+    _probe: _Probe | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (0 <= self.lo <= self.hi):
@@ -186,22 +210,23 @@ def alpha_enclosure(
     full form's.  Base points lie within 2^-(n+2) of the curve, so the
     pad that covers an n-approximation's vertices covers them.
     """
-    pi, qi, den = pair_over_lcm(
-        *_turn_points(f, i, n)[2:], *_turn_points(g, j, n)[2:]
-    )
-    sq_scale = Fraction(den * den)
+    f_sden, f_snums, f_den, f_pts = _turn_points(f, i, n)
+    g_sden, g_snums, g_den, g_pts = _turn_points(g, j, n)
+    pi, qi, den = pair_over_lcm(f_den, f_pts, g_den, g_pts)
     pidx, qidx = BoxLevels(pi), BoxLevels(qi)
-    d_f_ends = min(
-        qidx.sq_dist_to_point(*pi[0]), qidx.sq_dist_to_point(*pi[-1])
-    ) / sq_scale
-    d_g_ends = min(
-        pidx.sq_dist_to_point(*qi[0]), pidx.sq_dist_to_point(*qi[-1])
-    ) / sq_scale
-    e1, e2 = sqrt_enclosure(d_f_ends, n), sqrt_enclosure(d_g_ends, n)
+    sq = min(
+        qidx.sq_dist_to_point(*pi[0]),
+        qidx.sq_dist_to_point(*pi[-1]),
+        pidx.sq_dist_to_point(*qi[0]),
+        pidx.sq_dist_to_point(*qi[-1]),
+    )
+    # both bounds of sqrt_enclosure rise with the radicand, so the
+    # smallest distance's enclosure holds the smaller of each bound
+    e = sqrt_enclosure(sq / (den * den), n)
     pad = 6 * pow2(-n)
-    lo = min(e1.lo, e2.lo) - pad
-    hi = min(e1.hi, e2.hi) + pad
-    return AlphaEnclosure(max(Fraction(0), lo), hi, n)
+    lo, hi = e.lo - pad, e.hi + pad
+    probe = _Probe(n, den, f_sden, f_snums, pidx, g_sden, g_snums, qidx)
+    return AlphaEnclosure(max(Fraction(0), lo), hi, n, probe)
 
 
 _PROBE_START = 5  # the first clearance probe's precision
@@ -261,11 +286,13 @@ def working_precision(
     floor and the smaller ceiling.  A probe below n measures between
     base-point polylines of at most half the vertices of those the
     parity counts, and it meets no grid budget the parity would not.
-    With the count this cheap, certification is close to half of a
-    query: `working_precision` took 42 to 49 % of the time of
-    perfbench's window queries (seeds 4101 to 4103, best of 3 per query,
-    on a 2-CPU x86-64 machine under Python 3.11).
-    The returned enclosure carries the last probe's precision.
+    With the count this cheap, certification is most of a query:
+    `working_precision` took 58 to 64 % of the time of perfbench's
+    window queries (seeds 4101 to 4103, best of 7 per query, on a 2-CPU
+    x86-64 machine under Python 3.11), against 50 to 53 % with both
+    whole windows swept.
+    The returned enclosure carries the last probe, its precision
+    included, for `_near_sweep`.
     """
     enc = certify_alpha(f, g, i, j, effort)
     lo, hi, probe = enc.lo, enc.hi, enc.precision_used
@@ -275,7 +302,7 @@ def working_precision(
         enc = alpha_enclosure(f, g, i, j, probe)
         lo, hi = max(lo, enc.lo), min(hi, enc.hi)
         n = smallest_n_below(lo / 16)
-    return AlphaEnclosure(lo, hi, probe), n
+    return AlphaEnclosure(lo, hi, probe, enc._probe), n
 
 
 def _base_track(
@@ -296,6 +323,89 @@ def _base_track(
         snums = [snums[0], *(snums[k] for k in keep)]
         bases = [bases[0], *(bases[k] for k in keep)]
     return Track.from_ints(sden, snums, den, bases)
+
+
+def _hull_track(
+    c: PathOracle,
+    w: Interval,
+    n: int,
+    sden: int,
+    snums: Sequence[int],
+    leaves: Sequence[int],
+) -> Track:
+    """`_base_track(c, w, n, None)` on the parameter hull of some leaves
+    of a probe's hierarchy over points at snums / sden, widened outward
+    to c's grid at n and clipped to w; on all of w, without widening,
+    when the leaves hold both of its ends.  The budget of c's grid at n
+    on w is checked first."""
+    run, last = BoxLevels.RUN, len(snums) - 1
+    a, b = run * min(leaves), min(run * max(leaves) + run, last)
+    if a > 0 or b < last:
+        e = _checked_bounds(c, w, c.modulus(n))[0]
+        w = Interval(
+            max(w.lo, Fraction((snums[a] << e) // sden, 1 << e)),
+            min(w.hi, Fraction(-((-snums[b] << e) // sden), 1 << e)),
+        )
+    return _base_track(c, w, n, None)
+
+
+def _near_sweep(
+    f: PathOracle,
+    g: PathOracle,
+    i: Interval,
+    j: Interval,
+    n: int,
+    enc: AlphaEnclosure,
+) -> CrossingReport:
+    """The crossings of the base-point polylines of f on i and g on j at
+    precision n (`_sweep` of two `_base_track`s, without rng), found
+    where the probe that enc keeps, at precision p, sees the curves meet.
+    Each curve's grid at n on its whole window is checked against the
+    budget before that curve is evaluated at n, f's first, so this
+    fails exactly where the whole sweep fails.
+
+    Let x be a point of a segment of f's polyline at n, between grid
+    points s < s' (less than 2^-modulus(n) apart).  Its ends lie within
+    2^-(n+2) of f(s) and of f(s'), which are less than 2^-n apart, so x
+    is within 1.25 * 2^-n of f(s).  The probe's grid has a point t <= s
+    whose next point lies above s, so f(s) is within 2^-p of f(t), and
+    the probe's value at t within 2^-(p+2) of f(t): x is within R =
+    1.25 * (2^-n + 2^-p) of the value at t.  That value lies on the
+    probe's turn-point segment a, from tau_a <= t to tau_a+1 > s (the
+    kept polyline is the full one, parameter by parameter), and so in
+    the box of the leaf holding segment a.  The same holds for g.  A
+    crossing the sweep counts is, at eps = 0, a point x on one segment
+    of each polyline, so these two leaves, one per probe hierarchy, are
+    at most 2R apart, and `near_leaves` at the integer reach ceil(2R *
+    den) pairs them.  With no pair there is no crossing.
+
+    Each curve is swept on the hull of its paired leaves (`_hull_track`):
+    from the first point of the lowest to the last point of the highest,
+    widened outward to its grid at n and clipped to its window.  The
+    hull holds s, as tau_a <= s < tau_a+1, and so s': s' is the first
+    grid point after s, and the widened end is a grid point at or above
+    tau_a+1, or the window's end.  So every segment carrying a crossing
+    lies in the hulls.  The polyline on a hull, whose ends are grid
+    points, is the full one's part there, parameter by parameter (as
+    for turn points, see the module docstring), so the two hull
+    polylines, the second translated by t, meet in exactly the points,
+    parameter pairs and order that the full ones do: the report is the
+    whole sweep's.
+    """
+    probe = enc._probe
+    p = probe.p
+    # 2R * den = 5 * den * (2^n + 2^p) / 2^(n+p+1), rounded up
+    reach = -(-5 * probe.den * ((1 << n) + (1 << p)) >> (n + p + 1))
+    near = probe.f_idx.near_leaves(probe.g_idx, reach * reach)
+    if not near:
+        _checked_bounds(f, i, f.modulus(n))
+        _checked_bounds(g, j, g.modulus(n))
+        return _report([])
+    f_leaves, g_leaves = zip(*near)
+    return _sweep(
+        _hull_track(f, i, n, probe.f_sden, probe.f_snums, f_leaves),
+        _hull_track(g, j, n, probe.g_sden, probe.g_snums, g_leaves),
+    )
 
 
 def function_parity(
@@ -319,10 +429,13 @@ def function_parity(
     weakly separated n-approximation pair, `n_approximation_pair`
     included: the mod-2 intersection number is invariant under
     perturbations that keep the endpoints off the other polyline, and t
-    is generic (see the module docstring).  Polylines far apart need no
-    separate test: the sweep opens a subset of the box pairs any
-    distance test would open, and finds no crossing among them.
+    is generic (see the module docstring).  With n omitted and no rng,
+    only the parts of the windows near the last clearance probe's
+    meeting leaves are evaluated and swept (`_near_sweep`); otherwise
+    both whole windows are.
     """
     if n is None:
-        _enc, n = working_precision(f, g, i, j, effort)
+        enc, n = working_precision(f, g, i, j, effort)
+        if rng is None:
+            return _near_sweep(f, g, i, j, n, enc).parity
     return _sweep(_base_track(f, i, n, rng), _base_track(g, j, n, rng)).parity

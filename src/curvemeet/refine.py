@@ -40,7 +40,7 @@ from .exact_geom import (
     smallest_n_below,
     sqrt_enclosure,
 )
-from .parity import certify_alpha, function_parity
+from .parity import _near_sweep, certify_alpha, function_parity
 from .paths import (
     _EXTENDED_DOMAIN,
     _UNIT_DOMAIN,
@@ -105,11 +105,15 @@ def _certified_floor(
     f: PathOracle, g: PathOracle, i: Interval, j: Interval, target: Fraction = Fraction(0)
 ) -> Fraction:
     """A floor above target of the endpoint clearance of (i, j), once
-    the crossing parity there is certified to be 1."""
-    floor = certify_alpha(f, g, i, j, target=target).lo
-    if function_parity(f, g, i, j) != 1:
+    the crossing parity there is certified to be 1.  The parity is
+    counted at the precision n that the floor itself certifies (16 *
+    2^-n below it), near the enclosure's probe (`_near_sweep`), so no
+    probe runs twice."""
+    enc = certify_alpha(f, g, i, j, target=target)
+    n = smallest_n_below(enc.lo / 16)
+    if _near_sweep(f, g, i, j, n, enc).parity != 1:
         raise PreconditionViolated("crossing parity on the input intervals is 0")
-    return floor
+    return enc.lo
 
 
 def shrink_first(

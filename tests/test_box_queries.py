@@ -246,6 +246,22 @@ def test_point_queries_match_all_segments(size: int) -> None:
             assert boxes.any_within(px, py, rn, rd) == (q < r)
             assert boxes.any_within(px, py, rn, rd, closed=True) == (q <= r)
 
+    # ties: a V whose two leaf runs, the root's children, are mirror
+    # images, and points below its tip, as near to both boxes or nearer
+    # to one; the nearer child is opened first, the left one on a tie
+    vee = [(k - 8, 8 - abs(k - 8)) for k in range(17)]
+
+    class Recording(BoxLevels):
+        def _leaf(self, k):
+            opened.append(k)
+            return super()._leaf(k)
+
+    for px, first in ((0, 0), (-1, 0), (1, 1)):
+        opened = []
+        q = min(F(*seg_point_sqdist(*s[0], *s[1], px, -size)) for s in _segments(vee))
+        assert Recording(vee).sq_dist_to_point(px, -size) == q
+        assert opened == [first, 1 - first]
+
 
 # ------------------------------------------------------------ certificate check
 
