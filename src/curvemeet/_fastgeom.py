@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exact_geom import Point
 
@@ -120,7 +120,9 @@ class BoxLevels:
     tests are exact integer tests that only prune; points and segments
     decide every answer.  Queries: `stab` (lines), `any_within` (point
     thresholds), `sq_dist_to_point` (two points or more) and, descending
-    two hierarchies together, `near_leaves` and `segment_pairs`.
+    two hierarchies together, `near_leaves` and `segment_pairs`.  The
+    leaf layout is read only through `span` (one leaf's point indices)
+    and `spans` (those of neighbouring leaves merged).
     """
 
     RUN = 8
@@ -155,6 +157,21 @@ class BoxLevels:
             [(x0 * m, x1 * m, y0 * m, y1 * m) for x0, x1, y0, y1 in boxes]
             for boxes in self.levels
         ]
+        return out
+
+    def span(self, k: int) -> tuple[int, int]:
+        """The indices of the first and last point of leaf run k."""
+        a = self.RUN * k
+        return a, min(a + self.RUN, len(self.pts) - 1)
+
+    def spans(self, leaves: Iterable[int]) -> list[tuple[int, int]]:
+        """The `span`s of some leaf runs, in order, each maximal run of
+        neighbouring leaves (which share a point) merged into one."""
+        out: list[tuple[int, int]] = []
+        for a, b in map(self.span, sorted(set(leaves))):
+            if out and out[-1][1] == a:
+                a = out.pop()[0]
+            out.append((a, b))
         return out
 
     def _leaf(self, k: int) -> Sequence[IntPoint]:

@@ -34,11 +34,15 @@ def ceil_log2(x: Fraction) -> int:
     """Smallest c with 2^c >= x, for x > 0."""
     if x <= 0:
         raise ValueError("ceil_log2 requires a positive argument")
-    # bit lengths pin x into (2^(c-1), 2^(c+1)); one comparison settles c
-    c = x.numerator.bit_length() - x.denominator.bit_length()
-    if pow2(c) < x:
-        c += 1
-    return c
+    return ceil_log2_ratio(x.numerator, x.denominator)
+
+
+def ceil_log2_ratio(p: int, q: int) -> int:
+    """Smallest c with 2^c >= p/q, for positive integers p and q."""
+    # bit lengths pin p/q into (2^(c-1), 2^(c+1)); one comparison of
+    # shifted integers, 2^c < p/q, settles c
+    c = p.bit_length() - q.bit_length()
+    return c + (q << c < p if c >= 0 else q < p << -c)
 
 
 def smallest_n_below(x: Fraction) -> int:

@@ -59,9 +59,12 @@ curves come near each other (`_near_sweep`).  The last clearance probe,
 at some precision p, has already evaluated and indexed both windows; one
 dual descent over its two hierarchies pairs the leaves at most 2.5 *
 (2^-n + 2^-p) apart, and every crossing at n lies on segments within the
-hulls of the paired leaves.  A far window pairs none and evaluates
-nothing at n, and the others sweep each curve on its hull only, with the
-same crossings at the same parameters.  No separate far test
+hulls of the paired leaves.  Both whole windows' grids at n are checked
+against the budget first.  A far window pairs no leaves and evaluates
+nothing at n; otherwise each curve is swept on its hull only, widened
+outward to its grid at n and clipped to its window (`paths._leaf_hull`,
+the rule the shrink step's run checks use too), with the same crossings
+at the same parameters.  No separate far test
 (`_fastgeom.min_sqdist_exceeds`) runs: that descent is one.
 """
 
@@ -75,7 +78,7 @@ from typing import NamedTuple, Sequence
 from ._fastgeom import BoxLevels, pair_over_lcm
 from .errors import EffortExhausted, NotSeparated, PreconditionViolated
 from .exact_geom import Interval, Point, pow2, smallest_n_below, sqrt_enclosure
-from .paths import PathOracle, _base_points, _checked_bounds, _turn_points
+from .paths import PathOracle, _base_points, _checked_bounds, _leaf_hull, _turn_points
 from .track import Track, common_verts, weakly_separated
 
 Crossing = tuple[Fraction, Fraction, Point]
@@ -325,30 +328,6 @@ def _base_track(
     return Track.from_ints(sden, snums, den, bases)
 
 
-def _hull_track(
-    c: PathOracle,
-    w: Interval,
-    n: int,
-    sden: int,
-    snums: Sequence[int],
-    leaves: Sequence[int],
-) -> Track:
-    """`_base_track(c, w, n, None)` on the parameter hull of some leaves
-    of a probe's hierarchy over points at snums / sden, widened outward
-    to c's grid at n and clipped to w; on all of w, without widening,
-    when the leaves hold both of its ends.  The budget of c's grid at n
-    on w is checked first."""
-    run, last = BoxLevels.RUN, len(snums) - 1
-    a, b = run * min(leaves), min(run * max(leaves) + run, last)
-    if a > 0 or b < last:
-        e = _checked_bounds(c, w, c.modulus(n))[0]
-        w = Interval(
-            max(w.lo, Fraction((snums[a] << e) // sden, 1 << e)),
-            min(w.hi, Fraction(-((-snums[b] << e) // sden), 1 << e)),
-        )
-    return _base_track(c, w, n, None)
-
-
 def _near_sweep(
     f: PathOracle,
     g: PathOracle,
@@ -360,8 +339,8 @@ def _near_sweep(
     """The crossings of the base-point polylines of f on i and g on j at
     precision n (`_sweep` of two `_base_track`s, without rng), found
     where the probe that enc keeps, at precision p, sees the curves meet.
-    Each curve's grid at n on its whole window is checked against the
-    budget before that curve is evaluated at n, f's first, so this
+    Both curves' grids at n on their whole windows are checked against
+    the budget before anything is evaluated at n, f's first, so this
     fails exactly where the whole sweep fails.
 
     Let x be a point of a segment of f's polyline at n, between grid
@@ -379,33 +358,34 @@ def _near_sweep(
     at most 2R apart, and `near_leaves` at the integer reach ceil(2R *
     den) pairs them.  With no pair there is no crossing.
 
-    Each curve is swept on the hull of its paired leaves (`_hull_track`):
-    from the first point of the lowest to the last point of the highest,
-    widened outward to its grid at n and clipped to its window.  The
-    hull holds s, as tau_a <= s < tau_a+1, and so s': s' is the first
-    grid point after s, and the widened end is a grid point at or above
-    tau_a+1, or the window's end.  So every segment carrying a crossing
-    lies in the hulls.  The polyline on a hull, whose ends are grid
-    points, is the full one's part there, parameter by parameter (as
-    for turn points, see the module docstring), so the two hull
-    polylines, the second translated by t, meet in exactly the points,
-    parameter pairs and order that the full ones do: the report is the
-    whole sweep's.
+    Each curve is swept on the hull of its paired leaves
+    (`paths._leaf_hull`): from the first point of the lowest to the
+    last point of the highest, widened outward to its grid at n and
+    clipped to its window.  The hull holds s, as tau_a <= s < tau_a+1,
+    and so s': s' is the first grid point after s, and the widened end
+    is a grid point at or above tau_a+1, or the window's end.  So every
+    segment carrying a crossing lies in the hulls.  The polyline on a
+    hull, whose ends are grid points, is the full one's part there,
+    parameter by parameter (as for turn points, see the module
+    docstring), so the two hull polylines, the second translated by t,
+    meet in exactly the points, parameter pairs and order that the full
+    ones do: the report is the whole sweep's.  Leaves that hold both
+    ends of a window give the window itself.
     """
     probe = enc._probe
     p = probe.p
+    _checked_bounds(f, i, f.modulus(n))
+    _checked_bounds(g, j, g.modulus(n))
     # 2R * den = 5 * den * (2^n + 2^p) / 2^(n+p+1), rounded up
     reach = -(-5 * probe.den * ((1 << n) + (1 << p)) >> (n + p + 1))
     near = probe.f_idx.near_leaves(probe.g_idx, reach * reach)
     if not near:
-        _checked_bounds(f, i, f.modulus(n))
-        _checked_bounds(g, j, g.modulus(n))
         return _report([])
-    f_leaves, g_leaves = zip(*near)
-    return _sweep(
-        _hull_track(f, i, n, probe.f_sden, probe.f_snums, f_leaves),
-        _hull_track(g, j, n, probe.g_sden, probe.g_snums, g_leaves),
-    )
+    f_spans = probe.f_idx.spans(k for k, _ in near)
+    g_spans = probe.g_idx.spans(l for _, l in near)
+    f_hull = _leaf_hull(f, i, n, probe.f_sden, probe.f_snums, f_spans)
+    g_hull = _leaf_hull(g, j, n, probe.g_sden, probe.g_snums, g_spans)
+    return _sweep(_base_track(f, f_hull, n, None), _base_track(g, g_hull, n, None))
 
 
 def function_parity(

@@ -35,6 +35,7 @@ from .exact_geom import (
     Interval,
     Point,
     ceil_log2,
+    ceil_log2_ratio,
     interval,
     pow2,
     pt,
@@ -105,6 +106,15 @@ def _expanded(f, k0: int, k1: int, b: int, n: int) -> tuple[int, list[IntPoint]]
     return den, out
 
 
+# Largest integer form of a polyline, in bits: those of its vertex
+# denominator and its parameter scale together.  Every value of its grids
+# is computed from integers this large.  Against the anti-diagonal, a
+# polyline with parameters over distinct primes refined 16 rounds in
+# 1.8 s at 4025 bits (115 rows; the 300-row `scripts/table_spec.json`,
+# 26 bits, takes 0.8 s), while 1 202 rows, 61 455 bits, took 22 s for 2.
+MAX_FORM_BITS = 4096
+
+
 def _lipschitz_shift(l1_bound: Fraction) -> int:
     """Modulus offset from an L1 derivative bound (Euclidean <= L1)."""
     return ceil_log2(max(l1_bound, Fraction(1)))
@@ -136,7 +146,12 @@ class PolylinePath(PathOracle):
         self._pnums = pnums
         d, verts = points_over_lcm([z for _, z in cooked])
         spans = [p1 - p0 for p0, p1 in zip(pnums, pnums[1:])]
-        span_lcm = math.lcm(*spans)
+        # the forms' integers have the bits of the parameter scale and of
+        # vden = d * lcm(spans); the budget is checked as the lcm grows
+        budget = MAX_FORM_BITS - d.bit_length() - self._pscale.bit_length()
+        for span_lcm in accumulate(spans, math.lcm):
+            if span_lcm.bit_length() > budget:
+                raise ValueError(f"the samples' integers exceed {MAX_FORM_BITS} bits")
         self._vden = d * span_lcm
         segments = []
         slope = Fraction(0)
@@ -387,12 +402,15 @@ def _grid_bounds(lo: Fraction, hi: Fraction, md: int) -> tuple[int, int, int]:
     """(e, k0, k1): the grid of `dyadic_grid(lo, hi, md)` between its
     endpoints is k/2^e for k0 <= k <= k1.  Raises EffortExhausted for a
     grid of more than MAX_GRID_VERTICES points."""
-    if lo >= hi:
+    # hi - lo = width / wden, in the four integers of lo and hi
+    wden = lo.denominator * hi.denominator
+    width = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+    if width <= 0:
         raise ValueError("empty parameter interval")
     e = md + 1
     # the grid has (hi - lo) * 2^e + 1 to + 3 points, and 2^b <= (hi -
     # lo) * 2^e: its size is bounded from exponents before any shift
-    b = e - ceil_log2(1 / (hi - lo))
+    b = e - ceil_log2_ratio(wden, width)
     if b < _MAX_GRID_BITS:
         k0 = (lo.numerator << e) // lo.denominator + 1
         k1 = -((-hi.numerator << e) // hi.denominator) - 1
@@ -410,6 +428,25 @@ def _checked_bounds(f: PathOracle, i: Interval, md: int) -> tuple[int, int, int]
     if not f.domain.contains_interval(i):
         raise OutOfDomain(f"{i} is not inside {f.domain}")
     return _grid_bounds(i.lo, i.hi, md)
+
+
+def _leaf_hull(
+    f: PathOracle, w: Interval, n: int, sden: int, snums: Sequence[int], spans: list
+) -> Interval:
+    """The part of w that some leaves cover, widened to f's grid at n.
+
+    spans are the leaves' `BoxLevels.spans` in a hierarchy over f's
+    values at the parameters snums / sden, from w.lo to w.hi.  The part
+    runs from the first point of the first span to the last point of
+    the last, widened outward to points of f's grid at precision n (the
+    multiples of 2^-(f.modulus(n) + 1)) and clipped to w, so leaves
+    that hold both ends of w give w itself."""
+    e = f.modulus(n) + 1
+    lo, hi = snums[spans[0][0]], snums[spans[-1][1]]
+    return Interval(
+        max(w.lo, Fraction((lo << e) // sden, 1 << e)),
+        min(w.hi, Fraction(-((-hi << e) // sden), 1 << e)),
+    )
 
 
 def dyadic_grid(lo: Fraction, hi: Fraction, md: int) -> list[Fraction]:
@@ -464,7 +501,7 @@ def _run_ends(k0: int, pieces: list) -> tuple[list[int], list[IntPoint]]:
             k0 += len(piece)
         else:
             ka, kb, ax, bx, ay, by = piece
-            for k in (ka, kb)[: kb - ka + 1]:  # none, one or both ends
+            for k in (ka, kb)[: max(kb - ka + 1, 0)]:  # none, one or both ends
                 ks.append(k)
                 out.append((ax + bx * k, ay + by * k))
             k0 = max(k0, kb + 1)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from ._fastgeom import BoxLevels, pair_over_lcm, rescale
 from .errors import InvariantViolation, NotConverged, PreconditionViolated
@@ -50,6 +50,7 @@ from .paths import (
     _checked_bounds,
     _grid_bounds,
     _grid_params,
+    _leaf_hull,
     _turn_points,
     extend,
     grid_values,
@@ -149,21 +150,6 @@ def shrink_first(
     raise InvariantViolation("no low-distance run carries an odd crossing count")
 
 
-def _leaf_spans(leaves: Iterable[int], last: int) -> list[list[int]]:
-    """The maximal runs of some leaves of a `BoxLevels` over points 0 to
-    last, as point index spans [a, b]; leaf c holds points RUN*c to
-    RUN*c + RUN."""
-    run = BoxLevels.RUN
-    spans: list[list[int]] = []
-    for c in sorted(set(leaves)):
-        a, b = run * c, min(run * c + run, last)
-        if spans and spans[-1][1] == a:
-            spans[-1][1] = b
-        else:
-            spans.append([a, b])
-    return spans
-
-
 def _shrink_decisions(
     f: PathOracle, g: PathOracle, i: Interval, j: Interval, n: int
 ) -> tuple[int, list[int], list[tuple[int, int]], Callable[[int, int], Interval]]:
@@ -210,7 +196,8 @@ def _shrink_decisions(
     578u of x, and within 1094u of both ends of x's coarse f block.  A
     dual descent (`BoxLevels.near_leaves`) pairs coarse f's leaf boxes
     with coarse g's at most 1094u apart, and the decision grid is
-    evaluated only on each maximal run of paired coarse f leaves.  A
+    evaluated only on each maximal run of paired coarse f leaves
+    (`BoxLevels.spans`).  A
     second descent pairs the leaves of the evaluated values with coarse
     g's at most 578u apart, so a leaf holding x is paired with the
     coarse leaf holding that block.  Each maximal run of paired coarse g
@@ -227,7 +214,8 @@ def _shrink_decisions(
 
     stretch(a, b) is the hull of the coarse g leaves paired with the
     leaves of the values a+1 to b-1, widened outward to points of g's
-    grid at precision n+6 and clipped to j.  The parity check counts the
+    grid at precision n+6 and clipped to j (`paths._leaf_hull`, as the
+    window sweep near a probe has it).  The parity check counts the
     crossings of P, f's polyline on [s_a, s_b] at precision n+6, with Q,
     g's, translated by an infinitesimal t (`function_parity`).  Their
     base points lie within 4u of the curve, at grid points whose exact
@@ -258,15 +246,15 @@ def _shrink_decisions(
     )
     cf, cg, den = pair_over_lcm(cf_den, cfv, c_den, cv)
     reach = -(-1094 * den >> (n + 10))  # rounded up
-    cg_levels = BoxLevels(cg)
-    coarse_near = BoxLevels(cf).near_leaves(cg_levels, reach * reach)
+    cf_levels, cg_levels = BoxLevels(cf), BoxLevels(cg)
+    coarse_near = cf_levels.near_leaves(cg_levels, reach * reach)
 
     # f's decision values on each run of paired coarse leaves, the value
     # at position p being that of decision point ts[p]; coarse point c
     # is decision point fine[c]
     last = len(cfv) - 1
     fine = [0, *(((ck0 + c) << (e - ce)) - k0 + 1 for c in range(last - 1)), k]
-    spans = [(fine[a], fine[b]) for a, b in _leaf_spans((c for c, _ in coarse_near), last)]
+    spans = [(fine[a], fine[b]) for a, b in cf_levels.spans(c for c, _ in coarse_near)]
     pieces = [
         grid_values(f, *(Fraction(snums[t], sden) for t in ab), f_md, n + 9)[2:]
         for ab in spans
@@ -276,12 +264,12 @@ def _shrink_decisions(
     fv = [z for d, pv in pieces for z in rescale(pv, den // d)]
     ts = [t for a, b in spans for t in range(a, b + 1)]
     reach = -(-578 * den >> (n + 10))
-    run, last = BoxLevels.RUN, len(fv) - 1
-    near = BoxLevels(fv).near_leaves(cg_levels.scaled(m), reach * reach) if fv else []
+    fv_levels = BoxLevels(fv) if fv else None
+    near = fv_levels.near_leaves(cg_levels.scaled(m), reach * reach) if fv else []
 
     pieces = [
         _turn_points(g, Interval(*(Fraction(csnums[c], csden) for c in ab)), n + 9)[2:]
-        for ab in _leaf_spans((l for _, l in near), len(cv) - 1)
+        for ab in cg_levels.spans(l for _, l in near)
     ]
     p_den = math.lcm(den, *(d for d, _ in pieces))
     idxs = [BoxLevels(rescale(pv, p_den // d)) for d, pv in pieces]
@@ -291,7 +279,8 @@ def _shrink_decisions(
         x, y = fv[p]
         return any(idx.any_within(x * scale, y * scale, rn, rd) for idx in idxs)
 
-    tested = {p for fk, _ in near for p in range(run * fk, min(run * fk + run, last) + 1)}
+    f_spans = [fv_levels.span(fk) for fk, _ in near]
+    tested = {p for a, b in f_spans for p in range(a, b + 1)}
     for p in tested:
         if ts[p] in (0, k) and near_g(p, 513 * 513 * sq_scale, 4 ** (n + 10)):
             raise PreconditionViolated(
@@ -307,17 +296,11 @@ def _shrink_decisions(
 
     # each pair as the first and last decision point of its f leaf and
     # its coarse g leaf
-    leaf_pairs = [(ts[run * fk], ts[min(run * fk + run, last)], l) for fk, l in near]
-    e6 = g.modulus(n + 6) + 1
+    leaf_pairs = [(ts[a], ts[b], l) for (a, b), (_, l) in zip(f_spans, near)]
 
     def stretch(a: int, b: int) -> Interval:
         leaves = (l for t0, t1, l in leaf_pairs if t0 < b and t1 > a)
-        hull = _leaf_spans(leaves, len(cv) - 1)
-        lo, hi = csnums[hull[0][0]], csnums[hull[-1][1]]
-        return Interval(
-            max(j.lo, Fraction((lo << e6) // csden, 1 << e6)),
-            min(j.hi, Fraction(-((-hi << e6) // csden), 1 << e6)),
-        )
+        return _leaf_hull(g, j, n + 6, csden, csnums, cg_levels.spans(leaves))
 
     return sden, snums, runs, stretch
 

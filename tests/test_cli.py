@@ -37,6 +37,7 @@ from curvemeet.cli import (
 )
 from curvemeet.errors import SpecFileError
 from curvemeet.exact_geom import Interval
+from curvemeet.paths import MAX_FORM_BITS
 
 from gen import bent_table_spec
 
@@ -643,6 +644,43 @@ def test_table_rows_are_bounded(tmp_path: Path, capsys) -> None:
     assert isinstance(phi, TablePath)
     with pytest.raises(SpecFileError):
         parse_path_spec(_table_spec(MAX_TABLE_ROWS + 1, 3))
+
+
+def _prime_spec(rows: int, kind: str = "polyline") -> str:
+    """phi along x = y, with samples at t_k = (k+1)/(rows+2) + 1/(10 *
+    (rows+2) * p_k), p_k the k-th prime, between (0, 0) and (1, 1): the
+    parameter spans share few factors, so their lcm grows with every row."""
+    primes: list[int] = []
+    c = 2
+    while len(primes) < rows:
+        if all(c % q for q in primes if q * q <= c):
+            primes.append(c)
+        c += 1
+    ts = [F(k + 1, rows + 2) + F(1, 10 * (rows + 2) * p) for k, p in enumerate(primes)]
+    data = [[0, 0, 0], *([str(t)] * 3 for t in ts), [1, 1, 1]]
+    phi = {"type": kind, "data": data}
+    if kind == "table":
+        phi["modulus"] = 2
+    anti = {"type": "polyline", "data": [[0, 0, 1], [1, 1, 0]]}
+    return json.dumps({"phi": phi, "psi": anti})
+
+
+def test_polyline_forms_are_bounded(tmp_path: Path, capsys) -> None:
+    # 1 200 such rows gave a vertex denominator of 47 549 bits, and
+    # `intersect --iterations 2` took 20 s, 4 s of it parsing
+    spec = tmp_path / "spec.json"
+    spec.write_text(_prime_spec(1200), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["intersect", str(spec), "--iterations", "2"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "error: invalid path spec: the samples' integers exceed"
+        f" {MAX_FORM_BITS} bits\n"
+    )
+    with pytest.raises(SpecFileError, match="integers exceed"):
+        parse_path_spec(_prime_spec(MAX_TABLE_ROWS - 2, "table"))
+    phi, _ = parse_path_spec(_prime_spec(25))
+    assert phi._vden.bit_length() + phi._pscale.bit_length() <= MAX_FORM_BITS
 
 
 def test_the_benchmark_table_spec_is_the_generated_one() -> None:

@@ -118,6 +118,24 @@ def test_kept_points_are_an_in_order_subsequence_with_the_same_ends(name) -> Non
                 assert ks == fs  # no runs: every base point is kept
 
 
+@pytest.mark.parametrize("f", (EXT_ZIGZAG, EXT_CURVED), ids=("zigzag", "curved"))
+def test_windows_ending_two_grid_steps_from_a_tail_keep_no_point_beyond(f) -> None:
+    # with b = 2^(modulus(n) + 1), a window from 3/(2b) leaves its left
+    # tail the run of indices 2 to 0, and one up to 1 - 1/b its right
+    # tail the run b to b - 2; each once gave a point beyond the window
+    for n in PRECISIONS:
+        b = 2 ** (f.modulus(n) + 1)
+        for iv in (
+            Interval(Fraction(3, 2 * b), Fraction(1, 2)),
+            Interval(Fraction(1, 2), 1 - Fraction(1, b)),
+            Interval(Fraction(3, 2 * b), 1 - Fraction(1, b)),
+        ):
+            ks, kv, fs, fv = _both(f, iv, n)
+            full = dict(zip(fs, fv))
+            assert ks == sorted(set(ks)), (iv, n)
+            assert [full[s] for s in ks] == list(kv), (iv, n)
+
+
 @pytest.mark.parametrize("name", sorted(ORACLES))
 def test_every_full_point_lies_on_the_kept_polyline_at_its_parameter(name) -> None:
     # between kept neighbours a and b the full point at parameter s is
