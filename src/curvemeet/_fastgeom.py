@@ -63,38 +63,18 @@ def seg_point_sqdist(
     return (vx * vx + vy * vy) * ww - dot * dot, ww
 
 
-def _in_box(ax: int, ay: int, bx: int, by: int, px: int, py: int) -> bool:
-    lox, hix = (ax, bx) if ax <= bx else (bx, ax)
-    loy, hiy = (ay, by) if ay <= by else (by, ay)
-    return lox <= px <= hix and loy <= py <= hiy
-
-
-def segments_intersect(
+def seg_seg_sqdist(
     ax: int, ay: int, bx: int, by: int, cx: int, cy: int, dx: int, dy: int
-) -> bool:
-    """Closed-segment intersection test on integer coordinates."""
+) -> tuple[int, int]:
+    """Squared distance between two closed segments, as num/den: 0 where
+    each strictly separates the other's endpoints, else the least
+    distance from an endpoint of one to the other, which is 0 where
+    they touch or overlap."""
     o1 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     o2 = (bx - ax) * (dy - ay) - (by - ay) * (dx - ax)
     o3 = (dx - cx) * (ay - cy) - (dy - cy) * (ax - cx)
     o4 = (dx - cx) * (by - cy) - (dy - cy) * (bx - cx)
-    if ((o1 > 0) != (o2 > 0)) and o1 != 0 and o2 != 0:
-        if ((o3 > 0) != (o4 > 0)) and o3 != 0 and o4 != 0:
-            return True
-    if o1 == 0 and _in_box(ax, ay, bx, by, cx, cy):
-        return True
-    if o2 == 0 and _in_box(ax, ay, bx, by, dx, dy):
-        return True
-    if o3 == 0 and _in_box(cx, cy, dx, dy, ax, ay):
-        return True
-    if o4 == 0 and _in_box(cx, cy, dx, dy, bx, by):
-        return True
-    return False
-
-
-def seg_seg_sqdist(
-    ax: int, ay: int, bx: int, by: int, cx: int, cy: int, dx: int, dy: int
-) -> tuple[int, int]:
-    if segments_intersect(ax, ay, bx, by, cx, cy, dx, dy):
+    if o1 * o2 < 0 and o3 * o4 < 0:
         return 0, 1
     cands = (
         seg_point_sqdist(ax, ay, bx, by, cx, cy),

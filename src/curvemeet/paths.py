@@ -53,21 +53,21 @@ _EXTENDED_DOMAIN = interval(-1, 2)
 class PathOracle(ABC):
     """A curve known through approximations and a continuity modulus.
 
-    The builtin oracles compute their curve in one place, `eval_grid(k0,
-    k1, b, n)`: the values at every k/b for k0 <= k <= k1, as integer
-    numerators over one denominator they state; their `eval_approx` is
-    the one-point grid.  Track construction uses `eval_grid` where
-    present; any other curve is evaluated point by point through
-    `eval_approx` (see `grid_points`).
+    An oracle needs only `domain`, `eval_approx` and `modulus`.  It may
+    also give a whole grid at once, `eval_runs(k0, k1, b, n)` for k0 <=
+    k1: the values at precision n at every k/b for k0 <= k <= k1, as a
+    denominator that b divides and, in grid order, pieces over it:
+    straight runs (k_a, k_b, ax, bx, ay, by), whose value at k/b for
+    k_a <= k <= k_b is (ax + bx*k, ay + by*k) (none if k_a > k_b), and
+    lists holding the values of any other stretch.
 
-    An oracle may also state its grid as pieces, `eval_runs(k0, k1, b,
-    n)`: a denominator that b divides and, in grid order, straight runs
-    (k_a, k_b, ax, bx, ay, by), whose value at k/b for k_a <= k <= k_b
-    is (ax + bx*k, ay + by*k) (none if k_a > k_b), and lists holding the
-    values of any other stretch.  The piecewise-linear oracles do, and
-    expand their `eval_grid` from it; distance queries and the parity
-    sweep then get only the ends of each run (`_turn_points`).  Other
-    oracles are one list of all their grid values (`grid_runs`).
+    The builtin oracles compute their curve in `eval_runs` alone: the
+    piecewise-linear ones as one run per segment, the Bezier as one
+    list.  Their `eval_approx` is the one-point grid (`_one_point`).
+    `grid_runs` is the one dispatcher: it reads `eval_runs` where
+    present and evaluates any other curve point by point through
+    `eval_approx`; `grid_points` expands its pieces.  Distance queries
+    and the parity sweep get only the ends of each run (`_turn_points`).
     """
 
     @property
@@ -88,30 +88,20 @@ def _out_of_domain(t: Fraction, domain: Interval) -> OutOfDomain:
 
 
 def _one_point(f: PathOracle, t: Fraction, n: int) -> Point:
-    """The value at t of an oracle with `eval_grid`: its one-point grid."""
-    den, [(x, y)] = f.eval_grid(t.numerator, t.numerator, t.denominator, n)
+    """The value at t of an oracle with `eval_runs`: its one-point grid."""
+    den, [(x, y)] = grid_points(f, t.numerator, t.numerator, t.denominator, n)
     return Point(Fraction(x, den), Fraction(y, den))
 
 
-def _expanded(f, k0: int, k1: int, b: int, n: int) -> tuple[int, list[IntPoint]]:
-    """`eval_grid` of an oracle with `eval_runs`: every value of its pieces."""
-    den, pieces = f.eval_runs(k0, k1, b, n)
-    out: list[IntPoint] = []
-    for piece in pieces:
-        if isinstance(piece, list):
-            out += piece
-        else:
-            ka, kb, ax, bx, ay, by = piece
-            out += [(ax + bx * k, ay + by * k) for k in range(ka, kb + 1)]
-    return den, out
-
-
-# Largest integer form of a polyline, in bits: those of its vertex
-# denominator and its parameter scale together.  Every value of its grids
-# is computed from integers this large.  Against the anti-diagonal, a
+# Largest integer form of a path, in bits: for a polyline those of its
+# vertex denominator and its parameter scale together, for a Bezier its
+# control points' common denominator.  Every value of its grids is
+# computed from integers this large.  Against the anti-diagonal, a
 # polyline with parameters over distinct primes refined 16 rounds in
 # 1.8 s at 4025 bits (115 rows; the 300-row `scripts/table_spec.json`,
-# 26 bits, takes 0.8 s), while 1 202 rows, 61 455 bits, took 22 s for 2.
+# 26 bits, takes 0.6 s), while 1 202 rows, 61 455 bits, took 22 s for 2.
+# A Bezier pair refined 16 rounds in 21 s at 3 978 bits (5 s at 1 320),
+# while 26 567 bits took 64 s for 2.
 MAX_FORM_BITS = 4096
 
 
@@ -178,8 +168,7 @@ class PolylinePath(PathOracle):
     def domain(self) -> Interval:
         return self._domain
 
-    def eval_approx(self, t: Fraction, n: int) -> Point:
-        return _one_point(self, t, n)
+    eval_approx = _one_point
 
     def eval_runs(self, k0: int, k1: int, b: int, n: int) -> tuple[int, list]:
         """The grid as one straight run per segment it meets."""
@@ -201,8 +190,6 @@ class PolylinePath(PathOracle):
             i += 1
         return self._vden * b, runs
 
-    eval_grid = _expanded
-
     def modulus(self, n: int) -> int:
         return n + self._shift
 
@@ -217,6 +204,10 @@ class QuadBezierPath(PathOracle):
     def __init__(self, p0: Point, p1: Point, p2: Point):
         self.p0, self.p1, self.p2 = p0, p1, p2
         self._den, self._ints = over_lcm([p0.x, p1.x, p2.x, p0.y, p1.y, p2.y])
+        if self._den.bit_length() > MAX_FORM_BITS:
+            raise ValueError(
+                f"the control points' integers exceed {MAX_FORM_BITS} bits"
+            )
         d1, d2 = p1 - p0, p2 - p1
         bound = 2 * max(abs(d1.x) + abs(d1.y), abs(d2.x) + abs(d2.y))
         self._shift = _lipschitz_shift(Fraction(bound))
@@ -225,10 +216,10 @@ class QuadBezierPath(PathOracle):
     def domain(self) -> Interval:
         return _UNIT_DOMAIN
 
-    def eval_approx(self, t: Fraction, n: int) -> Point:
-        return _one_point(self, t, n)
+    eval_approx = _one_point
 
-    def eval_grid(self, k0: int, k1: int, b: int, n: int) -> tuple[int, list[IntPoint]]:
+    def eval_runs(self, k0: int, k1: int, b: int, n: int) -> tuple[int, list]:
+        """The grid as one list piece."""
         if k0 < 0 or k1 > b:
             raise _out_of_domain(Fraction(k0 if k0 < 0 else k1, b), _UNIT_DOMAIN)
         # at t = k/b the numerator over den*b^2, x0*(b-k)^2 + 2k(b-k)*x1 +
@@ -237,7 +228,7 @@ class QuadBezierPath(PathOracle):
         count = k1 - k0 + 1
         xs = _quadratic_run(x0 * b * b, 2 * b * (x1 - x0), x0 - 2 * x1 + x2, k0, count)
         ys = _quadratic_run(y0 * b * b, 2 * b * (y1 - y0), y0 - 2 * y1 + y2, k0, count)
-        return self._den * b * b, list(islice(zip(xs, ys), max(count, 0)))
+        return self._den * b * b, [list(islice(zip(xs, ys), count))]
 
     def modulus(self, n: int) -> int:
         return n + self._shift
@@ -299,19 +290,22 @@ class TablePath(PolylinePath):
         if any(m1 <= m0 for m0, m1 in zip(mods, mods[1:])):
             raise PreconditionViolated("modulus is not increasing")
         windows = [-(-self._pscale >> m) for m in mods]
-        entries, pnums = self._entries, self._pnums
-        for i, (ti, zi) in enumerate(entries):
-            for j in range(i + 1, len(entries)):
+        # the samples as integers over d: |zj - zi|^2 is sq / d^2
+        d, verts = points_over_lcm([z for _, z in self._entries])
+        dd, pnums = d * d, self._pnums
+        for i, (xi, yi) in enumerate(verts):
+            for j in range(i + 1, len(verts)):
                 span = pnums[j] - pnums[i]
                 if span >= windows[0]:
                     break
-                tj, zj = entries[j]
-                sq = (zj - zi).sq_norm()
+                xj, yj = verts[j]
+                sq = (xj - xi) ** 2 + (yj - yi) ** 2
                 if sq == 0:
                     continue
-                # smallest n >= 0 with 4^-n <= sq
-                n = max(0, (ceil_log2(1 / sq) + 1) // 2)
+                # smallest n >= 0 with 4^-n <= sq / d^2
+                n = max(0, (ceil_log2_ratio(dd, sq) + 1) // 2)
                 if n < _MODULUS_CHECKS and span < windows[n]:
+                    ti, tj = self._entries[i][0], self._entries[j][0]
                     raise PreconditionViolated(
                         f"samples at {ti} and {tj} refute the modulus at n={n}"
                     )
@@ -324,14 +318,10 @@ class Side(enum.Enum):
     UPPER = "upper"  # enters at (0,1) along y=1, leaves from (1,0) along y=0
 
 
+# the left and right tails run at the heights of these corners
 _CORNERS = {
     Side.LOWER: (pt(0, 0), pt(1, 1)),
     Side.UPPER: (pt(0, 1), pt(1, 0)),
-}
-# heights of the left and right tails
-_TAIL_Y = {
-    Side.LOWER: (Fraction(0), Fraction(1)),
-    Side.UPPER: (Fraction(1), Fraction(0)),
 }
 
 
@@ -346,8 +336,7 @@ class ExtendedPath(PathOracle):
     def domain(self) -> Interval:
         return _EXTENDED_DOMAIN
 
-    def eval_approx(self, t: Fraction, n: int) -> Point:
-        return _one_point(self, t, n)
+    eval_approx = _one_point
 
     def eval_runs(self, k0: int, k1: int, b: int, n: int) -> tuple[int, list]:
         """The grid as a straight run per tail and the inner curve's
@@ -357,11 +346,9 @@ class ExtendedPath(PathOracle):
         den, inner = grid_runs(self.inner, max(k0, 1), min(k1, b - 1), b, n)
         step = den // b
         # on a tail of height y the value at k/b is (k * step, y * den)
-        left, right = (y.numerator * den for y in _TAIL_Y[self.side])
+        left, right = (z.y.numerator * den for z in _CORNERS[self.side])
         tails = (k0, min(k1, 0), 0, step, left, 0), (max(k0, b), k1, 0, step, right, 0)
         return den, [tails[0], *inner, tails[1]]
-
-    eval_grid = _expanded
 
     def modulus(self, n: int) -> int:
         # one extra bit pays for parameter pairs straddling a junction:
@@ -458,35 +445,40 @@ def dyadic_grid(lo: Fraction, hi: Fraction, md: int) -> list[Fraction]:
     return [lo, *(Fraction(k, 1 << e) for k in range(k0, k1 + 1)), hi]
 
 
-def grid_points(
-    f: PathOracle, k0: int, k1: int, b: int, n: int
-) -> tuple[int, list[IntPoint]]:
-    """Values of f at precision n at k/b for k0 <= k <= k1, as integer
-    numerators over one denominator.
+def grid_runs(f: PathOracle, k0: int, k1: int, b: int, n: int) -> tuple[int, list]:
+    """Values of f at precision n at k/b for k0 <= k <= k1, as pieces
+    over a denominator that b divides (see `PathOracle`): those of
+    `eval_runs` where f has it, else one list (none for k0 > k1).
 
-    This is the one place where a curve without `eval_grid` (a user
+    This is the one place where a curve without `eval_runs` (a user
     oracle that has only `eval_approx`, `modulus` and `domain`) is
     evaluated, point by point.
     """
     if k0 > k1:
-        return 1, []
-    eval_grid = getattr(f, "eval_grid", None)
-    if eval_grid is not None:
-        return eval_grid(k0, k1, b, n)
-    values = [f.eval_approx(Fraction(k, b), n) for k in range(k0, k1 + 1)]
-    return points_over_lcm(values)
-
-
-def grid_runs(f: PathOracle, k0: int, k1: int, b: int, n: int) -> tuple[int, list]:
-    """`grid_points` as pieces (see `PathOracle`): those of `eval_runs`
-    where f has it, else one list of all the values over a denominator
-    that b divides."""
+        return b, []
     eval_runs = getattr(f, "eval_runs", None)
-    if eval_runs is not None and k0 <= k1:
+    if eval_runs is not None:
         return eval_runs(k0, k1, b, n)
-    den, values = grid_points(f, k0, k1, b, n)
+    values = [f.eval_approx(Fraction(k, b), n) for k in range(k0, k1 + 1)]
+    den, values = points_over_lcm(values)
     m = math.lcm(den, b) // den
     return den * m, [rescale(values, m)]
+
+
+def grid_points(
+    f: PathOracle, k0: int, k1: int, b: int, n: int
+) -> tuple[int, list[IntPoint]]:
+    """`grid_runs` with every piece expanded: the values as integer
+    numerators over one denominator."""
+    den, pieces = grid_runs(f, k0, k1, b, n)
+    out: list[IntPoint] = []
+    for piece in pieces:
+        if isinstance(piece, list):
+            out += piece
+        else:
+            ka, kb, ax, bx, ay, by = piece
+            out += [(ax + bx * k, ay + by * k) for k in range(ka, kb + 1)]
+    return den, out
 
 
 def _run_ends(k0: int, pieces: list) -> tuple[list[int], list[IntPoint]]:

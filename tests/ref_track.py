@@ -21,6 +21,10 @@ list into the runs that `refine._shrink_decisions` returns.
 clearance probes, the parity sweep and the distance sides of the shrink
 step and `verify_certificate` read them before they kept only the ends
 of straight runs (`paths._turn_points`).
+
+`ref_validate` is `TablePath.validate` with each sample pair's squared
+distance in `Fraction` arithmetic, as it was before it read the samples'
+integer numerators.
 """
 
 from __future__ import annotations
@@ -32,9 +36,15 @@ from typing import Callable
 from curvemeet import Track, dyadic_grid, n_approximation, pow2, sqrt_enclosure
 from curvemeet._fastgeom import BoxLevels, pair_over_lcm
 from curvemeet.errors import InvariantViolation, PreconditionViolated
-from curvemeet.exact_geom import Line, Point, orient
+from curvemeet.exact_geom import Line, Point, ceil_log2, orient
 from curvemeet.parity import AlphaEnclosure
-from curvemeet.paths import _base_points, _turn_points, grid_values
+from curvemeet.paths import (
+    _MODULUS_CHECKS,
+    TablePath,
+    _base_points,
+    _turn_points,
+    grid_values,
+)
 from curvemeet.track import SPIRAL_LEVELS, common_verts, line_set, vertex_set
 
 
@@ -235,3 +245,28 @@ def low_runs(low):
                 t += 1
             yield a, t
         t += 1
+
+
+def ref_validate(path: TablePath) -> None:
+    """`TablePath.validate` on `Fraction` samples: PreconditionViolated
+    with the same message, or None."""
+    mods = [path.modulus(n) for n in range(_MODULUS_CHECKS + 1)]
+    if any(m1 <= m0 for m0, m1 in zip(mods, mods[1:])):
+        raise PreconditionViolated("modulus is not increasing")
+    windows = [-(-path._pscale >> m) for m in mods]
+    entries, pnums = path.entries, path._pnums
+    for i, (ti, zi) in enumerate(entries):
+        for j in range(i + 1, len(entries)):
+            span = pnums[j] - pnums[i]
+            if span >= windows[0]:
+                break
+            tj, zj = entries[j]
+            sq = (zj - zi).sq_norm()
+            if sq == 0:
+                continue
+            # smallest n >= 0 with 4^-n <= sq
+            n = max(0, (ceil_log2(1 / sq) + 1) // 2)
+            if n < _MODULUS_CHECKS and span < windows[n]:
+                raise PreconditionViolated(
+                    f"samples at {ti} and {tj} refute the modulus at n={n}"
+                )

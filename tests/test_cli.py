@@ -683,6 +683,39 @@ def test_polyline_forms_are_bounded(tmp_path: Path, capsys) -> None:
     assert phi._vden.bit_length() + phi._pscale.bit_length() <= MAX_FORM_BITS
 
 
+def _wide_bezier_spec(digits: int) -> str:
+    """Bezier corner paths over the digits-digit integers q_k = k33...3,
+    with h_k = (q_k // 2) / q_k: phi's control points have the common
+    denominator lcm(q1, q2, q3, q6), psi's lcm(q4, q5)."""
+    q = {k: int(str(k) + "3" * (digits - 1)) for k in range(1, 7)}
+    h = {k: f"{q[k] // 2}/{q[k]}" for k in q}
+    phi = [[f"1/{q[1]}", 0], [h[2], h[3]], [f"{q[6] - 1}/{q[6]}", 1]]
+    psi = [[0, 1], [h[4], h[5]], [1, 0]]
+    return json.dumps(
+        {
+            "phi": {"type": "quad_bezier", "data": phi},
+            "psi": {"type": "quad_bezier", "data": psi},
+        }
+    )
+
+
+def test_bezier_forms_are_bounded(tmp_path: Path, capsys) -> None:
+    # with 2 000-digit q_k (26 567 bits for phi), `intersect --iterations
+    # 2` took 64 s and 175 MB
+    spec = tmp_path / "spec.json"
+    spec.write_text(_wide_bezier_spec(2000), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["intersect", str(spec), "--iterations", "2"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "error: invalid path spec: the control points' integers exceed"
+        f" {MAX_FORM_BITS} bits\n"
+    )
+    phi, psi = parse_path_spec(_wide_bezier_spec(300))
+    assert isinstance(phi, QuadBezierPath) and isinstance(psi, QuadBezierPath)
+    assert 3900 < phi._den.bit_length() <= MAX_FORM_BITS
+
+
 def test_the_benchmark_table_spec_is_the_generated_one() -> None:
     # `scripts/bench_refine.py --spec` times this file
     path = Path(__file__).parents[1] / "scripts" / "table_spec.json"

@@ -50,7 +50,7 @@ from curvemeet._fastgeom import BoxLevels, canonical_lines, rescale
 from curvemeet.cli import emit_certificate
 from curvemeet.errors import NotConverged
 from curvemeet.exact_geom import Interval, Point
-from curvemeet.paths import _base_points, grid_points, grid_values
+from curvemeet.paths import _base_points, grid_points, grid_runs, grid_values
 from curvemeet.track import separated_vertices, spiral_search
 
 from ref_track import ref_separated_points, ref_spiral_search
@@ -194,6 +194,27 @@ ORACLES = {
 }
 
 
+class DuckCurve:
+    """A curve with nothing but eval_approx, modulus and domain."""
+
+    def __init__(self, twin):
+        self._twin = twin
+        self.domain = twin.domain
+
+    def eval_approx(self, t, n):
+        return self._twin.eval_approx(t, n)
+
+    def modulus(self, n):
+        return self._twin.modulus(n)
+
+
+# every oracle above, and one that the grid code evaluates point by point
+GRID_ORACLES = {
+    **ORACLES,
+    "duck_ext_bezier_phi_lower": DuckCurve(ORACLES["ext_bezier_phi_lower"]),
+}
+
+
 def windows(f) -> list[Interval]:
     """The full domain, windows with endpoints 1/3 and on a 1/24 grid,
     and one window inside a single grid cell."""
@@ -211,17 +232,47 @@ def windows(f) -> list[Interval]:
     return out
 
 
-@pytest.mark.parametrize("name", sorted(ORACLES))
+def run_values(k0: int, pieces: list) -> list[tuple[int, tuple[int, int]]]:
+    """(k, value) for each grid index k that `grid_runs` pieces starting
+    at index k0 cover, checking that they cover consecutive indices."""
+    out = []
+    for piece in pieces:
+        if isinstance(piece, list):
+            out += zip(range(k0, k0 + len(piece)), piece)
+            k0 += len(piece)
+        else:
+            ka, kb, ax, bx, ay, by = piece
+            if ka <= kb:
+                assert ka == k0
+                out += ((k, (ax + bx * k, ay + by * k)) for k in range(ka, kb + 1))
+                k0 = kb + 1
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GRID_ORACLES))
 def test_dyadic_values_match_eval_approx(name: str) -> None:
-    # dyadic grids as the tracks use them, and grids k/b for other b
-    f = ORACLES[name]
+    # dyadic grids as the tracks use them, and grids k/b for other b,
+    # as one list of values and as the pieces of `grid_runs`
+    f = GRID_ORACLES[name]
     lo, hi = f.domain.lo, f.domain.hi
     for b in (1, 2, 8, 64, 3, 10, 35):
         k_lo, k_hi = math.ceil(lo * b), math.floor(hi * b)
-        for k0, k1 in ((k_lo, k_hi), (k_lo + 1, k_hi - 1), (k_hi, k_hi), (k_lo, k_lo)):
+        for k0, k1 in (
+            (k_lo, k_hi),
+            (k_lo + 1, k_hi - 1),
+            (k_hi, k_hi),
+            (k_lo, k_lo),
+            (k_lo + 1, k_lo),  # empty
+        ):
             den, values = grid_points(f, k0, k1, b, 7)
             assert len(values) == max(0, k1 - k0 + 1)
             for k, (x, y) in zip(range(k0, k1 + 1), values):
+                assert Point(F(x, den), F(y, den)) == f.eval_approx(F(k, b), 7), (b, k)
+            den, pieces = grid_runs(f, k0, k1, b, 7)
+            assert den % b == 0
+            runs = run_values(k0, pieces)
+            assert [k for k, _ in runs] == list(range(k0, k1 + 1))
+            for k, (x, y) in runs:
                 assert Point(F(x, den), F(y, den)) == f.eval_approx(F(k, b), 7), (b, k)
         for k in (k_lo - 1, k_hi + 1):
             with pytest.raises(OutOfDomain):
@@ -503,24 +554,10 @@ def test_eval_track_matches_fraction_interpolation(t: Fraction) -> None:
 # ---------------------------------------------------------- duck typing
 
 
-class DuckCurve:
-    """A curve with nothing but eval_approx, modulus and domain."""
-
-    def __init__(self, twin):
-        self._twin = twin
-        self.domain = twin.domain
-
-    def eval_approx(self, t, n):
-        return self._twin.eval_approx(t, n)
-
-    def modulus(self, n):
-        return self._twin.modulus(n)
-
-
 @pytest.mark.parametrize("pair", [curved_pair, diagonal_pair])
 def test_duck_typed_curves_certify_like_their_builtin_twins(pair) -> None:
     phi, psi = pair()
-    assert not hasattr(DuckCurve(phi), "eval_grid")
+    assert not hasattr(DuckCurve(phi), "eval_runs")
     want = emit_certificate(refine_sequence(phi, psi, 2), {})
     got = emit_certificate(refine_sequence(DuckCurve(phi), DuckCurve(psi), 2), {})
     assert got == want

@@ -29,7 +29,7 @@ from curvemeet import (
 from curvemeet._fastgeom import over_lcm
 from curvemeet.errors import OutOfDomain
 from curvemeet.exact_geom import Point
-from curvemeet.paths import ExtendedPath
+from curvemeet.paths import ExtendedPath, grid_points
 
 F = Fraction
 TINY = F(1, 2**60)
@@ -182,7 +182,7 @@ def test_random_parameters_match_reference(t: Fraction) -> None:
 
 
 def ref_horner_grid(path: QuadBezierPath, k0: int, k1: int, b: int):
-    """`QuadBezierPath.eval_grid` as a Horner list comprehension: per
+    """`QuadBezierPath.eval_runs` expanded, as a Horner list comprehension: per
     axis c0 + k*(c1 + k*c2) over den*b^2 at every k/b."""
     den, (x0, x1, x2, y0, y1, y2) = over_lcm(
         [path.p0.x, path.p1.x, path.p2.x, path.p0.y, path.p1.y, path.p2.y]
@@ -209,6 +209,6 @@ def test_bezier_grid_matches_horner_reference(control, b, start, count) -> None:
     path = QuadBezierPath(*(pt(x, y) for x, y in control))
     k0 = min(int(start * b), b)
     k1 = min(k0 + count - 1, b)
-    assert path.eval_grid(k0, k1, b, 30) == ref_horner_grid(path, k0, k1, b)
-    assert path.eval_grid(k0, k0, b, 30) == ref_horner_grid(path, k0, k0, b)
-    assert path.eval_grid(k0 + 1, k0, b, 30) == (path.eval_grid(k0, k0, b, 30)[0], [])
+    assert grid_points(path, k0, k1, b, 30) == ref_horner_grid(path, k0, k1, b)
+    assert grid_points(path, k0, k0, b, 30) == ref_horner_grid(path, k0, k0, b)
+    assert grid_points(path, k0 + 1, k0, b, 30)[1] == []

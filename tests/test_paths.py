@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from ref_track import ref_validate
 
 from curvemeet import (
     EndpointViolation,
@@ -118,6 +119,49 @@ def test_table_validation_matches_all_pairs_reference() -> None:
                 path.validate()
             assert str(err.value) == want, trial
     assert verdicts == {True, False}
+
+
+def _outcome(check) -> str | None:
+    """The PreconditionViolated message of check(), or None if it passes."""
+    try:
+        check()
+    except PreconditionViolated as exc:
+        return str(exc)
+    return None
+
+
+def test_table_validation_matches_the_fraction_loop() -> None:
+    # random tables with pauses (repeated samples), plain offsets and
+    # modulus functions, some of those not increasing (some only beyond
+    # the checked precisions)
+    rng = random.Random(11)
+    outcomes = set()
+    for trial in range(300):
+        rows = rng.randint(2, 40)
+        params = sorted(rng.sample(range(1, 50 * rows), rows))
+        pden = rng.choice((50 * rows, 3 * 2**20, 7**9))
+        vden = rng.choice((1, 12, 2**30, 3**15))
+        entries, z = [], pt(0, 0)
+        for k in params:
+            entries.append((Fraction(k, pden), z))
+            if rng.random() < 0.7:  # else the curve pauses
+                dx, dy = rng.randint(-9, 9), rng.randint(-9, 9)
+                z = z + pt(Fraction(dx, vden), Fraction(dy, vden))
+        kind = rng.randrange(3)
+        if kind == 0:
+            path = TablePath(entries, modulus_offset=rng.randint(0, 40))
+        else:
+            steps = [rng.randint(1, 3) for _ in range(100)]
+            if kind == 2:  # one step that does not increase
+                steps[rng.randrange(80)] = rng.randint(-2, 0)
+            mods = [rng.randint(0, 30)]
+            for step in steps:
+                mods.append(mods[-1] + step)
+            path = TablePath(entries, modulus_fn=mods.__getitem__)
+        want = _outcome(lambda: ref_validate(path))
+        assert _outcome(path.validate) == want, trial
+        outcomes.add(want if want is None else want.split()[0])
+    assert outcomes == {None, "samples", "modulus"}
 
 
 @given(st.integers(min_value=0, max_value=30))

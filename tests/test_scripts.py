@@ -24,6 +24,7 @@ RUNS = [
     ["profile_round.py", "windows", "--seed", "1", "--top", "1"],
     ["parity_grid.py", "--pair", "diagonals", "--cells", "2"],
     ["refine_demo.py", "--pair", "diagonals", "--iterations", "2"],
+    ["src_lines.py"],
 ]
 
 
