@@ -2,8 +2,10 @@
 
 A code line holds some token other than a comment; docstrings (the
 string that opens a module, class or function) and blank lines are not
-code.  Prints one line per module of src/curvemeet and the total, the
-figure that CHANGES.md quotes for each change:
+code.  Prints one line per module of src/curvemeet, the total, and the
+`pipeline` total of the modules that `import curvemeet.cli` loads (found
+in a fresh interpreter that imports the package from the parent of
+--src), the figures that CHANGES.md quotes for each change:
 
     python scripts/src_lines.py [--src DIR]
 """
@@ -13,6 +15,8 @@ from __future__ import annotations
 import argparse
 import ast
 import io
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -47,17 +51,40 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def pipeline_modules(src: Path) -> set[str]:
+    """The file names of the modules of package src that importing its
+    cli module loads, in a fresh isolated interpreter."""
+    code = (
+        "import importlib, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "importlib.import_module(sys.argv[2] + '.cli')\n"
+        "for name, mod in list(sys.modules.items()):\n"
+        "    if name.split('.')[0] == sys.argv[2]:\n"
+        "        print(mod.__file__)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(src.resolve().parent), src.name],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return {Path(line).name for line in out.splitlines()}
+
+
 def main() -> None:
     default = Path(__file__).resolve().parents[1] / "src" / "curvemeet"
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=default, help="package directory")
     args = parser.parse_args()
-    total = 0
+    loaded = pipeline_modules(args.src)
+    total = pipeline = 0
     for path in sorted(args.src.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
+        pipeline += count if path.name in loaded else 0
         print(f"{path.name:<16} {count:>6}")
     print(f"{'total':<16} {total:>6}")
+    print(f"{'pipeline':<16} {pipeline:>6}")
 
 
 if __name__ == "__main__":

@@ -5,8 +5,14 @@ Given two continuous corner-to-corner paths of the unit square, one from
 approximations with a continuity modulus, this package computes nested
 rational parameter intervals certified to contain a crossing, using only
 exact integer arithmetic in every decision.
+
+The paper's separated-track construction (module `track`) is loaded on
+first use of `track` or of one of its names below, not on import.
 """
 
+import importlib
+
+from ._fastgeom import Track
 from .errors import (
     CurveMeetError,
     EffortExhausted,
@@ -45,7 +51,6 @@ from .parity import (
     CrossingReport,
     alpha_enclosure,
     certify_alpha,
-    crossing_count,
     function_parity,
     working_precision,
 )
@@ -60,8 +65,6 @@ from .paths import (
     diagonal_pair,
     dyadic_grid,
     extend,
-    n_approximation,
-    n_approximation_pair,
 )
 from .refine import (
     Certificate,
@@ -72,14 +75,6 @@ from .refine import (
     shrink_first,
     shrink_pair,
     verify_certificate,
-)
-from .track import (
-    Track,
-    eval_track,
-    make_track,
-    perturb_to_separated,
-    sup_track_distance,
-    weakly_separated,
 )
 
 __version__ = "0.1.0"
@@ -144,7 +139,23 @@ __all__ = [
     "sq_dist_segment_segment",
     "sqrt_enclosure",
     "sup_track_distance",
+    "track",
     "verify_certificate",
     "weakly_separated",
     "working_precision",
 ]
+
+# the names of `track`, which is imported on first use (PEP 562)
+_TRACK_NAMES = frozenset(
+    "crossing_count eval_track make_track n_approximation n_approximation_pair"
+    " perturb_to_separated sup_track_distance weakly_separated".split()
+)
+
+
+def __getattr__(name: str):
+    # importlib, not `from . import track`: that statement looks the
+    # submodule up as an attribute first and would land here again
+    if name == "track" or name in _TRACK_NAMES:
+        track = importlib.import_module(".track", __name__)
+        return track if name == "track" else getattr(track, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,7 +3,7 @@
 Rational coordinates are rescaled once to a common integer grid; sign
 tests, window queries and squared distances then run on plain ints.
 Results are exact: this is a representation change, not an
-approximation.  Squared distances appear as (num, den) pairs because the
+approximation.  `Track` holds a polygon track in these forms.  Squared distances appear as (num, den) pairs because the
 projection case divides by a segment's squared length.
 """
 
@@ -45,6 +45,88 @@ def pair_over_lcm(
     denominator den = lcm(a_den, b_den): (a, b, den)."""
     den = math.lcm(a_den, b_den)
     return rescale(a, den // a_den), rescale(b, den // b_den), den
+
+
+class Track:
+    """A polygon track held in integers, the operand of the crossing sweep.
+
+    Parameter k is snums[k] / sden and vertex k is verts[k] / vden, the
+    forms of `over_lcm` and `points_over_lcm`, so the sign tests and the
+    sweep read the integers directly.  `entries`, `params` and `points`
+    are `Fraction` views built on demand, for tests and the API.
+
+    `Track(entries)` checks that the parameters increase strictly and
+    that consecutive vertices differ.  The base-point polylines of the
+    parity sweep and the paper's separated tracks (module `track`) hold
+    both by construction and come through `from_ints`, which checks
+    nothing.
+    """
+
+    __slots__ = ("sden", "snums", "vden", "verts")
+
+    def __init__(self, entries: Iterable[tuple[Fraction, Point]]):
+        entries = tuple(entries)
+        if len(entries) < 2:
+            raise ValueError("a track needs at least two vertices")
+        for (s0, x0), (s1, x1) in zip(entries, entries[1:]):
+            if s1 <= s0:
+                raise ValueError("track parameters must increase strictly")
+            if x0 == x1:
+                raise ValueError("consecutive track vertices must differ")
+        self.sden, self.snums = over_lcm([s for s, _ in entries])
+        self.vden, self.verts = points_over_lcm([z for _, z in entries])
+
+    @classmethod
+    def from_ints(
+        cls, sden: int, snums: Sequence[int], vden: int, verts: Sequence[IntPoint]
+    ) -> "Track":
+        """A track from integer forms that are valid by construction."""
+        track = cls.__new__(cls)
+        track.sden, track.snums, track.vden, track.verts = sden, snums, vden, verts
+        return track
+
+    def param(self, k: int) -> Fraction:
+        return Fraction(self.snums[k], self.sden)
+
+    def point(self, k: int) -> Point:
+        x, y = self.verts[k]
+        return Point(Fraction(x, self.vden), Fraction(y, self.vden))
+
+    @property
+    def params(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(s, self.sden) for s in self.snums)
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        d = self.vden
+        return tuple(Point(Fraction(x, d), Fraction(y, d)) for x, y in self.verts)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, Point], ...]:
+        return tuple(zip(self.params, self.points))
+
+    def verts_over(self, den: int) -> Sequence[IntPoint]:
+        """The vertex numerators over den, a multiple of vden."""
+        return rescale(self.verts, den // self.vden)
+
+    def domain(self) -> tuple[Fraction, Fraction]:
+        return self.param(0), self.param(-1)
+
+    def __len__(self) -> int:
+        return len(self.snums)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Track):
+            return NotImplemented
+        if self.sden == other.sden and self.vden == other.vden:
+            return self.snums == other.snums and self.verts == other.verts
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"Track(entries={self.entries!r})"
 
 
 def seg_point_sqdist(

@@ -26,7 +26,7 @@ from .errors import (
     SpecFileError,
     UsageError,
 )
-from .exact_geom import Interval, pow2, pt
+from .exact_geom import Interval, Point, pow2, pt
 from .parity import _near_sweep, working_precision
 from .paths import (
     _EXTENDED_DOMAIN,
@@ -280,10 +280,37 @@ def _write_output(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
+def _outside_point(path: PathOracle) -> Point | None:
+    """A point of a parsed curve outside the unit square, or None if it
+    stays inside: a vertex of a polyline or table, else an end of the
+    Bezier or, on an axis with coordinates a0, a1, a2, its value at the
+    parabola's vertex t* = (a0 - a1) / (a0 - 2*a1 + a2) if 0 < t* < 1;
+    each coordinate is extreme at an end or at its t*."""
+    if isinstance(path, QuadBezierPath):
+        p0, p1, p2 = path.p0, path.p1, path.p2
+        points = [p0, p2]
+        for a0, a1, a2 in ((p0.x, p1.x, p2.x), (p0.y, p1.y, p2.y)):
+            bend = a0 - 2 * a1 + a2
+            t = (a0 - a1) / bend if bend else 0
+            if 0 < t < 1:
+                points.append(
+                    p0.scale((1 - t) ** 2) + p1.scale(2 * t * (1 - t)) + p2.scale(t * t)
+                )
+    else:
+        points = [z for _, z in path.entries]
+    return next((z for z in points if not (0 <= z.x <= 1 and 0 <= z.y <= 1)), None)
+
+
 def _cmd_intersect(args: argparse.Namespace) -> int:
     if args.iterations < 0:
         raise UsageError("--iterations must not be negative")
     phi, psi, raw = load_path_spec(args.spec)
+    # the paper's curves map [0, 1] into the unit square; refinement
+    # relies on it, the parity and render commands do not
+    for name, path in (("phi", phi), ("psi", psi)):
+        z = _outside_point(path)
+        if z is not None:
+            raise SpecFileError(f"{name} leaves the unit square at {z}")
     cert = refine_sequence(
         phi, psi, args.iterations, verify_base_parity=args.verify_base_parity
     )

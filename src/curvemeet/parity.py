@@ -7,10 +7,12 @@ distance from each window's endpoint values to the other curve's image).
 `function_parity` certifies that clearance from below and picks n from
 the tightened floor (`working_precision`).  Two routes then count.
 
-The paper's route is public: `n_approximation_pair` (or
-`perturb_to_separated`) builds weakly separated tracks, on which every
-incidence is a transversal interior crossing, and `crossing_count`
-checks a caller's pair (else NotSeparated) and reports every crossing.
+The paper's route is public and lives in `track`, which no pipeline
+module imports: `track.n_approximation_pair` (or
+`track.perturb_to_separated`) builds weakly separated tracks, on which
+every incidence is a transversal interior crossing, and
+`track.crossing_count` checks a caller's pair (else NotSeparated) and
+reports every crossing with `_sweep`.
 
 `function_parity` builds no separated pair.  It counts the base-point
 polylines of the two tracks (no spiral, no separation checks,
@@ -70,16 +72,16 @@ at the same parameters.  No separate far test
 
 from __future__ import annotations
 
+import importlib
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from ._fastgeom import BoxLevels, pair_over_lcm
-from .errors import EffortExhausted, NotSeparated, PreconditionViolated
+from ._fastgeom import BoxLevels, Track, pair_over_lcm
+from .errors import EffortExhausted, PreconditionViolated
 from .exact_geom import Interval, Point, pow2, smallest_n_below, sqrt_enclosure
 from .paths import PathOracle, _base_points, _checked_bounds, _leaf_hull, _turn_points
-from .track import Track, common_verts, weakly_separated
 
 Crossing = tuple[Fraction, Fraction, Point]
 
@@ -102,12 +104,12 @@ def _report(crossings: list[Crossing]) -> CrossingReport:
     return CrossingReport(tuple(crossings), len(crossings), len(crossings) % 2)
 
 
-def crossing_count(p: Track, q: Track) -> CrossingReport:
-    """Count and locate the crossings of two tracks from a caller, which
-    must be weakly separated (`weakly_separated`), else NotSeparated."""
-    if not weakly_separated(p, q):
-        raise NotSeparated("tracks are not weakly separated")
-    return _sweep(p, q)
+def __getattr__(name: str):
+    """`track.crossing_count`, for callers that look it up here
+    (perfbench's tracer rebinds it by name)."""
+    if name == "crossing_count":
+        return importlib.import_module(".track", __package__).crossing_count
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def translated_sign(o: int, ex: int, ey: int) -> int:
@@ -123,7 +125,7 @@ def _sweep(p: Track, q: Track) -> CrossingReport:
     """The crossings of p and of q translated by t = (eps, eps^2); no
     segment may have length 0.
 
-    The hierarchies of both tracks over `common_verts` descend together
+    The hierarchies of both tracks over one denominator descend together
     and only segment pairs whose boxes touch are oriented, so the cost is
     the overlapping box pairs level by level, not |p| * |q|.  Each sign
     is `translated_sign` of the exact orientation O; the translated pair
@@ -133,7 +135,7 @@ def _sweep(p: Track, q: Track) -> CrossingReport:
     located at eps = 0: where O is 0 it sits at the vertex on the other
     segment's line.
     """
-    pi, qi, den = common_verts(p, q)
+    pi, qi, den = pair_over_lcm(p.vden, p.verts, q.vden, q.verts)
     pairs = BoxLevels(pi).segment_pairs(BoxLevels(qi), 0)
     hits: list[tuple[int, int, int, int, int, int]] = []
     for i, j, ax, ay, bx, by, cx, cy, dx, dy in pairs:
@@ -311,13 +313,13 @@ def working_precision(
 def _base_track(
     f: PathOracle, i: Interval, n: int, rng: random.Random | None
 ) -> Track:
-    """The polyline through the base points of `n_approximation(f, i, n,
-    rng)` (the same rng draws), each repeat of its predecessor dropped:
-    a zero-length segment crosses nothing.  Without rng only the two
-    ends of each straight run are kept (`paths._turn_points`): the same
-    polyline, so the sweep counts the same crossings (see the module
-    docstring); the jittered points are all kept, since jitter bends
-    every run."""
+    """The polyline through the base points of
+    `track.n_approximation(f, i, n, rng)` (the same rng draws), each
+    repeat of its predecessor dropped: a zero-length segment crosses
+    nothing.  Without rng only the two ends of each straight run are
+    kept (`paths._turn_points`): the same polyline, so the sweep counts
+    the same crossings (see the module docstring); the jittered points
+    are all kept, since jitter bends every run."""
     sden, snums, den, bases = (
         _turn_points(f, i, n) if rng is None else _base_points(f, i, n, rng)
     )
@@ -406,7 +408,7 @@ def function_parity(
     The parity is that of the crossing count of the base-point
     polylines of f and g, the second translated by t = (eps, eps^2)
     (`_sweep`).  Under the bound, that count has the parity of every
-    weakly separated n-approximation pair, `n_approximation_pair`
+    weakly separated n-approximation pair, `track.n_approximation_pair`
     included: the mod-2 intersection number is invariant under
     perturbations that keep the endpoints off the other polyline, and t
     is generic (see the module docstring).  With n omitted and no rng,

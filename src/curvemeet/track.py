@@ -1,15 +1,32 @@
-"""Polygon tracks: finite parameter/vertex lists evaluated piecewise linearly.
+"""The paper's route to crossing parity: weakly separated track pairs.
 
-A track is the computational stand-in for a curve segment: strictly
-increasing rational parameters, consecutive vertices distinct.  Weak
-separation of two tracks (no vertex of one on any segment-spanning line
-of the other) is the precondition that makes crossing counting a pure
-sign computation.
+The paper shows that crossing parity is well defined by building, for
+each curve, an n-approximation track (gaps below 2^-modulus(n), vertices
+within 2^-n of the curve) and placing the second track's vertices so
+that the pair is weakly separated: no vertex of either track lies on a
+line spanned by consecutive vertices of the other.  On such a pair every
+incidence is a transversal interior crossing, and counting crossings is
+a pure sign computation (`crossing_count`).
+
+The pipeline counts the base-point polylines under a symbolic
+translation instead (`parity.function_parity`) and never imports this
+module; tests check that the two parities agree.  The package loads it
+on first use of one of its names (`curvemeet.track`,
+`curvemeet.n_approximation_pair`, ...).
+
+Here live the track builders (`n_approximation`, `n_approximation_pair`,
+`perturb_to_separated`), the vertex placement they share
+(`separated_vertices`: the base point, else the first point of a
+`spiral_search` around it), the one weak-separation predicate
+(`_vertex_test`, also behind `weakly_separated`), and the `Fraction`
+views that tests compare against (`eval_track`, `sup_track_distance`
+and the vertex and line sets).  `Track` itself is `_fastgeom`'s.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_right
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -17,106 +34,26 @@ from typing import Callable, Iterable, Sequence
 from ._fastgeom import (
     BoxLevels,
     IntPoint,
+    Track,
     canonical_lines,
-    over_lcm,
-    points_over_lcm,
+    pair_over_lcm,
     rescale,
 )
-from .errors import GridMismatch, InvariantViolation, OutOfDomain
-from .exact_geom import Line, Point, pt, rat
+from .errors import GridMismatch, InvariantViolation, NotSeparated, OutOfDomain
+from .exact_geom import Interval, Line, Point, pt, rat
+from .parity import CrossingReport, _sweep
+from .paths import PathOracle, _base_points
 
 
 # pitches a spiral search tries: the given one and eleven halvings
 SPIRAL_LEVELS = 12
 
 
-class Track:
-    """A polygon track held in integers over two denominators.
-
-    Parameter k is snums[k] / sden and vertex k is verts[k] / vden, so
-    the sign tests, distance queries and crossing sweeps read the
-    integers directly.  `entries`, `params` and `points` are `Fraction`
-    views built on demand, for tests and the API.
-
-    `Track(entries)` checks that the parameters increase strictly and
-    that consecutive vertices differ.  Tracks built by the approximation
-    code hold both by construction and come through `from_ints`, which
-    checks nothing.
-    """
-
-    __slots__ = ("sden", "snums", "vden", "verts")
-
-    def __init__(self, entries: Iterable[tuple[Fraction, Point]]):
-        entries = tuple(entries)
-        if len(entries) < 2:
-            raise ValueError("a track needs at least two vertices")
-        for (s0, x0), (s1, x1) in zip(entries, entries[1:]):
-            if s1 <= s0:
-                raise ValueError("track parameters must increase strictly")
-            if x0 == x1:
-                raise ValueError("consecutive track vertices must differ")
-        self.sden, self.snums = over_lcm([s for s, _ in entries])
-        self.vden, self.verts = points_over_lcm([z for _, z in entries])
-
-    @classmethod
-    def from_ints(
-        cls, sden: int, snums: Sequence[int], vden: int, verts: Sequence[IntPoint]
-    ) -> "Track":
-        """A track from integer forms that are valid by construction."""
-        track = cls.__new__(cls)
-        track.sden, track.snums, track.vden, track.verts = sden, snums, vden, verts
-        return track
-
-    def param(self, k: int) -> Fraction:
-        return Fraction(self.snums[k], self.sden)
-
-    def point(self, k: int) -> Point:
-        x, y = self.verts[k]
-        return Point(Fraction(x, self.vden), Fraction(y, self.vden))
-
-    @property
-    def params(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(s, self.sden) for s in self.snums)
-
-    @property
-    def points(self) -> tuple[Point, ...]:
-        d = self.vden
-        return tuple(Point(Fraction(x, d), Fraction(y, d)) for x, y in self.verts)
-
-    @property
-    def entries(self) -> tuple[tuple[Fraction, Point], ...]:
-        return tuple(zip(self.params, self.points))
-
-    def verts_over(self, den: int) -> Sequence[IntPoint]:
-        """The vertex numerators over den, a multiple of vden."""
-        return rescale(self.verts, den // self.vden)
-
-    def domain(self) -> tuple[Fraction, Fraction]:
-        return self.param(0), self.param(-1)
-
-    def __len__(self) -> int:
-        return len(self.snums)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Track):
-            return NotImplemented
-        if self.sden == other.sden and self.vden == other.vden:
-            return self.snums == other.snums and self.verts == other.verts
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"Track(entries={self.entries!r})"
-
-
 def common_verts(
     p: Track, q: Track
 ) -> tuple[Sequence[IntPoint], Sequence[IntPoint], int]:
     """The vertices of both tracks over one common denominator."""
-    den = math.lcm(p.vden, q.vden)
-    return p.verts_over(den), q.verts_over(den), den
+    return pair_over_lcm(p.vden, p.verts, q.vden, q.verts)
 
 
 def make_track(raw: Iterable[tuple]) -> Track:
@@ -180,6 +117,16 @@ def weakly_separated(p: Track, q: Track) -> bool:
     pi, qi, _den = common_verts(p, q)
     accept = _vertex_test(qi, (pi,), 0)
     return all(accept(k, z, qi[k - 1] if k else None) for k, z in enumerate(qi))
+
+
+def crossing_count(p: Track, q: Track) -> CrossingReport:
+    """Count and locate the crossings of two tracks from a caller, which
+    must be weakly separated (`weakly_separated`), else NotSeparated.
+    On such a pair the symbolic translation of `parity._sweep` changes
+    no sign, so its report is the plain one."""
+    if not weakly_separated(p, q):
+        raise NotSeparated("tracks are not weakly separated")
+    return _sweep(p, q)
 
 
 def sup_track_distance(p: Track, pbar: Track) -> Fraction:
@@ -321,6 +268,65 @@ def separated_vertices(
         out.append(base)
         prev = base
     return out
+
+
+def _spiral_den(den: int, n: int) -> int:
+    """The least common multiple of den and 2^(n+19): the vertex
+    denominator on which the spiral pitch 2^-(n+8) and its 11 halvings
+    are integers."""
+    return math.lcm(den, 1 << (n + 7 + SPIRAL_LEVELS))
+
+
+def n_approximation(
+    f: PathOracle,
+    i: Interval,
+    n: int,
+    rng: random.Random | None = None,
+) -> Track:
+    """A track following f on i: gaps below 2^-modulus(n), vertices
+    within 2^-n of the curve, consecutive vertices distinct.
+
+    Each vertex starts from its base point and, only where it equals its
+    predecessor, walks the spiral of pitch 2^-(n+8) strictly within
+    2^-(n+2) of its base, so the combined offset stays below 2^-n.
+    """
+    sden, snums, b_den, bases = _base_points(f, i, n, rng)
+    den = _spiral_den(b_den, n)
+    bases = rescale(bases, den // b_den)
+    verts = separated_vertices(bases, (), den >> (n + 8), (den >> (n + 2)) ** 2)
+    return Track.from_ints(sden, snums, den, verts)
+
+
+def n_approximation_pair(
+    f: PathOracle,
+    g: PathOracle,
+    i: Interval,
+    j: Interval,
+    n: int,
+    rng: random.Random | None = None,
+) -> tuple[Track, Track]:
+    """Weakly separated approximation tracks for f on i and g on j.
+
+    Two phases: the f-track p is built freely, then the g-vertices are
+    placed by `separated_vertices` on one integer grid holding p and all
+    of g's base points (a `_spiral_den` over both denominators), with
+    the spiral of `n_approximation`; the rng is drawn as vertex by
+    vertex, since the spiral draws nothing.  The pair is weakly
+    separated by construction: check A keeps each g-vertex off every
+    f-line meeting its budget square, which holds the vertex, and check
+    B each g-line, a g-vertex joined to its predecessor, off every
+    f-vertex.
+    """
+    p = n_approximation(f, i, n, rng)
+    sden, snums, g_den, bases = _base_points(g, j, n, rng)
+    den = _spiral_den(math.lcm(p.vden, g_den), n)
+    verts = separated_vertices(
+        rescale(bases, den // g_den),
+        (p.verts_over(den),),
+        den >> (n + 8),
+        (den >> (n + 2)) ** 2,
+    )
+    return p, Track.from_ints(sden, snums, den, verts)
 
 
 def perturb_to_separated(

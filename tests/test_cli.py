@@ -450,6 +450,37 @@ def test_wrong_corner_error_prints_the_corner_as_a_pair(
     assert captured.out == ""
 
 
+ANTI_DIAGONAL = {"type": "polyline", "data": [[0, 0, 1], [1, 1, 0]]}
+OUTSIDE_THE_SQUARE = {
+    # a vertex leaves the square; refinement used to end in exit 6
+    "polyline": (
+        [[0, 0, 0], ["1/4", "3/2", "-1/2"], ["1/2", "5/2", "-1/2"],
+         ["3/4", "5/2", "1/2"], [1, 1, 1]],
+        "(3/2, -1/2)",
+    ),
+    # only the vertex of y's parabola leaves it, at t* = 3/4
+    "quad_bezier": ([[0, 0], ["1/2", "3/2"], [1, 1]], "(3/4, 9/8)"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OUTSIDE_THE_SQUARE))
+def test_intersect_rejects_a_curve_leaving_the_unit_square(
+    tmp_path: Path, capsys, kind: str
+) -> None:
+    data, point = OUTSIDE_THE_SQUARE[kind]
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps({"phi": {"type": kind, "data": data}, "psi": ANTI_DIAGONAL}),
+        encoding="utf-8",
+    )
+    start = time.perf_counter()
+    assert main(["intersect", str(spec), "--iterations", "8"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: phi leaves the unit square at {point}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "args",
     [

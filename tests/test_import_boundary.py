@@ -1,0 +1,76 @@
+"""The pipeline never loads the paper's separated-track module.
+
+`curvemeet.track` holds the construction of weakly separated track
+pairs; no pipeline module imports it, and the package loads it only on
+first use of one of its names.  A fresh interpreter imports the command
+line, refines, extracts, verifies, asks a window parity and runs the
+three commands on both builtin specs, and `curvemeet.track` must still
+be unloaded.  Then every exported name resolves, and the names that
+`paths` and `parity` forward are the very objects of `track`.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from test_no_spiral_route import SPECS
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import contextlib, io, sys
+from fractions import Fraction
+
+import curvemeet.cli as cli
+from curvemeet import (
+    Side, curved_pair, diagonal_pair, extend, extract_point, function_parity,
+    interval, refine_sequence, verify_certificate,
+)
+
+for pair in (diagonal_pair, curved_pair):
+    phi, psi = pair()
+    cert = refine_sequence(phi, psi, 2)
+    assert extract_point(cert, phi, Fraction(1, 2)).radius <= Fraction(1, 2)
+    verify_certificate(cert, phi, psi)
+    f, g = extend(phi, Side.LOWER), extend(psi, Side.UPPER)
+    assert function_parity(f, g, interval(-1, 2), interval(-1, 2)) == 1
+for name in ("diagonals", "curved"):
+    spec, cert = name + ".json", name + ".cert.json"
+    assert cli.main(["intersect", spec, "--iterations", "2", "-o", cert]) == 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["parity", spec]) == 0
+    assert out.getvalue().startswith("parity 1\\n")
+    assert cli.main(["render", spec, "--certificate", cert, "-o", name + ".svg"]) == 0
+assert "curvemeet.track" not in sys.modules, "the pipeline loaded curvemeet.track"
+
+import curvemeet, curvemeet.parity, curvemeet.paths
+for name in curvemeet.__all__:
+    getattr(curvemeet, name)
+track = sys.modules["curvemeet.track"]
+assert curvemeet.track is track
+assert curvemeet.paths.n_approximation is track.n_approximation
+assert curvemeet.paths.n_approximation_pair is track.n_approximation_pair
+assert curvemeet.parity.crossing_count is track.crossing_count
+print("ok")
+"""
+
+
+def test_the_pipeline_never_loads_the_track_module(tmp_path: Path) -> None:
+    for name, spec in SPECS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(spec), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

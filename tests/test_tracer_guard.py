@@ -46,3 +46,31 @@ def test_the_tracer_installs_and_unpatches_on_a_fresh_import() -> None:
         for name in _curvemeet_modules():
             del sys.modules[name]
         sys.modules.update(saved)
+
+
+def test_the_tracer_times_the_names_forwarded_to_track() -> None:
+    # `paths` and `parity` forward the paper's route to `track`; the
+    # tracer looks the names up there and rebinds them in `track`, so a
+    # call through the package lands in its spans
+    saved = _curvemeet_modules()
+    for name in saved:
+        del sys.modules[name]
+    try:
+        cm = importlib.import_module("curvemeet")
+        importlib.import_module("curvemeet.cli")
+        f, g = (cm.extend(c, side) for c, side in zip(cm.diagonal_pair(), cm.Side))
+        full = cm.interval(-1, 2)
+        rec = tracer.Recorder()
+        try:
+            tracer.install(cm, rec)
+            p, q = cm.n_approximation_pair(f, g, full, full, 4)
+            assert cm.crossing_count(p, q).parity == 1
+        finally:
+            rec.unpatch()
+        assert rec.calls["paths.n_approximation_pair"] == 1
+        assert rec.calls["parity.crossing_count"] == 1
+        assert cm.paths.n_approximation_pair is cm.track.n_approximation_pair
+    finally:
+        for name in _curvemeet_modules():
+            del sys.modules[name]
+        sys.modules.update(saved)
