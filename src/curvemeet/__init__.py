@@ -12,7 +12,6 @@ first use of `track` or of one of its names below, not on import.
 
 import importlib
 
-from ._fastgeom import Track
 from .errors import (
     CurveMeetError,
     EffortExhausted,
@@ -147,7 +146,7 @@ __all__ = [
 
 # the names of `track`, which is imported on first use (PEP 562)
 _TRACK_NAMES = frozenset(
-    "crossing_count eval_track make_track n_approximation n_approximation_pair"
+    "Track crossing_count eval_track make_track n_approximation n_approximation_pair"
     " perturb_to_separated sup_track_distance weakly_separated".split()
 )
 

@@ -3,8 +3,10 @@
 Rational coordinates are rescaled once to a common integer grid; sign
 tests, window queries and squared distances then run on plain ints.
 Results are exact: this is a representation change, not an
-approximation.  `Track` holds a polygon track in these forms.  Squared distances appear as (num, den) pairs because the
-projection case divides by a segment's squared length.
+approximation.  Squared distances appear as (num, den) pairs because
+the projection case divides by a segment's squared length.  The paper's
+kernels (`Track`, line stabbing and `canonical_lines`) live in `track`,
+which builds on these.
 """
 
 from __future__ import annotations
@@ -45,88 +47,6 @@ def pair_over_lcm(
     denominator den = lcm(a_den, b_den): (a, b, den)."""
     den = math.lcm(a_den, b_den)
     return rescale(a, den // a_den), rescale(b, den // b_den), den
-
-
-class Track:
-    """A polygon track held in integers, the operand of the crossing sweep.
-
-    Parameter k is snums[k] / sden and vertex k is verts[k] / vden, the
-    forms of `over_lcm` and `points_over_lcm`, so the sign tests and the
-    sweep read the integers directly.  `entries`, `params` and `points`
-    are `Fraction` views built on demand, for tests and the API.
-
-    `Track(entries)` checks that the parameters increase strictly and
-    that consecutive vertices differ.  The base-point polylines of the
-    parity sweep and the paper's separated tracks (module `track`) hold
-    both by construction and come through `from_ints`, which checks
-    nothing.
-    """
-
-    __slots__ = ("sden", "snums", "vden", "verts")
-
-    def __init__(self, entries: Iterable[tuple[Fraction, Point]]):
-        entries = tuple(entries)
-        if len(entries) < 2:
-            raise ValueError("a track needs at least two vertices")
-        for (s0, x0), (s1, x1) in zip(entries, entries[1:]):
-            if s1 <= s0:
-                raise ValueError("track parameters must increase strictly")
-            if x0 == x1:
-                raise ValueError("consecutive track vertices must differ")
-        self.sden, self.snums = over_lcm([s for s, _ in entries])
-        self.vden, self.verts = points_over_lcm([z for _, z in entries])
-
-    @classmethod
-    def from_ints(
-        cls, sden: int, snums: Sequence[int], vden: int, verts: Sequence[IntPoint]
-    ) -> "Track":
-        """A track from integer forms that are valid by construction."""
-        track = cls.__new__(cls)
-        track.sden, track.snums, track.vden, track.verts = sden, snums, vden, verts
-        return track
-
-    def param(self, k: int) -> Fraction:
-        return Fraction(self.snums[k], self.sden)
-
-    def point(self, k: int) -> Point:
-        x, y = self.verts[k]
-        return Point(Fraction(x, self.vden), Fraction(y, self.vden))
-
-    @property
-    def params(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(s, self.sden) for s in self.snums)
-
-    @property
-    def points(self) -> tuple[Point, ...]:
-        d = self.vden
-        return tuple(Point(Fraction(x, d), Fraction(y, d)) for x, y in self.verts)
-
-    @property
-    def entries(self) -> tuple[tuple[Fraction, Point], ...]:
-        return tuple(zip(self.params, self.points))
-
-    def verts_over(self, den: int) -> Sequence[IntPoint]:
-        """The vertex numerators over den, a multiple of vden."""
-        return rescale(self.verts, den // self.vden)
-
-    def domain(self) -> tuple[Fraction, Fraction]:
-        return self.param(0), self.param(-1)
-
-    def __len__(self) -> int:
-        return len(self.snums)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Track):
-            return NotImplemented
-        if self.sden == other.sden and self.vden == other.vden:
-            return self.snums == other.snums and self.verts == other.verts
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"Track(entries={self.entries!r})"
 
 
 def seg_point_sqdist(
@@ -180,11 +100,12 @@ class BoxLevels:
     moves up unchanged) up to one root; `levels` lists them root first,
     box k having the children 2k and 2k + 1.  Building costs O(N).  Box
     tests are exact integer tests that only prune; points and segments
-    decide every answer.  Queries: `stab` (lines), `any_within` (point
-    thresholds), `sq_dist_to_point` (two points or more) and, descending
-    two hierarchies together, `near_leaves` and `segment_pairs`.  The
-    leaf layout is read only through `span` (one leaf's point indices)
-    and `spans` (those of neighbouring leaves merged).
+    decide every answer.  Queries: `any_within` (point thresholds),
+    `sq_dist_to_point` (two points or more) and, descending two
+    hierarchies together, `near_leaves` and `segment_pairs`; `track.stab`
+    (lines) reads the levels too.  The leaf layout is read only through
+    `span` (one leaf's point indices) and `spans` (those of neighbouring
+    leaves merged).
     """
 
     RUN = 8
@@ -240,51 +161,6 @@ class BoxLevels:
         """The points of leaf run k; consecutive ones are its segments."""
         run = self.RUN
         return self.pts[k * run : k * run + run + 1]
-
-    def stab(self, a: int, b: int, c: int, pad: int) -> list[int]:
-        """Indices of the points (x, y) whose square [x-pad, x+pad] x
-        [y-pad, y+pad] meets the line a*x + b*y = c, in index order.
-
-        Since a*x + b*y ranges over +-(|a|+|b|)*pad on such a square, a
-        point qualifies iff |a*x + b*y - c| <= (|a|+|b|)*pad; with pad 0
-        that is exact incidence.  Cost: two corner tests per box on the
-        root-to-leaf paths of the boxes the line passes near, plus one
-        test per point of the leaf runs reached.
-        """
-        reach = (abs(a) + abs(b)) * pad
-        lo, hi = c - reach, c + reach
-        # box corners minimising and maximising a*x + b*y
-        x_min, x_max = (0, 1) if a >= 0 else (1, 0)
-        y_min, y_max = (2, 3) if b >= 0 else (3, 2)
-        levels = self.levels
-        root = levels[0][0]
-        if not (
-            a * root[x_min] + b * root[y_min] <= hi
-            and a * root[x_max] + b * root[y_max] >= lo
-        ):
-            return []
-        live = [0]
-        for boxes in levels[1:]:
-            n_boxes = len(boxes)
-            live = [
-                k
-                for i in live
-                for k in (2 * i, 2 * i + 1)
-                if k < n_boxes
-                and a * boxes[k][x_min] + b * boxes[k][y_min] <= hi
-                and a * boxes[k][x_max] + b * boxes[k][y_max] >= lo
-            ]
-            if not live:
-                return []
-        # leaf run i reports its points but the one it shares with run
-        # i + 1, so each point is reported once
-        pts, run, last = self.pts, self.RUN, len(levels[-1]) - 1
-        return [
-            k
-            for i in live
-            for k in range(i * run, i * run + run if i < last else len(pts))
-            if lo <= a * pts[k][0] + b * pts[k][1] <= hi
-        ]
 
     def any_within(
         self, px: int, py: int, rn: int, rd: int, closed: bool = False
@@ -445,21 +321,6 @@ def _sq_gap(a: tuple, b: tuple) -> int:
 
 # the former name, under which perfbench's tracer times sq_dist_to_point
 PolylineIndex = BoxLevels
-
-
-def canonical_lines(ipts: Sequence[IntPoint]) -> set[tuple[int, int, int]]:
-    """Lines a*x + b*y = c spanned by consecutive points (which must
-    differ), each once: gcd(a, b, c) = 1 and (a, b) lexicographically
-    positive, so a collinear run yields one line."""
-    out = set()
-    for (x0, y0), (x1, y1) in zip(ipts, ipts[1:]):
-        a, b = y1 - y0, x0 - x1
-        c = a * x0 + b * y0
-        g = math.gcd(a, b, c)
-        if a < 0 or (a == 0 and b < 0):
-            g = -g
-        out.add((a // g, b // g, c // g))
-    return out
 
 
 def min_sqdist_exceeds(

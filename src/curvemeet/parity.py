@@ -14,11 +14,11 @@ every incidence is a transversal interior crossing, and
 `track.crossing_count` checks a caller's pair (else NotSeparated) and
 reports every crossing with `_sweep`.
 
-`function_parity` builds no separated pair.  It counts the base-point
-polylines of the two tracks (no spiral, no separation checks,
-zero-length segments dropped; without rng only the two ends of each
-straight run, `paths._turn_points`) with the second one translated by
-the infinitesimal vector t = (eps, eps^2):
+`function_parity` builds no separated pair and draws no random jitter.
+It counts the base-point polylines of the two tracks (no spiral, no
+separation checks, zero-length segments dropped, only the two ends of
+each straight run kept, `paths._turn_points`) with the second one
+translated by the infinitesimal vector t = (eps, eps^2):
 
 * The crossing parity of two polygon paths is their mod-2 intersection
   number, invariant under every perturbation that keeps each path's
@@ -56,7 +56,7 @@ meaning of perturbations in geometric computing*, DCG 19, 1998): the
 signs are decided exactly in integers and the sweep (`_sweep`) is the
 one that `crossing_count` runs, where no O is 0.
 
-A query without n or rng evaluates and sweeps at n only where the
+A query without n evaluates and sweeps at n only where the
 curves come near each other (`_near_sweep`).  The last clearance probe,
 at some precision p, has already evaluated and indexed both windows; one
 dual descent over its two hierarchies pairs the leaves at most 2.5 *
@@ -73,15 +73,14 @@ at the same parameters.  No separate far test
 from __future__ import annotations
 
 import importlib
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from ._fastgeom import BoxLevels, Track, pair_over_lcm
+from ._fastgeom import BoxLevels, IntPoint, pair_over_lcm
 from .errors import EffortExhausted, PreconditionViolated
 from .exact_geom import Interval, Point, pow2, smallest_n_below, sqrt_enclosure
-from .paths import PathOracle, _base_points, _checked_bounds, _leaf_hull, _turn_points
+from .paths import PathOracle, _checked_bounds, _leaf_hull, _turn_points
 
 Crossing = tuple[Fraction, Fraction, Point]
 
@@ -98,6 +97,16 @@ class CrossingReport:
     def __post_init__(self) -> None:
         if self.count != len(self.crossings) or self.parity != self.count % 2:
             raise ValueError("inconsistent crossing report")
+
+
+class _Polyline(NamedTuple):
+    """A polyline in the integer fields of `track.Track`: parameter k is
+    snums[k] / sden and vertex k is verts[k] / vden."""
+
+    sden: int
+    snums: Sequence[int]
+    vden: int
+    verts: Sequence[IntPoint]
 
 
 def _report(crossings: list[Crossing]) -> CrossingReport:
@@ -121,9 +130,10 @@ def translated_sign(o: int, ex: int, ey: int) -> int:
     return o or -ey or ex
 
 
-def _sweep(p: Track, q: Track) -> CrossingReport:
+def _sweep(p: _Polyline, q: _Polyline) -> CrossingReport:
     """The crossings of p and of q translated by t = (eps, eps^2); no
-    segment may have length 0.
+    segment may have length 0.  Each of p and q is a `_Polyline` or a
+    `track.Track`: the sweep reads only their four integer fields.
 
     The hierarchies of both tracks over one denominator descend together
     and only segment pairs whose boxes touch are oriented, so the cost is
@@ -310,24 +320,19 @@ def working_precision(
     return AlphaEnclosure(lo, hi, probe, enc._probe), n
 
 
-def _base_track(
-    f: PathOracle, i: Interval, n: int, rng: random.Random | None
-) -> Track:
+def _base_track(f: PathOracle, i: Interval, n: int) -> _Polyline:
     """The polyline through the base points of
-    `track.n_approximation(f, i, n, rng)` (the same rng draws), each
-    repeat of its predecessor dropped: a zero-length segment crosses
-    nothing.  Without rng only the two ends of each straight run are
-    kept (`paths._turn_points`): the same polyline, so the sweep counts
-    the same crossings (see the module docstring); the jittered points
-    are all kept, since jitter bends every run."""
-    sden, snums, den, bases = (
-        _turn_points(f, i, n) if rng is None else _base_points(f, i, n, rng)
-    )
+    `track.n_approximation(f, i, n)`, as its turn points
+    (`paths._turn_points`: only the two ends of each straight run kept),
+    each repeat of its predecessor dropped, since a zero-length segment
+    crosses nothing.  It is the polyline through all base points, so the
+    sweep counts the same crossings (see the module docstring)."""
+    sden, snums, den, bases = _turn_points(f, i, n)
     keep = [k for k in range(1, len(bases)) if bases[k] != bases[k - 1]]
     if len(keep) < len(bases) - 1:
         snums = [snums[0], *(snums[k] for k in keep)]
         bases = [bases[0], *(bases[k] for k in keep)]
-    return Track.from_ints(sden, snums, den, bases)
+    return _Polyline(sden, snums, den, bases)
 
 
 def _near_sweep(
@@ -339,7 +344,7 @@ def _near_sweep(
     enc: AlphaEnclosure,
 ) -> CrossingReport:
     """The crossings of the base-point polylines of f on i and g on j at
-    precision n (`_sweep` of two `_base_track`s, without rng), found
+    precision n (`_sweep` of two `_base_track`s), found
     where the probe that enc keeps, at precision p, sees the curves meet.
     Both curves' grids at n on their whole windows are checked against
     the budget before anything is evaluated at n, f's first, so this
@@ -387,7 +392,7 @@ def _near_sweep(
     g_spans = probe.g_idx.spans(l for _, l in near)
     f_hull = _leaf_hull(f, i, n, probe.f_sden, probe.f_snums, f_spans)
     g_hull = _leaf_hull(g, j, n, probe.g_sden, probe.g_snums, g_spans)
-    return _sweep(_base_track(f, f_hull, n, None), _base_track(g, g_hull, n, None))
+    return _sweep(_base_track(f, f_hull, n), _base_track(g, g_hull, n))
 
 
 def function_parity(
@@ -397,7 +402,6 @@ def function_parity(
     j: Interval,
     effort: int = 64,
     n: int | None = None,
-    rng: random.Random | None = None,
 ) -> int:
     """Crossing parity of f on i versus g on j.
 
@@ -411,13 +415,13 @@ def function_parity(
     weakly separated n-approximation pair, `track.n_approximation_pair`
     included: the mod-2 intersection number is invariant under
     perturbations that keep the endpoints off the other polyline, and t
-    is generic (see the module docstring).  With n omitted and no rng,
-    only the parts of the windows near the last clearance probe's
-    meeting leaves are evaluated and swept (`_near_sweep`); otherwise
-    both whole windows are.
+    is generic (see the module docstring).  With n omitted, only the
+    parts of the windows near the last clearance probe's meeting leaves
+    are evaluated and swept (`_near_sweep`); with n given, both whole
+    windows are.  A random jitter of the base points
+    (`track.n_approximation_pair`'s rng) belongs to the paper's route.
     """
     if n is None:
         enc, n = working_precision(f, g, i, j, effort)
-        if rng is None:
-            return _near_sweep(f, g, i, j, n, enc).parity
-    return _sweep(_base_track(f, i, n, rng), _base_track(g, j, n, rng)).parity
+        return _near_sweep(f, g, i, j, n, enc).parity
+    return _sweep(_base_track(f, i, n), _base_track(g, j, n)).parity

@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import importlib
 import math
-import random
 from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -43,7 +42,6 @@ from .exact_geom import (
     rat,
 )
 
-_JITTER_SPAN = 32  # random vertex offsets stay within 32 pitches per axis
 _MODULUS_CHECKS = 64  # TablePath.validate checks a modulus at n < 64
 _CORNER_PRECISION = 20  # extend refutes corners from values at precision 20
 _UNIT_DOMAIN = interval(0, 1)
@@ -544,33 +542,20 @@ def grid_values(
 
 
 def _base_points(
-    f: PathOracle, i: Interval, n: int, rng: random.Random | None
+    f: PathOracle, i: Interval, n: int
 ) -> tuple[int, list[int], int, list[IntPoint]]:
-    """The grid of a precision-n track of f on i and its base points:
-    evaluations at precision n+2, each moved by an optional random
-    jitter of up to _JITTER_SPAN pitches 2^-(n+8) per axis.
-
-    Without rng the vertex denominator is the oracle's own.  With rng it
-    is also a multiple of 2^(n+8), so that the jitter is in integers.
-    """
-    if not f.domain.contains_interval(i):
-        raise OutOfDomain(f"{i} is not inside {f.domain}")
-    sden, snums, den, bases = grid_values(f, i.lo, i.hi, f.modulus(n), n + 2)
-    if rng is not None:
-        jitter_den = math.lcm(den, 1 << (n + 8))
-        pitch, span, randint = jitter_den >> (n + 8), _JITTER_SPAN, rng.randint
-        bases = [
-            (x + randint(-span, span) * pitch, y + randint(-span, span) * pitch)
-            for x, y in rescale(bases, jitter_den // den)
-        ]
-        den = jitter_den
-    return sden, snums, den, bases
+    """The grid of a precision-n track of f on i and its base points, the
+    evaluations at precision n+2, over the oracle's own denominator.  The
+    grid budget is checked first."""
+    e, k0, k1 = _checked_bounds(f, i, f.modulus(n))
+    den, inner = grid_points(f, k0, k1, 1 << e, n + 2)
+    return _with_ends(f, i.lo, i.hi, e, range(k0, k1 + 1), den, inner, n + 2)
 
 
 def _turn_points(
     f: PathOracle, i: Interval, n: int
 ) -> tuple[int, list[int], int, list[IntPoint]]:
-    """`_base_points(f, i, n, None)` with only the two ends of each
+    """`_base_points(f, i, n)` with only the two ends of each
     straight run kept (`grid_runs`): an in-order subsequence with the
     same first and last point, and the same polyline, parameter by
     parameter, since a run's values are affine in its parameter.  So

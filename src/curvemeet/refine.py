@@ -394,7 +394,7 @@ def _check_neighborhood(
     # straight run, the same polyline; a zero-length segment of a repeat
     # is a point, which the distance queries measure correctly
     ap, bp, den = pair_over_lcm(
-        *_base_points(a, ia, n_v, None)[2:], *_turn_points(b, jb, n_v)[2:]
+        *_base_points(a, ia, n_v)[2:], *_turn_points(b, jb, n_v)[2:]
     )
     idx = BoxLevels(bp)
     allowed = pow2(-level) + 6 * pow2(-n_v)

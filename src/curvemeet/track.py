@@ -14,13 +14,15 @@ module; tests check that the two parities agree.  The package loads it
 on first use of one of its names (`curvemeet.track`,
 `curvemeet.n_approximation_pair`, ...).
 
-Here live the track builders (`n_approximation`, `n_approximation_pair`,
-`perturb_to_separated`), the vertex placement they share
-(`separated_vertices`: the base point, else the first point of a
-`spiral_search` around it), the one weak-separation predicate
-(`_vertex_test`, also behind `weakly_separated`), and the `Fraction`
-views that tests compare against (`eval_track`, `sup_track_distance`
-and the vertex and line sets).  `Track` itself is `_fastgeom`'s.
+Here live the integer `Track`, the track builders (`n_approximation`,
+`n_approximation_pair`, `perturb_to_separated`) with the optional random
+jitter of their base points (`_jittered_base_points`), the vertex
+placement they share (`separated_vertices`: the base point, else the
+first point of a `spiral_search` around it), the one weak-separation
+predicate (`_vertex_test`, also behind `weakly_separated`) with the line
+kernels it stands on (`canonical_lines` and `stab`, a query on a
+`BoxLevels`), and the `Fraction` views that tests compare against
+(`eval_track`, `sup_track_distance` and the vertex and line sets).
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from typing import Callable, Iterable, Sequence
 from ._fastgeom import (
     BoxLevels,
     IntPoint,
-    Track,
-    canonical_lines,
+    over_lcm,
     pair_over_lcm,
+    points_over_lcm,
     rescale,
 )
 from .errors import GridMismatch, InvariantViolation, NotSeparated, OutOfDomain
@@ -47,6 +49,89 @@ from .paths import PathOracle, _base_points
 
 # pitches a spiral search tries: the given one and eleven halvings
 SPIRAL_LEVELS = 12
+_JITTER_SPAN = 32  # random vertex offsets stay within 32 pitches per axis
+
+
+class Track:
+    """A polygon track held in integers, the operand of `crossing_count`.
+
+    Parameter k is snums[k] / sden and vertex k is verts[k] / vden, the
+    forms of `over_lcm` and `points_over_lcm`, so the sign tests and the
+    sweep read the integers directly.  `entries`, `params` and `points`
+    are `Fraction` views built on demand, for tests and the API.
+
+    `Track(entries)` checks that the parameters increase strictly and
+    that consecutive vertices differ.  The separated tracks hold both by
+    construction and come through `from_ints`, which checks nothing.
+    The crossing sweep (`parity._sweep`) reads the four integer fields
+    alone, as it reads those of the pipeline's base-point polylines.
+    """
+
+    __slots__ = ("sden", "snums", "vden", "verts")
+
+    def __init__(self, entries: Iterable[tuple[Fraction, Point]]):
+        entries = tuple(entries)
+        if len(entries) < 2:
+            raise ValueError("a track needs at least two vertices")
+        for (s0, x0), (s1, x1) in zip(entries, entries[1:]):
+            if s1 <= s0:
+                raise ValueError("track parameters must increase strictly")
+            if x0 == x1:
+                raise ValueError("consecutive track vertices must differ")
+        self.sden, self.snums = over_lcm([s for s, _ in entries])
+        self.vden, self.verts = points_over_lcm([z for _, z in entries])
+
+    @classmethod
+    def from_ints(
+        cls, sden: int, snums: Sequence[int], vden: int, verts: Sequence[IntPoint]
+    ) -> "Track":
+        """A track from integer forms that are valid by construction."""
+        track = cls.__new__(cls)
+        track.sden, track.snums, track.vden, track.verts = sden, snums, vden, verts
+        return track
+
+    def param(self, k: int) -> Fraction:
+        return Fraction(self.snums[k], self.sden)
+
+    def point(self, k: int) -> Point:
+        x, y = self.verts[k]
+        return Point(Fraction(x, self.vden), Fraction(y, self.vden))
+
+    @property
+    def params(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(s, self.sden) for s in self.snums)
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        d = self.vden
+        return tuple(Point(Fraction(x, d), Fraction(y, d)) for x, y in self.verts)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, Point], ...]:
+        return tuple(zip(self.params, self.points))
+
+    def verts_over(self, den: int) -> Sequence[IntPoint]:
+        """The vertex numerators over den, a multiple of vden."""
+        return rescale(self.verts, den // self.vden)
+
+    def domain(self) -> tuple[Fraction, Fraction]:
+        return self.param(0), self.param(-1)
+
+    def __len__(self) -> int:
+        return len(self.snums)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Track):
+            return NotImplemented
+        if self.sden == other.sden and self.vden == other.vden:
+            return self.snums == other.snums and self.verts == other.verts
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"Track(entries={self.entries!r})"
 
 
 def common_verts(
@@ -189,6 +274,69 @@ def spiral_search(
     raise InvariantViolation("spiral search exhausted twelve pitch refinements")
 
 
+def canonical_lines(ipts: Sequence[IntPoint]) -> set[tuple[int, int, int]]:
+    """Lines a*x + b*y = c spanned by consecutive points (which must
+    differ), each once: gcd(a, b, c) = 1 and (a, b) lexicographically
+    positive, so a collinear run yields one line."""
+    out = set()
+    for (x0, y0), (x1, y1) in zip(ipts, ipts[1:]):
+        a, b = y1 - y0, x0 - x1
+        c = a * x0 + b * y0
+        g = math.gcd(a, b, c)
+        if a < 0 or (a == 0 and b < 0):
+            g = -g
+        out.add((a // g, b // g, c // g))
+    return out
+
+
+def stab(boxes: BoxLevels, a: int, b: int, c: int, pad: int) -> list[int]:
+    """Indices of the points (x, y) of a box hierarchy whose square
+    [x-pad, x+pad] x [y-pad, y+pad] meets the line a*x + b*y = c, in
+    index order.
+
+    Since a*x + b*y ranges over +-(|a|+|b|)*pad on such a square, a
+    point qualifies iff |a*x + b*y - c| <= (|a|+|b|)*pad; with pad 0
+    that is exact incidence.  Cost: two corner tests per box on the
+    root-to-leaf paths of the boxes the line passes near, plus one
+    test per point of the leaf runs reached.
+    """
+    reach = (abs(a) + abs(b)) * pad
+    lo, hi = c - reach, c + reach
+    # box corners minimising and maximising a*x + b*y
+    x_min, x_max = (0, 1) if a >= 0 else (1, 0)
+    y_min, y_max = (2, 3) if b >= 0 else (3, 2)
+    levels = boxes.levels
+    root = levels[0][0]
+    if not (
+        a * root[x_min] + b * root[y_min] <= hi
+        and a * root[x_max] + b * root[y_max] >= lo
+    ):
+        return []
+    live = [0]
+    for level in levels[1:]:
+        n_boxes = len(level)
+        live = [
+            k
+            for i in live
+            for k in (2 * i, 2 * i + 1)
+            if k < n_boxes
+            and a * level[k][x_min] + b * level[k][y_min] <= hi
+            and a * level[k][x_max] + b * level[k][y_max] >= lo
+        ]
+        if not live:
+            return []
+    # leaf run i reports its points but the one it shares with run
+    # i + 1, so each point is reported once; the last run reports all
+    pts, end = boxes.pts, len(boxes.pts) - 1
+    return [
+        k
+        for i in live
+        for first, last in (boxes.span(i),)
+        for k in range(first, last if last < end else end + 1)
+        if lo <= a * pts[k][0] + b * pts[k][1] <= hi
+    ]
+
+
 def _vertex_test(
     bases: Sequence[IntPoint], others: Sequence[Sequence[IntPoint]], reach: int
 ) -> Callable[[int, IntPoint, IntPoint | None], bool]:
@@ -208,7 +356,7 @@ def _vertex_test(
     if points:
         other_boxes, base_boxes = BoxLevels(points), BoxLevels(bases)
         for line in set().union(*map(canonical_lines, others)):
-            for k in base_boxes.stab(*line, reach):
+            for k in stab(base_boxes, *line, reach):
                 near_lines.setdefault(k, []).append(line)
 
     # the last lines that passed and failed (B); 0 = 1 holds nowhere
@@ -232,7 +380,7 @@ def _vertex_test(
             return False  # the line that failed, met again
         a, b = y - y0, x0 - x
         c = a * x0 + b * y0
-        if other_boxes.stab(a, b, c, 0):
+        if stab(other_boxes, a, b, c, 0):
             failed[:] = a, b, c
             return False
         passed[:] = a, b, c
@@ -277,6 +425,27 @@ def _spiral_den(den: int, n: int) -> int:
     return math.lcm(den, 1 << (n + 7 + SPIRAL_LEVELS))
 
 
+def _jittered_base_points(
+    f: PathOracle, i: Interval, n: int, rng: random.Random | None
+) -> tuple[int, list[int], int, list[IntPoint]]:
+    """The base points `paths._base_points(f, i, n)`, each moved by a
+    random jitter of up to _JITTER_SPAN pitches 2^-(n+8) per axis if rng
+    is given.
+
+    Without rng the vertex denominator is the oracle's own.  With rng it
+    is also a multiple of 2^(n+8), so that the jitter is in integers.
+    """
+    sden, snums, den, bases = _base_points(f, i, n)
+    if rng is None:
+        return sden, snums, den, bases
+    jitter_den = math.lcm(den, 1 << (n + 8))
+    pitch, span, randint = jitter_den >> (n + 8), _JITTER_SPAN, rng.randint
+    return sden, snums, jitter_den, [
+        (x + randint(-span, span) * pitch, y + randint(-span, span) * pitch)
+        for x, y in rescale(bases, jitter_den // den)
+    ]
+
+
 def n_approximation(
     f: PathOracle,
     i: Interval,
@@ -290,7 +459,7 @@ def n_approximation(
     predecessor, walks the spiral of pitch 2^-(n+8) strictly within
     2^-(n+2) of its base, so the combined offset stays below 2^-n.
     """
-    sden, snums, b_den, bases = _base_points(f, i, n, rng)
+    sden, snums, b_den, bases = _jittered_base_points(f, i, n, rng)
     den = _spiral_den(b_den, n)
     bases = rescale(bases, den // b_den)
     verts = separated_vertices(bases, (), den >> (n + 8), (den >> (n + 2)) ** 2)
@@ -318,7 +487,7 @@ def n_approximation_pair(
     f-vertex.
     """
     p = n_approximation(f, i, n, rng)
-    sden, snums, g_den, bases = _base_points(g, j, n, rng)
+    sden, snums, g_den, bases = _jittered_base_points(g, j, n, rng)
     den = _spiral_den(math.lcm(p.vden, g_den), n)
     verts = separated_vertices(
         rescale(bases, den // g_den),

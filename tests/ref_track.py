@@ -207,9 +207,9 @@ def ref_alpha_enclosure(f, g, i, j, n) -> AlphaEnclosure:
 
 def ref_full_points(f, i, n):
     """(sden, snums, vden, values): f at precision n+2 on the whole grid
-    of a precision-n track on i, as integer numerators; `_base_points`
-    without rng, which `test_int_tracks` holds to `eval_approx`."""
-    return _base_points(f, i, n, None)
+    of a precision-n track on i, as integer numerators; `_base_points`,
+    which `test_int_tracks` holds to `eval_approx`."""
+    return _base_points(f, i, n)
 
 
 def ref_shrink_low(f, g, i, j, n):

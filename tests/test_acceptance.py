@@ -205,9 +205,10 @@ def test_criterion_4_additivity() -> str:
             continue
         for t in (F(0), F(1)):
             assert _sq_to_chain(_g_point(t), _chain(_f_point, Interval(a, b))) > F(1, 16)
-        whole = function_parity(F_EXT, G_EXT, Interval(a, b), UNIT, n=6, rng=rng)
-        left = function_parity(F_EXT, G_EXT, Interval(a, c), UNIT, n=6, rng=rng)
-        right = function_parity(F_EXT, G_EXT, Interval(c, b), UNIT, n=6, rng=rng)
+        whole, left, right = (
+            crossing_count(*n_approximation_pair(F_EXT, G_EXT, w, UNIT, 6, rng)).parity
+            for w in (Interval(a, b), Interval(a, c), Interval(c, b))
+        )
         assert whole == (left + right) % 2
         accepted += 1
     elapsed = time.perf_counter() - start

@@ -5,17 +5,27 @@ pairs; no pipeline module imports it, and the package loads it only on
 first use of one of its names.  A fresh interpreter imports the command
 line, refines, extracts, verifies, asks a window parity and runs the
 three commands on both builtin specs, and `curvemeet.track` must still
-be unloaded.  Then every exported name resolves, and the names that
-`paths` and `parity` forward are the very objects of `track`.
+be unloaded, and no loaded curvemeet module may bind `random`: the
+random jitter of base points belongs to the paper's route.  Then every
+exported name resolves, `curvemeet.Track` is `track`'s, and the names
+that `paths` and `parity` forward are the very objects of `track`.  The
+pipeline's parity takes no rng, and the paper's kernels (`Track`,
+`canonical_lines`, line stabbing) are defined in `track` alone.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import curvemeet
+import curvemeet._fastgeom as fastgeom_module
+from curvemeet.parity import _base_track, function_parity
+from curvemeet.paths import _base_points
 
 from test_no_spiral_route import SPECS
 
@@ -47,12 +57,16 @@ for name in ("diagonals", "curved"):
     assert out.getvalue().startswith("parity 1\\n")
     assert cli.main(["render", spec, "--certificate", cert, "-o", name + ".svg"]) == 0
 assert "curvemeet.track" not in sys.modules, "the pipeline loaded curvemeet.track"
+for mod_name, mod in list(sys.modules.items()):
+    if mod_name == "curvemeet" or mod_name.startswith("curvemeet."):
+        assert "random" not in vars(mod), mod_name + " binds random"
 
 import curvemeet, curvemeet.parity, curvemeet.paths
 for name in curvemeet.__all__:
     getattr(curvemeet, name)
 track = sys.modules["curvemeet.track"]
 assert curvemeet.track is track
+assert curvemeet.Track is track.Track
 assert curvemeet.paths.n_approximation is track.n_approximation
 assert curvemeet.paths.n_approximation_pair is track.n_approximation_pair
 assert curvemeet.parity.crossing_count is track.crossing_count
@@ -74,3 +88,12 @@ def test_the_pipeline_never_loads_the_track_module(tmp_path: Path) -> None:
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+def test_the_pipeline_takes_no_rng_and_holds_no_paper_kernel() -> None:
+    for fn in (function_parity, _base_track, _base_points):
+        assert "rng" not in inspect.signature(fn).parameters, fn.__name__
+    for name in ("Track", "canonical_lines"):
+        assert name not in vars(fastgeom_module), name
+    assert not hasattr(fastgeom_module.BoxLevels, "stab")
+    assert curvemeet.Track is curvemeet.track.Track

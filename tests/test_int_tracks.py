@@ -46,12 +46,18 @@ from curvemeet import (
     refine_sequence,
     sqrt_enclosure,
 )
-from curvemeet._fastgeom import BoxLevels, canonical_lines, rescale
+from curvemeet._fastgeom import BoxLevels, rescale
 from curvemeet.cli import emit_certificate
 from curvemeet.errors import NotConverged
 from curvemeet.exact_geom import Interval, Point
 from curvemeet.paths import _base_points, grid_points, grid_runs, grid_values
-from curvemeet.track import separated_vertices, spiral_search
+from curvemeet.track import (
+    _jittered_base_points,
+    canonical_lines,
+    separated_vertices,
+    spiral_search,
+    stab,
+)
 
 from ref_track import ref_separated_points, ref_spiral_search
 
@@ -139,7 +145,7 @@ def ref_pair(f, g, i, j, n, rng=None) -> tuple[Track, Track]:
     reach = -(-scale // 2 ** (n + 2))
     near_lines: dict[int, list] = {}
     for line in canonical_lines(p_ints):
-        for k in base_boxes.stab(*line, reach):
+        for k in stab(base_boxes, *line, reach):
             near_lines.setdefault(k, []).append(line)
 
     def clears(k, cand, prev) -> bool:
@@ -156,7 +162,7 @@ def ref_pair(f, g, i, j, n, rng=None) -> tuple[Track, Track]:
             x0, y0 = x0 * (e_both // e0), y0 * (e_both // e0)
             e = e_both
         a, b = y - y0, x0 - x
-        return not p_boxes.stab(a * e, b * e, a * x0 + b * y0, 0)
+        return not stab(p_boxes, a * e, b * e, a * x0 + b * y0, 0)
 
     return p, Track(tuple(zip(grid, ref_fix_vertices(bases, n, clears))))
 
@@ -328,16 +334,20 @@ def test_n_approximation_matches_fraction_builder(name: str) -> None:
 
 @pytest.mark.parametrize("name", sorted(ORACLES))
 def test_base_points_match_fraction_reference(name: str) -> None:
-    # without rng the base points keep the oracle's own denominator; the
-    # jitter puts them over a multiple of 2^(n+8) and the spiral of
-    # n_approximation over one of 2^(n+19)
+    # the base points keep the oracle's own denominator; the paper
+    # route's jitter puts them over a multiple of 2^(n+8) and the spiral
+    # of n_approximation over one of 2^(n+19)
     f = ORACLES[name]
     for iv in windows(f):
         for n in (2, 5):
             grid = ref_grid(f, iv, n)
             oracle_den = grid_values(f, iv.lo, iv.hi, f.modulus(n), n + 2)[2]
             for seed in SEEDS:
-                sden, snums, den, bases = _base_points(f, iv, n, _rng(seed))
+                sden, snums, den, bases = (
+                    _base_points(f, iv, n)
+                    if seed is None
+                    else _jittered_base_points(f, iv, n, _rng(seed))
+                )
                 want = ref_base_points(f, grid, n, _rng(seed))
                 assert [Point(F(x, den), F(y, den)) for x, y in bases] == want
                 assert [F(s, sden) for s in snums] == grid
@@ -498,7 +508,7 @@ def test_extraction_where_the_spiral_moves_vertices() -> None:
     cert = refine_sequence(phi, diagonal_pair()[1], 2)
     f, last = extend(phi, Side.LOWER), cert.final
     track = n_approximation(f, last.i, last.m + 6)
-    den, bases = _base_points(f, last.i, last.m + 6, None)[2:]
+    den, bases = _base_points(f, last.i, last.m + 6)[2:]
     assert list(track.verts) != list(rescale(bases, track.vden // den))
     balls = 0
     for k in range(1, 10):

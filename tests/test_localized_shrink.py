@@ -172,7 +172,7 @@ def _over_all_of_j(f, g, i, j, n):
 
 
 def _crossings(f, g, i, j, n):
-    return _sweep(_base_track(f, i, n, None), _base_track(g, j, n, None)).count
+    return _sweep(_base_track(f, i, n), _base_track(g, j, n)).count
 
 
 def _run_counts(f, g, i, j, n):
@@ -317,9 +317,9 @@ def test_refinement_evaluates_f_and_counts_g_only_near_each_other(monkeypatch) -
             evaluated += len(out[3])
         return out
 
-    def counted_track(h, i, n, rng):
+    def counted_track(h, i, n):
         nonlocal counted
-        track = base_track(h, i, n, rng)
+        track = base_track(h, i, n)
         counted += len(track.snums)
         return track
 

@@ -1,6 +1,6 @@
 """The crossing sweep near the last clearance probe.
 
-A window-parity query without n and rng sweeps each curve only on the
+A window-parity query without n sweeps each curve only on the
 hull of the probe's leaves that `near_leaves` pairs with the other
 curve's (`parity._near_sweep`).  These tests hold that route to the
 sweep of both whole windows at the same precision, whole
@@ -65,7 +65,7 @@ PAIRS = {
 
 def whole(f, g, i: Interval, j: Interval, n: int):
     """The sweep of both whole windows at precision n."""
-    return _sweep(_base_track(f, i, n, None), _base_track(g, j, n, None))
+    return _sweep(_base_track(f, i, n), _base_track(g, j, n))
 
 
 def _on_grid(s: Fraction, f, w: Interval, n: int) -> bool:
@@ -220,8 +220,8 @@ def test_swept_points_of_the_curved_windows_are_capped(monkeypatch) -> None:
     full = 0
     for i, j in windows:
         n = working_precision(f, g, i, j)[1]
-        full += len(_base_track(f, i, n, None).snums)
-        full += len(_base_track(g, j, n, None).snums)
+        full += len(_base_track(f, i, n).snums)
+        full += len(_base_track(g, j, n).snums)
     swept = _recording_sweeps(monkeypatch)
     for i, j in windows:
         function_parity(f, g, i, j)
@@ -272,18 +272,16 @@ def test_the_whole_grid_budget_at_n_is_checked_first() -> None:
         function_parity(f, g, unit, unit)
 
 
-def test_explicit_n_and_rng_sweep_the_whole_windows(monkeypatch) -> None:
+def test_explicit_n_sweeps_the_whole_windows(monkeypatch) -> None:
     f, g = EXT_CURVED
     i, j = interval(0, 1), interval("-1/4", "3/4")
     swept = _recording_sweeps(monkeypatch)
     n = working_precision(f, g, i, j)[1]
-    whole_points = len(_base_track(f, i, n, None).snums)
-    whole_points += len(_base_track(g, j, n, None).snums)
+    whole_points = len(_base_track(f, i, n).snums)
+    whole_points += len(_base_track(g, j, n).snums)
     assert function_parity(f, g, i, j, n=n) == 1
-    assert function_parity(f, g, i, j, rng=random.Random(3)) == 1
     function_parity(f, g, i, j)
-    assert swept[0] == whole_points and swept[2] < whole_points
-    assert swept[1] >= whole_points  # jitter keeps every base point
+    assert swept[0] == whole_points and swept[1] < whole_points
 
 
 def test_the_enclosure_keeps_its_probe_out_of_eq_and_repr() -> None:

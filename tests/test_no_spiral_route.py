@@ -30,12 +30,11 @@ from curvemeet import (
     refine_sequence,
     verify_certificate,
 )
-from curvemeet._fastgeom import BoxLevels
 from curvemeet.cli import main
 
 TRAPPED = {
     paths_module: ("n_approximation", "n_approximation_pair"),
-    track_module: ("separated_vertices", "spiral_search", "weakly_separated"),
+    track_module: ("separated_vertices", "spiral_search", "stab", "weakly_separated"),
 }
 SPECS = {
     "diagonals": {
@@ -70,7 +69,6 @@ def no_spiral_route(monkeypatch) -> None:
                     for key, value in list(vars(mod).items()):
                         if value is original:
                             monkeypatch.setattr(mod, key, trap)
-    monkeypatch.setattr(BoxLevels, "stab", _trap("BoxLevels.stab"))
 
 
 @pytest.mark.parametrize("pair", [diagonal_pair, curved_pair])

@@ -18,6 +18,7 @@ from curvemeet import (
     extend,
     interval,
     make_track,
+    n_approximation_pair,
     pow2,
     pt,
     sq_dist_point_segment,
@@ -215,7 +216,9 @@ def test_parity_additivity_at_a_clear_split() -> None:
 def test_parity_is_stable_across_randomized_approximations() -> None:
     iv = interval("1/4", "3/4")
     seen = {
-        function_parity(F_EXT, G_EXT, iv, iv, n=6, rng=random.Random(seed))
+        crossing_count(
+            *n_approximation_pair(F_EXT, G_EXT, iv, iv, 6, random.Random(seed))
+        ).parity
         for seed in range(10)
     }
     assert seen == {1}

@@ -1,14 +1,15 @@
 """Weak separation decided by box-level line stabbing.
 
 `weakly_separated` and `n_approximation_pair` share one predicate, which
-prunes with `BoxLevels.stab` and decides by integer equality.  They are
-checked here against the all-pairs scans they replaced: every spanned
-line tested against every vertex (`ref_weakly_separated`), and the
-g-track built vertex by vertex with both line tests run over all of p
-(`ref_track.ref_pair`).
-`function_parity` builds no separated pair: it counts base-point
-polylines under a symbolic translation, and is held here to the parity
-of the checked pair `n_approximation_pair` builds.
+prunes with `track.stab` (a line query on a `BoxLevels`) and decides by
+integer equality.  They are checked here against the all-pairs scans
+they replaced: every spanned line tested against every vertex
+(`ref_weakly_separated`), and the g-track built vertex by vertex with
+both line tests run over all of p (`ref_track.ref_pair`).
+`function_parity` builds no separated pair and draws no jitter: it
+counts base-point polylines under a symbolic translation, and is held
+here to the parity of the checked pair `n_approximation_pair` builds,
+without jitter and with several rng seeds.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from fractions import Fraction
 
 import pytest
 
+import curvemeet.track as track_module
 from curvemeet import (
     NotSeparated,
     PolylinePath,
@@ -38,7 +40,7 @@ from curvemeet import (
     working_precision,
 )
 from curvemeet._fastgeom import BoxLevels
-from curvemeet.track import line_set
+from curvemeet.track import line_set, stab
 
 from ref_track import ref_pair
 from test_working_precision import WINDOWS as WP_WINDOWS
@@ -61,7 +63,7 @@ def ref_weakly_separated(p: Track, q: Track) -> bool:
     )
 
 
-# ------------------------------------------------------------ BoxLevels
+# ------------------------------------------------------------ stab
 
 
 def test_stab_matches_brute_force() -> None:
@@ -79,10 +81,10 @@ def test_stab_matches_brute_force() -> None:
             want = [
                 k for k, (x, y) in enumerate(pts) if abs(a * x + b * y - c) <= reach
             ]
-            assert boxes.stab(a, b, c, pad) == want
+            assert stab(boxes, a, b, c, pad) == want
         # a line through each point finds it
         for k, (x, y) in enumerate(pts):
-            assert k in boxes.stab(1, -2, x - 2 * y, 0)
+            assert k in stab(boxes, 1, -2, x - 2 * y, 0)
 
 
 # ------------------------------------------------------------ weakly_separated
@@ -184,13 +186,12 @@ def test_collinear_run_stabs_once(monkeypatch) -> None:
     line = make_track((k, (k, 0)) for k in range(400))
     zig = make_track((k, (Fraction(3 * k + 1, 3), (-1) ** k)) for k in range(400))
     horizontal = []
-    stab = BoxLevels.stab
 
-    def counting_stab(self, a, b, c, pad):
+    def counting_stab(boxes, a, b, c, pad):
         horizontal.append(a == 0)
-        return stab(self, a, b, c, pad)
+        return stab(boxes, a, b, c, pad)
 
-    monkeypatch.setattr(BoxLevels, "stab", counting_stab)
+    monkeypatch.setattr(track_module, "stab", counting_stab)
     assert weakly_separated(zig, line) and weakly_separated(line, zig)
     assert sum(horizontal) == 2  # the line's (B) stab, and its (A) stab
     assert ref_weakly_separated(zig, line)
@@ -273,15 +274,14 @@ def test_failed_line_is_not_stabbed_again(n: int, monkeypatch) -> None:
     # line that failed, so no failing line is stabbed twice in a row
     f, g, iv = PAIRS["diagonals"]
     stabs: list[tuple[tuple[int, int, int], bool]] = []
-    stab = BoxLevels.stab
 
-    def recording_stab(self, a, b, c, pad):
-        hits = stab(self, a, b, c, pad)
+    def recording_stab(boxes, a, b, c, pad):
+        hits = stab(boxes, a, b, c, pad)
         if pad == 0:  # check B; check A stabs with the budget's reach
             stabs.append((_canonical(a, b, c), bool(hits)))
         return hits
 
-    monkeypatch.setattr(BoxLevels, "stab", recording_stab)
+    monkeypatch.setattr(track_module, "stab", recording_stab)
     got = n_approximation_pair(f, g, iv, iv, n)
     monkeypatch.undo()
     assert any(hit for _line, hit in stabs)
@@ -316,27 +316,23 @@ def _paper_parity(f, g, i, j, n, seed) -> int:
     return crossing_count(*n_approximation_pair(f, g, i, j, n, rng)).parity
 
 
-def _function_parity(f, g, i, j, n, seed) -> int:
-    rng = None if seed is None else random.Random(seed)
-    return function_parity(f, g, i, j, n=n, rng=rng)
-
-
 @pytest.mark.parametrize("name", sorted(PAIRS))
 def test_function_parity_matches_separated_pair_parity(name: str) -> None:
     # function_parity counts base-point polylines under a symbolic
-    # translation; the separated pair of the same n and rng draws, counted
-    # by the checked route, must have the same parity
+    # translation; the separated pair of the same n, counted by the checked
+    # route, must have the same parity without jitter and with the rng
+    # draws of each seed
     f, g, _iv = PAIRS[name]
     parities = set()
     for i, j in WINDOWS[name]:
         certified = working_precision(f, g, i, j)[1]
         for n in (None, 3, 5, 7):
+            got = function_parity(f, g, i, j, n=n)
             for seed in (None, 0, 3):
-                got = _function_parity(f, g, i, j, n, seed)
                 assert got == _paper_parity(f, g, i, j, n or certified, seed), (
                     i, j, n, seed
                 )
-                parities.add(got)
+            parities.add(got)
     assert parities == {0, 1}
 
 
@@ -367,8 +363,8 @@ def test_function_parity_matches_where_the_crossing_is_a_shared_vertex(
     for i, j in VERTEX_WINDOWS:
         p, q = n_approximation(f, i, n), n_approximation(g, j, n)
         assert half in {(z.x, z.y) for z in p.points} & {(z.x, z.y) for z in q.points}
+        got = function_parity(f, g, i, j, n=n)
         for seed in (None, 0):
-            got = _function_parity(f, g, i, j, n, seed)
             assert got == _paper_parity(f, g, i, j, n, seed) == 1, (i, j, seed)
 
 
