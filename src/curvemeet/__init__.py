@@ -6,8 +6,10 @@ approximations with a continuity modulus, this package computes nested
 rational parameter intervals certified to contain a crossing, using only
 exact integer arithmetic in every decision.
 
-The paper's separated-track construction (module `track`) is loaded on
-first use of `track` or of one of its names below, not on import.
+Two modules that no pipeline module imports are loaded on first use of
+the module or of one of its names below, not on import: the paper's
+separated-track construction (`track`) and the exact `Fraction` segment
+kernel (`segments`) that tests check the integer kernels against.
 """
 
 import importlib
@@ -28,21 +30,13 @@ from .errors import (
 from .exact_geom import (
     DistanceEnclosure,
     Interval,
-    Line,
     Point,
     Rational,
-    SegKind,
-    SegRelation,
-    Segment,
-    classify_segment_pair,
     interval,
-    orient,
     pow2,
     pt,
     rat,
     smallest_n_below,
-    sq_dist_point_segment,
-    sq_dist_segment_segment,
     sqrt_enclosure,
 )
 from .parity import (
@@ -144,17 +138,24 @@ __all__ = [
     "working_precision",
 ]
 
-# the names of `track`, which is imported on first use (PEP 562)
-_TRACK_NAMES = frozenset(
-    "Track crossing_count eval_track make_track n_approximation n_approximation_pair"
-    " perturb_to_separated sup_track_distance weakly_separated".split()
+# the module that each lazy name is imported from on first use (PEP 562):
+# the module's own name and the names it exports, for the paper's track
+# route and the `Fraction` segment kernel, which no pipeline module imports
+_LAZY = dict.fromkeys(
+    "track Track crossing_count eval_track make_track perturb_to_separated"
+    " n_approximation n_approximation_pair sup_track_distance weakly_separated".split(),
+    "track",
+) | dict.fromkeys(
+    "segments Line SegKind SegRelation Segment classify_segment_pair orient"
+    " sq_dist_point_segment sq_dist_segment_segment".split(),
+    "segments",
 )
 
 
 def __getattr__(name: str):
     # importlib, not `from . import track`: that statement looks the
     # submodule up as an attribute first and would land here again
-    if name == "track" or name in _TRACK_NAMES:
-        track = importlib.import_module(".track", __name__)
-        return track if name == "track" else getattr(track, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module("." + _LAZY[name], __name__)
+    return module if name == _LAZY[name] else getattr(module, name)

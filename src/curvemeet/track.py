@@ -42,9 +42,10 @@ from ._fastgeom import (
     rescale,
 )
 from .errors import GridMismatch, InvariantViolation, NotSeparated, OutOfDomain
-from .exact_geom import Interval, Line, Point, pt, rat
+from .exact_geom import Interval, Point, pt, rat
 from .parity import CrossingReport, _sweep
 from .paths import PathOracle, _base_points
+from .segments import Line
 
 
 # pitches a spiral search tries: the given one and eleven halvings

@@ -36,7 +36,7 @@ from typing import Callable
 from curvemeet import Track, dyadic_grid, n_approximation, pow2, sqrt_enclosure
 from curvemeet._fastgeom import BoxLevels, pair_over_lcm
 from curvemeet.errors import InvariantViolation, PreconditionViolated
-from curvemeet.exact_geom import Line, Point, ceil_log2, orient
+from curvemeet.exact_geom import Point, ceil_log2
 from curvemeet.parity import AlphaEnclosure
 from curvemeet.paths import (
     _MODULUS_CHECKS,
@@ -45,6 +45,7 @@ from curvemeet.paths import (
     _turn_points,
     grid_values,
 )
+from curvemeet.segments import Line, orient
 from curvemeet.track import SPIRAL_LEVELS, common_verts, line_set, vertex_set
 
 

@@ -27,13 +27,11 @@ from curvemeet._fastgeom import (
     seg_seg_sqdist,
 )
 from curvemeet.errors import InvariantViolation
-from curvemeet.exact_geom import (
-    Point,
+from curvemeet.exact_geom import Point, interval, pow2
+from curvemeet.segments import (
     SegKind,
     Segment,
     classify_segment_pair,
-    interval,
-    pow2,
     sq_dist_segment_segment,
 )
 

@@ -28,6 +28,7 @@ from curvemeet import (
     refine_sequence,
 )
 from curvemeet.cli import (
+    MAX_ITERATIONS,
     MAX_TABLE_ROWS,
     emit_certificate,
     main,
@@ -618,6 +619,20 @@ def test_invalid_arguments_exit_with_one_error_line(
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert captured.out == ""
+
+
+def test_iterations_above_the_bound_exit_at_once(tmp_path: Path, capsys) -> None:
+    # 257 rounds take seconds on the diagonals and far longer on curves,
+    # and the certificate grows with the square of the rounds
+    spec = tmp_path / "spec.json"
+    spec.write_text(DIAG_SPEC, encoding="utf-8")
+    start = time.perf_counter()
+    args = ["intersect", str(spec), "--iterations", str(MAX_ITERATIONS + 1)]
+    assert main(args) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --iterations must lie in [0, {MAX_ITERATIONS}]\n"
     assert captured.out == ""
 
 

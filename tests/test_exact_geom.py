@@ -21,7 +21,8 @@ from curvemeet import (
     sq_dist_segment_segment,
     sqrt_enclosure,
 )
-from curvemeet.exact_geom import ceil_log2, point_on_line
+from curvemeet.exact_geom import ceil_log2
+from curvemeet.segments import point_on_line
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 points = st.builds(pt, rationals, rationals)

@@ -1,16 +1,20 @@
-"""The pipeline never loads the paper's separated-track module.
+"""The pipeline never loads the paper's separated-track module or the
+`Fraction` segment kernel.
 
 `curvemeet.track` holds the construction of weakly separated track
-pairs; no pipeline module imports it, and the package loads it only on
-first use of one of its names.  A fresh interpreter imports the command
-line, refines, extracts, verifies, asks a window parity and runs the
-three commands on both builtin specs, and `curvemeet.track` must still
-be unloaded, and no loaded curvemeet module may bind `random`: the
-random jitter of base points belongs to the paper's route.  Then every
-exported name resolves, `curvemeet.Track` is `track`'s, and the names
-that `paths` and `parity` forward are the very objects of `track`.  The
-pipeline's parity takes no rng, and the paper's kernels (`Track`,
-`canonical_lines`, line stabbing) are defined in `track` alone.
+pairs and `curvemeet.segments` the exact segment kernel that tests
+check the integer kernels against; no pipeline module imports either,
+and the package loads each only on first use of one of its names.  A
+fresh interpreter imports the command line, refines, extracts,
+verifies, asks a window parity and runs the three commands on both
+builtin specs, and both modules must still be unloaded, and no loaded
+curvemeet module may bind `random`: the random jitter of base points
+belongs to the paper's route.  Then every exported name resolves,
+`curvemeet.Track` and `curvemeet.Segment` are the classes of `track` and
+`segments`, and the names that `paths` and `parity` forward are the very
+objects of `track`.  The pipeline's parity takes no rng, the paper's kernels
+(`Track`, `canonical_lines`, line stabbing) are defined in `track`
+alone, and the segment kernel in `segments` alone.
 """
 
 from __future__ import annotations
@@ -24,12 +28,28 @@ from pathlib import Path
 
 import curvemeet
 import curvemeet._fastgeom as fastgeom_module
+import curvemeet.exact_geom as exact_geom_module
 from curvemeet.parity import _base_track, function_parity
 from curvemeet.paths import _base_points
 
 from test_no_spiral_route import SPECS
 
 ROOT = Path(__file__).resolve().parent.parent
+# the names of the `Fraction` segment kernel, defined in `segments` alone
+SEGMENT_KERNEL = (
+    "cross",
+    "orient",
+    "Segment",
+    "Line",
+    "point_on_line",
+    "SegKind",
+    "SegRelation",
+    "_on_closed_segment",
+    "_crossing_point",
+    "classify_segment_pair",
+    "sq_dist_point_segment",
+    "sq_dist_segment_segment",
+)
 
 SCRIPT = """
 import contextlib, io, sys
@@ -57,6 +77,7 @@ for name in ("diagonals", "curved"):
     assert out.getvalue().startswith("parity 1\\n")
     assert cli.main(["render", spec, "--certificate", cert, "-o", name + ".svg"]) == 0
 assert "curvemeet.track" not in sys.modules, "the pipeline loaded curvemeet.track"
+assert "curvemeet.segments" not in sys.modules, "the pipeline loaded curvemeet.segments"
 for mod_name, mod in list(sys.modules.items()):
     if mod_name == "curvemeet" or mod_name.startswith("curvemeet."):
         assert "random" not in vars(mod), mod_name + " binds random"
@@ -67,6 +88,7 @@ for name in curvemeet.__all__:
 track = sys.modules["curvemeet.track"]
 assert curvemeet.track is track
 assert curvemeet.Track is track.Track
+assert curvemeet.Segment is curvemeet.segments.Segment
 assert curvemeet.paths.n_approximation is track.n_approximation
 assert curvemeet.paths.n_approximation_pair is track.n_approximation_pair
 assert curvemeet.parity.crossing_count is track.crossing_count
@@ -96,4 +118,6 @@ def test_the_pipeline_takes_no_rng_and_holds_no_paper_kernel() -> None:
     for name in ("Track", "canonical_lines"):
         assert name not in vars(fastgeom_module), name
     assert not hasattr(fastgeom_module.BoxLevels, "stab")
+    for name in SEGMENT_KERNEL:
+        assert name not in vars(exact_geom_module), name
     assert curvemeet.Track is curvemeet.track.Track

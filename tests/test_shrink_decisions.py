@@ -17,18 +17,13 @@ from hypothesis import strategies as st
 
 import curvemeet.refine as refine_module
 from curvemeet import curved_pair, diagonal_pair, refine_sequence
-from curvemeet._fastgeom import PolylineIndex, points_over_lcm, rescale
+from curvemeet._fastgeom import BoxLevels, points_over_lcm, rescale
 from curvemeet.errors import InvariantViolation, PreconditionViolated
-from curvemeet.exact_geom import (
-    Interval,
-    Point,
-    Segment,
-    pow2,
-    sq_dist_point_segment,
-    sqrt_enclosure,
-)
+from curvemeet.exact_geom import Interval, Point, pow2, sqrt_enclosure
 from curvemeet.parity import function_parity
-from curvemeet.paths import dyadic_grid, n_approximation
+from curvemeet.paths import dyadic_grid
+from curvemeet.segments import Segment, sq_dist_point_segment
+from curvemeet.track import n_approximation
 
 F = Fraction
 
@@ -46,7 +41,7 @@ polylines = st.lists(st.tuples(coords, coords), min_size=2, max_size=12)
 )
 @settings(max_examples=300, deadline=None)
 def test_any_within_matches_exact_distance(poly, px, py, mode, r, k) -> None:
-    idx = PolylineIndex(poly)
+    idx = BoxLevels(poly)
     q = idx.sq_dist_to_point(px, py)
     if mode == "exact":
         r = q
@@ -73,7 +68,7 @@ def test_distance_queries_match_brute_force(poly, px, py, r) -> None:
         else F((px - ax) ** 2 + (py - ay) ** 2)
         for (ax, ay), (bx, by) in zip(poly, poly[1:])
     )
-    idx = PolylineIndex(poly)
+    idx = BoxLevels(poly)
     assert idx.sq_dist_to_point(px, py) == q
     assert idx.any_within(px, py, r.numerator, r.denominator) == (q < r)
 
@@ -125,7 +120,7 @@ def _reference_shrink_first(
     q = n_approximation(g, j, n + 9)
     f_vals = [f.eval_approx(s, n + 9) for s in grid]
     (fv, qv), scale = common_scale(f_vals, list(q.points))
-    idx = PolylineIndex(qv)
+    idx = BoxLevels(qv)
     sq_scale = F(scale * scale)
     ds = [
         sqrt_enclosure(idx.sq_dist_to_point(x, y) / sq_scale, n + 9).lo
