@@ -53,7 +53,10 @@ def code_lines(source: str) -> int:
 
 def pipeline_modules(src: Path) -> set[str]:
     """The file names of the modules of package src that importing its
-    cli module loads, in a fresh isolated interpreter."""
+    cli module loads, in a fresh isolated interpreter that writes no
+    bytecode: -I ignores PYTHONDONTWRITEBYTECODE, and a `__pycache__`
+    left in src would spare a later run in that tree the compiling that
+    its set-up time measures."""
     code = (
         "import importlib, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
@@ -63,7 +66,7 @@ def pipeline_modules(src: Path) -> set[str]:
         "        print(mod.__file__)\n"
     )
     out = subprocess.run(
-        [sys.executable, "-I", "-c", code, str(src.resolve().parent), src.name],
+        [sys.executable, "-I", "-B", "-c", code, str(src.resolve().parent), src.name],
         capture_output=True,
         text=True,
         check=True,

@@ -65,7 +65,9 @@ class PathOracle(ABC):
     `grid_runs` is the one dispatcher: it reads `eval_runs` where
     present and evaluates any other curve point by point through
     `eval_approx`; `grid_points` expands its pieces.  Distance queries
-    and the parity sweep get only the ends of each run (`_turn_points`).
+    and the parity sweep get only the ends of each run (`_turn_points`),
+    and the shrink step decides each run whole where both curves come as
+    runs (`refine._shrink_decisions`).
     """
 
     @property
@@ -381,6 +383,9 @@ def extend(path: PathOracle, side: Side) -> ExtendedPath:
 # stall or run out of memory instead of failing.
 _MAX_GRID_BITS = 20
 MAX_GRID_VERTICES = 2**_MAX_GRID_BITS
+# a grid as (sden, snums, vden, values): point k at snums[k] / sden,
+# its value at values[k] / vden
+GridValues = tuple[int, list[int], int, list[IntPoint]]
 
 
 def _grid_bounds(lo: Fraction, hi: Fraction, md: int) -> tuple[int, int, int]:
@@ -421,11 +426,12 @@ def _leaf_hull(
     """The part of w that some leaves cover, widened to f's grid at n.
 
     spans are the leaves' `BoxLevels.spans` in a hierarchy over f's
-    values at the parameters snums / sden, from w.lo to w.hi.  The part
-    runs from the first point of the first span to the last point of
-    the last, widened outward to points of f's grid at precision n (the
-    multiples of 2^-(f.modulus(n) + 1)) and clipped to w, so leaves
-    that hold both ends of w give w itself."""
+    values at the parameters snums / sden, from w.lo to w.hi, or any
+    other ascending (first, last) point index pairs of those values.
+    The part runs from the first point of the first span to the last
+    point of the last, widened outward to points of f's grid at
+    precision n (the multiples of 2^-(f.modulus(n) + 1)) and clipped to
+    w, so leaves that hold both ends of w give w itself."""
     e = f.modulus(n) + 1
     lo, hi = snums[spans[0][0]], snums[spans[-1][1]]
     return Interval(
@@ -469,6 +475,11 @@ def grid_points(
     """`grid_runs` with every piece expanded: the values as integer
     numerators over one denominator."""
     den, pieces = grid_runs(f, k0, k1, b, n)
+    return den, _expanded(pieces)
+
+
+def _expanded(pieces: list) -> list[IntPoint]:
+    """The values of `grid_runs` pieces, in grid order."""
     out: list[IntPoint] = []
     for piece in pieces:
         if isinstance(piece, list):
@@ -476,7 +487,7 @@ def grid_points(
         else:
             ka, kb, ax, bx, ay, by = piece
             out += [(ax + bx * k, ay + by * k) for k in range(ka, kb + 1)]
-    return den, out
+    return out
 
 
 def _run_ends(k0: int, pieces: list) -> tuple[list[int], list[IntPoint]]:
@@ -507,7 +518,7 @@ def _with_ends(
     inner_den: int,
     inner: Sequence[IntPoint],
     n: int,
-) -> tuple[int, list[int], int, list[IntPoint]]:
+) -> GridValues:
     """The grid values inner at k/2^e for k in ks, between the values at
     lo and hi, as (sden, snums, vden, values)."""
     ends_den, ends = points_over_lcm([f.eval_approx(lo, n), f.eval_approx(hi, n)])
@@ -532,7 +543,7 @@ def _grid_params(
 
 def grid_values(
     f: PathOracle, lo: Fraction, hi: Fraction, md: int, n: int
-) -> tuple[int, list[int], int, list[IntPoint]]:
+) -> GridValues:
     """f at precision n on `dyadic_grid(lo, hi, md)`, in integers:
     (sden, snums, vden, values) with grid point k at snums[k] / sden
     and its value at values[k] / vden."""
@@ -541,20 +552,14 @@ def grid_values(
     return _with_ends(f, lo, hi, e, range(k0, k1 + 1), inner_den, inner, n)
 
 
-def _base_points(
-    f: PathOracle, i: Interval, n: int
-) -> tuple[int, list[int], int, list[IntPoint]]:
+def _base_points(f: PathOracle, i: Interval, n: int) -> GridValues:
     """The grid of a precision-n track of f on i and its base points, the
     evaluations at precision n+2, over the oracle's own denominator.  The
     grid budget is checked first."""
-    e, k0, k1 = _checked_bounds(f, i, f.modulus(n))
-    den, inner = grid_points(f, k0, k1, 1 << e, n + 2)
-    return _with_ends(f, i.lo, i.hi, e, range(k0, k1 + 1), den, inner, n + 2)
+    return _values_of(f, i, n + 2, grid_pieces(f, i, f.modulus(n), n + 2))
 
 
-def _turn_points(
-    f: PathOracle, i: Interval, n: int
-) -> tuple[int, list[int], int, list[IntPoint]]:
+def _turn_points(f: PathOracle, i: Interval, n: int) -> GridValues:
     """`_base_points(f, i, n)` with only the two ends of each
     straight run kept (`grid_runs`): an in-order subsequence with the
     same first and last point, and the same polyline, parameter by
@@ -562,10 +567,29 @@ def _turn_points(
     every distance to it and every crossing with it is that of the full
     form.  The grid budget is checked on the full grid first.
     """
-    e, k0, k1 = _checked_bounds(f, i, f.modulus(n))
-    den, pieces = grid_runs(f, k0, k1, 1 << e, n + 2)
+    return _turns_of(f, i, n + 2, grid_pieces(f, i, f.modulus(n), n + 2))
+
+
+def grid_pieces(f: PathOracle, w: Interval, md: int, n: int) -> tuple:
+    """(e, k0, k1, den, pieces): f at precision n at k/2^e for k0 <= k <=
+    k1, the points of `dyadic_grid(w.lo, w.hi, md)` between its ends, as
+    `grid_runs` gives them, once w is checked to lie in f's domain and
+    the grid to fit the budget."""
+    e, k0, k1 = _checked_bounds(f, w, md)
+    return (e, k0, k1, *grid_runs(f, k0, k1, 1 << e, n))
+
+
+def _values_of(f: PathOracle, w: Interval, n: int, grid: tuple) -> GridValues:
+    """`grid_values` on w from f's `grid_pieces` there at precision n."""
+    e, k0, k1, den, pieces = grid
+    return _with_ends(f, w.lo, w.hi, e, range(k0, k1 + 1), den, _expanded(pieces), n)
+
+
+def _turns_of(f: PathOracle, w: Interval, n: int, grid: tuple) -> GridValues:
+    """`_values_of` with only the two ends of each straight run kept."""
+    e, k0, _, den, pieces = grid
     ks, inner = _run_ends(k0, pieces)
-    return _with_ends(f, i.lo, i.hi, e, ks, den, inner, n + 2)
+    return _with_ends(f, w.lo, w.hi, e, ks, den, inner, n)
 
 
 def __getattr__(name: str):

@@ -18,7 +18,11 @@ coarse grids at reach 1094 * 2^-(n+10) and then of the walked values
 found at reach 578 * 2^-(n+10), find every stretch of either curve that
 a threshold can see, the runs are read off the values tested, and
 each run's parity check counts only the stretch of the opposing curve
-near the run (`_shrink_decisions`).
+near the run (`_shrink_decisions`).  Where both curves come as straight
+runs, as piecewise-linear curves do, no grid is expanded: a value's
+squared distance to a segment of the opposing polyline is convex along
+a run, so the low values of each run against each segment in reach
+form one interval, found exactly from a few values of the run.
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
-from ._fastgeom import BoxLevels, pair_over_lcm, rescale
+from ._fastgeom import BoxLevels, IntPoint, pair_over_lcm, points_over_lcm, rescale
+from ._fastgeom import _seg_box, _sq_gap, seg_point_sqdist
 from .errors import InvariantViolation, NotConverged, PreconditionViolated
 from .exact_geom import (
     Interval,
@@ -52,11 +57,15 @@ from .paths import (
     _grid_params,
     _leaf_hull,
     _turn_points,
+    _turns_of,
+    _values_of,
     extend,
+    grid_pieces,
     grid_values,
 )
 
 _MAX_SAMPLES = 4096  # verify_certificate's grid budget per sampled track
+_NOT_CLEAR = "an interval endpoint is not clear of the opposing image"
 
 
 @dataclass(frozen=True)
@@ -173,9 +182,47 @@ def _shrink_decisions(
       lo <= half  iff  q < 513^2 * 4^-(n+10)  (endpoint not clear)
     so the classification equals the rounded one without forming lo.
     The budgets of both grids are checked before anything is evaluated.
+    Below, u = 2^-(n+10).
 
-    Only values near the other curve are evaluated at these precisions,
-    indexed and tested; below, u = 2^-(n+10).  Coarse g is g at
+    Where both curves are straight, each run of f's decision grid is
+    decided whole (the straight route).  It is taken when coarse g and
+    then coarse f (below), which the coarse route evaluates first, each
+    have a piece and all their pieces are straight runs, and then f's
+    decision grid and g's fine grid (`grid_runs`) are straight runs as
+    well; a list piece there sends the step to the coarse route, which
+    reuses the coarse grids.  So on a Bezier or a duck-typed curve the
+    choice evaluates nothing that the coarse route does not, and where g
+    is not straight, f's coarse grid is not even read as pieces.  On a straight run, the value at index k is A + kB,
+    and its squared distance q(k) to a segment s of the fine polyline
+    is convex in k: the distance to a convex set is convex, so is its
+    composition with an affine map, and so is its square.  So the
+    indices with q < 4^-(n+1) form one interval (`_low_span`: the run
+    if both ends are low; else a low end or, if any index is low, an
+    integer next to the real minimiser of q, which lies where the line
+    A + kB meets the line of s or at the foot of an end of s; from
+    there each bound is bisected, every test exact).  A value is low
+    iff such an interval holds it, and such an s lies within 2^-(n+1)
+    = 512u of the run's segment, and so does its box.  One dual descent
+    over the polyline through the runs' ends and the fine polyline
+    pairs the leaf of each run's segment with the leaves of all such s,
+    and each s there whose box is in reach is tried, until one holds
+    the whole run.  The runs are the maximal runs of the union of these
+    intervals; the window ends, on no run, are tested against the whole
+    fine polyline by the rule for ends.  So every answer is the full
+    form's.  stretch(a, b) is the part of j from the first to the last
+    segment s of the fine polyline whose box lies within 128u of that
+    of a part of a run of f among the values a+1 to b-1, widened and
+    clipped as below (j if there is none).  As below, both ends u_k
+    and u_k+1 of a segment of Q that the check counts are within 110u
+    of a value x among a+1 to b-1.  Such a w in j lies between
+    neighbours v and v' of g's fine grid, whose exact values are within
+    2u of g(w), and whose fine values within 2.5u.  The segment s that
+    holds the fine segment from v to v', parameter by parameter, is so
+    within 112.5u of x, on such a part of a run: s is counted, and w
+    lies in the hull.
+
+    On the coarse route, only values near the other curve are
+    evaluated at these precisions, indexed and tested.  Coarse g is g at
     precision n+11 on `dyadic_grid(j.lo, j.hi, md)` with md =
     min(g.modulus(n + 4), g.modulus(n + 9)): a subset of the fine grid,
     since the fine grid is the multiples of a smaller or equal power of
@@ -239,11 +286,16 @@ def _shrink_decisions(
     sden, snums = _grid_params(i.lo, i.hi, e, range(k0, k1 + 1))
     k = len(snums) - 1
     cf_md = min(f.modulus(n + 1), f_md)
+    coarse_g = grid_pieces(g, j, min(g.modulus(n + 4), g_md), n + 11)
+    if _straight(coarse_g):
+        coarse_f = grid_pieces(f, i, cf_md, n + 9)
+        if _straight(coarse_f) and (decided := _straight_decisions(f, g, i, j, n)):
+            return sden, snums, *decided
+        cf_den, cfv = _values_of(f, i, n + 9, coarse_f)[2:]
+    else:
+        cf_den, cfv = grid_values(f, i.lo, i.hi, cf_md, n + 9)[2:]
     ce, ck0, _ = _grid_bounds(i.lo, i.hi, cf_md)
-    cf_den, cfv = grid_values(f, i.lo, i.hi, cf_md, n + 9)[2:]
-    csden, csnums, c_den, cv = grid_values(
-        g, j.lo, j.hi, min(g.modulus(n + 4), g_md), n + 11
-    )
+    csden, csnums, c_den, cv = _values_of(g, j, n + 11, coarse_g)
     cf, cg, den = pair_over_lcm(cf_den, cfv, c_den, cv)
     reach = -(-1094 * den >> (n + 10))  # rounded up
     cf_levels, cg_levels = BoxLevels(cf), BoxLevels(cg)
@@ -283,16 +335,9 @@ def _shrink_decisions(
     tested = {p for a, b in f_spans for p in range(a, b + 1)}
     for p in tested:
         if ts[p] in (0, k) and near_g(p, 513 * 513 * sq_scale, 4 ** (n + 10)):
-            raise PreconditionViolated(
-                "an interval endpoint is not clear of the opposing image"
-            )
+            raise PreconditionViolated(_NOT_CLEAR)
     lows = (ts[p] for p in tested if 0 < ts[p] < k and near_g(p, sq_scale, 4 ** (n + 1)))
-    runs: list[tuple[int, int]] = []
-    for t in sorted(lows):
-        if runs and runs[-1][1] == t:
-            runs[-1] = (runs[-1][0], t + 1)
-        else:
-            runs.append((t - 1, t + 1))
+    runs = _low_runs((t, t) for t in lows)
 
     # each pair as the first and last decision point of its f leaf and
     # its coarse g leaf
@@ -303,6 +348,118 @@ def _shrink_decisions(
         return _leaf_hull(g, j, n + 6, csden, csnums, cg_levels.spans(leaves))
 
     return sden, snums, runs, stretch
+
+
+def _straight(*grids: tuple) -> bool:
+    """Whether each grid of `grid_pieces` has pieces, all straight runs."""
+    return all(pcs and all(isinstance(p, tuple) for p in pcs) for *_, pcs in grids)
+
+
+def _straight_decisions(
+    f: PathOracle, g: PathOracle, i: Interval, j: Interval, n: int
+) -> tuple[list[tuple[int, int]], Callable[[int, int], Interval]] | None:
+    """`_shrink_decisions`' runs and stretch from the straight runs of
+    f's decision grid, each decided whole, or None if f's decision grid
+    or g's fine grid has a list piece."""
+    fine_g = grid_pieces(g, j, g.modulus(n + 9), n + 11)
+    _, k0, _, f_den, f_pieces = fine_f = grid_pieces(f, i, f.modulus(n + 4), n + 9)
+    if not _straight(fine_f, fine_g):
+        return None
+    gsden, gsnums, g_den, gv = _turns_of(g, j, n + 11, fine_g)
+    e_den, ends = points_over_lcm([f.eval_approx(t, n + 9) for t in (i.lo, i.hi)])
+    den = math.lcm(f_den, e_den, g_den)
+    ends, gv, m = rescale(ends, den // e_den), rescale(gv, den // g_den), den // f_den
+    runs = [(p[0], p[1], *(c * m for c in p[2:])) for p in f_pieces if p[0] <= p[1]]
+    g_levels, sq = BoxLevels(gv), den * den
+    if any(g_levels.any_within(x, y, 513 * 513 * sq, 4 ** (n + 10)) for x, y in ends):
+        raise PreconditionViolated(_NOT_CLEAR)
+    # run r is segment 2r of the polyline through the runs' ends, and the
+    # g segments within a reach of a part of it lie in the g leaves that
+    # a dual descent at that reach pairs with its leaf
+    run_ends = [(ax + bx * t, ay + by * t) for *ks, ax, bx, ay, by in runs for t in ks]
+    reach = -(-sq >> 2 * n + 2)  # (2^-(n+1))^2, rounded up
+    f_levels = BoxLevels(run_ends)
+    boxes = [_seg_box(c, d) for c, d in zip(gv, gv[1:])]
+    paired: list[list[int]] = [[] for _ in runs]
+    for leaf, l in f_levels.near_leaves(g_levels, reach):
+        a, b = f_levels.span(leaf)
+        for r in range((a + 1) // 2, (b + 1) // 2):
+            paired[r].append(l)
+
+    def near(r: int, lo: int, hi: int, sq_reach: int) -> Iterator[int]:
+        """The g segments whose boxes lie within sqrt(sq_reach) of that
+        of run r's part from index lo to hi."""
+        _, _, ax, bx, ay, by = runs[r]
+        box = _seg_box((ax + bx * lo, ay + by * lo), (ax + bx * hi, ay + by * hi))
+        for a, b in map(g_levels.span, paired[r]):
+            yield from (s for s in range(a, b) if _sq_gap(box, boxes[s]) <= sq_reach)
+
+    lows = []
+    for r, (ka, kb, *_) in enumerate(runs):
+        for s in near(r, ka, kb, reach):
+            lows.append(_low_span(runs[r], gv[s], gv[s + 1], sq, 4 ** (n + 1)))
+            if lows[-1] == (ka, kb):
+                break
+
+    def stretch(a: int, b: int) -> Interval:
+        lo, hi = a + k0, b + k0 - 2  # the values a+1 to b-1
+        sq_near = -(-sq >> 2 * n + 6)  # (2^-(n+3))^2, rounded up
+        parts = [(r, max(ka, lo), min(kb, hi)) for r, (ka, kb, *_) in enumerate(runs)]
+        segs = [s for r, ka, kb in parts if ka <= kb for s in near(r, ka, kb, sq_near)]
+        spans = [(min(segs), max(segs) + 1)] if segs else [(0, len(gv) - 1)]
+        return _leaf_hull(g, j, n + 6, gsden, gsnums, spans)
+
+    return _low_runs((lo - k0 + 1, hi - k0 + 1) for lo, hi in filter(None, lows)), stretch
+
+
+def _low_runs(lows: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """(a, b) for each maximal run a+1 to b-1 of the union of the
+    intervals lows of low points, in order."""
+    runs: list[tuple[int, int]] = []
+    for lo, hi in sorted(lows):
+        if runs and lo <= runs[-1][1]:
+            runs[-1] = (runs[-1][0], max(runs[-1][1], hi + 1))
+        else:
+            runs.append((lo - 1, hi + 1))
+    return runs
+
+
+def _low_span(run: tuple, c: IntPoint, d: IntPoint, rn: int, rd: int) -> tuple | None:
+    """(lo, hi), the first and last index k of a straight run (ka, kb,
+    ax, bx, ay, by) whose value lies at squared distance below rn/rd from
+    the segment cd, or None if none does.
+
+    The squared distance is convex in k, so these indices form one
+    interval.  If both ends are low, it is the run.  Otherwise an index
+    in it is an end that is low or, if there is one, an integer next to
+    a point of the run's line nearest cd: where the line meets cd's
+    line, or the foot of c or of d; the distance is least at one of
+    them.  From there each bound is bisected, by exact tests."""
+    ka, kb, ax, bx, ay, by = run
+    (cx, cy), (dx, dy) = c, d
+
+    def low(k: int) -> bool:
+        num, den = seg_point_sqdist(cx, cy, dx, dy, ax + bx * k, ay + by * k)
+        return num * rd < rn * den
+
+    ends = (ka, low(ka)), (kb, low(kb))
+    inside = next((k for k, is_low in ends if is_low), None)
+    if inside is None:
+        bb, wx, wy = bx * bx + by * by, dx - cx, dy - cy
+        feet = [((px - ax) * bx + (py - ay) * by, bb) for px, py in (c, d) if bb]
+        feet += [(wx * (cy - ay) - wy * (cx - ax), wx * by - wy * bx)]
+        ks = {t for p, q in feet if q for t in (p // q, -(-p // q)) if ka < t < kb}
+        inside = next((t for t in ks if low(t)), None)
+        if inside is None:
+            return None
+    edges = []
+    for out, is_low in ends:
+        edge = out if is_low else inside
+        while abs(edge - out) > 1:
+            mid = (out + edge) // 2
+            edge, out = (mid, out) if low(mid) else (edge, mid)
+        edges.append(edge)
+    return edges[0], edges[1]
 
 
 def _shrink_pair_certified(

@@ -9,6 +9,7 @@ and must exit 0 and leave that directory empty.
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -42,3 +43,23 @@ def test_script_runs_and_writes_nothing(tmp_path: Path, argv: list[str]) -> None
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
     assert list(tmp_path.iterdir()) == []
+
+
+def test_src_lines_writes_no_bytecode_into_the_tree_it_counts(tmp_path: Path) -> None:
+    # its fresh interpreter runs with -I, which ignores
+    # PYTHONDONTWRITEBYTECODE, so only -B keeps __pycache__ out of src
+    src = tmp_path / "curvemeet"
+    shutil.copytree(
+        ROOT / "src" / "curvemeet", src, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "src_lines.py"), "--src", str(src)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "pipeline" in proc.stdout
+    assert not list(tmp_path.rglob("__pycache__"))
