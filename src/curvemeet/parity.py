@@ -16,9 +16,9 @@ reports every crossing with `_sweep`.
 
 `function_parity` builds no separated pair and draws no random jitter.
 It counts the base-point polylines of the two tracks (no spiral, no
-separation checks, zero-length segments dropped, only the two ends of
-each straight run kept, `paths._turn_points`) with the second one
-translated by the infinitesimal vector t = (eps, eps^2):
+separation checks, repeated vertices kept, only the two ends of each
+straight run kept, `paths._turn_points`) with the second one translated
+by the infinitesimal vector t = (eps, eps^2):
 
 * The crossing parity of two polygon paths is their mod-2 intersection
   number, invariant under every perturbation that keeps each path's
@@ -34,11 +34,19 @@ translated by the infinitesimal vector t = (eps, eps^2):
   which for all small eps > 0 is the sign of its first nonzero
   coefficient (`translated_sign`).  A segment of nonzero length has a
   nonzero coefficient: no integer direction (a, b) other than 0 has
-  a eps + b eps^2 = 0.  So no vertex of either polyline lies on a line
-  of the other, and the translated pair is weakly separated.  Orienting
-  a point a against the translated segment (c + t) -> (d + t) is
-  orienting a - t against c -> d, the mirrored form
+  a eps + b eps^2 = 0.  So no vertex of either polyline lies on the
+  line of a segment of nonzero length of the other, and the translated
+  pair, without its zero-length segments, is weakly separated.
+  Orienting a point a against the translated segment (c + t) -> (d + t)
+  is orienting a - t against c -> d, the mirrored form
   `translated_sign(O, c - d)`.
+* Repeated vertices change no count.  A segment of length 0 has all
+  three coefficients 0 against every point, and both its ends orient
+  alike against every segment, so the sweep never finds it separating
+  or separated.  The other segments are those of the polyline with the
+  repeats dropped, in the same order, each at its own end parameters,
+  so the sweep reports that polyline's crossings, each at its parameter
+  on the polyline with the repeats.
 * An infinitesimal translation moves no endpoint across the other path,
   whose clearance is positive, so the count under it has the parity of
   the untranslated polylines.
@@ -75,12 +83,12 @@ from __future__ import annotations
 import importlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from ._fastgeom import BoxLevels, IntPoint, pair_over_lcm
+from ._fastgeom import BoxLevels, pair_over_lcm
 from .errors import EffortExhausted, PreconditionViolated
 from .exact_geom import Interval, Point, pow2, smallest_n_below, sqrt_enclosure
-from .paths import PathOracle, _checked_bounds, _leaf_hull, _turn_points
+from .paths import IntPolyline, PathOracle, _checked_bounds, _leaf_hull, _turn_points
 
 Crossing = tuple[Fraction, Fraction, Point]
 
@@ -99,16 +107,6 @@ class CrossingReport:
             raise ValueError("inconsistent crossing report")
 
 
-class _Polyline(NamedTuple):
-    """A polyline in the integer fields of `track.Track`: parameter k is
-    snums[k] / sden and vertex k is verts[k] / vden."""
-
-    sden: int
-    snums: Sequence[int]
-    vden: int
-    verts: Sequence[IntPoint]
-
-
 def _report(crossings: list[Crossing]) -> CrossingReport:
     return CrossingReport(tuple(crossings), len(crossings), len(crossings) % 2)
 
@@ -122,18 +120,21 @@ def __getattr__(name: str):
 
 
 def translated_sign(o: int, ex: int, ey: int) -> int:
-    """A nonzero integer with the sign, for all small enough eps > 0, of
+    """An integer with the sign, for all small enough eps > 0, of
     o - ey * eps + ex * eps^2: the orientation cross(e, c + t - u) of a
-    point c translated by t = (eps, eps^2) against a segment u -> u + e
-    of nonzero length, given o = cross(e, c - u).  With e the reversed
-    segment it orients a fixed point against a translated segment."""
+    point c translated by t = (eps, eps^2) against a segment u -> u + e,
+    given o = cross(e, c - u).  It is nonzero if e is, and 0 on a segment
+    of length 0 (e = 0, and so o = 0).  With e the reversed segment it
+    orients a fixed point against a translated segment."""
     return o or -ey or ex
 
 
-def _sweep(p: _Polyline, q: _Polyline) -> CrossingReport:
-    """The crossings of p and of q translated by t = (eps, eps^2); no
-    segment may have length 0.  Each of p and q is a `_Polyline` or a
-    `track.Track`: the sweep reads only their four integer fields.
+def _sweep(p: IntPolyline, q: IntPolyline) -> CrossingReport:
+    """The crossings of p and of q translated by t = (eps, eps^2).  Each
+    of p and q is a `paths.IntPolyline` or a `track.Track`: the sweep
+    reads only their four integer fields.  A segment of length 0 is
+    never counted, so the crossings are those of the polylines with
+    their repeated vertices dropped (see the module docstring).
 
     The hierarchies of both tracks over one denominator descend together
     and only segment pairs whose boxes touch are oriented, so the cost is
@@ -179,17 +180,15 @@ def _sweep(p: _Polyline, q: _Polyline) -> CrossingReport:
 
 
 class _Probe(NamedTuple):
-    """What a clearance probe at precision p measured: the turn points of
-    f and of g over one denominator den, with their parameters (numerators
-    over f_sden and g_sden) and their hierarchies."""
+    """What a clearance probe at precision p measured: the turn-point
+    polylines of f and of g, and their hierarchies over one denominator
+    den."""
 
     p: int
     den: int
-    f_sden: int
-    f_snums: Sequence[int]
+    f: IntPolyline
     f_idx: BoxLevels
-    g_sden: int
-    g_snums: Sequence[int]
+    g: IntPolyline
     g_idx: BoxLevels
 
 
@@ -225,9 +224,8 @@ def alpha_enclosure(
     full form's.  Base points lie within 2^-(n+2) of the curve, so the
     pad that covers an n-approximation's vertices covers them.
     """
-    f_sden, f_snums, f_den, f_pts = _turn_points(f, i, n)
-    g_sden, g_snums, g_den, g_pts = _turn_points(g, j, n)
-    pi, qi, den = pair_over_lcm(f_den, f_pts, g_den, g_pts)
+    fp, gp = _turn_points(f, i, n), _turn_points(g, j, n)
+    pi, qi, den = pair_over_lcm(fp.vden, fp.verts, gp.vden, gp.verts)
     pidx, qidx = BoxLevels(pi), BoxLevels(qi)
     sq = min(
         qidx.sq_dist_to_point(*pi[0]),
@@ -240,7 +238,7 @@ def alpha_enclosure(
     e = sqrt_enclosure(sq / (den * den), n)
     pad = 6 * pow2(-n)
     lo, hi = e.lo - pad, e.hi + pad
-    probe = _Probe(n, den, f_sden, f_snums, pidx, g_sden, g_snums, qidx)
+    probe = _Probe(n, den, fp, pidx, gp, qidx)
     return AlphaEnclosure(max(Fraction(0), lo), hi, n, probe)
 
 
@@ -264,7 +262,7 @@ def certify_alpha(
 
     Raises PreconditionViolated if some enclosure proves the clearance
     is at most target, EffortExhausted if precision `effort` is reached
-    without a decision or the next probe's grid (`paths.grid_values`)
+    without a decision or the next probe's grid (`paths._turn_points`)
     would hold more than `paths.MAX_GRID_VERTICES` points.
     """
     probe = min(_PROBE_START, effort)
@@ -320,19 +318,13 @@ def working_precision(
     return AlphaEnclosure(lo, hi, probe, enc._probe), n
 
 
-def _base_track(f: PathOracle, i: Interval, n: int) -> _Polyline:
+def _base_track(f: PathOracle, i: Interval, n: int) -> IntPolyline:
     """The polyline through the base points of
     `track.n_approximation(f, i, n)`, as its turn points
-    (`paths._turn_points`: only the two ends of each straight run kept),
-    each repeat of its predecessor dropped, since a zero-length segment
-    crosses nothing.  It is the polyline through all base points, so the
+    (`paths._turn_points`: only the two ends of each straight run kept,
+    repeats kept).  It is the polyline through all base points, so the
     sweep counts the same crossings (see the module docstring)."""
-    sden, snums, den, bases = _turn_points(f, i, n)
-    keep = [k for k in range(1, len(bases)) if bases[k] != bases[k - 1]]
-    if len(keep) < len(bases) - 1:
-        snums = [snums[0], *(snums[k] for k in keep)]
-        bases = [bases[0], *(bases[k] for k in keep)]
-    return _Polyline(sden, snums, den, bases)
+    return _turn_points(f, i, n)
 
 
 def _near_sweep(
@@ -390,8 +382,8 @@ def _near_sweep(
         return _report([])
     f_spans = probe.f_idx.spans(k for k, _ in near)
     g_spans = probe.g_idx.spans(l for _, l in near)
-    f_hull = _leaf_hull(f, i, n, probe.f_sden, probe.f_snums, f_spans)
-    g_hull = _leaf_hull(g, j, n, probe.g_sden, probe.g_snums, g_spans)
+    f_hull = _leaf_hull(f, i, n, probe.f.sden, probe.f.snums, f_spans)
+    g_hull = _leaf_hull(g, j, n, probe.g.sden, probe.g.snums, g_spans)
     return _sweep(_base_track(f, f_hull, n), _base_track(g, g_hull, n))
 
 

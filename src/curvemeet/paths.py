@@ -22,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ._fastgeom import IntPoint, over_lcm, points_over_lcm, rescale
 from .errors import (
@@ -383,9 +383,17 @@ def extend(path: PathOracle, side: Side) -> ExtendedPath:
 # stall or run out of memory instead of failing.
 _MAX_GRID_BITS = 20
 MAX_GRID_VERTICES = 2**_MAX_GRID_BITS
-# a grid as (sden, snums, vden, values): point k at snums[k] / sden,
-# its value at values[k] / vden
-GridValues = tuple[int, list[int], int, list[IntPoint]]
+
+
+class IntPolyline(NamedTuple):
+    """A polyline in integers, the form of every grid reader here and
+    the fields of `track.Track`: parameter k is snums[k] / sden and
+    vertex k is verts[k] / vden.  Consecutive vertices may repeat."""
+
+    sden: int
+    snums: Sequence[int]
+    vden: int
+    verts: Sequence[IntPoint]
 
 
 def _grid_bounds(lo: Fraction, hi: Fraction, md: int) -> tuple[int, int, int]:
@@ -518,14 +526,14 @@ def _with_ends(
     inner_den: int,
     inner: Sequence[IntPoint],
     n: int,
-) -> GridValues:
-    """The grid values inner at k/2^e for k in ks, between the values at
-    lo and hi, as (sden, snums, vden, values)."""
+) -> IntPolyline:
+    """The polyline through the grid values inner at k/2^e for k in ks,
+    between the values at lo and hi."""
     ends_den, ends = points_over_lcm([f.eval_approx(lo, n), f.eval_approx(hi, n)])
     vden = math.lcm(inner_den, ends_den)
     z_lo, z_hi = rescale(ends, vden // ends_den)
     values = [z_lo, *rescale(inner, vden // inner_den), z_hi]
-    return (*_grid_params(lo, hi, e, ks), vden, values)
+    return IntPolyline(*_grid_params(lo, hi, e, ks), vden, values)
 
 
 def _grid_params(
@@ -543,23 +551,21 @@ def _grid_params(
 
 def grid_values(
     f: PathOracle, lo: Fraction, hi: Fraction, md: int, n: int
-) -> GridValues:
-    """f at precision n on `dyadic_grid(lo, hi, md)`, in integers:
-    (sden, snums, vden, values) with grid point k at snums[k] / sden
-    and its value at values[k] / vden."""
-    e, k0, k1 = _grid_bounds(lo, hi, md)
-    inner_den, inner = grid_points(f, k0, k1, 1 << e, n)
-    return _with_ends(f, lo, hi, e, range(k0, k1 + 1), inner_den, inner, n)
+) -> IntPolyline:
+    """f at precision n on `dyadic_grid(lo, hi, md)`, in integers: grid
+    point k at snums[k] / sden and its value at verts[k] / vden."""
+    w = Interval(lo, hi)
+    return _values_of(f, w, n, grid_pieces(f, w, md, n))
 
 
-def _base_points(f: PathOracle, i: Interval, n: int) -> GridValues:
+def _base_points(f: PathOracle, i: Interval, n: int) -> IntPolyline:
     """The grid of a precision-n track of f on i and its base points, the
     evaluations at precision n+2, over the oracle's own denominator.  The
     grid budget is checked first."""
     return _values_of(f, i, n + 2, grid_pieces(f, i, f.modulus(n), n + 2))
 
 
-def _turn_points(f: PathOracle, i: Interval, n: int) -> GridValues:
+def _turn_points(f: PathOracle, i: Interval, n: int) -> IntPolyline:
     """`_base_points(f, i, n)` with only the two ends of each
     straight run kept (`grid_runs`): an in-order subsequence with the
     same first and last point, and the same polyline, parameter by
@@ -579,13 +585,14 @@ def grid_pieces(f: PathOracle, w: Interval, md: int, n: int) -> tuple:
     return (e, k0, k1, *grid_runs(f, k0, k1, 1 << e, n))
 
 
-def _values_of(f: PathOracle, w: Interval, n: int, grid: tuple) -> GridValues:
-    """`grid_values` on w from f's `grid_pieces` there at precision n."""
+def _values_of(f: PathOracle, w: Interval, n: int, grid: tuple) -> IntPolyline:
+    """The polyline through f's values at precision n on w: those of its
+    `grid_pieces` there, expanded, between the values at w's ends."""
     e, k0, k1, den, pieces = grid
     return _with_ends(f, w.lo, w.hi, e, range(k0, k1 + 1), den, _expanded(pieces), n)
 
 
-def _turns_of(f: PathOracle, w: Interval, n: int, grid: tuple) -> GridValues:
+def _turns_of(f: PathOracle, w: Interval, n: int, grid: tuple) -> IntPolyline:
     """`_values_of` with only the two ends of each straight run kept."""
     e, k0, _, den, pieces = grid
     ks, inner = _run_ends(k0, pieces)

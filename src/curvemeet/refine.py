@@ -53,7 +53,6 @@ from .paths import (
     Side,
     _base_points,
     _checked_bounds,
-    _grid_bounds,
     _grid_params,
     _leaf_hull,
     _turn_points,
@@ -186,40 +185,40 @@ def _shrink_decisions(
 
     Where both curves are straight, each run of f's decision grid is
     decided whole (the straight route).  It is taken when coarse g and
-    then coarse f (below), which the coarse route evaluates first, each
-    have a piece and all their pieces are straight runs, and then f's
-    decision grid and g's fine grid (`grid_runs`) are straight runs as
-    well; a list piece there sends the step to the coarse route, which
-    reuses the coarse grids.  So on a Bezier or a duck-typed curve the
-    choice evaluates nothing that the coarse route does not, and where g
-    is not straight, f's coarse grid is not even read as pieces.  On a straight run, the value at index k is A + kB,
-    and its squared distance q(k) to a segment s of the fine polyline
-    is convex in k: the distance to a convex set is convex, so is its
-    composition with an affine map, and so is its square.  So the
-    indices with q < 4^-(n+1) form one interval (`_low_span`: the run
-    if both ends are low; else a low end or, if any index is low, an
-    integer next to the real minimiser of q, which lies where the line
-    A + kB meets the line of s or at the foot of an end of s; from
-    there each bound is bisected, every test exact).  A value is low
-    iff such an interval holds it, and such an s lies within 2^-(n+1)
-    = 512u of the run's segment, and so does its box.  One dual descent
-    over the polyline through the runs' ends and the fine polyline
-    pairs the leaf of each run's segment with the leaves of all such s,
-    and each s there whose box is in reach is tried, until one holds
-    the whole run.  The runs are the maximal runs of the union of these
-    intervals; the window ends, on no run, are tested against the whole
-    fine polyline by the rule for ends.  So every answer is the full
-    form's.  stretch(a, b) is the part of j from the first to the last
-    segment s of the fine polyline whose box lies within 128u of that
-    of a part of a run of f among the values a+1 to b-1, widened and
-    clipped as below (j if there is none).  As below, both ends u_k
-    and u_k+1 of a segment of Q that the check counts are within 110u
-    of a value x among a+1 to b-1.  Such a w in j lies between
-    neighbours v and v' of g's fine grid, whose exact values are within
-    2u of g(w), and whose fine values within 2.5u.  The segment s that
-    holds the fine segment from v to v', parameter by parameter, is so
-    within 112.5u of x, on such a part of a run: s is counted, and w
-    lies in the hull.
+    then coarse f (below), which the coarse route evaluates first and
+    reads once as pieces (`grid_pieces`), each have a piece and all
+    their pieces are straight runs, and then f's decision grid and g's
+    fine grid (`grid_runs`) are straight runs as well; a list piece
+    there sends the step to the coarse route, which reuses the coarse
+    grids.  So on a Bezier or a duck-typed curve the choice evaluates
+    nothing that the coarse route does not.  On a straight run, the
+    value at index k is A + kB, and its squared distance q(k) to a
+    segment s of the fine polyline is convex in k: the distance to a
+    convex set is convex, so is its composition with an affine map, and
+    so is its square.  So the indices with q < 4^-(n+1) form one
+    interval (`_low_span`: the run if both ends are low; else a low end
+    or, if any index is low, an integer next to the real minimiser of q,
+    which lies where the line A + kB meets the line of s or at the foot
+    of an end of s; from there each bound is bisected, every test
+    exact).  A value is low iff such an interval holds it, and such an s
+    lies within 2^-(n+1) = 512u of the run's segment, and so does its
+    box.  One dual descent over the polyline through the runs' ends and
+    the fine polyline pairs the leaf of each run's segment with the
+    leaves of all such s, and each s there whose box is in reach is
+    tried, until one holds the whole run.  The runs are the maximal runs
+    of the union of these intervals; the window ends, on no run, are
+    tested against the whole fine polyline by the rule for ends.  So
+    every answer is the full form's.  stretch(a, b) is the part of j
+    from the first to the last segment s of the fine polyline whose box
+    lies within 128u of that of a part of a run of f among the values
+    a+1 to b-1, widened and clipped as below (j if there is none).  As
+    below, both ends u_k and u_k+1 of a segment of Q that the check
+    counts are within 110u of a value x among a+1 to b-1.  Such a w in j
+    lies between neighbours v and v' of g's fine grid, whose exact
+    values are within 2u of g(w), and whose fine values within 2.5u.
+    The segment s that holds the fine segment from v to v', parameter by
+    parameter, is so within 112.5u of x, on such a part of a run: s is
+    counted, and w lies in the hull.
 
     On the coarse route, only values near the other curve are
     evaluated at these precisions, indexed and tested.  Coarse g is g at
@@ -285,16 +284,11 @@ def _shrink_decisions(
     e, k0, k1 = _checked_bounds(f, i, f_md)
     sden, snums = _grid_params(i.lo, i.hi, e, range(k0, k1 + 1))
     k = len(snums) - 1
-    cf_md = min(f.modulus(n + 1), f_md)
     coarse_g = grid_pieces(g, j, min(g.modulus(n + 4), g_md), n + 11)
-    if _straight(coarse_g):
-        coarse_f = grid_pieces(f, i, cf_md, n + 9)
-        if _straight(coarse_f) and (decided := _straight_decisions(f, g, i, j, n)):
-            return sden, snums, *decided
-        cf_den, cfv = _values_of(f, i, n + 9, coarse_f)[2:]
-    else:
-        cf_den, cfv = grid_values(f, i.lo, i.hi, cf_md, n + 9)[2:]
-    ce, ck0, _ = _grid_bounds(i.lo, i.hi, cf_md)
+    coarse_f = grid_pieces(f, i, min(f.modulus(n + 1), f_md), n + 9)
+    if _straight(coarse_g, coarse_f) and (decided := _straight_decisions(f, g, i, j, n)):
+        return sden, snums, *decided
+    cf_den, cfv = _values_of(f, i, n + 9, coarse_f)[2:]
     csden, csnums, c_den, cv = _values_of(g, j, n + 11, coarse_g)
     cf, cg, den = pair_over_lcm(cf_den, cfv, c_den, cv)
     reach = -(-1094 * den >> (n + 10))  # rounded up
@@ -304,6 +298,7 @@ def _shrink_decisions(
     # f's decision values on each run of paired coarse leaves, the value
     # at position p being that of decision point ts[p]; coarse point c
     # is decision point fine[c]
+    ce, ck0 = coarse_f[:2]
     last = len(cfv) - 1
     fine = [0, *(((ck0 + c) << (e - ce)) - k0 + 1 for c in range(last - 1)), k]
     spans = [(fine[a], fine[b]) for a, b in cf_levels.spans(c for c, _ in coarse_near)]

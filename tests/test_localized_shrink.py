@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvemeet.parity as parity_module
+import curvemeet.paths as paths_module
 import curvemeet.refine as refine_module
 from curvemeet import (
     PolylinePath,
@@ -298,9 +299,11 @@ def test_refinement_evaluates_f_and_counts_g_only_near_each_other(monkeypatch) -
     # decision precision n+9 on the curved pair, and the parity checks
     # count 11 636 polyline points over all of j; localized, about 3 600
     # and 4 500
-    decisions, values, base_track = (
+    # every grid reader of `paths` ends in `_with_ends`, so the coarse
+    # and the decision reads of f are both counted there
+    decisions, with_ends, base_track = (
         refine_module._shrink_decisions,
-        refine_module.grid_values,
+        paths_module._with_ends,
         parity_module._base_track,
     )
     step = []
@@ -310,11 +313,11 @@ def test_refinement_evaluates_f_and_counts_g_only_near_each_other(monkeypatch) -
         step[:] = [f, n]
         return decisions(f, g, i, j, n)
 
-    def counted_values(h, lo, hi, md, n):
+    def counted_values(h, lo, hi, e, ks, inner_den, inner, n):
         nonlocal evaluated
-        out = values(h, lo, hi, md, n)
+        out = with_ends(h, lo, hi, e, ks, inner_den, inner, n)
         if h is step[0] and n == step[1] + 9:
-            evaluated += len(out[3])
+            evaluated += len(out.verts)
         return out
 
     def counted_track(h, i, n):
@@ -324,7 +327,7 @@ def test_refinement_evaluates_f_and_counts_g_only_near_each_other(monkeypatch) -
         return track
 
     monkeypatch.setattr(refine_module, "_shrink_decisions", recorded)
-    monkeypatch.setattr(refine_module, "grid_values", counted_values)
+    monkeypatch.setattr(paths_module, "_with_ends", counted_values)
     monkeypatch.setattr(parity_module, "_base_track", counted_track)
     refine_sequence(*curved_pair(), 2)
     assert 0 < evaluated <= 5_000

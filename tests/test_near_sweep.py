@@ -40,6 +40,7 @@ from curvemeet import (
 from curvemeet.errors import EffortExhausted
 from curvemeet.exact_geom import Interval, Point
 from curvemeet.parity import _base_track, _near_sweep, _sweep, alpha_enclosure
+from curvemeet.paths import IntPolyline
 
 from test_localized_shrink import WOBBLE
 from test_turn_points import ANTI, PAUSE, ZIGZAG, DuckCurve
@@ -174,6 +175,43 @@ def test_near_report_on_other_oracles(name) -> None:
                 want = whole(f, g, i, j, n)
                 for p in sorted({2, n - 1, n, n + 2} - {1}):
                     assert near(f, g, i, j, n, p) == want, (i, j, n, p)
+
+
+# descends with slope -1/2 through the point (1/2, 1/4) where PAUSE
+# pauses, crossing it there
+THROUGH_PAUSE = PolylinePath([(0, (0, "1/2")), (1, (1, 0))])
+PAUSE_WINDOWS = [
+    (interval("1/4", "3/4"), interval("1/4", "3/4")),
+    (interval("1/5", "5/9"), interval("1/3", "2/3")),
+    (interval(0, 1), interval("1/5", "5/7")),
+]
+
+
+@pytest.mark.parametrize("pause_is_f", [True, False], ids=["as_f", "as_g"])
+def test_pause_queries_equal_the_whole_sweep_with_its_repeats(pause_is_f) -> None:
+    # PAUSE's turn points repeat its pause point, where the other curve
+    # crosses it; the whole sweep keeps the repeat, and so counts what
+    # the polylines without it count
+    for pause_w, other_w in PAUSE_WINDOWS:
+        f, g, i, j = PAUSE, THROUGH_PAUSE, pause_w, other_w
+        if not pause_is_f:
+            f, g, i, j = g, f, j, i
+        enc, n = working_precision(f, g, i, j)
+        want = whole(f, g, i, j, n)
+        verts = _base_track(PAUSE, pause_w, n).verts
+        assert any(a == b for a, b in zip(verts, verts[1:]))
+        plain = _sweep(_without_repeats(f, i, n), _without_repeats(g, j, n))
+        assert [z for *_, z in want.crossings] == [z for *_, z in plain.crossings]
+        assert want.parity == 1
+        assert _near_sweep(f, g, i, j, n, enc) == want
+        assert function_parity(f, g, i, j) == want.parity
+
+
+def _without_repeats(f, w: Interval, n: int):
+    """`_base_track(f, w, n)` with each repeat of a vertex dropped."""
+    sden, snums, vden, verts = _base_track(f, w, n)
+    keep = [k for k, z in enumerate(verts) if k == 0 or z != verts[k - 1]]
+    return IntPolyline(sden, [snums[k] for k in keep], vden, [verts[k] for k in keep])
 
 
 def test_probes_several_bits_from_n() -> None:

@@ -29,19 +29,37 @@ RUNS = [
 ]
 
 
-@pytest.mark.parametrize("argv", RUNS, ids=[run[0] for run in RUNS])
-def test_script_runs_and_writes_nothing(tmp_path: Path, argv: list[str]) -> None:
+def _script(cwd: Path, argv: list[str]) -> subprocess.CompletedProcess:
+    """Run scripts/argv[0] with the rest of argv in cwd."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        cwd=tmp_path,
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=[run[0] for run in RUNS])
+def test_script_runs_and_writes_nothing(tmp_path: Path, argv: list[str]) -> None:
+    proc = _script(tmp_path, argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cert_hashes_checks_the_pin_of_a_spec_file(tmp_path: Path) -> None:
+    # the 8-round hash of the table spec, pinned in test_cli.py as well
+    spec = str(ROOT / "scripts" / "table_spec.json")
+    argv = ["cert_hashes.py", "--spec", spec, "--rounds", "8", "--expect"]
+    proc = _script(tmp_path, [*argv, "acafeb977fbb23ce"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["table_spec.json", "8", "acafeb977fbb23ce"]
+    proc = _script(tmp_path, [*argv, "0" * 16])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -226,6 +226,61 @@ def test_refinement_evaluates_f_on_the_diagonals_by_its_segments(monkeypatch) ->
     assert 0 < count <= 8 * segments
 
 
+class Lowered:
+    """A polyline whose values at precision p are its exact ones moved
+    down by num * 2^-(p+2), within the 2^-p of the `PathOracle` contract
+    for num <= 3, given as the polyline's straight runs."""
+
+    def __init__(self, line: PolylinePath, num: int):
+        self._line, self._num = line, num
+        self.domain = line.domain
+
+    def modulus(self, n):
+        return self._line.modulus(n)
+
+    def eval_runs(self, k0, k1, b, p):
+        den, runs = self._line.eval_runs(k0, k1, b, p)
+        s, drop = 1 << (p + 2), den * self._num
+        return den * s, [
+            (ka, kb, ax * s, bx * s, ay * s - drop, by * s)
+            for ka, kb, ax, bx, ay, by in runs
+        ]
+
+    eval_approx = paths_module._one_point
+
+
+@pytest.mark.parametrize("n, num, tip_k", [(2, 1, 8), (3, 2, 5), (2, 3, 47), (3, 1, 3)])
+def test_a_stretch_reaches_a_tip_that_only_the_checked_polyline_crosses(
+    n, num, tip_k
+) -> None:
+    # g crosses f (y = 1/2) down and up, then comes back to a tip
+    # tip_k/16 * u above f, u = 2^-(n+10).  Lowered by num * u at the
+    # check's base-point precision n+8 (tip_k < 16 * num), it crosses f
+    # twice more there; lowered by num * u/8 at the fine precision n+11
+    # (tip_k > 2 * num), it stays above f.  At n = 2 and 3 one run of f
+    # is low from the first crossing to the tip, but the tip's fine
+    # segments touch no part of it: only a stretch that reaches beyond
+    # touching boxes holds them
+    tip = F(1, 2) + F(tip_k, 16) / 2 ** (n + 10)
+    line = PolylinePath(
+        [
+            (0, ("1/5", 1)),
+            ("1/4", ("1/4", "11/20")),
+            ("3/8", ("3/10", "9/20")),
+            ("1/2", ("2/5", "11/20")),
+            ("5/8", ("3/5", tip)),
+            (1, ("4/5", 1)),
+        ]
+    )
+    f = PolylinePath([(0, (0, "1/2")), (1, (1, "1/2"))])
+    g, unit = Lowered(line, num), Interval(F(0), F(1))
+    assert _straight_decisions(f, g, unit, unit, n) is not None
+    counts = list(_run_counts(f, g, unit, unit, n))
+    assert any(everywhere == 4 for *_, everywhere in counts)
+    for cand, near, here, everywhere in counts:
+        assert here == everywhere, (cand, near)
+
+
 # psi runs along phi, the diagonal, from (1/4, 1/4) to (1/2, 1/2); the
 # intersection is that whole arc
 COINCIDING = (

@@ -10,18 +10,22 @@ polylines that share vertices, overlap along lines and repeat points:
 * the sweep's count against an all-pairs count of the polylines
   translated by that concrete eps, in `Fraction`s;
 * the sweep's parity against the paper's route: the second polyline
-  moved by `perturb_to_separated` and counted by `crossing_count`.
+  moved by `perturb_to_separated` and counted by `crossing_count`;
+* the sweep of polylines whose vertices repeat at random against the
+  sweep of the same polylines without the repeats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curvemeet import crossing_count, make_track, perturb_to_separated
 from curvemeet.parity import _sweep, translated_sign
+from curvemeet.paths import IntPolyline
 
 R = 3  # inner coordinates range over -R ... R
 FAR = R + 2  # the coordinate of the endpoints held off the other polyline
@@ -124,3 +128,43 @@ def test_symbolic_parity_matches_the_perturbed_separated_parity(pair) -> None:
     tp, tq = _track(p), _track(q)
     moved = perturb_to_separated(tq, tp, tp, Fraction(1, 16))
     assert _symbolic_count(p, q) % 2 == crossing_count(tp, moved).parity
+
+
+@st.composite
+def repeated(draw, pts, shared: bool):
+    """(plain, with_repeats): an `IntPolyline` through pts, whose points
+    differ from their predecessors, and the same one with each vertex
+    repeated one to three times at random, over a random vertex
+    denominator.  With shared, each copy has its vertex's parameter;
+    else the parameters of all copies increase strictly (a pause) and
+    the plain polyline keeps each vertex's first one."""
+    sden, vden = draw(st.integers(1, 9)), draw(st.integers(1, 5))
+    verts = [(x * vden, y * vden) for x, y in pts]
+    reps = draw(st.lists(st.integers(1, 3), min_size=len(pts), max_size=len(pts)))
+    size = len(pts) if shared else sum(reps)
+    snums = sorted(draw(st.sets(st.integers(-60, 60), min_size=size, max_size=size)))
+    if shared:
+        firsts, copies = snums, [s for s, r in zip(snums, reps) for _ in range(r)]
+    else:
+        firsts, copies = [snums[k] for k in accumulate([0, *reps[:-1]])], snums
+    full = [z for z, r in zip(verts, reps) for _ in range(r)]
+    return IntPolyline(sden, firsts, vden, verts), IntPolyline(sden, copies, vden, full)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polyline_pair(), st.booleans(), st.data())
+def test_repeated_vertices_leave_the_sweep_report_unchanged(pair, shared, data) -> None:
+    # a segment of length 0 is never counted, and the other segments
+    # are those of the polylines without repeats, in the same order;
+    # where the copies of a vertex share its parameter, so do their
+    # ends, and the reports are equal field by field.  After a pause a
+    # segment starts at its last copy's parameter, so there the count
+    # and the points are equal
+    p, q = map(_dedup, pair)
+    assume(len(p) > 1 and len(q) > 1)
+    (p0, p1), (q0, q1) = (data.draw(repeated(pts, shared)) for pts in (p, q))
+    want, got = _sweep(p0, q0), _sweep(p1, q1)
+    if shared:
+        assert got == want
+    assert got.count == want.count == _symbolic_count(p, q)
+    assert [z for *_, z in got.crossings] == [z for *_, z in want.crossings]
