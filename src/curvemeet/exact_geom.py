@@ -16,7 +16,6 @@ use, as it loads `track`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -56,10 +55,63 @@ def smallest_n_below(x: Fraction) -> int:
     return max(0, 1 - ceil_log2(x))
 
 
-@dataclass(frozen=True)
-class Point:
-    x: Fraction
-    y: Fraction
+class Frozen:
+    """Base of the immutable value types.
+
+    A subclass names its fields in `__slots__`, in the order its
+    `__init__` takes them, public ones first.  Its `__init__` hands the
+    tuple of its public fields to `_store` and sets each field with the
+    slot setter `_store` returns.  That tuple is its identity: an
+    instance equals only an instance of its own class with an equal
+    tuple (never a plain tuple), hashes as the tuple and prints its
+    fields by name.  Comparing a stored tuple keeps `==` and `hash` as
+    fast as a dataclass's, and slot setters keep construction faster.
+    Assignment and deletion raise AttributeError; pickle and copy
+    rebuild an instance through its `__init__` (`__reduce__`).
+    """
+
+    __slots__ = ("_key",)
+
+    def __init_subclass__(cls) -> None:
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
+
+    def _store(self, key: tuple) -> tuple:
+        """Store key, the tuple of the public fields, and return the
+        setters of all fields, in `__slots__` order."""
+        _set_key(self, key)
+        return self._setters
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__qualname__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+_set_key = Frozen._key.__set__
+
+
+class Point(Frozen):
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: Fraction, y: Fraction):
+        set_x, set_y = self._store((x, y))
+        set_x(self, x)
+        set_y(self, y)
 
     def __str__(self) -> str:
         return f"({self.x}, {self.y})"
@@ -81,16 +133,17 @@ def pt(x: RationalLike, y: RationalLike) -> Point:
     return Point(rat(x), rat(y))
 
 
-@dataclass(frozen=True)
-class DistanceEnclosure:
+class DistanceEnclosure(Frozen):
     """Rational interval [lo, hi] known to contain a distance."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.lo <= self.hi):
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if not (0 <= lo <= hi):
             raise ValueError("enclosure bounds out of order")
+        set_lo, set_hi = self._store((lo, hi))
+        set_lo(self, lo)
+        set_hi(self, hi)
 
 
 def sqrt_enclosure(q: Fraction, k: int) -> DistanceEnclosure:
@@ -114,16 +167,17 @@ def sqrt_enclosure(q: Fraction, k: int) -> DistanceEnclosure:
     return DistanceEnclosure(Fraction(m, scale), Fraction(m + 1, scale))
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Frozen):
     """Closed rational parameter interval."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
             raise ValueError("interval bounds out of order")
+        set_lo, set_hi = self._store((lo, hi))
+        set_lo(self, lo)
+        set_hi(self, hi)
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"

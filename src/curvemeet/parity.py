@@ -81,30 +81,30 @@ at the same parameters.  No separate far test
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 from ._fastgeom import BoxLevels, pair_over_lcm
 from .errors import EffortExhausted, PreconditionViolated
-from .exact_geom import Interval, Point, pow2, smallest_n_below, sqrt_enclosure
+from .exact_geom import Frozen, Interval, Point, pow2, smallest_n_below, sqrt_enclosure
 from .paths import IntPolyline, PathOracle, _checked_bounds, _leaf_hull, _turn_points
 
 Crossing = tuple[Fraction, Fraction, Point]
 
 
-@dataclass(frozen=True)
-class CrossingReport:
+class CrossingReport(Frozen):
     """Proper crossings of two tracks, ordered along the first track
     (lexicographically by segment pair)."""
 
-    crossings: tuple[Crossing, ...]
-    count: int
-    parity: int
+    __slots__ = ("crossings", "count", "parity")
 
-    def __post_init__(self) -> None:
-        if self.count != len(self.crossings) or self.parity != self.count % 2:
+    def __init__(self, crossings: tuple[Crossing, ...], count: int, parity: int):
+        if count != len(crossings) or parity != count % 2:
             raise ValueError("inconsistent crossing report")
+        set_crossings, set_count, set_parity = self._store((crossings, count, parity))
+        set_crossings(self, crossings)
+        set_count(self, count)
+        set_parity(self, parity)
 
 
 def _report(crossings: list[Crossing]) -> CrossingReport:
@@ -192,23 +192,24 @@ class _Probe(NamedTuple):
     g_idx: BoxLevels
 
 
-@dataclass(frozen=True)
-class AlphaEnclosure:
+class AlphaEnclosure(Frozen):
     """Interval around the endpoint clearance of a curve pair: the
     smaller of (distance of f's endpoint values to g's arc) and
     (distance of g's endpoint values to f's arc).
 
     An enclosure from `alpha_enclosure` also keeps the probe it measured,
-    which `_near_sweep` reuses; equality and repr ignore it."""
+    which `_near_sweep` reuses; equality, hash and repr ignore it."""
 
-    lo: Fraction
-    hi: Fraction
-    precision_used: int
-    _probe: _Probe | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("lo", "hi", "precision_used", "_probe")
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.lo <= self.hi):
+    def __init__(self, lo: Fraction, hi: Fraction, precision_used: int, _probe=None):
+        if not (0 <= lo <= hi):
             raise ValueError("enclosure bounds out of order")
+        set_lo, set_hi, set_precision, set_probe = self._store((lo, hi, precision_used))
+        set_lo(self, lo)
+        set_hi(self, hi)
+        set_precision(self, precision_used)
+        set_probe(self, _probe)
 
 
 def alpha_enclosure(
@@ -263,14 +264,15 @@ def certify_alpha(
     Raises PreconditionViolated if some enclosure proves the clearance
     is at most target, EffortExhausted if precision `effort` is reached
     without a decision or the next probe's grid (`paths._turn_points`)
-    would hold more than `paths.MAX_GRID_VERTICES` points.
+    would hold more than `paths.MAX_GRID_VERTICES` points even at the
+    largest precision above the last probe (`_probe_in_budget`).
     """
     probe = min(_PROBE_START, effort)
     enc = alpha_enclosure(f, g, i, j, probe)
     hint = min(smallest_n_below(enc.hi / 16), effort)
     if enc.lo <= target and hint > probe:
-        probe = hint
-        enc = alpha_enclosure(f, g, i, j, probe)
+        enc = _probe_in_budget(f, g, i, j, probe, hint)
+        probe = enc.precision_used
     ladder = [min(2 * probe, effort), min(probe + 1, effort)]
     while enc.lo <= target:
         if enc.hi <= target:
@@ -281,9 +283,31 @@ def certify_alpha(
             raise EffortExhausted(
                 f"clearance > {target} not certified up to precision {effort}"
             )
-        probe = ladder.pop() if ladder else min(2 * probe, effort)
-        enc = alpha_enclosure(f, g, i, j, probe)
+        nxt = ladder.pop() if ladder else min(2 * probe, effort)
+        enc = _probe_in_budget(f, g, i, j, probe, nxt)
+        probe = enc.precision_used
     return enc
+
+
+def _probe_in_budget(
+    f: PathOracle, g: PathOracle, i: Interval, j: Interval, last: int, p: int
+) -> AlphaEnclosure:
+    """`alpha_enclosure` at precision p or, where a grid at p would hold
+    more than `paths.MAX_GRID_VERTICES` points, at the largest precision
+    above last whose two grids fit; EffortExhausted if none does.  Only
+    a probe that would fail is moved, so every other keeps its
+    precision."""
+    try:
+        return alpha_enclosure(f, g, i, j, p)
+    except EffortExhausted:
+        for q in range(p - 1, last, -1):
+            try:
+                _checked_bounds(f, i, f.modulus(q))
+                _checked_bounds(g, j, g.modulus(q))
+            except EffortExhausted:
+                continue
+            return alpha_enclosure(f, g, i, j, q)
+        raise
 
 
 def working_precision(

@@ -19,7 +19,6 @@ import importlib
 import math
 from abc import ABC, abstractmethod
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -32,6 +31,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .exact_geom import (
+    Frozen,
     Interval,
     Point,
     ceil_log2,
@@ -325,12 +325,15 @@ _CORNERS = {
 }
 
 
-@dataclass(frozen=True)
-class ExtendedPath(PathOracle):
+class ExtendedPath(PathOracle, Frozen):
     """A unit-square path continued by straight tails to [-1, 2]."""
 
-    inner: PathOracle
-    side: Side
+    __slots__ = ("inner", "side")
+
+    def __init__(self, inner: PathOracle, side: Side):
+        set_inner, set_side = self._store((inner, side))
+        set_inner(self, inner)
+        set_side(self, side)
 
     @property
     def domain(self) -> Interval:

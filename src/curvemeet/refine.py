@@ -28,7 +28,6 @@ form one interval, found exactly from a few values of the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
@@ -36,6 +35,7 @@ from ._fastgeom import BoxLevels, IntPoint, pair_over_lcm, points_over_lcm, resc
 from ._fastgeom import _seg_box, _sq_gap, seg_point_sqdist
 from .errors import InvariantViolation, NotConverged, PreconditionViolated
 from .exact_geom import (
+    Frozen,
     Interval,
     Point,
     RationalLike,
@@ -67,43 +67,45 @@ _MAX_SAMPLES = 4096  # verify_certificate's grid budget per sampled track
 _NOT_CLEAR = "an interval endpoint is not clear of the opposing image"
 
 
-@dataclass(frozen=True)
-class RefinementRecord:
+class RefinementRecord(Frozen):
     """One accepted interval pair: at level m the images are mutually
     within 2^-m and the crossing parity on i x j is 1."""
 
-    m: int
-    i: Interval
-    j: Interval
+    __slots__ = ("m", "i", "j")
 
-    def __post_init__(self) -> None:
-        if self.m < 0:
+    def __init__(self, m: int, i: Interval, j: Interval):
+        if m < 0:
             raise ValueError("negative refinement level")
+        set_m, set_i, set_j = self._store((m, i, j))
+        set_m(self, m)
+        set_i(self, i)
+        set_j(self, j)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Frozen):
     """A nested chain of refinement records plus the final parameter
     intervals clipped back to the original unit domains."""
 
-    records: tuple[RefinementRecord, ...]
-    s_phi: Interval
-    s_psi: Interval
+    __slots__ = ("records", "s_phi", "s_psi")
 
-    def __post_init__(self) -> None:
-        if not self.records:
+    def __init__(self, records: tuple, s_phi: Interval, s_psi: Interval):
+        if not records:
             raise ValueError("a certificate needs at least the base record")
-        for expected, rec in enumerate(self.records):
+        for expected, rec in enumerate(records):
             if rec.m != expected:
                 raise ValueError("refinement levels must count up from 0")
-        for prev, rec in zip(self.records, self.records[1:]):
+        for prev, rec in zip(records, records[1:]):
             if not (
                 prev.i.contains_interval(rec.i)
                 and prev.j.contains_interval(rec.j)
             ):
                 raise ValueError("refinement records must be nested")
-        if not all(_UNIT_DOMAIN.contains_interval(s) for s in (self.s_phi, self.s_psi)):
+        if not all(_UNIT_DOMAIN.contains_interval(s) for s in (s_phi, s_psi)):
             raise ValueError("final intervals must lie in the unit domain")
+        set_records, set_s_phi, set_s_psi = self._store((records, s_phi, s_psi))
+        set_records(self, records)
+        set_s_phi(self, s_phi)
+        set_s_psi(self, s_psi)
 
     @property
     def final(self) -> RefinementRecord:
@@ -574,17 +576,18 @@ def verify_certificate(cert: Certificate, phi: PathOracle, psi: PathOracle) -> N
         _check_neighborhood(g, rec.j, f, rec.i, rec.m)
 
 
-@dataclass(frozen=True)
-class PointApproximation:
+class PointApproximation(Frozen):
     """A rational ball certified to contain the crossing point."""
 
-    center: Point
-    radius: Fraction
-    level: int
+    __slots__ = ("center", "radius", "level")
 
-    def __post_init__(self) -> None:
-        if self.radius < 0:
+    def __init__(self, center: Point, radius: Fraction, level: int):
+        if radius < 0:
             raise ValueError("negative radius")
+        set_center, set_radius, set_level = self._store((center, radius, level))
+        set_center(self, center)
+        set_radius(self, radius)
+        set_level(self, level)
 
 
 def extract_point(

@@ -11,10 +11,9 @@ loads it on first use of one of its names (`curvemeet.Segment`,
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_geom import Point
+from .exact_geom import Frozen, Point
 
 
 def cross(o: Point, a: Point, b: Point) -> Fraction:
@@ -32,29 +31,33 @@ def orient(a: Point, b: Point, c: Point) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Frozen):
     """Closed segment with distinct rational endpoints."""
 
-    a: Point
-    b: Point
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if self.a == self.b:
+    def __init__(self, a: Point, b: Point):
+        if a == b:
             raise ValueError("degenerate segment")
+        set_a, set_b = self._store((a, b))
+        set_a(self, a)
+        set_b(self, b)
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(Frozen):
     """Line A*x + B*y = C in canonical integer form.
 
     Canonical: gcd(A, B, C) = 1 and (A, B) lexicographically positive,
     so equal lines compare and hash equal.
     """
 
-    A: int
-    B: int
-    C: int
+    __slots__ = ("A", "B", "C")
+
+    def __init__(self, A: int, B: int, C: int):
+        set_a, set_b, set_c = self._store((A, B, C))
+        set_a(self, A)
+        set_b(self, B)
+        set_c(self, C)
 
     @staticmethod
     def through(p: Point, q: Point) -> "Line":
@@ -91,10 +94,14 @@ class SegKind(enum.Enum):
     PROPER_CROSSING = "proper_crossing"
 
 
-@dataclass(frozen=True)
-class SegRelation:
-    kind: SegKind
-    point: Point | None = None  # set exactly for PROPER_CROSSING
+class SegRelation(Frozen):
+    __slots__ = ("kind", "point")
+
+    def __init__(self, kind: SegKind, point: Point | None = None):
+        # point is set exactly for PROPER_CROSSING
+        set_kind, set_point = self._store((kind, point))
+        set_kind(self, kind)
+        set_point(self, point)
 
 
 def _on_closed_segment(p: Point, s: Segment) -> bool:

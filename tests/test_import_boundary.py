@@ -9,12 +9,14 @@ fresh interpreter imports the command line, refines, extracts,
 verifies, asks a window parity and runs the three commands on both
 builtin specs, and both modules must still be unloaded, and no loaded
 curvemeet module may bind `random`: the random jitter of base points
-belongs to the paper's route.  Then every exported name resolves,
-`curvemeet.Track` and `curvemeet.Segment` are the classes of `track` and
-`segments`, and the names that `paths` and `parity` forward are the very
-objects of `track`.  The pipeline's parity takes no rng, the paper's kernels
-(`Track`, `canonical_lines`, line stabbing) are defined in `track`
-alone, and the segment kernel in `segments` alone.
+belongs to the paper's route.  Nor may `dataclasses` or `inspect` be
+loaded: the value types build no code on import.  Then every exported
+name resolves, `curvemeet.Track` and `curvemeet.Segment` are the classes
+of `track` and `segments`, and the names that `paths` and `parity`
+forward are the very objects of `track`.  The pipeline's parity takes
+no rng, the paper's kernels (`Track`, `canonical_lines`, line stabbing)
+are defined in `track` alone, and the segment kernel in `segments`
+alone.
 """
 
 from __future__ import annotations
@@ -78,6 +80,8 @@ for name in ("diagonals", "curved"):
     assert cli.main(["render", spec, "--certificate", cert, "-o", name + ".svg"]) == 0
 assert "curvemeet.track" not in sys.modules, "the pipeline loaded curvemeet.track"
 assert "curvemeet.segments" not in sys.modules, "the pipeline loaded curvemeet.segments"
+for name in ("dataclasses", "inspect"):
+    assert name not in sys.modules, "the pipeline loaded " + name
 for mod_name, mod in list(sys.modules.items()):
     if mod_name == "curvemeet" or mod_name.startswith("curvemeet."):
         assert "random" not in vars(mod), mod_name + " binds random"

@@ -26,6 +26,7 @@ RUNS = [
     ["parity_grid.py", "--pair", "diagonals", "--cells", "2"],
     ["refine_demo.py", "--pair", "diagonals", "--iterations", "2"],
     ["src_lines.py"],
+    ["import_cost.py", "--runs", "2"],
 ]
 
 

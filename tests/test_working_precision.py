@@ -30,6 +30,7 @@ from curvemeet import (
     function_parity,
     interval,
     pow2,
+    refine_sequence,
     working_precision,
 )
 from curvemeet.errors import EffortExhausted
@@ -260,8 +261,26 @@ def test_a_zero_floor_is_probed_one_bit_higher_first(monkeypatch) -> None:
     assert function_parity(f, g, i, j) == 1
 
 
-# zero-clearance queries: the probe precisions, and the largest grid any
-# probe evaluated when the probe doubled straight after the hint
+def test_a_probe_over_the_budget_falls_back_to_the_largest_that_fits(
+    monkeypatch,
+) -> None:
+    # on the last record of three curved rounds the probes at 5, 7, 8 and
+    # 14 give the floor 0, and f's grid at 28 would pass the budget; at 27
+    # both grids fit (770 049 and 321 537 points), and the floor is positive
+    phi, psi = curved_pair()
+    rec = refine_sequence(phi, psi, 3).records[3]
+    f, g = extend(phi, Side.LOWER), extend(psi, Side.UPPER)
+    probes, grids = _recording_probes(monkeypatch)
+    enc = certify_alpha(f, g, rec.i, rec.j)
+    assert probes == [5, 7, 8, 14, 28, 27]
+    assert enc.precision_used == 27 and enc.lo > F(1, 8192)
+    assert max(grids) == 770049 <= paths_module.MAX_GRID_VERTICES
+
+
+# zero-clearance queries: the probe precisions, and the largest grid sized
+# for a probe; a probe whose grid would pass the budget falls back to the
+# largest precision above the last probe whose grids fit, and only when
+# none does is EffortExhausted raised (at the parent, after 28)
 ZERO_CLEARANCE = {
     "diagonal_on_itself": (
         lambda f, g: certify_alpha(f, f, interval(0, 1), interval(0, 1), effort=10),
@@ -272,8 +291,8 @@ ZERO_CLEARANCE = {
     "endpoint_on_curve": (
         lambda f, g: function_parity(f, g, interval("1/2", 2), interval(-1, 2)),
         "diagonals",
-        [5, 7, 8, 14, 28],
-        393217,
+        [5, 7, 8, 14, 28, 15, 30],
+        786433,
     ),
     "endpoint_on_curve_effort_8": (
         lambda f, g: function_parity(
@@ -286,14 +305,14 @@ ZERO_CLEARANCE = {
     "three_crossing": (
         lambda f, g: function_parity(f, g, interval("1/3", 1), interval(0, "1/2")),
         "three_crossing",
-        [5, 7, 8, 14, 28],
-        87383,
+        [5, 7, 8, 14, 28, 17, 34],
+        699052,
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ZERO_CLEARANCE))
-def test_zero_clearance_fails_as_before_and_within_its_former_grids(
+def test_zero_clearance_fails_within_the_grid_budget(
     name, monkeypatch
 ) -> None:
     query, pair, want_probes, largest_grid = ZERO_CLEARANCE[name]
