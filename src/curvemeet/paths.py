@@ -425,10 +425,14 @@ def _grid_bounds(lo: Fraction, hi: Fraction, md: int) -> tuple[int, int, int]:
 
 def _checked_bounds(f: PathOracle, i: Interval, md: int) -> tuple[int, int, int]:
     """`_grid_bounds` of f's grid on i, after checking that i lies in
-    f's domain."""
-    if not f.domain.contains_interval(i):
-        raise OutOfDomain(f"{i} is not inside {f.domain}")
-    return _grid_bounds(i.lo, i.hi, md)
+    f's domain, by cross-multiplied numerators (positive denominators)."""
+    d, lo, hi = f.domain, i.lo, i.hi
+    if (
+        d.lo.numerator * lo.denominator > lo.numerator * d.lo.denominator
+        or hi.numerator * d.hi.denominator > d.hi.numerator * hi.denominator
+    ):
+        raise OutOfDomain(f"{i} is not inside {d}")
+    return _grid_bounds(lo, hi, md)
 
 
 def _leaf_hull(

@@ -16,18 +16,25 @@ curve around it, and every fine point of the opposing polyline within
 spacing.  So dual descents over the box hierarchies, first of the two
 coarse grids at reach 1094 * 2^-(n+10) and then of the walked values
 found at reach 578 * 2^-(n+10), find every stretch of either curve that
-a threshold can see, the runs are read off the values tested, and
-each run's parity check counts only the stretch of the opposing curve
-near the run (`_shrink_decisions`).  Where both curves come as straight
-runs, as piecewise-linear curves do, no grid is expanded: a value's
-squared distance to a segment of the opposing polyline is convex along
-a run, so the low values of each run against each segment in reach
-form one interval, found exactly from a few values of the run.
+a threshold can see.  The values found are decided on a ladder of the
+opposing curve's grids, from the coarse one to the fine polyline: a
+value near a grid value is low at once, and each finer grid is
+evaluated only on the blocks that a value still open can need, as the
+moduli bound each block's fine points around its two ends (after
+Johnson and Cohen's coarse-to-fine distance bounds).  The runs are read
+off the values tested, and each run's parity check counts only the
+stretch of the opposing curve near the run (`_shrink_decisions`).
+Where both curves come as straight runs, as piecewise-linear curves
+do, no grid is expanded: a value's squared distance to a segment of the
+opposing polyline is convex along a run, so the low values of each run
+against each segment in reach form one interval, found exactly from a
+few values of the run.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
@@ -248,17 +255,58 @@ def _shrink_decisions(
     (`BoxLevels.spans`).  A
     second descent pairs the leaves of the evaluated values with coarse
     g's at most 578u apart, so a leaf holding x is paired with the
-    coarse leaf holding that block.  Each maximal run of paired coarse g
-    leaves is evaluated as one piece by `_turn_points`, the same fine
-    polyline on that parameter range, and only values in paired leaves
-    are tested, against the pieces.  A value not tested is at least 513u
-    from the whole fine polyline: high and clear, as in the full form.
-    A tested value nearer than that has its nearest point on a piece, so
-    its distance to the pieces is the full one; one farther away is
-    farther still from the pieces, which are part of the polyline.  So
-    every answer is the full form's.  As every value not tested is high,
-    the runs are the maximal runs of consecutive points among the tested
-    values found low; the endpoints 0 and k are never low.
+    coarse leaf holding that block.  Only values in paired leaves are
+    tested; one not tested is at least 513u from the whole fine
+    polyline: high and clear, as in the full form.
+
+    The tested values are decided on a ladder of g's grids on j, at
+    precision n+11 (`_ladder_lows`): coarse g; then, for each L of
+    `_RUNGS` (6 to 8), the grid at min(g.modulus(n + L), ...,
+    g.modulus(n + 9)) where finer than coarse g and coarser than the
+    fine grid; and last the fine grid.  Each grid is the multiples of a
+    power of two no larger than the one before, between j's ends, so
+    each holds the one before and each is part of the fine grid.  A
+    grid at md meets the modulus at n+L for the largest L from 4 to 9
+    with md >= g.modulus(n + L), so, as for coarse g, every fine vertex
+    of a block between its neighbours a and b, and every point of the
+    fine segments there, lies within D = 2^-(n+L) + u = (2^(10-L) + 1)u
+    of both values read at a and b.  No step assumes that two reads of
+    one parameter agree, only that each is within u/2 of the exact
+    value.  For a value x let r = 512, or 513 if x is an end value, so
+    that x is low, or an end not clear, iff the fine polyline comes
+    closer than ru to x.  Two rules serve every rung:
+      - a value of any grid within (r - 1)u of x settles it low: the
+        fine polyline's vertex at that parameter is within u of it;
+      - a fine point closer than ru to x lies in a block whose values at
+        both ends are closer than (r + D)u to x (needed blocks).
+    On coarse g, D is at most 65u, and the 578u of the second descent
+    is 513u + 65u, so x's needed coarse blocks lie in the coarse leaves
+    paired with x's leaf, in those whose boxes lie closer than (513 +
+    D)u to the leaf's box.  A whole f leaf is settled low when one value
+    of its nearest such coarse leaf is within 511u of the four corners
+    of its box, and so of each of its values.  Every other value x is
+    tested against these coarse leaves: low if one holds a value within
+    (r - 1)u of x (a box whose farthest corner is that near holds one),
+    high if no box lies within (r + D)u.  The values left open form one
+    group per f leaf, which keeps the blocks of those coarse leaves
+    whose ends both lie within (r + D)u of the group's bounding box, r
+    its largest: these hold every needed block of each member.  The
+    next grid is evaluated only on the maximal runs of kept blocks, each
+    run between two values of the grid before, and each group keeps the
+    new blocks in its kept ones whose ends both lie within (r + D)u of
+    its box for that grid's D; a group that keeps none is high.  So at
+    every rung the kept blocks of x's group hold every fine point closer
+    than ru to x.  The fine grid's runs are evaluated as `_turn_points`,
+    the fine polyline on each run's parameter range, and each open value
+    is decided by its exact squared distance to these pieces
+    (`BoxLevels.any_within`): x's nearest point within ru, if any, is on
+    a kept block of its group, and each piece is part of the fine
+    polyline.  The runs of one grid share no parameter, so the values
+    read on the fine runs and any reads elsewhere make one fine
+    polyline, and every answer is that of the full form over it.  As
+    every value not tested is high, the runs are the maximal runs of
+    consecutive points among the values found low; the endpoints 0 and
+    k are never low.
 
     stretch(a, b) is the hull of the coarse g leaves paired with the
     leaves of the values a+1 to b-1, widened outward to points of g's
@@ -314,37 +362,201 @@ def _shrink_decisions(
     ts = [t for a, b in spans for t in range(a, b + 1)]
     reach = -(-578 * den >> (n + 10))
     fv_levels = BoxLevels(fv) if fv else None
-    near = fv_levels.near_leaves(cg_levels.scaled(m), reach * reach) if fv else []
-
-    pieces = [
-        _turn_points(g, Interval(*(Fraction(csnums[c], csden) for c in ab)), n + 9)[2:]
-        for ab in cg_levels.spans(l for _, l in near)
-    ]
-    p_den = math.lcm(den, *(d for d, _ in pieces))
-    idxs = [BoxLevels(rescale(pv, p_den // d)) for d, pv in pieces]
-    scale, sq_scale = p_den // den, p_den * p_den
-
-    def near_g(p: int, rn: int, rd: int) -> bool:
-        x, y = fv[p]
-        return any(idx.any_within(x * scale, y * scale, rn, rd) for idx in idxs)
-
-    f_spans = [fv_levels.span(fk) for fk, _ in near]
-    tested = {p for a, b in f_spans for p in range(a, b + 1)}
-    for p in tested:
-        if ts[p] in (0, k) and near_g(p, 513 * 513 * sq_scale, 4 ** (n + 10)):
-            raise PreconditionViolated(_NOT_CLEAR)
-    lows = (ts[p] for p in tested if 0 < ts[p] < k and near_g(p, sq_scale, 4 ** (n + 1)))
+    cg_levels = cg_levels.scaled(m)
+    near = fv_levels.near_leaves(cg_levels, reach * reach) if fv else []
+    # the values of each paired f leaf, as (decision point, x, y)
+    leaf_values: dict[int, list] = {}
+    for fk, _ in near:
+        if fk not in leaf_values:
+            a, b = fv_levels.span(fk)
+            leaf_values[fk] = [(ts[p], *fv[p]) for p in range(a, b + 1)]
+    lows = []
+    if fv:
+        lows = _ladder_lows(
+            g, n, k, den, leaf_values, near, fv_levels, cg_levels, csden, csnums
+        )
     runs = _low_runs((t, t) for t in lows)
 
     # each pair as the first and last decision point of its f leaf and
     # its coarse g leaf
-    leaf_pairs = [(ts[a], ts[b], l) for (a, b), (_, l) in zip(f_spans, near)]
+    leaf_pairs = [(leaf_values[fk][0][0], leaf_values[fk][-1][0], l) for fk, l in near]
 
     def stretch(a: int, b: int) -> Interval:
         leaves = (l for t0, t1, l in leaf_pairs if t0 < b and t1 > a)
         return _leaf_hull(g, j, n + 6, csden, csnums, cg_levels.spans(leaves))
 
     return sden, snums, runs, stretch
+
+
+# the rungs between coarse g (L = 4) and the fine polyline (L = 9): g's
+# grids at the precisions n + L.  With a rung at n+5 as well, two curved
+# rounds read 6 % more values of g beyond coarse g, in more pieces, and
+# the rungs took about 10 % longer
+_RUNGS = (6, 7, 8)
+
+
+def _ladder_lows(
+    g: PathOracle,
+    n: int,
+    k: int,
+    den: int,
+    leaf_values: dict[int, list],
+    near: list[tuple[int, int]],
+    fv_levels: BoxLevels,
+    cg_levels: BoxLevels,
+    csden: int,
+    csnums: list[int],
+) -> list[int]:
+    """The low decision points among the values (t, x, y) of the paired
+    f leaves, leaf_values[fk], decided on g's grids from coarse g to the
+    fine polyline; PreconditionViolated for an end value, t = 0 or k,
+    that is not clear.  The values and coarse g, cg_levels, are over
+    den, and near pairs the leaves of fv_levels with those of cg_levels
+    (`_shrink_decisions` derives every rule)."""
+    mods = [g.modulus(n + L) for L in range(4, 10)]
+    top = mods[5]
+    mds = [min(mods[0], top)]
+    mds += sorted({md for L in _RUNGS if mds[0] < (md := min(mods[L - 4 :])) < top})
+    devs = [(1 << 10 - max(L for L in range(4, 10) if md >= mods[L - 4])) + 1 for md in mds]
+    mds.append(top)
+    shift = 2 * n + 20
+    lows: list[int] = []
+
+    def settle(t: int) -> None:
+        if t in (0, k):
+            raise PreconditionViolated(_NOT_CLEAR)
+        lows.append(t)
+
+    def sq(c: int, d: int) -> int:  # (c * u)^2 in units of 1/d^2, rounded up
+        return -(-(c * c * d * d) >> shift)
+
+    low = {r: sq(r - 1, den) for r in (512, 513)}
+    reach = {r: sq(r + devs[0], den) for r in (512, 513)}
+    f_boxes, g_boxes, gv = fv_levels.levels[-1], cg_levels.levels[-1], cg_levels.pts
+    paired: dict[int, list[tuple[int, int]]] = {}
+    for fk, l in near:
+        if (gap := _sq_gap(f_boxes[fk], g_boxes[l])) < reach[513]:
+            paired.setdefault(fk, []).append((gap, l))
+    seen: set[int] = set()
+    groups = []
+    for fk, values in leaf_values.items():
+        values = [v for v in values if v[0] not in seen]
+        seen.update(t for t, _, _ in values)
+        if fk not in paired:
+            continue
+        ls = [l for _, l in sorted(paired[fk])]  # the nearest first
+        a, b = cg_levels.span(ls[0])
+        if any(_gap_far(x, y, f_boxes[fk])[1] < low[512] for x, y in gv[a : b + 1]):
+            for t, _, _ in values:
+                settle(t)
+            continue
+        members = []
+        for t, x, y in values:
+            r, reached = (513 if t in (0, k) else 512), False
+            for l in ls:
+                gap, far = _gap_far(x, y, g_boxes[l])
+                reached = reached or gap < reach[r]
+                if gap < low[r]:
+                    a, b = cg_levels.span(l)
+                    sqs = ((x - gx) ** 2 + (y - gy) ** 2 for gx, gy in gv[a : b + 1])
+                    if far < low[r] or min(sqs) < low[r]:
+                        settle(t)
+                        break
+            else:
+                if reached:
+                    members.append((t, x, y, r))
+        if members:
+            groups.append((members, [(0, a, b) for a, b in cg_levels.spans(ls)]))
+
+    pieces = [(csden, csnums, gv)]
+    dl = den
+    for md, dev in zip(mds[1:], devs):
+        if not groups:
+            return lows
+        kept = []
+        for members, runs in groups:
+            _, xs, ys, rs = zip(*members)
+            box = min(xs), max(xs), min(ys), max(ys)
+            if keep := _kept_blocks(box, runs, pieces, sq(max(rs) + dev, dl)):
+                kept.append((members, keep))
+        merged = _merged(run for _, keep in kept for run in keep)
+        polys = []
+        for q, a, b in merged:
+            sden, snums = pieces[q][:2]
+            w = Interval(Fraction(snums[a], sden), Fraction(snums[b], sden))
+            if md == top:
+                polys.append(_turn_points(g, w, n + 9))
+            else:
+                polys.append(_values_of(g, w, n + 11, grid_pieces(g, w, md, n + 11)))
+        new_dl = math.lcm(dl, *(p.vden for p in polys))
+        scale, dl = new_dl // dl, new_dl
+        new_pieces = [(p.sden, p.snums, rescale(p.verts, dl // p.vden)) for p in polys]
+        starts = [(q, a) for q, a, _ in merged]
+        groups = []
+        for members, keep in kept:
+            runs = []
+            for q, a, b in keep:
+                c = bisect_right(starts, (q, a)) - 1
+                sden, snums = pieces[q][:2]
+                nsden, nsnums = new_pieces[c][:2]
+                lo = bisect_right(nsnums, snums[a] * nsden // sden) - 1
+                runs.append((c, lo, bisect_left(nsnums, snums[b] * nsden // sden)))
+            groups.append(([(t, x * scale, y * scale, r) for t, x, y, r in members], runs))
+        pieces = new_pieces
+
+    # every fine point within ru of an open value lies on these pieces,
+    # and each piece is part of the fine polyline
+    idxs = [BoxLevels(pts) for _, _, pts in pieces]
+    for members, _ in groups:
+        for t, x, y, r in members:
+            if any(idx.any_within(x, y, r * r * dl * dl, 1 << shift) for idx in idxs):
+                settle(t)
+    return lows
+
+
+def _gap_far(x: int, y: int, box: tuple) -> tuple[int, int]:
+    """The squared distances from (x, y) to the nearest and the farthest
+    point of box (x0, x1, y0, y1)."""
+    x0, x1, y0, y1 = box
+    xg = x0 - x if x < x0 else (x - x1 if x > x1 else 0)
+    yg = y0 - y if y < y0 else (y - y1 if y > y1 else 0)
+    xf = x1 - x if x1 - x > x - x0 else x - x0
+    yf = y1 - y if y1 - y > y - y0 else y - y0
+    return xg * xg + yg * yg, xf * xf + yf * yf
+
+
+def _kept_blocks(box: tuple, runs: list, pieces: list, sq_reach: int) -> list:
+    """The maximal runs (q, a, b) of blocks a to b-1 of piece q, within
+    the runs given, whose two ends both lie closer than sqrt(sq_reach)
+    to box."""
+    x0, x1, y0, y1 = box
+    out = []
+    for q, a, b in runs:
+        start = None
+        for s, (x, y) in enumerate(pieces[q][2][a : b + 1], a):
+            xg = x0 - x if x < x0 else (x - x1 if x > x1 else 0)
+            yg = y0 - y if y < y0 else (y - y1 if y > y1 else 0)
+            if xg * xg + yg * yg < sq_reach:
+                start = s if start is None else start
+                continue
+            if start is not None and s - 1 > start:
+                out.append((q, start, s - 1))
+            start = None
+        if start is not None and b > start:
+            out.append((q, start, b))
+    return out
+
+
+def _merged(runs: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """The runs (q, a, b) of blocks of piece q, sorted, with overlapping
+    or touching runs of one piece merged."""
+    out: list[tuple[int, int, int]] = []
+    for q, a, b in sorted(runs):
+        if out and out[-1][0] == q and out[-1][2] >= a:
+            out[-1] = (q, out[-1][1], max(out[-1][2], b))
+        else:
+            out.append((q, a, b))
+    return out
 
 
 def _straight(*grids: tuple) -> bool:

@@ -1,14 +1,16 @@
 """The shrink step's localized decisions and parity checks.
 
-`refine._shrink_decisions` evaluates f's grid and g's fine polyline,
-indexes them and tests f's values against g only where coarse passes
-bounded by the moduli find the two curves near each other, and each
-run's parity check counts g only on the run's stretch of j.  These
-tests hold it to the classification over all of j (`ref_shrink_low`):
-equal runs of low values, exceptions and shrink steps, equal crossing
-counts over each run's stretch and over j, both grids' budgets checked
-before any evaluation, and bounds on the values evaluated and the
-polyline points counted in a refinement.
+`refine._shrink_decisions` evaluates f's grid only where coarse passes
+bounded by the moduli find the two curves near each other, decides its
+values there on g's grids from coarse to fine, each finer one evaluated
+only where a value is still open, and each run's parity check counts g
+only on the run's stretch of j.  These tests hold it to the
+classification over all of j (`ref_shrink_low`), on fixed cases and on
+random polylines and Beziers: equal runs of low values, exceptions and
+shrink steps, equal crossing counts over each run's stretch and over j,
+both grids' budgets checked before any evaluation, and bounds on the
+values evaluated and read and the polyline points counted in a
+refinement.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import curvemeet.parity as parity_module
@@ -24,11 +26,13 @@ import curvemeet.paths as paths_module
 import curvemeet.refine as refine_module
 from curvemeet import (
     PolylinePath,
+    QuadBezierPath,
     Side,
     TablePath,
     curved_pair,
     extend,
     interval,
+    pt,
     refine_sequence,
 )
 from curvemeet.exact_geom import Interval
@@ -132,6 +136,43 @@ def _polyline(points) -> PolylinePath:
 @settings(max_examples=80, deadline=None)
 def test_random_polylines_classify_as_over_all_of_j(f_pts, g_pts, i, j, n) -> None:
     f, g = _polyline(f_pts), _polyline(g_pts)
+    want = _outcome(_ref_runs, f, g, i, j, n)
+    assert _outcome(_runs, f, g, i, j, n) == want
+
+
+quarters = st.fractions(min_value=0, max_value=1, max_denominator=4)
+beziers = st.tuples(*[st.tuples(quarters, quarters)] * 3).map(
+    lambda ps: QuadBezierPath(*(pt(*p) for p in ps))
+)
+short_polylines = st.lists(
+    st.tuples(unit_fractions, unit_fractions), min_size=2, max_size=4
+).map(_polyline)
+
+
+@seed(2027)
+@given(
+    bezier=beziers,
+    other=st.one_of(beziers, short_polylines),
+    bezier_is_g=st.booleans(),
+    ducks=st.tuples(st.booleans(), st.booleans()),
+    n=st.integers(2, 5),
+    i=windows,
+    j_lo=unit_fractions,
+    j_width=st.fractions(min_value=0, max_value=1, max_denominator=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_random_curved_pairs_classify_as_over_all_of_j(
+    bezier, other, bezier_is_g, ducks, n, i, j_lo, j_width
+) -> None:
+    # a Bezier on either side sends the step to the coarse route, which
+    # decides its values on g's precision ladder; g's window shrinks with
+    # n, so that the reference's fine polyline over all of j stays small
+    f, g = (other, bezier) if bezier_is_g else (bezier, other)
+    f, g = (DuckCurve(h) if duck else h for h, duck in zip((f, g), ducks))
+    width = j_width * Fraction(1, 2 ** (n - 1))
+    if width == 0:
+        return
+    j = Interval(min(j_lo, 1 - width), min(j_lo, 1 - width) + width)
     want = _outcome(_ref_runs, f, g, i, j, n)
     assert _outcome(_runs, f, g, i, j, n) == want
 
@@ -332,3 +373,29 @@ def test_refinement_evaluates_f_and_counts_g_only_near_each_other(monkeypatch) -
     refine_sequence(*curved_pair(), 2)
     assert 0 < evaluated <= 5_000
     assert 0 < counted <= 6_000
+
+
+def test_refinement_reads_g_at_the_fine_precision_on_a_ladder(monkeypatch) -> None:
+    # the values of g that the shrink steps of refine_sequence(curved, 2)
+    # read at precision n+11: coarse g, 4 456 values, and each rung's
+    # blocks near the values still open, 6 473.  The fine polyline near
+    # f, read whole, took 20 228 more, 24 684 in all
+    decisions, with_ends = refine_module._shrink_decisions, paths_module._with_ends
+    step = []
+    count = 0
+
+    def recorded(f, g, i, j, n):
+        step[:] = [g, n]
+        return decisions(f, g, i, j, n)
+
+    def counted(h, lo, hi, e, ks, inner_den, inner, n):
+        nonlocal count
+        out = with_ends(h, lo, hi, e, ks, inner_den, inner, n)
+        if h is step[0] and n == step[1] + 11:
+            count += len(out.verts)
+        return out
+
+    monkeypatch.setattr(refine_module, "_shrink_decisions", recorded)
+    monkeypatch.setattr(paths_module, "_with_ends", counted)
+    refine_sequence(*curved_pair(), 2)
+    assert 0 < count <= 14_000

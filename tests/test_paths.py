@@ -25,6 +25,9 @@ from curvemeet import (
     pt,
     weakly_separated,
 )
+from curvemeet.errors import OutOfDomain
+from curvemeet.exact_geom import Interval
+from curvemeet.paths import _checked_bounds, _grid_bounds
 
 DIAG_EXT = extend(diagonal_pair()[0], Side.LOWER)
 ANTI_EXT = extend(diagonal_pair()[1], Side.UPPER)
@@ -227,6 +230,32 @@ def test_dyadic_grid_contract(lo, width, md) -> None:
     assert grid[0] == lo and grid[-1] == hi
     for a, b in zip(grid, grid[1:]):
         assert 0 < b - a < pow2(-md)
+
+
+# domains with negative, odd and dyadic ends
+DOMAIN_CURVES = [
+    DIAG_EXT,
+    curved_pair()[0],
+    TablePath([("-3/7", (0, 0)), ("5/9", (1, "1/3")), ("11/9", (1, 1))], modulus_offset=3),
+]
+
+
+@pytest.mark.parametrize("f", DOMAIN_CURVES, ids=["extended", "bezier", "table"])
+def test_the_domain_check_takes_the_domain_ends_and_nothing_past_them(f) -> None:
+    lo, hi = f.domain.lo, f.domain.hi
+    eps = Fraction(1, 2**61 - 1)
+    mid = (lo + hi) / 2
+    for w in (f.domain, Interval(lo, mid), Interval(mid, hi)):
+        assert _checked_bounds(f, w, 3) == _grid_bounds(w.lo, w.hi, 3)
+    for w in (
+        Interval(lo - eps, hi),
+        Interval(lo, hi + eps),
+        Interval(lo - 1, lo - eps),
+        Interval(hi + eps, hi + 1),
+    ):
+        with pytest.raises(OutOfDomain) as caught:
+            _checked_bounds(f, w, 3)
+        assert str(caught.value) == f"{w} is not inside {f.domain}"
 
 
 # --------------------------------------------------------- n-approximation

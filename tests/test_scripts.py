@@ -22,6 +22,7 @@ RUNS = [
     ["cert_hashes.py", "--rounds", "6", "--expect", "0fdc89e36881ce31",
      "90b6dc8972e42ccc"],
     ["bench_refine.py", "--max-rounds", "1"],
+    ["bench_refine.py", "--max-rounds", "3", "--from", "2", "--every", "1"],
     ["profile_round.py", "windows", "--seed", "1", "--top", "1"],
     ["parity_grid.py", "--pair", "diagonals", "--cells", "2"],
     ["refine_demo.py", "--pair", "diagonals", "--iterations", "2"],
