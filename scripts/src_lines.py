@@ -56,7 +56,8 @@ def pipeline_modules(src: Path) -> set[str]:
     cli module loads, in a fresh isolated interpreter that writes no
     bytecode: -I ignores PYTHONDONTWRITEBYTECODE, and a `__pycache__`
     left in src would spare a later run in that tree the compiling that
-    its set-up time measures."""
+    its set-up time measures.  Exits 2 with one error line if that
+    import fails: src is no package with a cli module."""
     code = (
         "import importlib, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
@@ -65,13 +66,16 @@ def pipeline_modules(src: Path) -> set[str]:
         "    if name.split('.')[0] == sys.argv[2]:\n"
         "        print(mod.__file__)\n"
     )
-    out = subprocess.run(
+    proc = subprocess.run(
         [sys.executable, "-I", "-B", "-c", code, str(src.resolve().parent), src.name],
         capture_output=True,
         text=True,
-        check=True,
-    ).stdout
-    return {Path(line).name for line in out.splitlines()}
+    )
+    if proc.returncode:
+        reason = (proc.stderr.strip().splitlines() or ["no output"])[-1]
+        print(f"error: cannot import {src.name}.cli from {src}: {reason}", file=sys.stderr)
+        raise SystemExit(2)
+    return {Path(line).name for line in proc.stdout.splitlines()}
 
 
 def main() -> None:

@@ -125,6 +125,7 @@ __all__ = [
     "pt",
     "rat",
     "refine_sequence",
+    "segments",
     "shrink_first",
     "shrink_pair",
     "smallest_n_below",

@@ -58,28 +58,31 @@ def smallest_n_below(x: Fraction) -> int:
 class Frozen:
     """Base of the immutable value types.
 
-    A subclass names its fields in `__slots__`, in the order its
-    `__init__` takes them, public ones first.  Its `__init__` hands the
-    tuple of its public fields to `_store` and sets each field with the
-    slot setter `_store` returns.  That tuple is its identity: an
-    instance equals only an instance of its own class with an equal
-    tuple (never a plain tuple), hashes as the tuple and prints its
-    fields by name.  Comparing a stored tuple keeps `==` and `hash` as
-    fast as a dataclass's, and slot setters keep construction faster.
-    Assignment and deletion raise AttributeError; pickle and copy
-    rebuild an instance through its `__init__` (`__reduce__`).
+    A subclass is written in three parts: `__slots__` names its fields
+    in the order its `__init__` takes them, public ones first, private
+    ones (a leading underscore) after; `__init__` makes its checks; then
+    it hands every field, in that order, to one `self._store(...)` call,
+    which sets the slots.  The tuple of the public fields is its
+    identity: an instance equals only an instance of its own class with
+    an equal tuple (never a plain tuple), hashes as the tuple and prints
+    its public fields by name.  Comparing a stored tuple keeps `==` and
+    `hash` as fast as a dataclass's.  Assignment and deletion raise
+    AttributeError; pickle and copy rebuild an instance through its
+    `__init__` (`__reduce__`).
     """
 
     __slots__ = ("_key",)
 
     def __init_subclass__(cls) -> None:
         cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
+        cls._public = sum(not f.startswith("_") for f in cls.__slots__)
 
-    def _store(self, key: tuple) -> tuple:
-        """Store key, the tuple of the public fields, and return the
-        setters of all fields, in `__slots__` order."""
-        _set_key(self, key)
-        return self._setters
+    def _store(self, *fields: object) -> None:
+        """Set every slot from fields, given in `__slots__` order, and
+        keep the tuple of the public ones as the key."""
+        _set_key(self, fields[: self._public])
+        for set_field, value in zip(self._setters, fields):
+            set_field(self, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -109,9 +112,7 @@ class Point(Frozen):
     __slots__ = ("x", "y")
 
     def __init__(self, x: Fraction, y: Fraction):
-        set_x, set_y = self._store((x, y))
-        set_x(self, x)
-        set_y(self, y)
+        self._store(x, y)
 
     def __str__(self) -> str:
         return f"({self.x}, {self.y})"
@@ -141,9 +142,7 @@ class DistanceEnclosure(Frozen):
     def __init__(self, lo: Fraction, hi: Fraction):
         if not (0 <= lo <= hi):
             raise ValueError("enclosure bounds out of order")
-        set_lo, set_hi = self._store((lo, hi))
-        set_lo(self, lo)
-        set_hi(self, hi)
+        self._store(lo, hi)
 
 
 def sqrt_enclosure(q: Fraction, k: int) -> DistanceEnclosure:
@@ -175,9 +174,7 @@ class Interval(Frozen):
     def __init__(self, lo: Fraction, hi: Fraction):
         if lo > hi:
             raise ValueError("interval bounds out of order")
-        set_lo, set_hi = self._store((lo, hi))
-        set_lo(self, lo)
-        set_hi(self, hi)
+        self._store(lo, hi)
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"

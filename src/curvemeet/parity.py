@@ -101,10 +101,7 @@ class CrossingReport(Frozen):
     def __init__(self, crossings: tuple[Crossing, ...], count: int, parity: int):
         if count != len(crossings) or parity != count % 2:
             raise ValueError("inconsistent crossing report")
-        set_crossings, set_count, set_parity = self._store((crossings, count, parity))
-        set_crossings(self, crossings)
-        set_count(self, count)
-        set_parity(self, parity)
+        self._store(crossings, count, parity)
 
 
 def _report(crossings: list[Crossing]) -> CrossingReport:
@@ -205,11 +202,7 @@ class AlphaEnclosure(Frozen):
     def __init__(self, lo: Fraction, hi: Fraction, precision_used: int, _probe=None):
         if not (0 <= lo <= hi):
             raise ValueError("enclosure bounds out of order")
-        set_lo, set_hi, set_precision, set_probe = self._store((lo, hi, precision_used))
-        set_lo(self, lo)
-        set_hi(self, hi)
-        set_precision(self, precision_used)
-        set_probe(self, _probe)
+        self._store(lo, hi, precision_used, _probe)
 
 
 def alpha_enclosure(

@@ -331,9 +331,7 @@ class ExtendedPath(PathOracle, Frozen):
     __slots__ = ("inner", "side")
 
     def __init__(self, inner: PathOracle, side: Side):
-        set_inner, set_side = self._store((inner, side))
-        set_inner(self, inner)
-        set_side(self, side)
+        self._store(inner, side)
 
     @property
     def domain(self) -> Interval:

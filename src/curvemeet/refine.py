@@ -83,10 +83,7 @@ class RefinementRecord(Frozen):
     def __init__(self, m: int, i: Interval, j: Interval):
         if m < 0:
             raise ValueError("negative refinement level")
-        set_m, set_i, set_j = self._store((m, i, j))
-        set_m(self, m)
-        set_i(self, i)
-        set_j(self, j)
+        self._store(m, i, j)
 
 
 class Certificate(Frozen):
@@ -109,10 +106,7 @@ class Certificate(Frozen):
                 raise ValueError("refinement records must be nested")
         if not all(_UNIT_DOMAIN.contains_interval(s) for s in (s_phi, s_psi)):
             raise ValueError("final intervals must lie in the unit domain")
-        set_records, set_s_phi, set_s_psi = self._store((records, s_phi, s_psi))
-        set_records(self, records)
-        set_s_phi(self, s_phi)
-        set_s_psi(self, s_psi)
+        self._store(records, s_phi, s_psi)
 
     @property
     def final(self) -> RefinementRecord:
@@ -796,10 +790,7 @@ class PointApproximation(Frozen):
     def __init__(self, center: Point, radius: Fraction, level: int):
         if radius < 0:
             raise ValueError("negative radius")
-        set_center, set_radius, set_level = self._store((center, radius, level))
-        set_center(self, center)
-        set_radius(self, radius)
-        set_level(self, level)
+        self._store(center, radius, level)
 
 
 def extract_point(

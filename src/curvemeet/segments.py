@@ -39,9 +39,7 @@ class Segment(Frozen):
     def __init__(self, a: Point, b: Point):
         if a == b:
             raise ValueError("degenerate segment")
-        set_a, set_b = self._store((a, b))
-        set_a(self, a)
-        set_b(self, b)
+        self._store(a, b)
 
 
 class Line(Frozen):
@@ -54,10 +52,7 @@ class Line(Frozen):
     __slots__ = ("A", "B", "C")
 
     def __init__(self, A: int, B: int, C: int):
-        set_a, set_b, set_c = self._store((A, B, C))
-        set_a(self, A)
-        set_b(self, B)
-        set_c(self, C)
+        self._store(A, B, C)
 
     @staticmethod
     def through(p: Point, q: Point) -> "Line":
@@ -99,9 +94,7 @@ class SegRelation(Frozen):
 
     def __init__(self, kind: SegKind, point: Point | None = None):
         # point is set exactly for PROPER_CROSSING
-        set_kind, set_point = self._store((kind, point))
-        set_kind(self, kind)
-        set_point(self, point)
+        self._store(kind, point)
 
 
 def _on_closed_segment(p: Point, s: Segment) -> bool:

@@ -16,7 +16,8 @@ of `track` and `segments`, and the names that `paths` and `parity`
 forward are the very objects of `track`.  The pipeline's parity takes
 no rng, the paper's kernels (`Track`, `canonical_lines`, line stabbing)
 are defined in `track` alone, and the segment kernel in `segments`
-alone.
+alone.  Every lazy name, both modules among them, is in `__all__`, so
+`from curvemeet import *` binds them all.
 """
 
 from __future__ import annotations
@@ -125,3 +126,7 @@ def test_the_pipeline_takes_no_rng_and_holds_no_paper_kernel() -> None:
     for name in SEGMENT_KERNEL:
         assert name not in vars(exact_geom_module), name
     assert curvemeet.Track is curvemeet.track.Track
+
+
+def test_every_lazy_name_is_exported() -> None:
+    assert set(curvemeet._LAZY) <= set(curvemeet.__all__)

@@ -83,3 +83,14 @@ def test_src_lines_writes_no_bytecode_into_the_tree_it_counts(tmp_path: Path) ->
     assert proc.returncode == 0, proc.stderr
     assert "pipeline" in proc.stdout
     assert not list(tmp_path.rglob("__pycache__"))
+
+
+@pytest.mark.parametrize("src", ["src", "/nonexistent"])
+def test_src_lines_rejects_a_directory_that_is_no_package(src: str) -> None:
+    # run from the repository root, where "src" holds curvemeet but is
+    # no package itself
+    proc = _script(ROOT, ["src_lines.py", "--src", src])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""

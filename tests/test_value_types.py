@@ -7,6 +7,8 @@ fields; hashes as the tuple of its fields; prints the repr
 fields in the constructor, which takes keywords too; and survives
 pickle, `copy.copy` and `copy.deepcopy`.  `AlphaEnclosure` keeps a
 private probe, defaulted to None, that equality, hash and repr ignore.
+A `Frozen` subclass written here as its docstring says, checks plus
+one `_store` call, gets all of this from the base.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from curvemeet import (
     extend,
     interval,
 )
+from curvemeet.exact_geom import Frozen
 from curvemeet.segments import Line, SegKind, SegRelation, Segment
 
 P = Point(F(1, 2), F(3, 4))
@@ -293,3 +296,37 @@ def test_constructor_checks_accept_edge_values() -> None:
     nested = Certificate((BASE, _record(1, (0, 1), (0, 1))), UNIT, UNIT)
     assert nested.final.m == 1
     assert SegRelation(SegKind.DISJOINT).point is None
+
+
+class _Pair(Frozen):
+    """Two ordered integers, a value type written as `Frozen` asks."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        if a > b:
+            raise ValueError("a exceeds b")
+        self._store(a, b)
+
+
+def test_a_subclass_gets_the_whole_contract_from_one_store_call() -> None:
+    pair = _Pair(b=2, a=1)
+    assert (pair.a, pair.b) == (1, 2)
+    assert pair == _Pair(1, 2) and not pair != _Pair(1, 2)
+    assert pair != _Pair(1, 3)
+    assert pair != (1, 2) and (1, 2) != pair
+    assert pair != Interval(F(1), F(2)) and Interval(F(1), F(2)) != pair
+    assert hash(pair) == hash((1, 2))
+    assert repr(pair) == "_Pair(a=1, b=2)"
+    for field in ("a", "b", "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(pair, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(pair, field)
+    assert (pair.a, pair.b) == (1, 2)
+    for roundtrip in ROUNDTRIPS.values():
+        back = roundtrip(pair)
+        assert type(back) is _Pair
+        assert back == pair and hash(back) == hash(pair) and repr(back) == repr(pair)
+    with pytest.raises(ValueError):
+        _Pair(2, 1)
