@@ -72,73 +72,6 @@ from .refine import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaEnclosure",
-    "Certificate",
-    "CrossingReport",
-    "CurveMeetError",
-    "DistanceEnclosure",
-    "EffortExhausted",
-    "EndpointViolation",
-    "ExtendedPath",
-    "GridMismatch",
-    "Interval",
-    "InvariantViolation",
-    "Line",
-    "NotConverged",
-    "NotSeparated",
-    "OutOfDomain",
-    "PathOracle",
-    "Point",
-    "PointApproximation",
-    "PolylinePath",
-    "PreconditionViolated",
-    "QuadBezierPath",
-    "Rational",
-    "RefinementRecord",
-    "SegKind",
-    "SegRelation",
-    "Segment",
-    "Side",
-    "SpecFileError",
-    "TablePath",
-    "Track",
-    "UsageError",
-    "alpha_enclosure",
-    "certify_alpha",
-    "classify_segment_pair",
-    "crossing_count",
-    "curved_pair",
-    "diagonal_pair",
-    "dyadic_grid",
-    "eval_track",
-    "extend",
-    "extract_point",
-    "function_parity",
-    "interval",
-    "make_track",
-    "n_approximation",
-    "n_approximation_pair",
-    "orient",
-    "perturb_to_separated",
-    "pow2",
-    "pt",
-    "rat",
-    "refine_sequence",
-    "segments",
-    "shrink_first",
-    "shrink_pair",
-    "smallest_n_below",
-    "sq_dist_point_segment",
-    "sq_dist_segment_segment",
-    "sqrt_enclosure",
-    "sup_track_distance",
-    "track",
-    "verify_certificate",
-    "weakly_separated",
-    "working_precision",
-]
-
 # the module that each lazy name is imported from on first use (PEP 562):
 # the module's own name and the names it exports, for the paper's track
 # route and the `Fraction` segment kernel, which no pipeline module imports
@@ -160,3 +93,11 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = importlib.import_module("." + _LAZY[name], __name__)
     return module if name == _LAZY[name] else getattr(module, name)
+
+
+# every public name that the imports above bind, but not the submodules
+# that they bind as package attributes, nor importlib; and every lazy name
+__all__ = sorted(_LAZY.keys() | {
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, type(importlib))
+})

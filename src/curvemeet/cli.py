@@ -51,8 +51,8 @@ _CERT_FORMAT = "curvemeet-certificate"
 # one window (Python 3.11, 2 CPUs), growing with the square of the rows.
 MAX_TABLE_ROWS = 500
 # a round costs more the deeper it refines, and the certificate grows with
-# the square of the rounds: `refine_sequence` took 2.6 / 7.2 / 19.8 s on
-# the curved pair and 0.6 / 1.5 / 2.8 s on the diagonals for 64 / 128 /
+# the square of the rounds: `refine_sequence` took 0.98 / 2.3 / 8.7 s on
+# the curved pair and 0.08 / 0.17 / 0.40 s on the diagonals for 64 / 128 /
 # 256 rounds, with certificates of 26 / 92 / 347 KB (Python 3.11, 2 CPUs)
 MAX_ITERATIONS = 256
 

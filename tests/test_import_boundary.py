@@ -16,8 +16,12 @@ of `track` and `segments`, and the names that `paths` and `parity`
 forward are the very objects of `track`.  The pipeline's parity takes
 no rng, the paper's kernels (`Track`, `canonical_lines`, line stabbing)
 are defined in `track` alone, and the segment kernel in `segments`
-alone.  Every lazy name, both modules among them, is in `__all__`, so
-`from curvemeet import *` binds them all.
+alone.  Every lazy name, both modules among them, is in `__all__`, and
+in a fresh interpreter `from curvemeet import *` binds exactly the names
+of `__all__`, no submodule among them, while a name that neither the
+package nor `paths` nor `parity` holds raises `AttributeError` naming
+the module it was looked up in (the miss paths of their PEP 562
+`__getattr__`).
 """
 
 from __future__ import annotations
@@ -100,14 +104,31 @@ assert curvemeet.parity.crossing_count is track.crossing_count
 print("ok")
 """
 
+STAR_SCRIPT = """
+import curvemeet, curvemeet.parity, curvemeet.paths
 
-def test_the_pipeline_never_loads_the_track_module(tmp_path: Path) -> None:
-    for name, spec in SPECS.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(spec), encoding="utf-8")
+star = {}
+exec("from curvemeet import *", star)
+del star["__builtins__"]
+assert sorted(star) == curvemeet.__all__, set(star) ^ set(curvemeet.__all__)
+for name in ("errors", "exact_geom", "parity", "paths", "refine", "importlib"):
+    assert name not in star, name
+for module in (curvemeet, curvemeet.paths, curvemeet.parity):
+    try:
+        module.nope
+    except AttributeError as exc:
+        assert str(exc) == f"module {module.__name__!r} has no attribute 'nope'", exc
+    else:
+        raise AssertionError(module.__name__ + ".nope resolved")
+print("ok")
+"""
+
+
+def _run_fresh(script: str, cwd: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
-        cwd=tmp_path,
+        [sys.executable, "-c", script],
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
@@ -115,6 +136,16 @@ def test_the_pipeline_never_loads_the_track_module(tmp_path: Path) -> None:
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+def test_the_pipeline_never_loads_the_track_module(tmp_path: Path) -> None:
+    for name, spec in SPECS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(spec), encoding="utf-8")
+    _run_fresh(SCRIPT, tmp_path)
+
+
+def test_star_import_binds_all_and_unknown_names_raise(tmp_path: Path) -> None:
+    _run_fresh(STAR_SCRIPT, tmp_path)
 
 
 def test_the_pipeline_takes_no_rng_and_holds_no_paper_kernel() -> None:
