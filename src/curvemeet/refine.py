@@ -28,7 +28,9 @@ Where both curves come as straight runs, as piecewise-linear curves
 do, no grid is expanded: a value's squared distance to a segment of the
 opposing polyline is convex along a run, so the low values of each run
 against each segment in reach form one interval, found exactly from a
-few values of the run.
+few values of the run, and each run's parity check counts the opposing
+curve over its whole interval, whose polyline keeps one segment per
+straight run.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from ._fastgeom import BoxLevels, IntPoint, pair_over_lcm, points_over_lcm, rescale
 from ._fastgeom import _seg_box, _sq_gap, seg_point_sqdist
@@ -211,17 +213,9 @@ def _shrink_decisions(
     tried, until one holds the whole run.  The runs are the maximal runs
     of the union of these intervals; the window ends, on no run, are
     tested against the whole fine polyline by the rule for ends.  So
-    every answer is the full form's.  stretch(a, b) is the part of j
-    from the first to the last segment s of the fine polyline whose box
-    lies within 128u of that of a part of a run of f among the values
-    a+1 to b-1, widened and clipped as below (j if there is none).  As
-    below, both ends u_k and u_k+1 of a segment of Q that the check
-    counts are within 110u of a value x among a+1 to b-1.  Such a w in j
-    lies between neighbours v and v' of g's fine grid, whose exact
-    values are within 2u of g(w), and whose fine values within 2.5u.
-    The segment s that holds the fine segment from v to v', parameter by
-    parameter, is so within 112.5u of x, on such a part of a run: s is
-    counted, and w lies in the hull.
+    every answer is the full form's.  stretch(a, b) is j itself, so the
+    check counts every crossing; g's polyline there (`_turn_points`)
+    keeps only the two ends of each straight run.
 
     On the coarse route, only values near the other curve are
     evaluated at these precisions, indexed and tested.  Coarse g is g at
@@ -330,8 +324,9 @@ def _shrink_decisions(
     k = len(snums) - 1
     coarse_g = grid_pieces(g, j, min(g.modulus(n + 4), g_md), n + 11)
     coarse_f = grid_pieces(f, i, min(f.modulus(n + 1), f_md), n + 9)
-    if _straight(coarse_g, coarse_f) and (decided := _straight_decisions(f, g, i, j, n)):
-        return sden, snums, *decided
+    if _straight(coarse_g, coarse_f):
+        if (runs := _straight_decisions(f, g, i, j, n)) is not None:
+            return sden, snums, runs, lambda a, b: j
     cf_den, cfv = _values_of(f, i, n + 9, coarse_f)[2:]
     csden, csnums, c_den, cv = _values_of(g, j, n + 11, coarse_g)
     cf, cg, den = pair_over_lcm(cf_den, cfv, c_den, cv)
@@ -560,15 +555,15 @@ def _straight(*grids: tuple) -> bool:
 
 def _straight_decisions(
     f: PathOracle, g: PathOracle, i: Interval, j: Interval, n: int
-) -> tuple[list[tuple[int, int]], Callable[[int, int], Interval]] | None:
-    """`_shrink_decisions`' runs and stretch from the straight runs of
-    f's decision grid, each decided whole, or None if f's decision grid
-    or g's fine grid has a list piece."""
+) -> list[tuple[int, int]] | None:
+    """`_shrink_decisions`' runs from the straight runs of f's decision
+    grid, each decided whole, or None if f's decision grid or g's fine
+    grid has a list piece."""
     fine_g = grid_pieces(g, j, g.modulus(n + 9), n + 11)
     _, k0, _, f_den, f_pieces = fine_f = grid_pieces(f, i, f.modulus(n + 4), n + 9)
     if not _straight(fine_f, fine_g):
         return None
-    gsden, gsnums, g_den, gv = _turns_of(g, j, n + 11, fine_g)
+    g_den, gv = _turns_of(g, j, n + 11, fine_g)[2:]
     e_den, ends = points_over_lcm([f.eval_approx(t, n + 9) for t in (i.lo, i.hi)])
     den = math.lcm(f_den, e_den, g_den)
     ends, gv, m = rescale(ends, den // e_den), rescale(gv, den // g_den), den // f_den
@@ -577,42 +572,27 @@ def _straight_decisions(
     if any(g_levels.any_within(x, y, 513 * 513 * sq, 4 ** (n + 10)) for x, y in ends):
         raise PreconditionViolated(_NOT_CLEAR)
     # run r is segment 2r of the polyline through the runs' ends, and the
-    # g segments within a reach of a part of it lie in the g leaves that
-    # a dual descent at that reach pairs with its leaf
+    # g segments within a reach of it lie in the g leaves that a dual
+    # descent at that reach pairs with its leaf
     run_ends = [(ax + bx * t, ay + by * t) for *ks, ax, bx, ay, by in runs for t in ks]
     reach = -(-sq >> 2 * n + 2)  # (2^-(n+1))^2, rounded up
     f_levels = BoxLevels(run_ends)
-    boxes = [_seg_box(c, d) for c, d in zip(gv, gv[1:])]
     paired: list[list[int]] = [[] for _ in runs]
     for leaf, l in f_levels.near_leaves(g_levels, reach):
         a, b = f_levels.span(leaf)
         for r in range((a + 1) // 2, (b + 1) // 2):
             paired[r].append(l)
 
-    def near(r: int, lo: int, hi: int, sq_reach: int) -> Iterator[int]:
-        """The g segments whose boxes lie within sqrt(sq_reach) of that
-        of run r's part from index lo to hi."""
-        _, _, ax, bx, ay, by = runs[r]
-        box = _seg_box((ax + bx * lo, ay + by * lo), (ax + bx * hi, ay + by * hi))
-        for a, b in map(g_levels.span, paired[r]):
-            yield from (s for s in range(a, b) if _sq_gap(box, boxes[s]) <= sq_reach)
-
     lows = []
-    for r, (ka, kb, *_) in enumerate(runs):
-        for s in near(r, ka, kb, reach):
-            lows.append(_low_span(runs[r], gv[s], gv[s + 1], sq, 4 ** (n + 1)))
-            if lows[-1] == (ka, kb):
+    for r, run in enumerate(runs):
+        # the g segments whose boxes lie in reach of that of run r
+        box = _seg_box(*run_ends[2 * r : 2 * r + 2])
+        segs = (s for a, b in map(g_levels.span, paired[r]) for s in range(a, b))
+        for s in (s for s in segs if _sq_gap(box, _seg_box(*gv[s : s + 2])) <= reach):
+            lows.append(_low_span(run, gv[s], gv[s + 1], sq, 4 ** (n + 1)))
+            if lows[-1] == run[:2]:
                 break
-
-    def stretch(a: int, b: int) -> Interval:
-        lo, hi = a + k0, b + k0 - 2  # the values a+1 to b-1
-        sq_near = -(-sq >> 2 * n + 6)  # (2^-(n+3))^2, rounded up
-        parts = [(r, max(ka, lo), min(kb, hi)) for r, (ka, kb, *_) in enumerate(runs)]
-        segs = [s for r, ka, kb in parts if ka <= kb for s in near(r, ka, kb, sq_near)]
-        spans = [(min(segs), max(segs) + 1)] if segs else [(0, len(gv) - 1)]
-        return _leaf_hull(g, j, n + 6, gsden, gsnums, spans)
-
-    return _low_runs((lo - k0 + 1, hi - k0 + 1) for lo, hi in filter(None, lows)), stretch
+    return _low_runs((lo - k0 + 1, hi - k0 + 1) for lo, hi in filter(None, lows))
 
 
 def _low_runs(lows: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -4,13 +4,13 @@
 bounded by the moduli find the two curves near each other, decides its
 values there on g's grids from coarse to fine, each finer one evaluated
 only where a value is still open, and each run's parity check counts g
-only on the run's stretch of j.  These tests hold it to the
-classification over all of j (`ref_shrink_low`), on fixed cases and on
-random polylines and Beziers: equal runs of low values, exceptions and
-shrink steps, equal crossing counts over each run's stretch and over j,
-both grids' budgets checked before any evaluation, and bounds on the
-values evaluated and read and the polyline points counted in a
-refinement.
+only on the run's stretch of j (all of j on the straight route).  These
+tests hold it to the classification over all of j (`ref_shrink_low`),
+on fixed cases and on random polylines and Beziers: equal runs of low
+values, exceptions and shrink steps, equal crossing counts over each
+run's stretch and over j, both grids' budgets checked before any
+evaluation, and bounds on the values evaluated and read and the
+polyline points counted in a refinement.
 """
 
 from __future__ import annotations
@@ -252,9 +252,11 @@ def test_each_run_counts_the_crossings_over_all_of_j(name) -> None:
 def test_a_run_near_two_stretches_of_g_counts_both() -> None:
     # g crosses f (y = 1/2) once on its way down, stays 2/5 below it,
     # and crosses it twice more in a spike: at n = 2 one run of f is near
-    # both stretches of g, at n = 4 each stretch has its own run
+    # both stretches of g, at n = 4 each stretch has its own run.  g
+    # duck-typed takes the coarse route; as a polyline, the straight
+    # route counts each run over all of j
     f = PolylinePath([(0, (0, "1/2")), (1, (1, "1/2"))])
-    g = PolylinePath(
+    line = PolylinePath(
         [
             (0, ("2/5", 1)),
             ("1/5", ("9/20", "1/10")),
@@ -265,6 +267,9 @@ def test_a_run_near_two_stretches_of_g_counts_both() -> None:
         ]
     )
     unit = interval(0, 1)
+    [(_, near, here, everywhere)] = _run_counts(f, line, unit, unit, 2)
+    assert near == unit and here == everywhere == 3
+    g = DuckCurve(line)
     [(_, near, here, everywhere)] = _run_counts(f, g, unit, unit, 2)
     assert here == everywhere == 3
     assert near.lo < Fraction(1, 5) and near.hi > Fraction(3, 5)

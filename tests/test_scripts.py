@@ -23,6 +23,8 @@ RUNS = [
      "90b6dc8972e42ccc"],
     ["bench_refine.py", "--max-rounds", "1"],
     ["bench_refine.py", "--max-rounds", "3", "--from", "2", "--every", "1"],
+    ["bench_refine.py", "--spec", str(ROOT / "scripts" / "table_spec.json"),
+     "--max-rounds", "1"],
     ["profile_round.py", "windows", "--seed", "1", "--top", "1"],
     ["parity_grid.py", "--pair", "diagonals", "--cells", "2"],
     ["refine_demo.py", "--pair", "diagonals", "--iterations", "2"],

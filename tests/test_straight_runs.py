@@ -6,10 +6,11 @@ of g's fine polyline in reach, in closed form, and expands no grid.
 These tests hold the route to the classification over all of j
 (`ref_shrink_low`, turned into runs by `low_runs`) on random
 piecewise-linear pairs with pauses, collinear and overlapping segments
-and window ends on the other curve, check each run's parity stretch,
-check where the route is taken, bound the values of f it evaluates on
-the diagonals, and pin the coinciding arcs that stop on the grid
-budget.
+and window ends on the other curve, check that each run's parity is
+counted over all of j, check where the route is taken, bound the values
+of f it evaluates on the diagonals, and pin two pairs that stop on the
+grid budget: coinciding arcs, and a modulus claimed large at some
+precisions.
 """
 
 from __future__ import annotations
@@ -55,9 +56,9 @@ def _step_runs(f, g, i, j, n):
 
 
 def _straight_runs(f, g, i, j, n):
-    decided = _straight_decisions(f, g, i, j, n)
-    assert decided is not None, "piecewise-linear grids come as straight runs"
-    return decided[0]
+    runs = _straight_decisions(f, g, i, j, n)
+    assert runs is not None, "piecewise-linear grids come as straight runs"
+    return runs
 
 
 # vertices on the grid of eighths, so that collinear and overlapping
@@ -259,8 +260,8 @@ def test_a_stretch_reaches_a_tip_that_only_the_checked_polyline_crosses(
     # twice more there; lowered by num * u/8 at the fine precision n+11
     # (tip_k > 2 * num), it stays above f.  At n = 2 and 3 one run of f
     # is low from the first crossing to the tip, but the tip's fine
-    # segments touch no part of it: only a stretch that reaches beyond
-    # touching boxes holds them
+    # segments touch no part of it: the straight route's check counts
+    # over the whole window, so it holds the tip's two crossings too
     tip = F(1, 2) + F(tip_k, 16) / 2 ** (n + 10)
     line = PolylinePath(
         [
@@ -316,3 +317,28 @@ def test_intersect_on_coinciding_arcs_exits_4(tmp_path: Path, capsys) -> None:
     assert main(["intersect", str(spec), "--iterations", "4"]) == 4
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: a track grid of ")
+
+
+def test_a_wobbling_modulus_stops_the_last_round_on_the_next_rounds_grid() -> None:
+    # phi is the diagonal in eight segments, its modulus claimed 20 at
+    # the precisions n = 1 mod 5; psi passes from 1/16 above it to 1/16
+    # below.  In round 1 phi's window shrinks to [127/512, 385/512], and
+    # psi's run is checked at precision 4 + 6 against phi's polyline
+    # over that whole window, a grid of over 2^20 points; only the
+    # stretch of the window near the run would fit.  Round 2 walks phi
+    # over the same window on the same grid, so one round or two stop
+    # on the budget alike
+    line = [(F(k, 8), (F(k, 8), F(k, 8))) for k in range(9)]
+    phi = TablePath(line, modulus_fn=lambda n: max(20, n + 1) if n % 5 == 1 else n + 1)
+    psi = PolylinePath(
+        [
+            (0, (0, 1)),
+            ("1/4", ("3/10", "29/80")),
+            ("3/4", ("7/10", "51/80")),
+            (1, (1, 0)),
+        ]
+    )
+    window = r"on \[127/512, 385/512\] exceeds the budget"
+    for rounds in (1, 2):
+        with pytest.raises(EffortExhausted, match=window):
+            refine_sequence(phi, psi, rounds)
