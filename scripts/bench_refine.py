@@ -1,8 +1,9 @@
 """Timing profile of the refinement pipeline.
 
-Reports the cumulative time and final interval width after each round,
-for both builtin pairs, plus the cost of one full-domain parity
-computation at the base working precision.  With --spec FILE the pair of
+Reports the cumulative time and final interval width after every
+second round and after the last one, for both builtin pairs, plus the
+cost of one full-domain parity computation at the base working
+precision.  With --spec FILE the pair of
 a path spec file is timed instead of the builtin pairs;
 `scripts/table_spec.json` holds two 300-row tables, written by
 `bent_table_spec(300)` in `tests/gen.py`.  With --from K (and --every S,
@@ -139,7 +140,7 @@ def main() -> int:
         print(f"({base_raw:.3f} raw s)")
         print(f"{'rounds':>7} {'ref s':>9} {'raw s':>9} {'I width':>12}")
         runs = []
-        for rounds in range(0, args.max_rounds + 1, 2):
+        for rounds in sorted({*range(0, args.max_rounds + 1, 2), args.max_rounds}):
             cert, ref_s, raw_s = _measure(clock, lambda: refine_sequence(phi, psi, rounds))
             width = float(cert.final.i.width())
             print(f"{rounds:>7} {ref_s:>9.3f} {raw_s:>9.3f} {width:>12.3e}")

@@ -98,7 +98,12 @@ class BoxLevels:
     share one point, so segment s lies inside leaf box s // RUN.  Each
     level above merges neighbouring boxes pairwise (an unpaired last box
     moves up unchanged) up to one root; `levels` lists them root first,
-    box k having the children 2k and 2k + 1.  Building costs O(N).  Box
+    box k having the children 2k and 2k + 1.  Building costs O(N).  The
+    leaves before the last are boxed column-wise: each bound of each
+    leaf is one `min` or `max` call over the RUN + 1 columns xs[o::RUN]
+    (ys alike).  The last leaf, which holds 2 to RUN + 1 points (one on
+    a one-point polyline), is boxed from its own points, so a polyline
+    of one leaf never builds the columns.  Box
     tests are exact integer tests that only prune; points and segments
     decide every answer.  Queries: `any_within` (point thresholds),
     `sq_dist_to_point` (two points or more) and, descending two
@@ -114,14 +119,20 @@ class BoxLevels:
     def __init__(self, ipts: Sequence[IntPoint]):
         run = self.RUN
         boxes = []
-        for k in range(0, max(len(ipts) - 1, 1), run):
-            xs, ys = zip(*ipts[k : k + run + 1])
-            boxes.append((min(xs), max(xs), min(ys), max(ys)))
+        full = max(len(ipts) - 2, 0) // run  # the leaves before the last
+        if full:
+            xs, ys = [x for x, _ in ipts], [y for _, y in ipts]
+            cx = [xs[o : o + run * full : run] for o in range(run + 1)]
+            cy = [ys[o : o + run * full : run] for o in range(run + 1)]
+            boxes = list(zip(map(min, *cx), map(max, *cx), map(min, *cy), map(max, *cy)))
+        xs, ys = zip(*ipts[run * full :])
+        boxes.append((min(xs), max(xs), min(ys), max(ys)))
         levels = [boxes]
         while len(boxes) > 1:
             merged = [
-                (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
-                for a, b in zip(boxes[::2], boxes[1::2])
+                (a0 if a0 < b0 else b0, a1 if a1 > b1 else b1,
+                 a2 if a2 < b2 else b2, a3 if a3 > b3 else b3)
+                for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(boxes[::2], boxes[1::2])
             ]
             if len(boxes) % 2:
                 merged.append(boxes[-1])
@@ -261,29 +272,32 @@ class BoxLevels:
         together, the one with more levels left first, and a box pair
         more than isqrt(sq_reach) apart on an axis is dropped with its
         descendants; leaf pairs are held to the exact squared gap.  Cost:
-        one box test per child of a passing pair, level by level.
+        one box test per child of a passing pair, level by level, in one
+        loop over the passing pairs: each level's boxes are grouped by
+        parent once (`_kids`), and each child box of a is unpacked and
+        widened by the reach once per passing pair.
         """
         la, lb, r = self.levels, other.levels, math.isqrt(sq_reach)
         if _sq_gap(la[0][0], lb[0][0]) > sq_reach:
             return []
         live = [(0, 0)]
         da, db = 0, 0
-        while da < len(la) - 1 or db < len(lb) - 1:
+        while live and (da < len(la) - 1 or db < len(lb) - 1):
             left_a, left_b = len(la) - 1 - da, len(lb) - 1 - db
             step_a, step_b = int(left_a >= left_b), int(left_b >= left_a)
             da, db = da + step_a, db + step_b
-            boxes_a, boxes_b = la[da], lb[db]
-            na, nb = len(boxes_a), len(boxes_b)
-            live = [
-                (k, l)
-                for i, j in live
-                for k in range(i << step_a, min((i << step_a) + 1 + step_a, na))
-                for l in range(j << step_b, min((j << step_b) + 1 + step_b, nb))
-                if boxes_a[k][0] - r <= boxes_b[l][1]
-                and boxes_b[l][0] - r <= boxes_a[k][1]
-                and boxes_a[k][2] - r <= boxes_b[l][3]
-                and boxes_b[l][2] - r <= boxes_a[k][3]
-            ]
+            kids_a = _kids(list(enumerate(la[da])), step_a)
+            kids_b = _kids(list(enumerate(lb[db])), step_b)
+            pairs: list[tuple[int, int]] = []
+            push = pairs.append
+            for i, j in live:
+                ls = kids_b[j]
+                for k, (x0, x1, y0, y1) in kids_a[i]:
+                    x0, x1, y0, y1 = x0 - r, x1 + r, y0 - r, y1 + r
+                    for l, (u0, u1, v0, v1) in ls:
+                        if x0 <= u1 and u0 <= x1 and y0 <= v1 and v0 <= y1:
+                            push((k, l))
+            live = pairs
         return [(k, l) for k, l in live if _sq_gap(la[-1][k], lb[-1][l]) <= sq_reach]
 
     def segment_pairs(self, other: BoxLevels, sq_reach: int) -> Iterator[tuple]:
@@ -307,6 +321,14 @@ class BoxLevels:
                         yield i, j, *a, *b, *c, *d
 
 
+def _kids(items: list, step: int) -> list:
+    """A level's items by parent: in twos (an odd last one alone) where
+    the level below merged pairs, else one each."""
+    if not step:
+        return list(zip(items))
+    return list(zip(items[::2], items[1::2])) + [items[-1:]] * (len(items) % 2)
+
+
 def _seg_box(a: IntPoint, b: IntPoint) -> tuple[int, int, int, int]:
     (ax, ay), (bx, by) = a, b
     return ((ax, bx) if ax <= bx else (bx, ax)) + ((ay, by) if ay <= by else (by, ay))
@@ -314,8 +336,10 @@ def _seg_box(a: IntPoint, b: IntPoint) -> tuple[int, int, int, int]:
 
 def _sq_gap(a: tuple, b: tuple) -> int:
     """Squared distance between boxes (x0, x1, y0, y1)."""
-    xg = max(0, b[0] - a[1], a[0] - b[1])
-    yg = max(0, b[2] - a[3], a[2] - b[3])
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    xg = b0 - a1 if b0 > a1 else (a0 - b1 if a0 > b1 else 0)
+    yg = b2 - a3 if b2 > a3 else (a2 - b3 if a2 > b3 else 0)
     return xg * xg + yg * yg
 
 

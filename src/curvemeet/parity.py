@@ -317,8 +317,9 @@ def working_precision(
     base-point polylines of at most half the vertices of those the
     parity counts, and it meets no grid budget the parity would not.
     With the count this cheap, certification is most of a query:
-    `working_precision` took 58 to 64 % of the time of perfbench's
-    window queries (seeds 4101 to 4103, best of 7 per query, on a 2-CPU
+    `working_precision` took 61 to 71 % of the time of perfbench's
+    window queries with the column-wise box build (59 to 64 % before;
+    seeds 4101 to 4103, best of 7 per query, summed, two runs on a 2-CPU
     x86-64 machine under Python 3.11), against 50 to 53 % with both
     whole windows swept.
     The returned enclosure carries the last probe, its precision

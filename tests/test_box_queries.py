@@ -96,6 +96,34 @@ def test_segment_pairs_match_all_pairs(size_a: int) -> None:
             assert sorted(got) == want, (size_a, size_b, sq_reach)
 
 
+def _box_gap(a: tuple, b: tuple) -> int:
+    """Squared gap between boxes (x0, x1, y0, y1)."""
+    xg = max(0, b[0] - a[1], a[0] - b[1])
+    yg = max(0, b[2] - a[3], a[2] - b[3])
+    return xg * xg + yg * yg
+
+
+@pytest.mark.parametrize("size_a", SIZES)
+def test_near_leaves_match_all_leaf_pairs(size_a: int) -> None:
+    # an extra pair would widen the hulls of the crossing sweep and the
+    # kept blocks of the shrink step without failing any other test
+    rng = random.Random(600 + size_a)
+    for size_b in SIZES:
+        a = _walk(rng, size_a, 9)
+        b = _walk(rng, size_b, 9, start=(rng.randint(-40, 40), rng.randint(-40, 40)))
+        leaves_a, leaves_b = _ref_levels(a)[-1], _ref_levels(b)[-1]
+        boxes_a, boxes_b = BoxLevels(a), BoxLevels(b)
+        for sq_reach in (0, 1, 2, 16, 50, 625, 10**6):
+            got = boxes_a.near_leaves(boxes_b, sq_reach)
+            want = [
+                (k, l)
+                for k, box_a in enumerate(leaves_a)
+                for l, box_b in enumerate(leaves_b)
+                if _box_gap(box_a, box_b) <= sq_reach
+            ]
+            assert sorted(got) == want, (size_a, size_b, sq_reach)
+
+
 def test_segment_pairs_of_far_polylines_are_none() -> None:
     rng = random.Random(3)
     a = _walk(rng, 200, 5)
@@ -293,6 +321,37 @@ def test_box_levels_leaf_runs_share_one_point() -> None:
         assert (y0, y1) == (min(y for _, y in run), max(y for _, y in run))
     xs, ys = [x for x, _ in pts], [y for _, y in pts]
     assert boxes.levels[0] == [(min(xs), max(xs), min(ys), max(ys))]
+
+
+def _ref_levels(pts: list) -> list:
+    """The box hierarchy built box by box: each leaf run boxed from its
+    own points, each merged box from its two children, root first."""
+    run = BoxLevels.RUN
+    boxes = []
+    for k in range(0, max(len(pts) - 1, 1), run):
+        xs, ys = zip(*pts[k : k + run + 1])
+        boxes.append((min(xs), max(xs), min(ys), max(ys)))
+    levels = [boxes]
+    while len(boxes) > 1:
+        merged = [
+            (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
+            for a, b in zip(boxes[::2], boxes[1::2])
+        ]
+        if len(boxes) % 2:
+            merged.append(boxes[-1])
+        boxes = merged
+        levels.append(boxes)
+    return levels[::-1]
+
+
+def test_box_levels_match_the_box_by_box_build() -> None:
+    # every size from one point to five leaf runs: one leaf, a full last
+    # leaf (RUN + 1 points) and a last leaf of two points (RUN + 2)
+    rng = random.Random(9)
+    for size in sorted({*range(1, 41), *SIZES}):
+        for step in (7, 10**20):
+            pts = _walk(rng, size, step)
+            assert BoxLevels(pts).levels == _ref_levels(pts), (size, step)
 
 
 @pytest.mark.parametrize("size", SIZES)

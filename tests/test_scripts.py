@@ -54,6 +54,25 @@ def test_script_runs_and_writes_nothing(tmp_path: Path, argv: list[str]) -> None
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (["--max-rounds", "1"], ["0", "1"] * 2),
+        (["--spec", str(ROOT / "scripts" / "table_spec.json"), "--max-rounds", "3"],
+         ["0", "2", "3"]),
+    ],
+    ids=["builtin", "spec"],
+)
+def test_bench_refine_times_the_last_round(
+    tmp_path: Path, argv: list[str], rows: list[str]
+) -> None:
+    # every second round from 0, and the last one even when it is odd
+    proc = _script(tmp_path, ["bench_refine.py", *argv])
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [w[0] for w in lines if len(w) == 4 and w[0].isdigit()] == rows
+
+
 def test_cert_hashes_checks_the_pin_of_a_spec_file(tmp_path: Path) -> None:
     # the 8-round hash of the table spec, pinned in test_cli.py as well
     spec = str(ROOT / "scripts" / "table_spec.json")
