@@ -248,25 +248,21 @@ def certify_alpha(
     target: Fraction = Fraction(0),
 ) -> AlphaEnclosure:
     """Refine the clearance enclosure until its floor exceeds target,
-    probing first at precision min(5, effort), then at the precision its
-    ceiling hints at.  A floor still at the target is often only just
-    there, so the next probe is one bit higher, and only after that does
-    the probe double from the hint: no probe is larger than doubling
-    alone would make it.
+    probing at precision min(5, effort) and then one bit higher each
+    time.  On the builtin oracles each bit doubles a probe's grid, so the
+    probes together cost about twice the last one at most, and no probe
+    overshoots the first precision that certifies.  Jumping ahead to the
+    precision the first ceiling allows would save little: that ceiling
+    includes the pad 6·2^-5 = 3/16, so smallest_n_below(hi / 16) is at
+    most 7 and the jump could skip only precision 6.
 
     Raises PreconditionViolated if some enclosure proves the clearance
     is at most target, EffortExhausted if precision `effort` is reached
-    without a decision or the next probe's grid (`paths._turn_points`)
-    would hold more than `paths.MAX_GRID_VERTICES` points even at the
-    largest precision above the last probe (`_probe_in_budget`).
+    without a decision or a probe's grid (`paths._turn_points`) would
+    hold more than `paths.MAX_GRID_VERTICES` points.
     """
     probe = min(_PROBE_START, effort)
     enc = alpha_enclosure(f, g, i, j, probe)
-    hint = min(smallest_n_below(enc.hi / 16), effort)
-    if enc.lo <= target and hint > probe:
-        enc = _probe_in_budget(f, g, i, j, probe, hint)
-        probe = enc.precision_used
-    ladder = [min(2 * probe, effort), min(probe + 1, effort)]
     while enc.lo <= target:
         if enc.hi <= target:
             raise PreconditionViolated(
@@ -276,31 +272,9 @@ def certify_alpha(
             raise EffortExhausted(
                 f"clearance > {target} not certified up to precision {effort}"
             )
-        nxt = ladder.pop() if ladder else min(2 * probe, effort)
-        enc = _probe_in_budget(f, g, i, j, probe, nxt)
-        probe = enc.precision_used
+        probe += 1
+        enc = alpha_enclosure(f, g, i, j, probe)
     return enc
-
-
-def _probe_in_budget(
-    f: PathOracle, g: PathOracle, i: Interval, j: Interval, last: int, p: int
-) -> AlphaEnclosure:
-    """`alpha_enclosure` at precision p or, where a grid at p would hold
-    more than `paths.MAX_GRID_VERTICES` points, at the largest precision
-    above last whose two grids fit; EffortExhausted if none does.  Only
-    a probe that would fail is moved, so every other keeps its
-    precision."""
-    try:
-        return alpha_enclosure(f, g, i, j, p)
-    except EffortExhausted:
-        for q in range(p - 1, last, -1):
-            try:
-                _checked_bounds(f, i, f.modulus(q))
-                _checked_bounds(g, j, g.modulus(q))
-            except EffortExhausted:
-                continue
-            return alpha_enclosure(f, g, i, j, q)
-        raise
 
 
 def working_precision(
@@ -313,9 +287,12 @@ def working_precision(
     bit doubles the two polylines the parity counts at n.  So while the
     next probe precision stays below n and within effort, and the
     ceiling still allows a smaller n, one more probe keeps the larger
-    floor and the smaller ceiling.  A probe below n measures between
-    base-point polylines of at most half the vertices of those the
-    parity counts, and it meets no grid budget the parity would not.
+    floor and the smaller ceiling.  These probes go on one bit at a time
+    from `certify_alpha`'s last, so a query probes consecutive
+    precisions from min(5, effort), each once.  A probe below n
+    measures between base-point polylines of at most half the vertices
+    of those the parity counts, and it meets no grid budget the parity
+    would not.
     With the count this cheap, certification is most of a query:
     `working_precision` took 61 to 71 % of the time of perfbench's
     window queries with the column-wise box build (59 to 64 % before;

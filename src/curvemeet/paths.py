@@ -379,9 +379,9 @@ def extend(path: PathOracle, side: Side) -> ExtendedPath:
 # Largest grid, in points, that one track or shrink step may evaluate.
 # Grids grow about twofold per bit of precision, so without a cap a
 # clearance that is zero (a window endpoint on the other curve) keeps
-# doubling the probe precision towards `effort`, and a table claiming a
-# large modulus asks for a grid of 2^40 points or more: either would
-# stall or run out of memory instead of failing.
+# raising the probe precision, one bit at a time, towards `effort`, and
+# a table claiming a large modulus asks for a grid of 2^40 points or
+# more: either would stall or run out of memory instead of failing.
 _MAX_GRID_BITS = 20
 MAX_GRID_VERTICES = 2**_MAX_GRID_BITS
 

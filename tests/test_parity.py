@@ -173,8 +173,8 @@ def test_certify_alpha_gives_up_on_zero_clearance() -> None:
 
 def test_zero_clearance_fails_fast_at_default_effort() -> None:
     # three-crossing pair: psi(1/2) = (1/2, 1/2) lies on phi's image, so
-    # no probe can certify the clearance; the probe budget must stop the
-    # precision doubling long before the default effort of 64
+    # no probe can certify the clearance; the grid budget must stop the
+    # probes, one bit apart, long before the default effort of 64
     phi = PolylinePath(
         [(0, (0, 0)), ("1/3", ("4/5", "2/5")), ("2/3", ("1/5", "3/5")), (1, (1, 1))]
     )

@@ -31,6 +31,7 @@ from curvemeet import (
     interval,
     pow2,
     refine_sequence,
+    shrink_pair,
     working_precision,
 )
 from curvemeet.errors import EffortExhausted
@@ -162,12 +163,12 @@ def test_every_added_probe_is_below_the_precision_it_lowers(
     window, monkeypatch
 ) -> None:
     f, g, _c1, _c2, i, j = _case(*window)
-    certified, added = [], []
+    certified, first_probes, added = [], [], []
     enclose, certify = parity_module.alpha_enclosure, parity_module.certify_alpha
 
     def recording_enclosure(*args):
         enc = enclose(*args)
-        (added if certified else []).append(enc)
+        (added if certified else first_probes).append(enc)
         return enc
 
     def recording_certify(*args, **kwargs):
@@ -178,6 +179,10 @@ def test_every_added_probe_is_below_the_precision_it_lowers(
     monkeypatch.setattr(parity_module, "certify_alpha", recording_certify)
     enc, n = working_precision(f, g, i, j)
     first = certified[0]
+    # certify_alpha probes consecutive precisions from min(5, effort)
+    assert [e.precision_used for e in first_probes] == list(
+        range(5, first.precision_used + 1)
+    )
     lo, hi, probe = first.lo, first.hi, first.precision_used
     for e in added:
         # one bit up, below n, and only while the ceiling allows a lower n
@@ -248,8 +253,8 @@ def _recording_probes(monkeypatch) -> tuple[list[int], list[int]]:
 
 
 def test_a_zero_floor_is_probed_one_bit_higher_first(monkeypatch) -> None:
-    # the probes at 5 and at the hint 6 give the floor 0; doubling went
-    # on at 12, where one bit more, 7, already gives the floor 3/128
+    # the probes at 5 and 6 give the floor 0, and the one at 7 the floor
+    # 3/128
     f, g, _c1, _c2, i, j = _case("three_crossing", "1/4", "3/4", "1/4", "3/4")
     probes, _grids = _recording_probes(monkeypatch)
     enc = certify_alpha(f, g, i, j)
@@ -261,37 +266,53 @@ def test_a_zero_floor_is_probed_one_bit_higher_first(monkeypatch) -> None:
     assert function_parity(f, g, i, j) == 1
 
 
-def test_a_probe_over_the_budget_falls_back_to_the_largest_that_fits(
+def test_a_barely_clear_record_is_certified_at_the_first_positive_floor(
     monkeypatch,
 ) -> None:
-    # on the last record of three curved rounds the probes at 5, 7, 8 and
-    # 14 give the floor 0, and f's grid at 28 would pass the budget; at 27
-    # both grids fit (770 049 and 321 537 points), and the floor is positive
+    # on the last record of three curved rounds every probe up to 15 gives
+    # the floor 0; the one at 16 certifies, and no probe's grid holds more
+    # than 377 points
     phi, psi = curved_pair()
     rec = refine_sequence(phi, psi, 3).records[3]
     f, g = extend(phi, Side.LOWER), extend(psi, Side.UPPER)
     probes, grids = _recording_probes(monkeypatch)
     enc = certify_alpha(f, g, rec.i, rec.j)
-    assert probes == [5, 7, 8, 14, 28, 27]
-    assert enc.precision_used == 27 and enc.lo > F(1, 8192)
-    assert max(grids) == 770049 <= paths_module.MAX_GRID_VERTICES
+    assert probes == list(range(5, 17))
+    assert enc.precision_used == 16 and enc.lo == F(1, 32768)
+    assert max(grids) == 377
+
+
+def test_shrink_pair_on_barely_clear_curved_records_sizes_small_grids(
+    monkeypatch,
+) -> None:
+    # on records 3, 7 and 8 of eight curved rounds the clearance probes
+    # climb to precision 16, 32 and 36; no grid that the step sizes, for a
+    # probe or for the shrink, holds more than 80 385 points
+    phi, psi = curved_pair()
+    records = refine_sequence(phi, psi, 8).records
+    f, g = extend(phi, Side.LOWER), extend(psi, Side.UPPER)
+    _probes, grids = _recording_probes(monkeypatch)
+    for rec in (records[3], records[7], records[8]):
+        i, j = shrink_pair(f, g, rec.i, rec.j, rec.m + 1)
+        assert rec.i.contains_interval(i) and rec.j.contains_interval(j)
+    assert max(grids) <= 80385
 
 
 # zero-clearance queries: the probe precisions, and the largest grid sized
-# for a probe; a probe whose grid would pass the budget falls back to the
-# largest precision above the last probe whose grids fit, and only when
-# none does is EffortExhausted raised (at the parent, after 28)
+# for a probe; the probes climb one bit at a time until precision `effort`
+# or until a probe's grid would pass the budget, which raises
+# EffortExhausted before that grid is evaluated
 ZERO_CLEARANCE = {
     "diagonal_on_itself": (
         lambda f, g: certify_alpha(f, f, interval(0, 1), interval(0, 1), effort=10),
         "diagonals",
-        [5, 7, 8, 10],
+        list(range(5, 11)),
         8193,
     ),
     "endpoint_on_curve": (
         lambda f, g: function_parity(f, g, interval("1/2", 2), interval(-1, 2)),
         "diagonals",
-        [5, 7, 8, 14, 28, 15, 30],
+        list(range(5, 17)),
         786433,
     ),
     "endpoint_on_curve_effort_8": (
@@ -299,13 +320,13 @@ ZERO_CLEARANCE = {
             f, g, interval("1/2", 2), interval(-1, 2), effort=8
         ),
         "diagonals",
-        [5, 7, 8],
+        list(range(5, 9)),
         6145,
     ),
     "three_crossing": (
         lambda f, g: function_parity(f, g, interval("1/3", 1), interval(0, "1/2")),
         "three_crossing",
-        [5, 7, 8, 14, 28, 17, 34],
+        list(range(5, 19)),
         699052,
     ),
 }
