@@ -1,14 +1,16 @@
-"""cProfile of one benchmark round, by self time.
+"""cProfile of one or more benchmark rounds, by self time.
 
 Builds the round that perfbench would run for WORKLOAD and seed N, runs
-it once to warm up (imports, caches, first allocations), then profiles a
-second run of it and prints the K functions with the largest self time.
+it once to warm up (imports, caches, first allocations), then profiles
+R more runs of it (one by default) and prints the K functions with the
+largest self time over them.  A windows round takes about 10 ms, so its
+profile is steadier over a few rounds.
 The round and its answer checks come from perfbench/workloads.py, which
 this script only imports.  The round's timing clock is replaced by a bare
 one, so that perfbench's calibration loop stays out of the profile.
 
 Usage, from the root of a checkout:
-    python3 scripts/profile_round.py curved --seed 11 [--top 25]
+    python3 scripts/profile_round.py curved --seed 11 [--top 25] [--rounds 1]
 """
 
 from __future__ import annotations
@@ -39,7 +41,10 @@ def main(argv=None) -> int:
     parser.add_argument("workload", choices=sorted(workloads.PAIRS_USED))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--top", type=int, default=25)
+    parser.add_argument("--rounds", type=int, default=1, help="rounds to profile")
     args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
 
     pairs = workloads.make_pairs()
     queries = workloads.make_windows(args.workload, args.seed, pairs)
@@ -48,7 +53,8 @@ def main(argv=None) -> int:
     workloads.run_round(state, workloads.Tally())
     tally = workloads.Tally()
     profile = cProfile.Profile()
-    profile.runcall(workloads.run_round, state, tally)
+    for _ in range(args.rounds):
+        profile.runcall(workloads.run_round, state, tally)
     for line in tally.errors + tally.wrong:
         print(f"failure: {line}", file=sys.stderr)
     stats = pstats.Stats(profile, stream=sys.stdout)

@@ -106,7 +106,8 @@ class BoxLevels:
     of one leaf never builds the columns.  Box
     tests are exact integer tests that only prune; points and segments
     decide every answer.  Queries: `any_within` (point thresholds),
-    `sq_dist_to_point` (two points or more) and, descending two
+    `sq_dist_to_point` (a nearest distance, or a bound it does not beat,
+    so that several queries can share one bound) and, descending two
     hierarchies together, `near_leaves` and `segment_pairs`; `track.stab`
     (lines) reads the levels too.  The leaf layout is read only through
     `span` (one leaf's point indices) and `spans` (those of neighbouring
@@ -213,32 +214,55 @@ class BoxLevels:
                     return True
         return False
 
-    def sq_dist_to_point(self, px: int, py: int) -> Fraction:
-        """Exact squared distance from an integer point to the polyline.
+    def sq_dist_to_point(
+        self, px: int, py: int, bound: Fraction | None = None
+    ) -> Fraction:
+        """Exact squared distance from an integer point to the polyline,
+        or bound if that is smaller.
 
         Branch and bound: a box is opened only while its squared gap is
-        below the best distance found so far, nearer child first (the
-        left one on a tie), so the cost is about one root-to-leaf path
-        plus the boxes that tie with the answer.
+        below the best value so far, nearer child first (the left one on
+        a tie), so the cost is about one root-to-leaf path plus the boxes
+        that tie with the answer.  The best value starts at the squared
+        distance to the first point, or at bound if that is smaller; so a
+        caller that wants only the least of several distances passes each
+        answer on as the next query's bound, and a query that cannot beat
+        it opens few boxes or none.  Each answer is the smaller of its
+        exact distance and bound, so a chain of queries ends at the least
+        exact distance, whatever their order.
         """
         levels = self.levels
         last = len(levels) - 1
-        best_n: int | None = None
-        best_d = 1
+        x, y = self.pts[0]
+        best_n, best_d = (x - px) ** 2 + (y - py) ** 2, 1
+        if bound is not None and bound.numerator < best_n * bound.denominator:
+            best_n, best_d = bound.numerator, bound.denominator
         # (squared box gap, depth, box); the gap is rechecked at pop time
         # against the bound found since the push
         stack = [(0, 0, 0)]
         push = stack.append
         while stack:
             gap_sq, depth, k = stack.pop()
-            if best_n is not None and gap_sq * best_d >= best_n:
+            if gap_sq * best_d >= best_n:
                 continue
             if depth == last:
+                # seg_point_sqdist inlined; past the ends of segment ab
+                # the distance is to a or to b, else cross(v, w)^2 / |w|^2
                 seg = self._leaf(k)
-                for (ax, ay), (bx, by) in zip(seg, seg[1:]):
-                    n, d = seg_point_sqdist(ax, ay, bx, by, px, py)
-                    if best_n is None or n * best_d < best_n * d:
+                ax, ay = seg[0]
+                for bx, by in seg[1:]:
+                    wx, wy, vx, vy = bx - ax, by - ay, px - ax, py - ay
+                    dot = vx * wx + vy * wy
+                    ww = wx * wx + wy * wy
+                    if dot <= 0:
+                        n, d = vx * vx + vy * vy, 1
+                    elif dot >= ww:
+                        n, d = (px - bx) ** 2 + (py - by) ** 2, 1
+                    else:
+                        n, d = (vx * wy - vy * wx) ** 2, ww
+                    if n * best_d < best_n * d:
                         best_n, best_d = n, d
+                    ax, ay = bx, by
                 continue
             depth += 1
             boxes = levels[depth]
@@ -261,7 +285,6 @@ class BoxLevels:
             else:
                 push(right)
                 push(left)
-        assert best_n is not None, "a distance query needs a segment"
         return Fraction(best_n, best_d)
 
     def near_leaves(self, other: BoxLevels, sq_reach: int) -> list[tuple[int, int]]:

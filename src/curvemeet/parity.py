@@ -217,16 +217,19 @@ def alpha_enclosure(
     side.  The kept polyline is the full one, so each distance is the
     full form's.  Base points lie within 2^-(n+2) of the curve, so the
     pad that covers an n-approximation's vertices covers them.
+
+    The four endpoint distances share one bound: each query is passed
+    the least distance so far and prunes every box at least that far
+    away.  Each answer is the smaller of its exact distance and the
+    bound, so the last is the least of the four exact distances, the
+    same `Fraction` as their `min`.
     """
     fp, gp = _turn_points(f, i, n), _turn_points(g, j, n)
     pi, qi, den = pair_over_lcm(fp.vden, fp.verts, gp.vden, gp.verts)
     pidx, qidx = BoxLevels(pi), BoxLevels(qi)
-    sq = min(
-        qidx.sq_dist_to_point(*pi[0]),
-        qidx.sq_dist_to_point(*pi[-1]),
-        pidx.sq_dist_to_point(*qi[0]),
-        pidx.sq_dist_to_point(*qi[-1]),
-    )
+    sq = None
+    for idx, (x, y) in ((qidx, pi[0]), (qidx, pi[-1]), (pidx, qi[0]), (pidx, qi[-1])):
+        sq = idx.sq_dist_to_point(x, y, sq)
     # both bounds of sqrt_enclosure rise with the radicand, so the
     # smallest distance's enclosure holds the smaller of each bound
     e = sqrt_enclosure(sq / (den * den), n)
@@ -294,11 +297,11 @@ def working_precision(
     of those the parity counts, and it meets no grid budget the parity
     would not.
     With the count this cheap, certification is most of a query:
-    `working_precision` took 61 to 71 % of the time of perfbench's
-    window queries with the column-wise box build (59 to 64 % before;
-    seeds 4101 to 4103, best of 7 per query, summed, two runs on a 2-CPU
-    x86-64 machine under Python 3.11), against 50 to 53 % with both
-    whole windows swept.
+    `working_precision` took 59 to 61 % of the time of perfbench's
+    window queries with a probe's four distances sharing one bound (63
+    to 65 % before; seeds 4101 to 4103, best of 7 per query, summed,
+    two runs on a 2-CPU x86-64 machine under Python 3.11), against 50
+    to 53 % with both whole windows swept.
     The returned enclosure carries the last probe, its precision
     included, for `_near_sweep`.
     """

@@ -289,6 +289,23 @@ def test_point_queries_match_all_segments(size: int) -> None:
         assert opened == [first, 1 - first]
 
 
+@pytest.mark.parametrize("size", SIZES)
+def test_bounded_point_queries_return_the_smaller_value(size: int) -> None:
+    # a clearance probe chains its four queries, each answer the next
+    # query's bound: the answer is the bound exactly where no segment
+    # beats it, and the exact distance otherwise
+    rng = random.Random(700 + size)
+    pts = _walk(rng, size, 7)
+    boxes = BoxLevels(pts)
+    for _ in range(40):
+        px, py = rng.randint(-40, 40), rng.randint(-40, 40)
+        q = min(F(*seg_point_sqdist(*s[0], *s[1], px, py)) for s in _segments(pts))
+        for b in (q, q + F(1, 97), q - F(1, 97), F(0), F(10**6)):
+            if b < 0:
+                continue
+            assert boxes.sq_dist_to_point(px, py, b) == min(q, b), (px, py, b)
+
+
 # ------------------------------------------------------------ certificate check
 
 

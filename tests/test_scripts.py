@@ -26,6 +26,7 @@ RUNS = [
     ["bench_refine.py", "--spec", str(ROOT / "scripts" / "table_spec.json"),
      "--max-rounds", "1"],
     ["profile_round.py", "windows", "--seed", "1", "--top", "1"],
+    ["profile_round.py", "windows", "--seed", "1", "--top", "1", "--rounds", "2"],
     ["parity_grid.py", "--pair", "diagonals", "--cells", "2"],
     ["refine_demo.py", "--pair", "diagonals", "--iterations", "2"],
     ["src_lines.py"],

@@ -398,3 +398,45 @@ def test_probes_equal_the_spiral_track_enclosure(window, monkeypatch) -> None:
     assert probes
     for args, enc in probes:
         assert enc == ref_alpha_enclosure(*args), args[-1]
+
+
+# ------------------------------------------------------------ work cap
+
+
+def _probe_leaves(monkeypatch, f, g, i, j, bounded: bool):
+    """How many leaf runs alpha_enclosure(f, g, i, j, 5) opens, and its
+    enclosure; unbounded, each of its four distance queries runs to its
+    own end on the same hierarchies."""
+    opened = []
+    levels = fastgeom_module.BoxLevels
+    leaf, query = levels._leaf, levels.sq_dist_to_point
+
+    def counted(self, k):
+        opened.append(k)
+        return leaf(self, k)
+
+    def unbounded(self, px, py, bound=None):
+        sq = query(self, px, py)
+        return sq if bound is None else min(sq, bound)
+
+    monkeypatch.setattr(levels, "_leaf", counted)
+    if not bounded:
+        monkeypatch.setattr(levels, "sq_dist_to_point", unbounded)
+    enc = parity_module.alpha_enclosure(f, g, i, j, 5)
+    monkeypatch.undo()
+    return len(opened), enc
+
+
+@pytest.mark.parametrize(
+    "bounds", [("0", "1", "-1/8", "7/8"), ("-1/8", "7/8", "-3/8", "5/8")]
+)
+def test_a_probe_shares_one_bound_across_its_four_queries(bounds, monkeypatch) -> None:
+    # each query's answer bounds the next, so the later queries prune
+    # the leaves that cannot beat it (42 and 36 leaves unbounded, 12
+    # and 29 chained)
+    f, g = (extend(c, side) for c, side in zip(curved_pair(), Side))
+    i, j = interval(*bounds[:2]), interval(*bounds[2:])
+    chained, enc = _probe_leaves(monkeypatch, f, g, i, j, bounded=True)
+    alone, want = _probe_leaves(monkeypatch, f, g, i, j, bounded=False)
+    assert chained < alone
+    assert enc == want
