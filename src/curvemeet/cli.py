@@ -51,9 +51,10 @@ _CERT_FORMAT = "curvemeet-certificate"
 # one window (Python 3.11, 2 CPUs), growing with the square of the rows.
 MAX_TABLE_ROWS = 500
 # a round costs more the deeper it refines, and the certificate grows with
-# the square of the rounds: `refine_sequence` took 0.98 / 2.3 / 8.7 s on
-# the curved pair and 0.08 / 0.17 / 0.40 s on the diagonals for 64 / 128 /
-# 256 rounds, with certificates of 26 / 92 / 347 KB (Python 3.11, 2 CPUs)
+# the square of the rounds: `refine_sequence` took 0.89 / 2.0 / 5.6 s on
+# the curved pair and 0.07 / 0.14 / 0.31 s on the diagonals for 64 / 128 /
+# 256 rounds (medians of four runs), with certificates of 26 / 92 / 347 KB
+# (Python 3.11, 2 CPUs)
 MAX_ITERATIONS = 256
 
 

@@ -2,7 +2,7 @@
 
 The crossing parity of f on i and g on j is the parity of the crossing
 count of two polygon approximations, one per curve, taken at a working
-precision n with 16 * 2^-n below the endpoint clearance alpha (the
+precision n with 2 * 2^-n below the endpoint clearance alpha (the
 distance from each window's endpoint values to the other curve's image).
 `function_parity` certifies that clearance from below and picks n from
 the tightened floor (`working_precision`).  Two routes then count.
@@ -20,14 +20,26 @@ separation checks, repeated vertices kept, only the two ends of each
 straight run kept, `paths._turn_points`) with the second one translated
 by the infinitesimal vector t = (eps, eps^2):
 
-* The crossing parity of two polygon paths is their mod-2 intersection
-  number, invariant under every perturbation that keeps each path's
-  endpoints off the other path (Guillemin and Pollack, *Differential
-  Topology*, ch. 2 section 4).  Under 16 * 2^-n < alpha the endpoints
-  of every pair of n-approximations stay clear of the other polygon, and
-  so along the straight-line blend of two such pairs: the base-point
-  polylines (their vertices within 2^-n of the curve, as the separated
-  tracks' are) have the parity of the paper's pairs.
+* The parity is the curves' own.  Let P be f's base-point polyline at
+  n, taken as a path over i, affine in the parameter between grid
+  points.  For s between grid points s_k < s_k+1 (less than
+  2^-modulus(n) apart), P(s) lies between the base points at s_k and
+  s_k+1, each within 2^-(n+2) of f there, and f(s_k) and f(s_k+1) lie
+  within 2^-n of f(s): so |P(s) - f(s)| <= 2^-(n+2) + 2^-n.  At the
+  ends of i, P is a base point, within 2^-(n+2) of f.  The same holds
+  for Q, g's polyline over j.  Along the straight-line homotopy from
+  (P, Q) to (f, g), at an end s of i the first path is within 2^-(n+2)
+  of f(s) and the second within 1.25 * 2^-n of g(u), so the two stay
+  at least alpha - 1.5 * 2^-n > 0 apart on the boundary of i x j (at
+  the ends of j alike), and under 2 * 2^-n < alpha they never meet
+  there.  So the mod-2 degree of (s, u) -> first(s) - second(u), which
+  is the parity of the crossings wherever they are all transversal,
+  is the same along the homotopy (Guillemin and Pollack, *Differential
+  Topology*, ch. 2 section 4): it is that of the curves, at every such
+  n.  The paper's separated tracks at a precision n with 16 * 2^-n <
+  alpha, whose vertices lie within 2^-n of the curve, meet the same
+  argument with the bounds 2 * 2^-n and 2^-n, so they have the same
+  parity; tests compare the two routes at that 16-margin.
 * The translation is generic.  For a segment u -> v and a point c, the
   sign of cross(v - u, c + t - u) is that of the polynomial
   O - (v_y - u_y) eps + (v_x - u_x) eps^2 with O = cross(v - u, c - u),
@@ -64,10 +76,12 @@ meaning of perturbations in geometric computing*, DCG 19, 1998): the
 signs are decided exactly in integers and the sweep (`_sweep`) is the
 one that `crossing_count` runs, where no O is 0.
 
-A query without n evaluates and sweeps at n only where the
-curves come near each other (`_near_sweep`).  The last clearance probe,
-at some precision p, has already evaluated and indexed both windows; one
-dual descent over its two hierarchies pairs the leaves at most 2.5 *
+A query without n counts on the last clearance probe, at some
+precision p, or evaluates and sweeps at n only where the curves come
+near each other (`_near_sweep`).  The probe has already evaluated and
+indexed both windows: at n = p its polylines are those counted, and the
+sweep descends its two hierarchies, evaluating and building nothing.
+Otherwise one dual descent over them pairs the leaves at most 2.5 *
 (2^-n + 2^-p) apart, and every crossing at n lies on segments within the
 hulls of the paired leaves.  Both whole windows' grids at n are checked
 against the budget first.  A far window pairs no leaves and evaluates
@@ -126,10 +140,12 @@ def translated_sign(o: int, ex: int, ey: int) -> int:
     return o or -ey or ex
 
 
-def _sweep(p: IntPolyline, q: IntPolyline) -> CrossingReport:
+def _sweep(p: IntPolyline, q: IntPolyline, levels: tuple = ()) -> CrossingReport:
     """The crossings of p and of q translated by t = (eps, eps^2).  Each
     of p and q is a `paths.IntPolyline` or a `track.Track`: the sweep
-    reads only their four integer fields.  A segment of length 0 is
+    reads only their four integer fields.  levels, if given, are their
+    hierarchies over a common denominator, and that denominator, as
+    (p's, q's, den); else they are built here.  A segment of length 0 is
     never counted, so the crossings are those of the polylines with
     their repeated vertices dropped (see the module docstring).
 
@@ -143,8 +159,11 @@ def _sweep(p: IntPolyline, q: IntPolyline) -> CrossingReport:
     located at eps = 0: where O is 0 it sits at the vertex on the other
     segment's line.
     """
-    pi, qi, den = pair_over_lcm(p.vden, p.verts, q.vden, q.verts)
-    pairs = BoxLevels(pi).segment_pairs(BoxLevels(qi), 0)
+    if not levels:
+        pi, qi, den = pair_over_lcm(p.vden, p.verts, q.vden, q.verts)
+        levels = BoxLevels(pi), BoxLevels(qi), den
+    p_levels, q_levels, den = levels
+    pairs = p_levels.segment_pairs(q_levels, 0)
     hits: list[tuple[int, int, int, int, int, int]] = []
     for i, j, ax, ay, bx, by, cx, cy, dx, dy in pairs:
         ex, ey = bx - ax, by - ay
@@ -165,7 +184,7 @@ def _sweep(p: IntPolyline, q: IntPolyline) -> CrossingReport:
     for i, j, o1, o2, o3, o4 in hits:
         # at u = o3/w along p's segment i and v = o1/w2 along q's segment j
         w, w2 = o3 - o4, o1 - o2
-        (ax, ay), (bx, by) = pi[i], pi[i + 1]
+        (ax, ay), (bx, by) = p_levels.pts[i : i + 2]
         s = Fraction(ps[i] * w + (ps[i + 1] - ps[i]) * o3, p.sden * w)
         t = Fraction(qs[j] * w2 + (qs[j + 1] - qs[j]) * o1, q.sden * w2)
         point = Point(
@@ -255,9 +274,9 @@ def certify_alpha(
     time.  On the builtin oracles each bit doubles a probe's grid, so the
     probes together cost about twice the last one at most, and no probe
     overshoots the first precision that certifies.  Jumping ahead to the
-    precision the first ceiling allows would save little: that ceiling
-    includes the pad 6·2^-5 = 3/16, so smallest_n_below(hi / 16) is at
-    most 7 and the jump could skip only precision 6.
+    precision the first ceiling allows would save nothing: a probe at p
+    has the pad 6·2^-p in its ceiling hi, so smallest_n_below(hi / 2)
+    is below p, and no working precision lies above it.
 
     Raises PreconditionViolated if some enclosure proves the clearance
     is at most target, EffortExhausted if precision `effort` is reached
@@ -280,11 +299,20 @@ def certify_alpha(
     return enc
 
 
+def _counting_precision(lo: Fraction, p: int) -> int:
+    """The working precision that a clearance floor lo, measured by a
+    probe at precision p, certifies: the least n >= p with 2 * 2^-n <
+    lo, so that where the floor allows no more the probe's polylines are
+    counted (`_near_sweep`)."""
+    return max(p, smallest_n_below(lo / 2))
+
+
 def working_precision(
     f: PathOracle, g: PathOracle, i: Interval, j: Interval, effort: int = 64
 ) -> tuple[AlphaEnclosure, int]:
     """The clearance enclosure of `certify_alpha`, tightened, and the
-    working precision n = smallest_n_below(lo / 16) it certifies.
+    working precision n that its floor lo and its last probe's precision
+    certify (`_counting_precision`).
 
     A barely positive first floor can cost several bits of n, and each
     bit doubles the two polylines the parity counts at n.  So while the
@@ -297,22 +325,22 @@ def working_precision(
     of those the parity counts, and it meets no grid budget the parity
     would not.
     With the count this cheap, certification is most of a query:
-    `working_precision` took 59 to 61 % of the time of perfbench's
-    window queries with a probe's four distances sharing one bound (63
-    to 65 % before; seeds 4101 to 4103, best of 7 per query, summed,
-    two runs on a 2-CPU x86-64 machine under Python 3.11), against 50
-    to 53 % with both whole windows swept.
+    `working_precision` took 84 to 86 % of the time of perfbench's
+    window queries, each of which counts on its last probe (seeds 4101
+    to 4103, best of 7 per query, summed, two runs on a 2-CPU x86-64
+    machine under Python 3.11), against 60 to 61 % where the count ran
+    at 16 * 2^-n < lo, near the probe.
     The returned enclosure carries the last probe, its precision
     included, for `_near_sweep`.
     """
     enc = certify_alpha(f, g, i, j, effort)
     lo, hi, probe = enc.lo, enc.hi, enc.precision_used
-    n = smallest_n_below(lo / 16)
-    while probe + 1 < n and probe < effort and n > smallest_n_below(hi / 16):
+    n = _counting_precision(lo, probe)
+    while probe + 1 < n and probe < effort and n > smallest_n_below(hi / 2):
         probe += 1
         enc = alpha_enclosure(f, g, i, j, probe)
         lo, hi = max(lo, enc.lo), min(hi, enc.hi)
-        n = smallest_n_below(lo / 16)
+        n = _counting_precision(lo, probe)
     return AlphaEnclosure(lo, hi, probe, enc._probe), n
 
 
@@ -336,9 +364,12 @@ def _near_sweep(
     """The crossings of the base-point polylines of f on i and g on j at
     precision n (`_sweep` of two `_base_track`s), found
     where the probe that enc keeps, at precision p, sees the curves meet.
-    Both curves' grids at n on their whole windows are checked against
-    the budget before anything is evaluated at n, f's first, so this
-    fails exactly where the whole sweep fails.
+    At n = p the probe's two polylines are those polylines, on the whole
+    windows, so they are swept on the probe's own hierarchies: nothing
+    is evaluated or built, and their grids have met the budget already.
+    Otherwise both curves' grids at n on their whole windows are checked
+    against the budget before anything is evaluated at n, f's first, so
+    this fails exactly where the whole sweep fails.
 
     Let x be a point of a segment of f's polyline at n, between grid
     points s < s' (less than 2^-modulus(n) apart).  Its ends lie within
@@ -370,11 +401,12 @@ def _near_sweep(
     ends of a window give the window itself.
     """
     probe = enc._probe
-    p = probe.p
+    if n == probe.p:
+        return _sweep(probe.f, probe.g, (probe.f_idx, probe.g_idx, probe.den))
     _checked_bounds(f, i, f.modulus(n))
     _checked_bounds(g, j, g.modulus(n))
     # 2R * den = 5 * den * (2^n + 2^p) / 2^(n+p+1), rounded up
-    reach = -(-5 * probe.den * ((1 << n) + (1 << p)) >> (n + p + 1))
+    reach = -(-5 * probe.den * ((1 << n) + (1 << probe.p)) >> (n + probe.p + 1))
     near = probe.f_idx.near_leaves(probe.g_idx, reach * reach)
     if not near:
         return _report([])
@@ -395,18 +427,20 @@ def function_parity(
 ) -> int:
     """Crossing parity of f on i versus g on j.
 
-    With n omitted, a working precision satisfying 16 * 2^-n < alpha is
+    With n omitted, a working precision satisfying 2 * 2^-n < alpha is
     certified first (`working_precision`); passing n explicitly asserts
     that bound and skips certification.
 
     The parity is that of the crossing count of the base-point
     polylines of f and g, the second translated by t = (eps, eps^2)
-    (`_sweep`).  Under the bound, that count has the parity of every
-    weakly separated n-approximation pair, `track.n_approximation_pair`
-    included: the mod-2 intersection number is invariant under
-    perturbations that keep the endpoints off the other polyline, and t
-    is generic (see the module docstring).  With n omitted, only the
-    parts of the windows near the last clearance probe's meeting leaves
+    (`_sweep`).  Under the bound, that count is the curves' mod-2
+    intersection number: the straight-line homotopy from the polylines
+    to the curves keeps every window's endpoint values off the other
+    path, and t is generic (see the module docstring).  So it is the
+    parity of every weakly separated n'-approximation pair with 16 *
+    2^-n' < alpha, `track.n_approximation_pair` included.  With n
+    omitted, the last clearance probe's polylines are counted if it ran
+    at n, else only the parts of the windows near its meeting leaves
     are evaluated and swept (`_near_sweep`); with n given, both whole
     windows are.  A random jitter of the base points
     (`track.n_approximation_pair`'s rng) belongs to the paper's route.

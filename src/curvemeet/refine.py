@@ -54,7 +54,7 @@ from .exact_geom import (
     smallest_n_below,
     sqrt_enclosure,
 )
-from .parity import _near_sweep, certify_alpha, function_parity
+from .parity import _counting_precision, _near_sweep, certify_alpha, function_parity
 from .paths import (
     _EXTENDED_DOMAIN,
     _UNIT_DOMAIN,
@@ -120,11 +120,11 @@ def _certified_floor(
 ) -> Fraction:
     """A floor above target of the endpoint clearance of (i, j), once
     the crossing parity there is certified to be 1.  The parity is
-    counted at the precision n that the floor itself certifies (16 *
-    2^-n below it), near the enclosure's probe (`_near_sweep`), so no
-    probe runs twice."""
+    counted at the precision n that the floor itself certifies (2 *
+    2^-n below it, `parity._counting_precision`), on the enclosure's
+    probe or near it (`_near_sweep`), so no probe runs twice."""
     enc = certify_alpha(f, g, i, j, target=target)
-    n = smallest_n_below(enc.lo / 16)
+    n = _counting_precision(enc.lo, enc.precision_used)
     if _near_sweep(f, g, i, j, n, enc).parity != 1:
         raise PreconditionViolated("crossing parity on the input intervals is 0")
     return enc.lo
@@ -156,9 +156,9 @@ def shrink_first(
     for a, b in runs:
         cand = Interval(Fraction(snums[a], sden), Fraction(snums[b], sden))
         # run endpoints measured >= 2^-n/2, so the true clearance of
-        # (cand, j) is at least 7/16 * 2^-n and precision n+6 satisfies
-        # the parity stability margin 2^-(n+6) < (7/16)*2^-n / 16
-        if function_parity(f, g, cand, stretch(a, b), n=n + 6) == 1:
+        # (cand, j) is at least 7/16 * 2^-n and precision n+3 satisfies
+        # the parity margin 2 * 2^-(n+3) < (7/16) * 2^-n
+        if function_parity(f, g, cand, stretch(a, b), n=n + 3) == 1:
             return cand
     raise InvariantViolation("no low-distance run carries an odd crossing count")
 
@@ -298,24 +298,26 @@ def _shrink_decisions(
 
     stretch(a, b) is the hull of the coarse g leaves paired with the
     leaves of the values a+1 to b-1, widened outward to points of g's
-    grid at precision n+6 and clipped to j (`paths._leaf_hull`, as the
+    grid at precision n+3 and clipped to j (`paths._leaf_hull`, as the
     window sweep near a probe has it).  The parity check counts the
-    crossings of P, f's polyline on [s_a, s_b] at precision n+6, with Q,
-    g's, translated by an infinitesimal t (`function_parity`).  Their
-    base points lie within 4u of the curve, at grid points whose exact
-    values are less than 2^-(n+6) = 16u apart, so every segment is
-    shorter than 24u.  Each crossing lies on a segment of Q, between
-    grid points u_k and u_k+1, that meets P at t = 0 in some point p.
-    p is within 12u + 4u of f(s) for a grid point s of P; as b - a >= 2,
-    s is less than one decision step from a point among a+1 to b-1, so
-    f(s) is within 64u of it, and its low decision value x within 2u
-    more.  So g(u_k) is within 24u + 16u + 64u + 2u + 4u = 110u of x,
-    and both ends of the coarse block holding u_k within 175u: x's leaf
-    is paired with that block's leaf, and u_k, as u_k+1, lies in the
-    hull, on Q's grid and in j.  Q on stretch(a, b), whose ends are
-    points of Q's grid, is Q's part there, parameter by parameter, so
-    it meets P in exactly the points that Q does, under t as without:
-    the check counts exactly the crossings over all of j.
+    crossings of P, f's polyline on [s_a, s_b] at precision n+3, with Q,
+    g's, translated by an infinitesimal t (`function_parity`).  A point
+    of a segment of either, between grid points s < s', lies within
+    1.25 * 2^-(n+3) = 160u of the curve's value at s, as its ends lie
+    within 2^-(n+5) of the curve at s and s', whose exact values are
+    less than 2^-(n+3) apart.  Each crossing lies on a segment of Q,
+    between grid points u_k and u_k+1, that meets P at t = 0 in some
+    point p, on a segment of P from its grid point s.  p is within 160u
+    of f(s); as b - a >= 2, s is less than one decision step from a
+    point among a+1 to b-1, so f(s) is within 64u of it, and its low
+    decision value x within 2u more.  So g(u_k), within 160u of p, is
+    within 160u + 64u + 2u + 160u = 386u of x, and both ends of the
+    coarse block holding u_k within 451u, below the 578u of the second
+    descent: x's leaf is paired with that block's leaf, and u_k, as
+    u_k+1, lies in the hull, on Q's grid and in j.  Q on stretch(a, b),
+    whose ends are points of Q's grid, is Q's part there, parameter by
+    parameter, so it meets P in exactly the points that Q does, under t
+    as without: the check counts exactly the crossings over all of j.
     """
     f_md, g_md = f.modulus(n + 4), g.modulus(n + 9)
     _checked_bounds(g, j, g_md)
@@ -372,7 +374,7 @@ def _shrink_decisions(
 
     def stretch(a: int, b: int) -> Interval:
         leaves = (l for t0, t1, l in leaf_pairs if t0 < b and t1 > a)
-        return _leaf_hull(g, j, n + 6, csden, csnums, cg_levels.spans(leaves))
+        return _leaf_hull(g, j, n + 3, csden, csnums, cg_levels.spans(leaves))
 
     return sden, snums, runs, stretch
 

@@ -224,14 +224,15 @@ def _run_counts(f, g, i, j, n):
     for a, b in runs:
         cand = Interval(Fraction(snums[a], sden), Fraction(snums[b], sden))
         near = stretch(a, b)
-        # a part of j whose ends are points of g's grid at n+6, so that
-        # g's polyline on it is a part of that on j
-        e = g.modulus(n + 6) + 1
+        # a part of j whose ends are points of g's grid at n+3, the
+        # precision of the check, so that g's polyline on it is a part
+        # of that on j
+        e = g.modulus(n + 3) + 1
         assert j.contains_interval(near)
         for end in (near.lo, near.hi):
             assert end in (j.lo, j.hi) or end * 2**e % 1 == 0
-        yield cand, near, _crossings(f, g, cand, near, n + 6), _crossings(
-            f, g, cand, j, n + 6
+        yield cand, near, _crossings(f, g, cand, near, n + 3), _crossings(
+            f, g, cand, j, n + 3
         )
 
 

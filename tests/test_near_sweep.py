@@ -1,16 +1,20 @@
 """The crossing sweep near the last clearance probe.
 
-A window-parity query without n sweeps each curve only on the
-hull of the probe's leaves that `near_leaves` pairs with the other
-curve's (`parity._near_sweep`).  These tests hold that route to the
+A window-parity query without n counts on the last probe's own
+polylines where n is the probe's precision, and otherwise sweeps each
+curve only on the hull of the probe's leaves that `near_leaves` pairs
+with the other curve's (`parity._near_sweep`).  These tests hold both
+routes to the
 sweep of both whole windows at the same precision, whole
 `CrossingReport` and all, for any probe precision p: on random windows
 of the builtin pairs and the three-crossing pair, on a duck-typed
 oracle, a table with a non-monotone modulus, a polyline that pauses,
 and probes several bits below n and above it.  They also cap the points
-swept, check that a far window evaluates nothing at n, that the grid
-budget at n fails the same queries as before, and that the shrink
-step's precondition check probes each precision once.
+swept, check that a query at its probe's precision evaluates and builds
+nothing after the probe, that a far window evaluates nothing at n, that
+the grid budget at n fails the same queries as before, that the shrink
+step's precondition check probes each precision once, and that its run
+checks count at n+3.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from pathlib import Path
 import pytest
 
 import curvemeet.parity as parity_module
+import curvemeet.paths as paths_module
 import curvemeet.refine as refine_module
 from curvemeet import (
     PolylinePath,
@@ -37,6 +42,7 @@ from curvemeet import (
     shrink_pair,
     working_precision,
 )
+from curvemeet._fastgeom import BoxLevels
 from curvemeet.errors import EffortExhausted
 from curvemeet.exact_geom import Interval, Point
 from curvemeet.parity import _base_track, _near_sweep, _sweep, alpha_enclosure
@@ -235,9 +241,9 @@ def _recording_sweeps(monkeypatch) -> list[int]:
     """The points of both polylines of every sweep."""
     swept = []
 
-    def recording_sweep(p, q):
+    def recording_sweep(p, q, *levels):
         swept.append(len(p.snums) + len(q.snums))
-        return _sweep(p, q)
+        return _sweep(p, q, *levels)
 
     monkeypatch.setattr(parity_module, "_sweep", recording_sweep)
     return swept
@@ -252,18 +258,93 @@ def _perfbench_windows(workload: str, seed: int):
 
 
 def test_swept_points_of_the_curved_windows_are_capped(monkeypatch) -> None:
+    # each of these queries counts on its last probe (n = p); one bit
+    # above the probe the hulls are swept, and they hold at most a third
+    # of the whole windows' points
     f, g = EXT_CURVED
     windows = _perfbench_windows("curved", 901)
     assert len(windows) == 9
-    full = 0
+    full, queries = 0, []
     for i, j in windows:
-        n = working_precision(f, g, i, j)[1]
-        full += len(_base_track(f, i, n).snums)
-        full += len(_base_track(g, j, n).snums)
+        enc, n = working_precision(f, g, i, j)
+        assert n == enc.precision_used
+        queries.append((i, j, n + 1, enc))
+        full += len(_base_track(f, i, n + 1).snums)
+        full += len(_base_track(g, j, n + 1).snums)
     swept = _recording_sweeps(monkeypatch)
-    for i, j in windows:
-        function_parity(f, g, i, j)
+    for query in queries:
+        assert _near_sweep(f, g, *query) == whole(f, g, *query[:3])
     assert 3 * sum(swept) <= full
+
+
+def _logging(events: list, name: str, fn):
+    def logged(*args, **kwargs):
+        events.append(name)
+        return fn(*args, **kwargs)
+
+    return logged
+
+
+def test_a_query_at_its_probe_precision_evaluates_and_builds_nothing_more(
+    monkeypatch,
+) -> None:
+    # the last probe certifies n at its own precision, so the sweep
+    # descends that probe's two hierarchies: no grid is sized or
+    # evaluated and no hierarchy built once it has measured
+    f, g = EXT_CURVED
+    i, j = interval(0, 1), interval("-1/8", "7/8")
+    events: list[str] = []
+    enclose = parity_module.alpha_enclosure
+
+    def recording_enclosure(*args):
+        events.append("probe")
+        enc = enclose(*args)
+        events.append("probed")
+        return enc
+
+    monkeypatch.setattr(parity_module, "alpha_enclosure", recording_enclosure)
+    for name in ("_grid_bounds", "grid_runs"):
+        fn = getattr(paths_module, name)
+        monkeypatch.setattr(paths_module, name, _logging(events, "grid", fn))
+    monkeypatch.setattr(
+        BoxLevels, "__init__", _logging(events, "levels", BoxLevels.__init__)
+    )
+    assert function_parity(f, g, i, j) == 1
+    last = len(events) - events[::-1].index("probe") - 1
+    assert events[-1] == "probed" and events[last:].count("levels") == 2
+    assert "grid" in events[last:]
+
+
+def test_shrink_parity_checks_size_their_grids_at_n_plus_3(monkeypatch) -> None:
+    # in one curved round, each parity check of a run counts at n + 3,
+    # n being the shrink step's precision, sizes its grids there only,
+    # and gets the opposing curve's stretch widened to its grid there
+    steps, checks, sized = [], [], []
+    decide, parity = refine_module._shrink_decisions, refine_module.function_parity
+
+    def recording_decisions(f, g, i, j, n):
+        steps.append((n, j))
+        return decide(f, g, i, j, n)
+
+    def recording_parity(f, g, i, j, effort=64, n=None):
+        sized.clear()
+        out = parity(f, g, i, j, effort, n)
+        checks.append((*steps[-1], g, j, n, {f.modulus(n), g.modulus(n)}, set(sized)))
+        return out
+
+    def recording_bounds(lo, hi, md, bounds=paths_module._grid_bounds):
+        sized.append(md)
+        return bounds(lo, hi, md)
+
+    monkeypatch.setattr(refine_module, "_shrink_decisions", recording_decisions)
+    monkeypatch.setattr(refine_module, "function_parity", recording_parity)
+    monkeypatch.setattr(paths_module, "_grid_bounds", recording_bounds)
+    refine_sequence(*curved_pair(), 1)
+    assert len(steps) == 2 and len(checks) >= 2
+    for step_n, step_j, g, stretch, n, moduli, mds in checks:
+        assert n == step_n + 3 and mds and mds <= moduli
+        assert step_j.contains_interval(stretch)
+        assert all(_on_grid(s, g, step_j, n) for s in (stretch.lo, stretch.hi))
 
 
 def test_a_far_window_evaluates_nothing_at_n(monkeypatch) -> None:
@@ -280,13 +361,13 @@ def test_a_far_window_evaluates_nothing_at_n(monkeypatch) -> None:
 
 def test_the_whole_grid_budget_at_n_is_checked_first() -> None:
     # probes at 5 and 6 fit the budget and certify n = 7, whose grid is
-    # 2^48 points; the curves lie 6/25 apart, so no leaves pair, and the
+    # 2^48 points; the curves lie 3/25 apart, so no leaves pair, and the
     # query must still fail as the whole sweep does
     f = TablePath(
         [(0, (0, 0)), (1, (1, 0))],
         modulus_fn=lambda n: n + 1 if n < 7 else n + 40,
     )
-    g = PolylinePath([(0, (0, "6/25")), (1, (1, "6/25"))])
+    g = PolylinePath([(0, (0, "3/25")), (1, (1, "3/25"))])
     unit = interval(0, 1)
     enc, n = working_precision(f, g, unit, unit)
     assert (enc.precision_used, n) == (6, 7)
@@ -294,27 +375,30 @@ def test_the_whole_grid_budget_at_n_is_checked_first() -> None:
         function_parity(f, g, unit, unit)
     with pytest.raises(EffortExhausted, match="track grid"):
         _near_sweep(f, g, unit, unit, n, enc)
-    # here the probe at 8 pairs f's leaves on [3/64, 5/64] only, a hull
-    # whose grid at n = 9 fits the budget while the whole window's,
+    # here the probe at 7 pairs f's leaves on [1/32, 3/32] only, a hull
+    # whose grid at n = 8 fits the budget while the whole window's,
     # 2^21 points, does not
     f = DuckCurve(
         TablePath(
             [(0, (0, "1/2")), (1, (1, "1/2"))],
-            modulus_fn=lambda n: n + 1 if n < 9 else 20,
+            modulus_fn=lambda n: n + 1 if n < 8 else 20,
         )
     )
     g = PolylinePath([(0, ("1/16", 0)), (1, ("1/16", 1))])
     enc, n = working_precision(f, g, unit, unit)
-    assert (enc.precision_used, n) == (8, 9)
+    assert (enc.precision_used, n) == (7, 8)
     with pytest.raises(EffortExhausted, match="track grid"):
         function_parity(f, g, unit, unit)
 
 
 def test_explicit_n_sweeps_the_whole_windows(monkeypatch) -> None:
+    # the floor 1/16 at precision 5 certifies n = 6, one bit above the
+    # probe, so the query without n sweeps the hulls at n
     f, g = EXT_CURVED
-    i, j = interval(0, 1), interval("-1/4", "3/4")
+    i, j = interval("-3/4", 1), interval("1/8", "9/8")
     swept = _recording_sweeps(monkeypatch)
-    n = working_precision(f, g, i, j)[1]
+    enc, n = working_precision(f, g, i, j)
+    assert (enc.precision_used, n) == (5, 6)
     whole_points = len(_base_track(f, i, n).snums)
     whole_points += len(_base_track(g, j, n).snums)
     assert function_parity(f, g, i, j, n=n) == 1

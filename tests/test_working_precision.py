@@ -139,23 +139,45 @@ def _case(name, *bounds):
 # ------------------------------------------------------------ tests
 
 
+def _working(lo: Fraction, p: int) -> int:
+    """The working precision that a floor lo measured by a probe at
+    precision p certifies: the least n >= p with 2 * 2^-n < lo."""
+    return max(p, smallest_n_below(lo / 2))
+
+
 @pytest.mark.parametrize("window", WINDOWS, ids=IDS)
 def test_enclosure_holds_the_exact_clearance(window) -> None:
     f, g, c1, c2, i, j = _case(*window)
     enc, n = working_precision(f, g, i, j)
     assert enc.lo**2 <= ref_sq_clearance(c1, c2, i, j) <= enc.hi**2
-    assert 16 * pow2(-n) < enc.lo
-    assert n == smallest_n_below(enc.lo / 16)
+    assert 2 * pow2(-n) < enc.lo
+    assert n == _working(enc.lo, enc.precision_used)
 
 
 @pytest.mark.parametrize("window", WINDOWS, ids=IDS)
 def test_precision_is_never_above_certify_alone(window) -> None:
     f, g, _c1, _c2, i, j = _case(*window)
-    alone = smallest_n_below(certify_alpha(f, g, i, j).lo / 16)
+    first = certify_alpha(f, g, i, j)
+    alone = _working(first.lo, first.precision_used)
     _enc, n = working_precision(f, g, i, j)
     assert n <= alone
     # the parity at n is the parity at the precision certify_alpha sets
     assert function_parity(f, g, i, j) == function_parity(f, g, i, j, n=alone)
+
+
+@pytest.mark.parametrize("window", WINDOWS, ids=IDS)
+def test_parity_is_the_same_from_n_to_the_sixteen_margin(window) -> None:
+    # the parity at the working precision n, where 2 * 2^-n < lo, is the
+    # parity at every finer precision up to the paper's margin, where 16
+    # * 2^-n < lo, and that of the paper's separated pair there
+    f, g, _c1, _c2, i, j = _case(*window)
+    enc, n = working_precision(f, g, i, j)
+    paper_n = smallest_n_below(enc.lo / 16)
+    parity = function_parity(f, g, i, j)
+    for m in range(n, paper_n + 1):
+        assert function_parity(f, g, i, j, n=m) == parity, m
+    pair = track_module.n_approximation_pair(f, g, i, j, paper_n)
+    assert track_module.crossing_count(*pair).parity == parity
 
 
 @pytest.mark.parametrize("window", WINDOWS, ids=IDS)
@@ -186,14 +208,16 @@ def test_every_added_probe_is_below_the_precision_it_lowers(
     lo, hi, probe = first.lo, first.hi, first.precision_used
     for e in added:
         # one bit up, below n, and only while the ceiling allows a lower n
-        assert e.precision_used == probe + 1 < smallest_n_below(lo / 16)
-        assert smallest_n_below(hi / 16) < smallest_n_below(lo / 16)
+        assert e.precision_used == probe + 1 < _working(lo, probe)
+        assert smallest_n_below(hi / 2) < _working(lo, probe)
         lo, hi, probe = max(lo, e.lo), min(hi, e.hi), e.precision_used
     assert (enc.lo, enc.hi, enc.precision_used) == (lo, hi, probe)
-    assert n == smallest_n_below(lo / 16)
+    assert n == _working(lo, probe)
 
 
 def test_probes_stay_within_effort(monkeypatch) -> None:
+    # unbounded, the floor 1/128 at precision 6 is tightened by a probe
+    # at 7; effort 6 stops there and keeps n = 9
     f, g, _c1, _c2, i, j = _case("three_crossing", "5/8", "1", "0", "1")
     probes = []
     enclose = parity_module.alpha_enclosure
@@ -203,13 +227,15 @@ def test_probes_stay_within_effort(monkeypatch) -> None:
         return enclose(*args)
 
     monkeypatch.setattr(parity_module, "alpha_enclosure", recording_enclosure)
-    enc, n = working_precision(f, g, i, j, effort=7)
-    assert max(probes) == enc.precision_used == 7
-    assert 16 * pow2(-n) < enc.lo
+    assert working_precision(f, g, i, j)[0].precision_used == 7
+    probes.clear()
+    enc, n = working_precision(f, g, i, j, effort=6)
+    assert max(probes) == enc.precision_used == 6
+    assert 2 * pow2(-n) < enc.lo and n == 9
 
 
 def test_no_probe_once_the_ceiling_allows_no_lower_precision(monkeypatch) -> None:
-    # [1/127, 1/126] at precision 5 certifies n = 11, and no floor under
+    # [1/127, 1/126] at precision 5 certifies n = 8, and no floor under
     # the ceiling 1/126 certifies less, so no probe can pay off
     f, g, _c1, _c2, i, j = _case("three_crossing", "5/8", "1", "0", "1")
     tight = parity_module.AlphaEnclosure(F(1, 127), F(1, 126), 5)
@@ -219,16 +245,17 @@ def test_no_probe_once_the_ceiling_allows_no_lower_precision(monkeypatch) -> Non
 
     monkeypatch.setattr(parity_module, "certify_alpha", lambda *a, **k: tight)
     monkeypatch.setattr(parity_module, "alpha_enclosure", no_probe)
-    assert working_precision(f, g, i, j) == (tight, 11)
+    assert working_precision(f, g, i, j) == (tight, 8)
 
 
 def test_barely_positive_first_floor_is_tightened() -> None:
     # the probe at precision 6 gives the floor 1/128, which alone sets
-    # n = 12; the probe at 8 gives 21/256 and certifies n = 8
+    # n = 9; the probe at 7 gives 15/256 and certifies n = 7
     f, g, _c1, _c2, i, j = _case("three_crossing", "5/8", "1", "0", "1")
-    assert smallest_n_below(certify_alpha(f, g, i, j).lo / 16) == 12
+    first = certify_alpha(f, g, i, j)
+    assert _working(first.lo, first.precision_used) == 9
     enc, n = working_precision(f, g, i, j)
-    assert n <= 8 and enc.lo == F(21, 256)
+    assert n <= 7 and enc.lo == F(15, 256)
 
 
 def _recording_probes(monkeypatch) -> tuple[list[int], list[int]]:
@@ -261,8 +288,8 @@ def test_a_zero_floor_is_probed_one_bit_higher_first(monkeypatch) -> None:
     assert probes == [5, 6, 7] and enc.lo == F(3, 128)
     probes.clear()
     enc, n = working_precision(f, g, i, j)
-    assert max(probes) <= 8 and probes == [5, 6, 7, 8]
-    assert 16 * pow2(-n) < enc.lo
+    assert max(probes) <= 7 and probes == [5, 6, 7]
+    assert 2 * pow2(-n) < enc.lo
     assert function_parity(f, g, i, j) == 1
 
 
