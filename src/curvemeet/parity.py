@@ -84,7 +84,7 @@ sweep descends its two hierarchies, evaluating and building nothing.
 Otherwise one dual descent over them pairs the leaves at most 2.5 *
 (2^-n + 2^-p) apart, and every crossing at n lies on segments within the
 hulls of the paired leaves.  Both whole windows' grids at n are checked
-against the budget first.  A far window pairs no leaves and evaluates
+against the budget first.  A window without paired leaves evaluates
 nothing at n; otherwise each curve is swept on its hull only, widened
 outward to its grid at n and clipped to its window (`paths._leaf_hull`,
 the rule the shrink step's run checks use too), with the same crossings
@@ -231,11 +231,17 @@ def alpha_enclosure(
 
     Measured between the base-point polylines with only the ends of
     each straight run kept (`paths._turn_points`, repeats kept: a
-    zero-length segment is measured as its point), then widened by the
-    vertex error (2^-n) plus the polygon-vs-curve error (5 * 2^-n) per
-    side.  The kept polyline is the full one, so each distance is the
-    full form's.  Base points lie within 2^-(n+2) of the curve, so the
-    pad that covers an n-approximation's vertices covers them.
+    zero-length segment is measured as its point), then widened by 1.5 *
+    2^-n per side.  The kept polyline is the full one, so each distance
+    is the full form's.  Each measured endpoint is a base point, within
+    2^-(n+2) of the curve's endpoint value, and each polyline lies
+    within 1.25 * 2^-n of its curve at every parameter (the homotopy
+    bound of the module docstring), so each point of the polyline's
+    image lies within 1.25 * 2^-n of the curve's image and each point of
+    the curve's image within 1.25 * 2^-n of the polyline's.  So each
+    exact endpoint distance lies within 1.5 * 2^-n of the measured one,
+    from above and from below, and so does their minimum.  The square
+    root is enclosed to 2^-(n+3), a twelfth of the pad.
 
     The four endpoint distances share one bound: each query is passed
     the least distance so far and prunes every box at least that far
@@ -251,14 +257,16 @@ def alpha_enclosure(
         sq = idx.sq_dist_to_point(x, y, sq)
     # both bounds of sqrt_enclosure rise with the radicand, so the
     # smallest distance's enclosure holds the smaller of each bound
-    e = sqrt_enclosure(sq / (den * den), n)
-    pad = 6 * pow2(-n)
+    e = sqrt_enclosure(sq / (den * den), n + 2)
+    pad = 3 * pow2(-(n + 1))
     lo, hi = e.lo - pad, e.hi + pad
     probe = _Probe(n, den, fp, pidx, gp, qidx)
     return AlphaEnclosure(max(Fraction(0), lo), hi, n, probe)
 
 
-_PROBE_START = 5  # the first clearance probe's precision
+# the first clearance probe's precision: its pad is 3/16, so a window
+# whose clearance is well above 3/16 is certified by one probe
+_PROBE_START = 3
 
 
 def certify_alpha(
@@ -270,13 +278,13 @@ def certify_alpha(
     target: Fraction = Fraction(0),
 ) -> AlphaEnclosure:
     """Refine the clearance enclosure until its floor exceeds target,
-    probing at precision min(5, effort) and then one bit higher each
+    probing at precision min(3, effort) and then one bit higher each
     time.  On the builtin oracles each bit doubles a probe's grid, so the
     probes together cost about twice the last one at most, and no probe
     overshoots the first precision that certifies.  Jumping ahead to the
     precision the first ceiling allows would save nothing: a probe at p
-    has the pad 6·2^-p in its ceiling hi, so smallest_n_below(hi / 2)
-    is below p, and no working precision lies above it.
+    has the pad 1.5 * 2^-p in its ceiling hi, so smallest_n_below(hi /
+    2) is at most p + 1, the next probe's precision anyway.
 
     Raises PreconditionViolated if some enclosure proves the clearance
     is at most target, EffortExhausted if precision `effort` is reached
@@ -320,16 +328,16 @@ def working_precision(
     ceiling still allows a smaller n, one more probe keeps the larger
     floor and the smaller ceiling.  These probes go on one bit at a time
     from `certify_alpha`'s last, so a query probes consecutive
-    precisions from min(5, effort), each once.  A probe below n
+    precisions from min(3, effort), each once.  A probe below n
     measures between base-point polylines of at most half the vertices
     of those the parity counts, and it meets no grid budget the parity
     would not.
     With the count this cheap, certification is most of a query:
-    `working_precision` took 84 to 86 % of the time of perfbench's
-    window queries, each of which counts on its last probe (seeds 4101
-    to 4103, best of 7 per query, summed, two runs on a 2-CPU x86-64
-    machine under Python 3.11), against 60 to 61 % where the count ran
-    at 16 * 2^-n < lo, near the probe.
+    `working_precision` took 75 to 82 % of the time of perfbench's
+    window queries, each of which counts on its last probe, at
+    precision 3 (seeds 4101 to 4103, best of 7 per query, summed, two
+    runs on a 2-CPU x86-64 machine under Python 3.11), against 84 to 85
+    % with probes padded by 6 * 2^-p, which count at precision 5.
     The returned enclosure carries the last probe, its precision
     included, for `_near_sweep`.
     """

@@ -183,9 +183,11 @@ def ref_pair(f, g, i, j, n, rng) -> tuple[Track, Track]:
     return p, ref_vertex_track(g, j, n, clears, rng)
 
 
-def ref_alpha_enclosure(f, g, i, j, n) -> AlphaEnclosure:
+def ref_alpha_enclosure(f, g, i, j, n, pad=None, root=None) -> AlphaEnclosure:
     """The endpoint clearance between the n-approximation tracks of f on
-    i and g on j, widened by 6 * 2^-n per side."""
+    i and g on j, its square roots enclosed at precision root (n if not
+    given), widened by pad per side (6 * 2^-n if not given: the error
+    of a spiral vertex, 2^-n, plus the polygon-vs-curve error)."""
     p = n_approximation(f, i, n)
     q = n_approximation(g, j, n)
     pi, qi, den = common_verts(p, q)
@@ -198,9 +200,10 @@ def ref_alpha_enclosure(f, g, i, j, n) -> AlphaEnclosure:
     d_g_ends = min(
         pidx.sq_dist_to_point(*qi[0]), pidx.sq_dist_to_point(*qi[-1])
     ) / sq_scale
-    e1 = sqrt_enclosure(d_f_ends, n)
-    e2 = sqrt_enclosure(d_g_ends, n)
-    pad = 6 * pow2(-n)
+    root = n if root is None else root
+    e1 = sqrt_enclosure(d_f_ends, root)
+    e2 = sqrt_enclosure(d_g_ends, root)
+    pad = 6 * pow2(-n) if pad is None else pad
     lo = min(e1.lo, e2.lo) - pad
     hi = min(e1.hi, e2.hi) + pad
     return AlphaEnclosure(max(Fraction(0), lo), hi, n)

@@ -3,10 +3,14 @@
 Plain numerics, no shared code with the package: de Casteljau halving
 with bounding-box pruning narrows parameter boxes, duplicates from
 adjacent boxes are merged, and a Newton polish on the 2x2 system
-finishes each crossing to machine precision.
+finishes each crossing to machine precision.  `point_distance` bounds
+the distance from a point to an arc by the same halving.
 """
 
 from __future__ import annotations
+
+import heapq
+import math
 
 Ctrl = tuple[tuple[float, float], ...]
 
@@ -111,3 +115,45 @@ def _finish(
         out.append((s, t, bezier_eval(c1, s)))
     out.sort()
     return out
+
+
+def sub_curve(ctrl: Ctrl, t0: float, t1: float) -> Ctrl:
+    """The control points of the arc of ctrl over [t0, t1]: the blossom
+    at (t0, t0), (t0, t1) and (t1, t1)."""
+
+    def blossom(a: float, b: float) -> tuple[float, float]:
+        w0, w1, w2 = (1 - a) * (1 - b), (1 - a) * b + a * (1 - b), a * b
+        return tuple(w0 * p + w1 * q + w2 * r for p, q, r in zip(*ctrl))
+
+    return blossom(t0, t0), blossom(t0, t1), blossom(t1, t1)
+
+
+def _seg_dist(z: tuple[float, float], a: tuple[float, float], b: tuple[float, float]) -> float:
+    """The distance from z to the segment a-b."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    dd = dx * dx + dy * dy
+    u = 0.0 if dd == 0.0 else ((z[0] - a[0]) * dx + (z[1] - a[1]) * dy) / dd
+    u = min(1.0, max(0.0, u))
+    return math.hypot(z[0] - a[0] - u * dx, z[1] - a[1] - u * dy)
+
+
+def point_distance(
+    ctrl: Ctrl, z: tuple[float, float], tol: float = 1e-9
+) -> tuple[float, float]:
+    """(lo, hi) around the distance from z to the arc ctrl, best first:
+    a piece's arc lies in its control triangle, so within the distance
+    of its middle control point from its chord, and z is at least its
+    distance to the chord less that far from it; hi is the least
+    distance from z to a piece's end.  The piece with the least bound
+    is halved until its parameter width is below tol; that bound is
+    lo."""
+    hi = min(math.dist(z, ctrl[0]), math.dist(z, ctrl[2]))
+    heap = [(0.0, 1.0, ctrl)]
+    while True:
+        lo, width, c = heapq.heappop(heap)
+        if width < tol or lo >= hi:
+            return min(lo, hi), hi
+        for half in _split(c):
+            hi = min(hi, math.dist(z, half[2]))
+            bound = _seg_dist(z, half[0], half[2]) - _seg_dist(half[1], half[0], half[2])
+            heapq.heappush(heap, (max(0.0, bound), width / 2, half))

@@ -127,20 +127,29 @@ def _offset(curve, dy: Fraction, at: int):
     return Offset(curve)
 
 
+# flat but for a spike of height 125/1024 at x = SPIKE_TOP, strictly
+# between two of its grid points at precision 3 (modulus 6, spacing
+# 1/128), which its modulus at 3 allows
+SPIKE_TOP = F(1, 2) + F(4, 1024)
+SPIKE = TablePath(
+    [
+        (0, (0, 0)),
+        (SPIKE_TOP - F(3, 1024), (SPIKE_TOP - F(3, 1024), 0)),
+        (SPIKE_TOP, (SPIKE_TOP, F(125, 1024))),
+        (SPIKE_TOP + F(3, 1024), (SPIKE_TOP + F(3, 1024), 0)),
+        (1, (1, 0)),
+    ],
+    modulus_fn=lambda k: k + 3 if k == 3 else k + 6,
+)
+
+
 def test_every_pair_the_reach_allows_can_carry_a_crossing() -> None:
-    # f is flat but for a spike of height 125/1024 strictly between two
-    # of its probe grid points (precision 3, modulus 6, spacing 1/128),
-    # which its modulus at 3 allows; g is flat at 120/1024.  The probe
-    # values, at precision 5, sit 31/1024 below f and above g, 182/1024
-    # apart: within the reach 330/1024 at n = 8, beyond half of it,
-    # while the polylines at n cross twice on the spike
-    a, top, b = F(1, 2) + F(1, 1024), F(1, 2) + F(4, 1024), F(1, 2) + F(7, 1024)
-    spike = TablePath(
-        [(0, (0, 0)), (a, (a, 0)), (top, (top, F(125, 1024))), (b, (b, 0)), (1, (1, 0))],
-        modulus_fn=lambda k: k + 3 if k == 3 else k + 6,
-    )
+    # f is the spike; g is flat at 120/1024.  The probe values, at
+    # precision 5, sit 31/1024 below f and above g, 182/1024 apart:
+    # within the reach 330/1024 at n = 8, beyond half of it, while the
+    # polylines at n cross twice on the spike
     flat = PolylinePath([(0, (0, F(120, 1024))), (1, (1, F(120, 1024)))])
-    f, g = _offset(spike, F(-31, 1024), 5), _offset(flat, F(31, 1024), 5)
+    f, g = _offset(SPIKE, F(-31, 1024), 5), _offset(flat, F(31, 1024), 5)
     i, j = interval("3/8", "5/8"), interval(0, 1)
     want = whole(f, g, i, j, 8)
     assert want.count == 2
@@ -258,9 +267,9 @@ def _perfbench_windows(workload: str, seed: int):
 
 
 def test_swept_points_of_the_curved_windows_are_capped(monkeypatch) -> None:
-    # each of these queries counts on its last probe (n = p); one bit
-    # above the probe the hulls are swept, and they hold at most a third
-    # of the whole windows' points
+    # each of these queries counts on its last probe (n = p); from a
+    # probe two bits finer, the hulls one bit above that probe are swept,
+    # and they hold at most a third of the whole windows' points
     f, g = EXT_CURVED
     windows = _perfbench_windows("curved", 901)
     assert len(windows) == 9
@@ -268,9 +277,9 @@ def test_swept_points_of_the_curved_windows_are_capped(monkeypatch) -> None:
     for i, j in windows:
         enc, n = working_precision(f, g, i, j)
         assert n == enc.precision_used
-        queries.append((i, j, n + 1, enc))
-        full += len(_base_track(f, i, n + 1).snums)
-        full += len(_base_track(g, j, n + 1).snums)
+        queries.append((i, j, n + 3, alpha_enclosure(f, g, i, j, n + 2)))
+        full += len(_base_track(f, i, n + 3).snums)
+        full += len(_base_track(g, j, n + 3).snums)
     swept = _recording_sweeps(monkeypatch)
     for query in queries:
         assert _near_sweep(f, g, *query) == whole(f, g, *query[:3])
@@ -360,22 +369,24 @@ def test_a_far_window_evaluates_nothing_at_n(monkeypatch) -> None:
 
 
 def test_the_whole_grid_budget_at_n_is_checked_first() -> None:
-    # probes at 5 and 6 fit the budget and certify n = 7, whose grid is
-    # 2^48 points; the curves lie 3/25 apart, so no leaves pair, and the
-    # query must still fail as the whole sweep does
+    # probes up to 6 fit the budget and certify n = 7, whose grid is
+    # 2^48 points; the query must fail as the whole sweep does
     f = TablePath(
         [(0, (0, 0)), (1, (1, 0))],
         modulus_fn=lambda n: n + 1 if n < 7 else n + 40,
     )
-    g = PolylinePath([(0, (0, "3/25")), (1, (1, "3/25"))])
+    g = PolylinePath([(0, (0, "1/20")), (1, (1, "1/20"))])
     unit = interval(0, 1)
     enc, n = working_precision(f, g, unit, unit)
     assert (enc.precision_used, n) == (6, 7)
     with pytest.raises(EffortExhausted, match="track grid"):
         function_parity(f, g, unit, unit)
+    # a curve 3/25 away pairs no leaves of the probe at 6 at n = 7, and
+    # the sweep must still fail
+    far = PolylinePath([(0, (0, "3/25")), (1, (1, "3/25"))])
     with pytest.raises(EffortExhausted, match="track grid"):
-        _near_sweep(f, g, unit, unit, n, enc)
-    # here the probe at 7 pairs f's leaves on [1/32, 3/32] only, a hull
+        _near_sweep(f, far, unit, unit, 7, alpha_enclosure(f, far, unit, unit, 6))
+    # here the probe at 7 pairs f's leaves on [0, 1/16] only, a hull
     # whose grid at n = 8 fits the budget while the whole window's,
     # 2^21 points, does not
     f = DuckCurve(
@@ -384,7 +395,7 @@ def test_the_whole_grid_budget_at_n_is_checked_first() -> None:
             modulus_fn=lambda n: n + 1 if n < 8 else 20,
         )
     )
-    g = PolylinePath([(0, ("1/16", 0)), (1, ("1/16", 1))])
+    g = PolylinePath([(0, ("1/40", 0)), (1, ("1/40", 1))])
     enc, n = working_precision(f, g, unit, unit)
     assert (enc.precision_used, n) == (7, 8)
     with pytest.raises(EffortExhausted, match="track grid"):
@@ -395,7 +406,7 @@ def test_explicit_n_sweeps_the_whole_windows(monkeypatch) -> None:
     # the floor 1/16 at precision 5 certifies n = 6, one bit above the
     # probe, so the query without n sweeps the hulls at n
     f, g = EXT_CURVED
-    i, j = interval("-3/4", 1), interval("1/8", "9/8")
+    i, j = interval(-1, "1/2"), interval("-7/8", 1)
     swept = _recording_sweeps(monkeypatch)
     enc, n = working_precision(f, g, i, j)
     assert (enc.precision_used, n) == (5, 6)
@@ -428,7 +439,7 @@ def test_the_shrink_precondition_probes_each_precision_once(monkeypatch) -> None
 
     monkeypatch.setattr(parity_module, "alpha_enclosure", recording_enclosure)
     out = shrink_pair(f, g, rec.i, rec.j, rec.m + 1)
-    assert probes == list(range(5, 13))
+    assert probes == list(range(3, 11))
     # the same step with the parity counted over both whole windows
     monkeypatch.undo()
     monkeypatch.setattr(

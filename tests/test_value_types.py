@@ -81,9 +81,9 @@ CASES = {
     ),
     "AlphaEnclosure": Case(
         AlphaEnclosure,
-        dict(lo=F(13, 16), hi=F(19, 16), precision_used=5),
-        "AlphaEnclosure(lo=Fraction(13, 16), hi=Fraction(19, 16), precision_used=5)",
-        dict(lo=F(13, 16), hi=F(19, 16), precision_used=6),
+        dict(lo=F(61, 64), hi=F(67, 64), precision_used=5),
+        "AlphaEnclosure(lo=Fraction(61, 64), hi=Fraction(67, 64), precision_used=5)",
+        dict(lo=F(61, 64), hi=F(67, 64), precision_used=6),
     ),
     "ExtendedPath": Case(
         ExtendedPath,

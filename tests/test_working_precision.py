@@ -201,9 +201,9 @@ def test_every_added_probe_is_below_the_precision_it_lowers(
     monkeypatch.setattr(parity_module, "certify_alpha", recording_certify)
     enc, n = working_precision(f, g, i, j)
     first = certified[0]
-    # certify_alpha probes consecutive precisions from min(5, effort)
+    # certify_alpha probes consecutive precisions from min(3, effort)
     assert [e.precision_used for e in first_probes] == list(
-        range(5, first.precision_used + 1)
+        range(3, first.precision_used + 1)
     )
     lo, hi, probe = first.lo, first.hi, first.precision_used
     for e in added:
@@ -216,8 +216,8 @@ def test_every_added_probe_is_below_the_precision_it_lowers(
 
 
 def test_probes_stay_within_effort(monkeypatch) -> None:
-    # unbounded, the floor 1/128 at precision 6 is tightened by a probe
-    # at 7; effort 6 stops there and keeps n = 9
+    # unbounded, the floor 1/128 at precision 4 is tightened by a probe
+    # at 5; effort 4 stops there and keeps n = 9
     f, g, _c1, _c2, i, j = _case("three_crossing", "5/8", "1", "0", "1")
     probes = []
     enclose = parity_module.alpha_enclosure
@@ -227,10 +227,10 @@ def test_probes_stay_within_effort(monkeypatch) -> None:
         return enclose(*args)
 
     monkeypatch.setattr(parity_module, "alpha_enclosure", recording_enclosure)
-    assert working_precision(f, g, i, j)[0].precision_used == 7
+    assert working_precision(f, g, i, j)[0].precision_used == 5
     probes.clear()
-    enc, n = working_precision(f, g, i, j, effort=6)
-    assert max(probes) == enc.precision_used == 6
+    enc, n = working_precision(f, g, i, j, effort=4)
+    assert max(probes) == enc.precision_used == 4
     assert 2 * pow2(-n) < enc.lo and n == 9
 
 
@@ -249,13 +249,13 @@ def test_no_probe_once_the_ceiling_allows_no_lower_precision(monkeypatch) -> Non
 
 
 def test_barely_positive_first_floor_is_tightened() -> None:
-    # the probe at precision 6 gives the floor 1/128, which alone sets
-    # n = 9; the probe at 7 gives 15/256 and certifies n = 7
+    # the probe at precision 4 gives the floor 1/128, which alone sets
+    # n = 9; the probe at 5 gives 15/256 and certifies n = 6
     f, g, _c1, _c2, i, j = _case("three_crossing", "5/8", "1", "0", "1")
     first = certify_alpha(f, g, i, j)
     assert _working(first.lo, first.precision_used) == 9
     enc, n = working_precision(f, g, i, j)
-    assert n <= 7 and enc.lo == F(15, 256)
+    assert n <= 6 and enc.lo == F(15, 256)
 
 
 def _recording_probes(monkeypatch) -> tuple[list[int], list[int]]:
@@ -280,15 +280,15 @@ def _recording_probes(monkeypatch) -> tuple[list[int], list[int]]:
 
 
 def test_a_zero_floor_is_probed_one_bit_higher_first(monkeypatch) -> None:
-    # the probes at 5 and 6 give the floor 0, and the one at 7 the floor
-    # 3/128
+    # the probes at 3 and 4 give the floor 0, and the one at 5 the floor
+    # 3/128, which alone sets n = 7; the probe at 6 tightens it to 3/64
     f, g, _c1, _c2, i, j = _case("three_crossing", "1/4", "3/4", "1/4", "3/4")
     probes, _grids = _recording_probes(monkeypatch)
     enc = certify_alpha(f, g, i, j)
-    assert probes == [5, 6, 7] and enc.lo == F(3, 128)
+    assert probes == [3, 4, 5] and enc.lo == F(3, 128)
     probes.clear()
     enc, n = working_precision(f, g, i, j)
-    assert max(probes) <= 7 and probes == [5, 6, 7]
+    assert probes == [3, 4, 5, 6] and (enc.lo, n) == (F(3, 64), 6)
     assert 2 * pow2(-n) < enc.lo
     assert function_parity(f, g, i, j) == 1
 
@@ -296,24 +296,24 @@ def test_a_zero_floor_is_probed_one_bit_higher_first(monkeypatch) -> None:
 def test_a_barely_clear_record_is_certified_at_the_first_positive_floor(
     monkeypatch,
 ) -> None:
-    # on the last record of three curved rounds every probe up to 15 gives
-    # the floor 0; the one at 16 certifies, and no probe's grid holds more
-    # than 377 points
+    # on the last record of three curved rounds every probe up to 13 gives
+    # the floor 0; the one at 14 certifies, and no probe's grid holds more
+    # than 95 points
     phi, psi = curved_pair()
     rec = refine_sequence(phi, psi, 3).records[3]
     f, g = extend(phi, Side.LOWER), extend(psi, Side.UPPER)
     probes, grids = _recording_probes(monkeypatch)
     enc = certify_alpha(f, g, rec.i, rec.j)
-    assert probes == list(range(5, 17))
-    assert enc.precision_used == 16 and enc.lo == F(1, 32768)
-    assert max(grids) == 377
+    assert probes == list(range(3, 15))
+    assert enc.precision_used == 14 and enc.lo == F(1, 32768)
+    assert max(grids) == 95
 
 
 def test_shrink_pair_on_barely_clear_curved_records_sizes_small_grids(
     monkeypatch,
 ) -> None:
     # on records 3, 7 and 8 of eight curved rounds the clearance probes
-    # climb to precision 16, 32 and 36; no grid that the step sizes, for a
+    # climb to precision 14, 30 and 34; no grid that the step sizes, for a
     # probe or for the shrink, holds more than 80 385 points
     phi, psi = curved_pair()
     records = refine_sequence(phi, psi, 8).records
@@ -333,13 +333,13 @@ ZERO_CLEARANCE = {
     "diagonal_on_itself": (
         lambda f, g: certify_alpha(f, f, interval(0, 1), interval(0, 1), effort=10),
         "diagonals",
-        list(range(5, 11)),
+        list(range(3, 11)),
         8193,
     ),
     "endpoint_on_curve": (
         lambda f, g: function_parity(f, g, interval("1/2", 2), interval(-1, 2)),
         "diagonals",
-        list(range(5, 17)),
+        list(range(3, 17)),
         786433,
     ),
     "endpoint_on_curve_effort_8": (
@@ -347,13 +347,13 @@ ZERO_CLEARANCE = {
             f, g, interval("1/2", 2), interval(-1, 2), effort=8
         ),
         "diagonals",
-        list(range(5, 9)),
+        list(range(3, 9)),
         6145,
     ),
     "three_crossing": (
         lambda f, g: function_parity(f, g, interval("1/3", 1), interval(0, "1/2")),
         "three_crossing",
-        list(range(5, 19)),
+        list(range(3, 19)),
         699052,
     ),
 }
@@ -423,8 +423,12 @@ def test_probes_equal_the_spiral_track_enclosure(window, monkeypatch) -> None:
     monkeypatch.setattr(parity_module, "alpha_enclosure", recording_enclosure)
     working_precision(f, g, i, j)
     assert probes
+    # the same distances, square roots and pad: a probe at p pads by
+    # 1.5 * 2^-p and encloses the root to 2^-(p+3)
     for args, enc in probes:
-        assert enc == ref_alpha_enclosure(*args), args[-1]
+        p = args[-1]
+        want = ref_alpha_enclosure(*args, pad=3 * pow2(-(p + 1)), root=p + 2)
+        assert enc == want, p
 
 
 # ------------------------------------------------------------ work cap
