@@ -42,7 +42,12 @@ from typing import Callable, Iterable
 
 from ._fastgeom import BoxLevels, IntPoint, pair_over_lcm, points_over_lcm, rescale
 from ._fastgeom import _seg_box, _sq_gap, seg_point_sqdist
-from .errors import InvariantViolation, NotConverged, PreconditionViolated
+from .errors import (
+    EffortExhausted,
+    InvariantViolation,
+    NotConverged,
+    PreconditionViolated,
+)
 from .exact_geom import (
     Frozen,
     Interval,
@@ -724,13 +729,24 @@ def _check_neighborhood(
     jb: Interval,
     level: int,
 ) -> None:
+    """Check that a's image over ia lies within 2^-level of b's over jb.
+
+    Each base point of a at precision n_v lies within 2^-(n_v+2) of a,
+    and between grid neighbours a moves by less than 2^-n_v, so every
+    point of a's image is within 1.25 * 2^-n_v of a base point; b's
+    turn-point polyline lies within 1.25 * 2^-n_v of b's image at every
+    parameter (`parity`'s module docstring).  So base points within
+    2^-level - 2.5 * 2^-n_v of that polyline prove the radius 2^-level
+    itself.  The allowance is positive only for n_v >= level + 2: if
+    the sample budget does not fit there, EffortExhausted."""
     # sampling precision adapts downward until both grids fit the budget
-    n_v = level + 5
-    floor_n = max(1, level + 1)
-    while n_v > floor_n and (
-        ia.width() * pow2(a.modulus(n_v) + 1) > _MAX_SAMPLES
-        or jb.width() * pow2(b.modulus(n_v) + 1) > _MAX_SAMPLES
-    ):
+    n_v, sides = level + 5, ((a, ia), (b, jb))
+    while any(w.width() * pow2(h.modulus(n_v) + 1) > _MAX_SAMPLES for h, w in sides):
+        if n_v == level + 2:
+            raise EffortExhausted(
+                f"neighborhood radius 2^-{level} needs more than {_MAX_SAMPLES}"
+                f" samples per curve at precision {n_v}"
+            )
         n_v -= 1
     # the base points of both tracks, b's with only the ends of each
     # straight run, the same polyline; a zero-length segment of a repeat
@@ -739,7 +755,7 @@ def _check_neighborhood(
         *_base_points(a, ia, n_v)[2:], *_turn_points(b, jb, n_v)[2:]
     )
     idx = BoxLevels(bp)
-    allowed = pow2(-level) + 6 * pow2(-n_v)
+    allowed = pow2(-level) - Fraction(5, 2) * pow2(-n_v)
     lim = allowed * allowed * den * den
     # a sample fails only if its squared distance exceeds lim
     for x, y in ap:
@@ -754,8 +770,10 @@ def verify_certificate(cert: Certificate, phi: PathOracle, psi: PathOracle) -> N
 
     For every level m >= 1 the first image over I_m must stay within
     2^-(m-1) of the second image over J_{m-1}, and the second image over
-    J_m within 2^-m of the first over I_m.  Sampled distances may exceed
-    the radius by the discretization allowance 6 * 2^-n_v only.
+    J_m within 2^-m of the first over I_m.  The samples are checked
+    against the radius less their own error, so a pass proves each
+    radius (`_check_neighborhood`); EffortExhausted where a record's
+    intervals need more samples than the budget allows.
     """
     f = extend(phi, Side.LOWER)
     g = extend(psi, Side.UPPER)

@@ -19,14 +19,14 @@ from fractions import Fraction
 import pytest
 
 import curvemeet.refine as refine_module
-from curvemeet import NotSeparated, PolylinePath, crossing_count, make_track
+from curvemeet import NotSeparated, PolylinePath, TablePath, crossing_count, make_track
 from curvemeet._fastgeom import (
     BoxLevels,
     min_sqdist_exceeds,
     seg_point_sqdist,
     seg_seg_sqdist,
 )
-from curvemeet.errors import InvariantViolation
+from curvemeet.errors import EffortExhausted, InvariantViolation
 from curvemeet.exact_geom import Point, interval, pow2
 from curvemeet.segments import (
     SegKind,
@@ -312,8 +312,9 @@ def test_bounded_point_queries_return_the_smaller_value(size: int) -> None:
 @pytest.mark.parametrize("level", [1, 3])
 def test_check_neighborhood_fails_only_beyond_the_radius(level: int) -> None:
     # two level lines; within the sample budget the sampling precision
-    # is level + 5, so the allowed distance is 2^-level + 6 * 2^-(level+5)
-    allowed = pow2(-level) + 6 * pow2(-(level + 5))
+    # is level + 5, so the allowed distance is the radius less both
+    # polylines' error, 2^-level - 2.5 * 2^-(level+5)
+    allowed = pow2(-level) - F(5, 2) * pow2(-(level + 5))
     flat = PolylinePath([(0, (0, 0)), (1, (1, 0))])
     unit = interval(0, 1)
 
@@ -321,10 +322,21 @@ def test_check_neighborhood_fails_only_beyond_the_radius(level: int) -> None:
         other = PolylinePath([(0, (0, gap)), (1, (1, gap))])
         refine_module._check_neighborhood(flat, unit, other, unit, level)
 
-    check(allowed)  # exactly at the radius: passes
+    check(allowed)  # exactly at the allowance: passes
     check(allowed - F(1, 2**20))
     with pytest.raises(InvariantViolation):
         check(allowed + F(1, 2**20))
+
+
+def test_check_neighborhood_needs_two_bits_below_the_radius() -> None:
+    # a modulus so steep that only precision level + 1 fits the sample
+    # budget: the allowance there, 2^-level - 2.5 * 2^-(level+1), is
+    # negative, so the check gives up instead of passing or failing
+    flat = TablePath([(0, (0, 0)), (1, (1, 0))], modulus_fn=lambda n: 4 * n)
+    unit = interval(0, 1)
+    refine_module._check_neighborhood(flat, unit, flat, unit, 0)  # n_v = 2
+    with pytest.raises(EffortExhausted):
+        refine_module._check_neighborhood(flat, unit, flat, unit, 1)
 
 
 def test_box_levels_leaf_runs_share_one_point() -> None:

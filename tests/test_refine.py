@@ -309,6 +309,36 @@ def test_posterior_verification_catches_tampering() -> None:
         verify_certificate(fake, PHI, PSI)
 
 
+def _ledge(height: Fraction, side: Side) -> PolylinePath:
+    """A corner-to-corner polyline that runs level at height over the
+    parameters [1/4, 3/4], from x = 1/4 to 3/4."""
+    start, end = ((0, 0), (1, 1)) if side is Side.LOWER else ((0, 1), (1, 0))
+    mid = [(F(1, 4), (F(1, 4), height)), (F(3, 4), (F(3, 4), height))]
+    return PolylinePath([(0, start), *mid, (1, end)])
+
+
+@pytest.mark.parametrize("gap", [F(11, 20), F(1, 2) - F(5, 2**7)])
+def test_verification_proves_the_radius_each_record_claims(gap) -> None:
+    # record 1 claims that the two ledges over [1/4, 3/4], gap apart,
+    # lie within 2^-1 of each other.  At 1.1 * 2^-1 the claim is false,
+    # though within 2^-1 + 6 * 2^-6, the sampling error of the paper's
+    # tracks, so only a check at the radius less the samples' own error,
+    # 2^-1 - 2.5 * 2^-6, refuses it; at that allowance the claim holds
+    phi, psi = _ledge(F(0), Side.LOWER), _ledge(gap, Side.UPPER)
+    ledge = interval(F(1, 4), F(3, 4))
+    cert = Certificate(
+        (RefinementRecord(0, FULL, FULL), RefinementRecord(1, ledge, ledge)),
+        ledge,
+        ledge,
+    )
+    if gap > F(1, 2):
+        assert gap < F(1, 2) + 6 * F(1, 2**6)
+        with pytest.raises(InvariantViolation, match="radius 2\\^-1 fails"):
+            verify_certificate(cert, phi, psi)
+    else:
+        verify_certificate(cert, phi, psi)
+
+
 def test_certificate_rejects_malformed_chains() -> None:
     with pytest.raises(ValueError):
         Certificate((), UNIT, UNIT)
