@@ -168,6 +168,28 @@ def shrink_first(
     raise InvariantViolation("no low-distance run carries an odd crossing count")
 
 
+# The shrink step's error terms, in units of u = 2^-(n+10) for a step at
+# precision n: a value read at precision p lies within 2^-p of the curve,
+# and `_shrink_decisions` derives each rule from these terms.
+_FINE = 9  # g's fine polyline is `_turn_points(g, ., n + _FINE)`
+_DECISION_ERR = 2  # a decision value of f, read at n+9
+_FINE_ERR = Fraction(2) ** (8 - _FINE)  # a fine vertex, read at n+_FINE+2
+_FINE_DEV = Fraction(5, 4) * 2 ** (10 - _FINE)  # the fine polyline from g
+_COARSE_ERR = Fraction(1, 2)  # a value of coarse g, read at n+11
+_G_DRIFT = 64  # g over a block of coarse g, by the modulus at n+4
+_F_DRIFT = 512 + 2 * _DECISION_ERR  # a decision value over a coarse f block
+_STEP = 64  # f over a step of the decision grid, by the modulus at n+4
+_CHECK_DEV = 160  # a parity check's polylines at n+3 from their curves
+# a fine point of a coarse g block from the values at the block's ends
+_DEV = math.ceil(_G_DRIFT + _FINE_ERR + _COARSE_ERR)
+# a coarse g value within (r - _SETTLE)u of a value settles it low
+_SETTLE = math.ceil(_FINE_ERR + _COARSE_ERR)
+_NEAR = 513 + _DEV  # the second descent's reach
+_FAR = _NEAR + _F_DRIFT  # the first descent's reach
+# a crossing's g block from a low value of its run (stretch(a, b))
+_STRETCH = math.ceil(2 * _CHECK_DEV + _STEP + _DECISION_ERR + _G_DRIFT + _COARSE_ERR)
+
+
 def _shrink_decisions(
     f: PathOracle, g: PathOracle, i: Interval, j: Interval, n: int
 ) -> tuple[int, list[int], list[tuple[int, int]], Callable[[int, int], Interval]]:
@@ -324,7 +346,7 @@ def _shrink_decisions(
     parameter, so it meets P in exactly the points that Q does, under t
     as without: the check counts exactly the crossings over all of j.
     """
-    f_md, g_md = f.modulus(n + 4), g.modulus(n + 9)
+    f_md, g_md = f.modulus(n + 4), g.modulus(n + _FINE)
     _checked_bounds(g, j, g_md)
     e, k0, k1 = _checked_bounds(f, i, f_md)
     sden, snums = _grid_params(i.lo, i.hi, e, range(k0, k1 + 1))
@@ -337,7 +359,7 @@ def _shrink_decisions(
     cf_den, cfv = _values_of(f, i, n + 9, coarse_f)[2:]
     csden, csnums, c_den, cv = _values_of(g, j, n + 11, coarse_g)
     cf, cg, den = pair_over_lcm(cf_den, cfv, c_den, cv)
-    reach = -(-1094 * den >> (n + 10))  # rounded up
+    reach = -(-_FAR * den >> (n + 10))  # rounded up
     cf_levels, cg_levels = BoxLevels(cf), BoxLevels(cg)
     coarse_near = cf_levels.near_leaves(cg_levels, reach * reach)
 
@@ -356,7 +378,7 @@ def _shrink_decisions(
     den *= m
     fv = [z for d, pv in pieces for z in rescale(pv, den // d)]
     ts = [t for a, b in spans for t in range(a, b + 1)]
-    reach = -(-578 * den >> (n + 10))
+    reach = -(-_NEAR * den >> (n + 10))
     fv_levels = BoxLevels(fv) if fv else None
     cg_levels = cg_levels.scaled(m)
     near = fv_levels.near_leaves(cg_levels, reach * reach) if fv else []
@@ -426,7 +448,7 @@ def _ladder_lows(
     def sq(c: int, d: int) -> int:  # (c * u)^2 in units of 1/d^2, rounded up
         return -(-(c * c * d * d) >> shift)
 
-    low = {r: sq(r - 1, den) for r in (512, 513)}
+    low = {r: sq(r - _SETTLE, den) for r in (512, 513)}
     reach = {r: sq(r + devs[0], den) for r in (512, 513)}
     f_boxes, g_boxes, gv = fv_levels.levels[-1], cg_levels.levels[-1], cg_levels.pts
     paired: dict[int, list[tuple[int, int]]] = {}
@@ -481,7 +503,7 @@ def _ladder_lows(
             sden, snums = pieces[q][:2]
             w = Interval(Fraction(snums[a], sden), Fraction(snums[b], sden))
             if md == top:
-                polys.append(_turn_points(g, w, n + 9))
+                polys.append(_turn_points(g, w, n + _FINE))
             else:
                 polys.append(_values_of(g, w, n + 11, grid_pieces(g, w, md, n + 11)))
         new_dl = math.lcm(dl, *(p.vden for p in polys))
@@ -566,11 +588,11 @@ def _straight_decisions(
     """`_shrink_decisions`' runs from the straight runs of f's decision
     grid, each decided whole, or None if f's decision grid or g's fine
     grid has a list piece."""
-    fine_g = grid_pieces(g, j, g.modulus(n + 9), n + 11)
+    fine_g = grid_pieces(g, j, g.modulus(n + _FINE), n + _FINE + 2)
     _, k0, _, f_den, f_pieces = fine_f = grid_pieces(f, i, f.modulus(n + 4), n + 9)
     if not _straight(fine_f, fine_g):
         return None
-    g_den, gv = _turns_of(g, j, n + 11, fine_g)[2:]
+    g_den, gv = _turns_of(g, j, n + _FINE + 2, fine_g)[2:]
     e_den, ends = points_over_lcm([f.eval_approx(t, n + 9) for t in (i.lo, i.hi)])
     den = math.lcm(f_den, e_den, g_den)
     ends, gv, m = rescale(ends, den // e_den), rescale(gv, den // g_den), den // f_den

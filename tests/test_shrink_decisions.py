@@ -154,3 +154,20 @@ def test_refinement_matches_rounded_reference(pair, monkeypatch) -> None:
     monkeypatch.setattr(refine_module, "shrink_first", _reference_shrink_first)
     reference = refine_sequence(phi, psi, 3)
     assert cert == reference
+
+
+def test_reaches_follow_from_the_named_error_terms() -> None:
+    # in units u = 2^-(n+10): a decision is low below r = 512u (an end
+    # not clear below 513u), and its distance error, the decision
+    # value's plus the fine polyline's deviation, stays within 2^-(n+4)
+    # = 64u, so a kept run's ends are clear by 7/16 * 2^-n = 448u
+    r = refine_module
+    assert r._DECISION_ERR + r._FINE_DEV <= 64
+    assert 512 - r._DECISION_ERR - r._FINE_DEV >= 448
+    dev = math.ceil(r._G_DRIFT + r._FINE_ERR + r._COARSE_ERR)
+    assert r._DEV == dev == 65
+    assert r._NEAR == 513 + dev == 578
+    assert r._FAR == 513 + dev + 512 + 2 * r._DECISION_ERR == 1094
+    assert 512 - r._SETTLE == 512 - math.ceil(r._FINE_ERR + r._COARSE_ERR) == 511
+    stretch = 2 * r._CHECK_DEV + r._STEP + r._DECISION_ERR + r._G_DRIFT + r._COARSE_ERR
+    assert r._STRETCH == math.ceil(stretch) == 451 < r._NEAR
