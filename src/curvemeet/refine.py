@@ -9,18 +9,16 @@ decides for each grid value whether it lies within half the target
 radius of the opposing image, and keeps one run of such low values
 whose parity is odd; the decisions come as these runs alone, each
 bounded by its high neighbours.  Each curve is evaluated at the step's
-precisions only near the other.  By the moduli, every walked value is
-within 516 * 2^-(n+10) of the points of a coarse grid of the walked
-curve around it, and every fine point of the opposing polyline within
-2^-(n+4) + 2^-(n+10) of those of a coarse grid at the walked grid's
-spacing.  So dual descents over the box hierarchies, first of the two
-coarse grids at reach 1094 * 2^-(n+10) and then of the walked values
-found at reach 578 * 2^-(n+10), find every stretch of either curve that
-a threshold can see.  The values found are decided on a ladder of the
-opposing curve's grids, from the coarse one to the fine polyline: a
-value near a grid value is low at once, and each finer grid is
-evaluated only on the blocks that a value still open can need, as the
-moduli bound each block's fine points around its two ends (after
+precisions only near the other.  Every reach and margin of the step is
+computed from a few error terms named in one place (`_FINE` to
+`_STRETCH`): by the moduli, dual descents over the box hierarchies,
+first of a coarse grid of each curve and then of the walked values
+found, find every stretch of either curve that a threshold can see.  A
+value found is low at once if a coarse value of the opposing curve is
+near enough; the rest are decided against the opposing curve's fine
+polyline, its turn points at the step's precision plus `_FINE`,
+evaluated only on the coarse blocks that a value still open can need,
+as the moduli bound each block's fine points around its two ends (after
 Johnson and Cohen's coarse-to-fine distance bounds).  The runs are read
 off the values tested, and each run's parity check counts only the
 stretch of the opposing curve near the run (`_shrink_decisions`).
@@ -36,7 +34,6 @@ straight run.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -169,9 +166,9 @@ def shrink_first(
 
 
 # The shrink step's error terms, in units of u = 2^-(n+10) for a step at
-# precision n: a value read at precision p lies within 2^-p of the curve,
-# and `_shrink_decisions` derives each rule from these terms.
-_FINE = 9  # g's fine polyline is `_turn_points(g, ., n + _FINE)`
+# precision n; a value read at precision p lies within 2^-p of the curve.
+# `_shrink_decisions` and `_two_grid_lows` derive each rule from them.
+_FINE = 5  # g's fine polyline is `_turn_points(g, ., n + _FINE)`
 _DECISION_ERR = 2  # a decision value of f, read at n+9
 _FINE_ERR = Fraction(2) ** (8 - _FINE)  # a fine vertex, read at n+_FINE+2
 _FINE_DEV = Fraction(5, 4) * 2 ** (10 - _FINE)  # the fine polyline from g
@@ -200,20 +197,25 @@ def _shrink_decisions(
     run needs.  PreconditionViolated if an endpoint value is not clear
     of g's image over j.
 
-    The grid is `dyadic_grid(i.lo, i.hi, f.modulus(n + 4))`, so
-    consecutive values move by less than 2^-n/16.  Each value, at
-    precision n+9, is decided against its exact squared distance q to
-    the fine polyline of g: `_turn_points(g, j, n + 9)`, g's values at
-    precision n+11 every 2^-(g.modulus(n + 9) + 1).  The distance error
-    budget, evaluation 2^-(n+9) plus polyline deviation 5*2^-(n+9), is
-    under 2^-n/16.  With the rounded rule lo =
-    isqrt(floor(q*4^(n+10)))/2^(n+10) against half = 2^-n/2 =
-    2^9/2^(n+10):
+    Below, u = 2^-(n+10), the unit of the error terms named above.  The
+    grid is `dyadic_grid(i.lo, i.hi, f.modulus(n + 4))`, so consecutive
+    values move by less than _STEP = 2^-n/16.  Each value, read at n+9
+    (_DECISION_ERR), is decided against its exact squared distance q to
+    g's fine polyline, `_turn_points(g, j, n + _FINE)`: g's values read
+    at n+7 (_FINE_ERR) on the grid of g.modulus(n + 5), which lies
+    within _FINE_DEV = 1.25 * 2^-(n+5) of g at every parameter (the
+    bound of `parity`'s module docstring).  So the distance error is at
+    most _DECISION_ERR + _FINE_DEV = 42u, within 2^-(n+4) = 64u, and a
+    kept run's ends, measured at least 2^-n/2 = 512u from g, are clear
+    by 470u > 7/16 * 2^-n, as the parity check at n+3 needs.  With the
+    rounded rule lo = isqrt(floor(q*4^(n+10)))/2^(n+10) against half =
+    2^-n/2 = 512u:
       lo <  half  iff  q < 4^-(n+1)           (low value)
       lo <= half  iff  q < 513^2 * 4^-(n+10)  (endpoint not clear)
     so the classification equals the rounded one without forming lo.
+    For a value x let r = 512, or 513 if x is an end value: x is low,
+    or an end not clear, iff the fine polyline comes closer than ru.
     The budgets of both grids are checked before anything is evaluated.
-    Below, u = 2^-(n+10).
 
     Where both curves are straight, each run of f's decision grid is
     decided whole (the straight route).  It is taken when coarse g and
@@ -228,123 +230,66 @@ def _shrink_decisions(
     segment s of the fine polyline is convex in k: the distance to a
     convex set is convex, so is its composition with an affine map, and
     so is its square.  So the indices with q < 4^-(n+1) form one
-    interval (`_low_span`: the run if both ends are low; else a low end
-    or, if any index is low, an integer next to the real minimiser of q,
-    which lies where the line A + kB meets the line of s or at the foot
-    of an end of s; from there each bound is bisected, every test
-    exact).  A value is low iff such an interval holds it, and such an s
-    lies within 2^-(n+1) = 512u of the run's segment, and so does its
-    box.  One dual descent over the polyline through the runs' ends and
-    the fine polyline pairs the leaf of each run's segment with the
-    leaves of all such s, and each s there whose box is in reach is
-    tried, until one holds the whole run.  The runs are the maximal runs
-    of the union of these intervals; the window ends, on no run, are
-    tested against the whole fine polyline by the rule for ends.  So
-    every answer is the full form's.  stretch(a, b) is j itself, so the
-    check counts every crossing; g's polyline there (`_turn_points`)
-    keeps only the two ends of each straight run.
+    interval (`_low_span`).  A value is low iff such an interval holds
+    it, and such an s lies within 2^-(n+1) = 512u of the run's segment,
+    and so does its box.  One dual descent over the polyline through
+    the runs' ends and the fine polyline pairs the leaf of each run's
+    segment with the leaves of all such s, and each s there whose box is
+    in reach is tried, until one holds the whole run.  The runs are the
+    maximal runs of the union of these intervals; the window ends, on no
+    run, are tested against the whole fine polyline by the rule for
+    ends.  So every answer is the full form's.  stretch(a, b) is j
+    itself; g's polyline there keeps only the ends of each straight run.
 
     On the coarse route, only values near the other curve are
-    evaluated at these precisions, indexed and tested.  Coarse g is g at
-    precision n+11 on `dyadic_grid(j.lo, j.hi, md)` with md =
-    min(g.modulus(n + 4), g.modulus(n + 9)): a subset of the fine grid,
-    since the fine grid is the multiples of a smaller or equal power of
-    two, so each block between coarse neighbours is a run of fine steps,
-    for any modulus.  A block spans less than 2^-md, so by the modulus
-    at n+4 or at n+9, whichever gave md, the exact values in it are
-    within 2^-(n+4) = 64u of those at its ends.  With both evaluation
-    errors, u/2 each, every fine vertex of the block, and so every point
-    of its fine segments, is within 65u of both coarse end values.
-    Coarse f is f at precision n+9 on the grid of min(f.modulus(n + 1),
-    f.modulus(n + 4)), in the same way a subset of the decision grid, so
-    its values are decision values, and every decision value in a block
-    between coarse f neighbours is within 2^-(n+1) + 2 * 2^-(n+9) = 516u
-    of both ends of that block.
+    evaluated at these precisions, indexed and tested.  Coarse g is g
+    read at n+11 (_COARSE_ERR) on `dyadic_grid(j.lo, j.hi, md)` with md
+    = min(g.modulus(n + 4), g.modulus(n + _FINE)): a subset of the fine
+    grid, since that grid is the multiples of a smaller or equal power
+    of two, so each block between coarse neighbours is a run of fine
+    steps, for any modulus.  A block spans less than 2^-md, so g moves
+    over it by less than _G_DRIFT = 2^-(n+4), and every point of the
+    fine polyline on it lies within _DEV = _G_DRIFT + _FINE_ERR +
+    _COARSE_ERR (rounded up) of both values read at its ends.  No step
+    assumes that two reads of one parameter agree.  Coarse f is f at
+    n+9 on the grid of min(f.modulus(n + 1), f.modulus(n + 4)), in the
+    same way a subset of the decision grid, so every decision value in
+    a block between coarse f neighbours is within _F_DRIFT = 2^-(n+1) +
+    2 * _DECISION_ERR of both ends of that block.
 
     So if a decision value x is within 513u of the fine polyline, at a
     point of some coarse g block, both ends of that block are within
-    578u of x, and within 1094u of both ends of x's coarse f block.  A
-    dual descent (`BoxLevels.near_leaves`) pairs coarse f's leaf boxes
-    with coarse g's at most 1094u apart, and the decision grid is
-    evaluated only on each maximal run of paired coarse f leaves
-    (`BoxLevels.spans`).  A
-    second descent pairs the leaves of the evaluated values with coarse
-    g's at most 578u apart, so a leaf holding x is paired with the
-    coarse leaf holding that block.  Only values in paired leaves are
-    tested; one not tested is at least 513u from the whole fine
-    polyline: high and clear, as in the full form.
-
-    The tested values are decided on a ladder of g's grids on j, at
-    precision n+11 (`_ladder_lows`): coarse g; then, for each L of
-    `_RUNGS` (6 to 8), the grid at min(g.modulus(n + L), ...,
-    g.modulus(n + 9)) where finer than coarse g and coarser than the
-    fine grid; and last the fine grid.  Each grid is the multiples of a
-    power of two no larger than the one before, between j's ends, so
-    each holds the one before and each is part of the fine grid.  A
-    grid at md meets the modulus at n+L for the largest L from 4 to 9
-    with md >= g.modulus(n + L), so, as for coarse g, every fine vertex
-    of a block between its neighbours a and b, and every point of the
-    fine segments there, lies within D = 2^-(n+L) + u = (2^(10-L) + 1)u
-    of both values read at a and b.  No step assumes that two reads of
-    one parameter agree, only that each is within u/2 of the exact
-    value.  For a value x let r = 512, or 513 if x is an end value, so
-    that x is low, or an end not clear, iff the fine polyline comes
-    closer than ru to x.  Two rules serve every rung:
-      - a value of any grid within (r - 1)u of x settles it low: the
-        fine polyline's vertex at that parameter is within u of it;
-      - a fine point closer than ru to x lies in a block whose values at
-        both ends are closer than (r + D)u to x (needed blocks).
-    On coarse g, D is at most 65u, and the 578u of the second descent
-    is 513u + 65u, so x's needed coarse blocks lie in the coarse leaves
-    paired with x's leaf, in those whose boxes lie closer than (513 +
-    D)u to the leaf's box.  A whole f leaf is settled low when one value
-    of its nearest such coarse leaf is within 511u of the four corners
-    of its box, and so of each of its values.  Every other value x is
-    tested against these coarse leaves: low if one holds a value within
-    (r - 1)u of x (a box whose farthest corner is that near holds one),
-    high if no box lies within (r + D)u.  The values left open form one
-    group per f leaf, which keeps the blocks of those coarse leaves
-    whose ends both lie within (r + D)u of the group's bounding box, r
-    its largest: these hold every needed block of each member.  The
-    next grid is evaluated only on the maximal runs of kept blocks, each
-    run between two values of the grid before, and each group keeps the
-    new blocks in its kept ones whose ends both lie within (r + D)u of
-    its box for that grid's D; a group that keeps none is high.  So at
-    every rung the kept blocks of x's group hold every fine point closer
-    than ru to x.  The fine grid's runs are evaluated as `_turn_points`,
-    the fine polyline on each run's parameter range, and each open value
-    is decided by its exact squared distance to these pieces
-    (`BoxLevels.any_within`): x's nearest point within ru, if any, is on
-    a kept block of its group, and each piece is part of the fine
-    polyline.  The runs of one grid share no parameter, so the values
-    read on the fine runs and any reads elsewhere make one fine
-    polyline, and every answer is that of the full form over it.  As
-    every value not tested is high, the runs are the maximal runs of
-    consecutive points among the values found low; the endpoints 0 and
-    k are never low.
+    _NEAR = 513u + _DEV of x, and within _FAR = _NEAR + _F_DRIFT of both
+    ends of x's coarse f block.  A dual descent (`BoxLevels.near_leaves`)
+    pairs coarse f's leaf boxes with coarse g's at most _FAR apart, and
+    the decision grid is evaluated only on each maximal run of paired
+    coarse f leaves (`BoxLevels.spans`).  A second descent pairs the
+    leaves of the evaluated values with coarse g's at most _NEAR apart,
+    so a leaf holding x is paired with the coarse leaf holding that
+    block.  Only values in paired leaves are tested (`_two_grid_lows`);
+    one not tested is at least 513u from the whole fine polyline: high
+    and clear, as in the full form.  So the runs are the maximal runs of
+    consecutive points among the values found low; the endpoints 0 and k
+    are never low.
 
     stretch(a, b) is the hull of the coarse g leaves paired with the
     leaves of the values a+1 to b-1, widened outward to points of g's
-    grid at precision n+3 and clipped to j (`paths._leaf_hull`, as the
-    window sweep near a probe has it).  The parity check counts the
-    crossings of P, f's polyline on [s_a, s_b] at precision n+3, with Q,
-    g's, translated by an infinitesimal t (`function_parity`).  A point
-    of a segment of either, between grid points s < s', lies within
-    1.25 * 2^-(n+3) = 160u of the curve's value at s, as its ends lie
-    within 2^-(n+5) of the curve at s and s', whose exact values are
-    less than 2^-(n+3) apart.  Each crossing lies on a segment of Q,
-    between grid points u_k and u_k+1, that meets P at t = 0 in some
-    point p, on a segment of P from its grid point s.  p is within 160u
-    of f(s); as b - a >= 2, s is less than one decision step from a
-    point among a+1 to b-1, so f(s) is within 64u of it, and its low
-    decision value x within 2u more.  So g(u_k), within 160u of p, is
-    within 160u + 64u + 2u + 160u = 386u of x, and both ends of the
-    coarse block holding u_k within 451u, below the 578u of the second
-    descent: x's leaf is paired with that block's leaf, and u_k, as
+    grid at precision n+3 and clipped to j (`paths._leaf_hull`).  The
+    parity check counts the crossings of P, f's polyline on [s_a, s_b]
+    at precision n+3, with Q, g's, translated by an infinitesimal t
+    (`function_parity`); each lies within _CHECK_DEV = 1.25 * 2^-(n+3)
+    of its curve at every parameter.  Each crossing lies on a segment
+    of Q, between grid points u_k and u_k+1, that meets P at t = 0 in
+    some point p, on a segment of P from its grid point s.  p is within
+    _CHECK_DEV of f(s); as b - a >= 2, s is less than one decision step
+    from a point among a+1 to b-1, so f(s) is within _STEP of it, and
+    its low decision value x within _DECISION_ERR more.  So g(u_k),
+    within _CHECK_DEV of p, is near x, and both ends of the coarse block
+    holding u_k, _G_DRIFT + _COARSE_ERR farther, within _STRETCH = 451u,
+    below _NEAR: x's leaf is paired with that block's leaf, and u_k, as
     u_k+1, lies in the hull, on Q's grid and in j.  Q on stretch(a, b),
     whose ends are points of Q's grid, is Q's part there, parameter by
-    parameter, so it meets P in exactly the points that Q does, under t
-    as without: the check counts exactly the crossings over all of j.
+    parameter, so the check counts exactly the crossings over all of j.
     """
     f_md, g_md = f.modulus(n + 4), g.modulus(n + _FINE)
     _checked_bounds(g, j, g_md)
@@ -390,7 +335,7 @@ def _shrink_decisions(
             leaf_values[fk] = [(ts[p], *fv[p]) for p in range(a, b + 1)]
     lows = []
     if fv:
-        lows = _ladder_lows(
+        lows = _two_grid_lows(
             g, n, k, den, leaf_values, near, fv_levels, cg_levels, csden, csnums
         )
     runs = _low_runs((t, t) for t in lows)
@@ -406,14 +351,7 @@ def _shrink_decisions(
     return sden, snums, runs, stretch
 
 
-# the rungs between coarse g (L = 4) and the fine polyline (L = 9): g's
-# grids at the precisions n + L.  With a rung at n+5 as well, two curved
-# rounds read 6 % more values of g beyond coarse g, in more pieces, and
-# the rungs took about 10 % longer
-_RUNGS = (6, 7, 8)
-
-
-def _ladder_lows(
+def _two_grid_lows(
     g: PathOracle,
     n: int,
     k: int,
@@ -426,17 +364,36 @@ def _ladder_lows(
     csnums: list[int],
 ) -> list[int]:
     """The low decision points among the values (t, x, y) of the paired
-    f leaves, leaf_values[fk], decided on g's grids from coarse g to the
-    fine polyline; PreconditionViolated for an end value, t = 0 or k,
-    that is not clear.  The values and coarse g, cg_levels, are over
-    den, and near pairs the leaves of fv_levels with those of cg_levels
-    (`_shrink_decisions` derives every rule)."""
-    mods = [g.modulus(n + L) for L in range(4, 10)]
-    top = mods[5]
-    mds = [min(mods[0], top)]
-    mds += sorted({md for L in _RUNGS if mds[0] < (md := min(mods[L - 4 :])) < top})
-    devs = [(1 << 10 - max(L for L in range(4, 10) if md >= mods[L - 4])) + 1 for md in mds]
-    mds.append(top)
+    f leaves, leaf_values[fk], decided on coarse g and then on the fine
+    polyline; PreconditionViolated for an end value, t = 0 or k, that is
+    not clear.  The values and coarse g, cg_levels, are over den, and
+    near pairs the leaves of fv_levels with those of cg_levels.
+
+    With u and r as in `_shrink_decisions`, two rules serve:
+      - a coarse g value within (r - _SETTLE)u of x settles it low: the
+        fine polyline's point at its parameter is within _FINE_ERR +
+        _COARSE_ERR of it;
+      - a fine point closer than ru to x lies in a coarse block whose
+        values at both ends are closer than (r + _DEV)u to x (needed
+        blocks).
+    x's needed blocks lie in the coarse leaves paired with x's leaf, in
+    those whose boxes lie closer than (513 + _DEV)u to the leaf's box.
+    A whole f leaf is settled low when one value of its nearest such
+    coarse leaf is within (512 - _SETTLE)u of the four corners of its
+    box, and so of each of its values.  Every other value x is low if
+    one of these leaves holds a value within (r - _SETTLE)u of x (a box
+    whose farthest corner is that near holds one), high if no box lies
+    within (r + _DEV)u.  The values left open form one group per f
+    leaf, which keeps the blocks of those coarse leaves whose ends both
+    lie within (r + _DEV)u of the group's bounding box, r its largest:
+    these hold every needed block of each member, and a group that
+    keeps none is high.  The fine polyline is evaluated on each maximal
+    run of kept blocks, as `_turn_points`, and each open value of a
+    group that keeps blocks is decided by its exact squared distance to
+    these pieces (`BoxLevels.any_within`).  The runs share no parameter
+    and end on points of the fine grid or on j's ends, so each piece is
+    the fine polyline there, and every answer is that of the full form.
+    """
     shift = 2 * n + 20
     lows: list[int] = []
 
@@ -449,14 +406,14 @@ def _ladder_lows(
         return -(-(c * c * d * d) >> shift)
 
     low = {r: sq(r - _SETTLE, den) for r in (512, 513)}
-    reach = {r: sq(r + devs[0], den) for r in (512, 513)}
+    reach = {r: sq(r + _DEV, den) for r in (512, 513)}
     f_boxes, g_boxes, gv = fv_levels.levels[-1], cg_levels.levels[-1], cg_levels.pts
     paired: dict[int, list[tuple[int, int]]] = {}
     for fk, l in near:
         if (gap := _sq_gap(f_boxes[fk], g_boxes[l])) < reach[513]:
             paired.setdefault(fk, []).append((gap, l))
     seen: set[int] = set()
-    groups = []
+    open_values, kept = [], []
     for fk, values in leaf_values.items():
         values = [v for v in values if v[0] not in seen]
         seen.update(t for t, _, _ in values)
@@ -484,51 +441,23 @@ def _ladder_lows(
                 if reached:
                     members.append((t, x, y, r))
         if members:
-            groups.append((members, [(0, a, b) for a, b in cg_levels.spans(ls)]))
-
-    pieces = [(csden, csnums, gv)]
-    dl = den
-    for md, dev in zip(mds[1:], devs):
-        if not groups:
-            return lows
-        kept = []
-        for members, runs in groups:
             _, xs, ys, rs = zip(*members)
             box = min(xs), max(xs), min(ys), max(ys)
-            if keep := _kept_blocks(box, runs, pieces, sq(max(rs) + dev, dl)):
-                kept.append((members, keep))
-        merged = _merged(run for _, keep in kept for run in keep)
-        polys = []
-        for q, a, b in merged:
-            sden, snums = pieces[q][:2]
-            w = Interval(Fraction(snums[a], sden), Fraction(snums[b], sden))
-            if md == top:
-                polys.append(_turn_points(g, w, n + _FINE))
-            else:
-                polys.append(_values_of(g, w, n + 11, grid_pieces(g, w, md, n + 11)))
-        new_dl = math.lcm(dl, *(p.vden for p in polys))
-        scale, dl = new_dl // dl, new_dl
-        new_pieces = [(p.sden, p.snums, rescale(p.verts, dl // p.vden)) for p in polys]
-        starts = [(q, a) for q, a, _ in merged]
-        groups = []
-        for members, keep in kept:
-            runs = []
-            for q, a, b in keep:
-                c = bisect_right(starts, (q, a)) - 1
-                sden, snums = pieces[q][:2]
-                nsden, nsnums = new_pieces[c][:2]
-                lo = bisect_right(nsnums, snums[a] * nsden // sden) - 1
-                runs.append((c, lo, bisect_left(nsnums, snums[b] * nsden // sden)))
-            groups.append(([(t, x * scale, y * scale, r) for t, x, y, r in members], runs))
-        pieces = new_pieces
-
+            if keep := _kept_blocks(box, cg_levels.spans(ls), gv, reach[max(rs)]):
+                open_values += members
+                kept += keep
     # every fine point within ru of an open value lies on these pieces,
     # and each piece is part of the fine polyline
-    idxs = [BoxLevels(pts) for _, _, pts in pieces]
-    for members, _ in groups:
-        for t, x, y, r in members:
-            if any(idx.any_within(x, y, r * r * dl * dl, 1 << shift) for idx in idxs):
-                settle(t)
+    polys = []
+    for a, b in _merged(kept):
+        w = Interval(Fraction(csnums[a], csden), Fraction(csnums[b], csden))
+        polys.append(_turn_points(g, w, n + _FINE))
+    dl = math.lcm(den, *(p.vden for p in polys))
+    idxs = [BoxLevels(rescale(p.verts, dl // p.vden)) for p in polys]
+    for t, x, y, r in open_values:
+        x, y, sq_r = x * dl // den, y * dl // den, r * r * dl * dl
+        if any(idx.any_within(x, y, sq_r, 1 << shift) for idx in idxs):
+            settle(t)
     return lows
 
 
@@ -543,37 +472,37 @@ def _gap_far(x: int, y: int, box: tuple) -> tuple[int, int]:
     return xg * xg + yg * yg, xf * xf + yf * yf
 
 
-def _kept_blocks(box: tuple, runs: list, pieces: list, sq_reach: int) -> list:
-    """The maximal runs (q, a, b) of blocks a to b-1 of piece q, within
-    the runs given, whose two ends both lie closer than sqrt(sq_reach)
-    to box."""
+def _kept_blocks(box: tuple, runs: list, pts: list, sq_reach: int) -> list:
+    """The maximal runs (a, b) of blocks a to b-1 of the points pts,
+    within the runs given, whose two ends both lie closer than
+    sqrt(sq_reach) to box."""
     x0, x1, y0, y1 = box
     out = []
-    for q, a, b in runs:
+    for a, b in runs:
         start = None
-        for s, (x, y) in enumerate(pieces[q][2][a : b + 1], a):
+        for s, (x, y) in enumerate(pts[a : b + 1], a):
             xg = x0 - x if x < x0 else (x - x1 if x > x1 else 0)
             yg = y0 - y if y < y0 else (y - y1 if y > y1 else 0)
             if xg * xg + yg * yg < sq_reach:
                 start = s if start is None else start
                 continue
             if start is not None and s - 1 > start:
-                out.append((q, start, s - 1))
+                out.append((start, s - 1))
             start = None
         if start is not None and b > start:
-            out.append((q, start, b))
+            out.append((start, b))
     return out
 
 
-def _merged(runs: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    """The runs (q, a, b) of blocks of piece q, sorted, with overlapping
-    or touching runs of one piece merged."""
-    out: list[tuple[int, int, int]] = []
-    for q, a, b in sorted(runs):
-        if out and out[-1][0] == q and out[-1][2] >= a:
-            out[-1] = (q, out[-1][1], max(out[-1][2], b))
+def _merged(runs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The runs (a, b) of blocks, sorted, with overlapping or touching
+    runs merged."""
+    out: list[tuple[int, int]] = []
+    for a, b in sorted(runs):
+        if out and out[-1][1] >= a:
+            out[-1] = (out[-1][0], max(out[-1][1], b))
         else:
-            out.append((q, a, b))
+            out.append((a, b))
     return out
 
 

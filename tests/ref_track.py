@@ -221,7 +221,7 @@ def ref_shrink_low(f, g, i, j, n):
     are low, each value tested against one index over g's whole fine
     polyline on j; PreconditionViolated if an endpoint value is not
     clear."""
-    g_den, gv = _turn_points(g, j, n + 9)[2:]
+    g_den, gv = _turn_points(g, j, n + 5)[2:]
     sden, snums, f_den, fv = grid_values(f, i.lo, i.hi, f.modulus(n + 4), n + 9)
     fv, gv, den = pair_over_lcm(f_den, fv, g_den, gv)
     idx = BoxLevels(gv)

@@ -2,8 +2,8 @@
 
 `refine._shrink_decisions` evaluates f's grid only where coarse passes
 bounded by the moduli find the two curves near each other, decides its
-values there on g's grids from coarse to fine, each finer one evaluated
-only where a value is still open, and each run's parity check counts g
+values there on coarse g and then on g's fine polyline, evaluated only
+where a value is still open, and each run's parity check counts g
 only on the run's stretch of j (all of j on the straight route).  These
 tests hold it to the classification over all of j (`ref_shrink_low`),
 on fixed cases and on random polylines and Beziers: equal runs of low
@@ -53,8 +53,9 @@ from test_turn_points import (
 )
 
 # the zigzag's samples under a modulus that is not monotone: for n = 2
-# mod 3, g.modulus(n + 4) exceeds g.modulus(n + 9), so the coarse grid
-# is the fine one; for n = 0 mod 3 the fine grid is over the budget
+# mod 3, g.modulus(n + 4) exceeds g.modulus(n + 5), so the coarse grid
+# is the fine one; for n = 7 the fine grid is over the budget on the
+# wider windows
 WOBBLE = TablePath(
     [(s, (p.x, p.y)) for s, p in ZIGZAG.entries],
     modulus_fn=lambda n: n + 8 if n % 3 == 0 else n + 2,
@@ -165,8 +166,9 @@ def test_random_curved_pairs_classify_as_over_all_of_j(
     bezier, other, bezier_is_g, ducks, n, i, j_lo, j_width
 ) -> None:
     # a Bezier on either side sends the step to the coarse route, which
-    # decides its values on g's precision ladder; g's window shrinks with
-    # n, so that the reference's fine polyline over all of j stays small
+    # decides its values on coarse g and g's fine polyline; g's window
+    # shrinks with n, so that the reference's fine polyline over all of
+    # j stays small
     f, g = (other, bezier) if bezier_is_g else (bezier, other)
     f, g = (DuckCurve(h) if duck else h for h, duck in zip((f, g), ducks))
     width = j_width * Fraction(1, 2 ** (n - 1))
@@ -309,10 +311,10 @@ def _raises_before_any_evaluation(f, g) -> None:
 
 
 def test_an_over_budget_fine_grid_raises_before_any_evaluation() -> None:
-    # g's fine grid at precision n + 9 has over 2^40 points, its coarse
+    # g's fine grid at precision n + 5 has over 2^40 points, its coarse
     # one 2^9 + 1
     f = CountingCurve(ANTI, lambda n: n + 1)
-    g = CountingCurve(ZIGZAG, lambda n: n + 2 if n < 8 else 40)
+    g = CountingCurve(ZIGZAG, lambda n: n + 2 if n < 7 else 40)
     _raises_before_any_evaluation(f, g)
 
 
@@ -325,9 +327,9 @@ def test_an_over_budget_decision_grid_raises_before_any_evaluation() -> None:
 
 
 def test_refinement_evaluates_g_finely_only_near_f(monkeypatch) -> None:
-    # over all of j the two rounds evaluate 76 936 fine g points on the
-    # curved pair; only the precision ladder's fine rung reads them here,
-    # on the blocks of g still undecided: 1 383 points in 5 calls
+    # over all of j the two rounds evaluate 4 816 fine g points on the
+    # curved pair at n + 5 (76 936 at n + 9); only the blocks of g still
+    # undecided after coarse g are read here: 792 points in 4 calls
     fine = refine_module._turn_points
     count = 0
 
@@ -342,11 +344,28 @@ def test_refinement_evaluates_g_finely_only_near_f(monkeypatch) -> None:
     assert 0 < count <= 25_000
 
 
+def test_refinement_reads_few_fine_points_at_the_steps_own_error(monkeypatch) -> None:
+    # the fine polyline at n + 5 is read on 792 points in 4 calls; at
+    # n + 9, after a ladder of grids, on 1 383 points in 5 calls
+    fine = refine_module._turn_points
+    count = 0
+
+    def counted(g, j, n):
+        nonlocal count
+        points = fine(g, j, n)
+        count += len(points[3])
+        return points
+
+    monkeypatch.setattr(refine_module, "_turn_points", counted)
+    refine_sequence(*curved_pair(), 2)
+    assert 0 < count <= 1_100
+
+
 def test_refinement_evaluates_f_and_counts_g_only_near_each_other(monkeypatch) -> None:
     # over all of i the two rounds evaluate 17 844 values of f at the
-    # decision precision n+9 on the curved pair, and the parity checks
-    # count 11 636 polyline points over all of j; localized, about 3 600
-    # and 4 500
+    # decision precision n+9 on the curved pair, and the parity checks at
+    # n+3 count 1 467 polyline points over all of j; localized, 3 646
+    # and 581
     # every grid reader of `paths` ends in `_with_ends`, so the coarse
     # and the decision reads of f are both counted there
     decisions, with_ends, base_track = (
@@ -384,9 +403,9 @@ def test_refinement_evaluates_f_and_counts_g_only_near_each_other(monkeypatch) -
 
 def test_refinement_reads_g_at_the_fine_precision_on_a_ladder(monkeypatch) -> None:
     # the values of g that the shrink steps of refine_sequence(curved, 2)
-    # read at precision n+11: coarse g, 4 456 values, and each rung's
-    # blocks near the values still open, 6 473.  The fine polyline near
-    # f, read whole, took 20 228 more, 24 684 in all
+    # read at precision n+11: coarse g alone, 4 456 values.  A ladder of
+    # grids from coarse g to a fine polyline at n + 9 read 6 473 more on
+    # its rungs, and that fine polyline near f, read whole, 20 228 more
     decisions, with_ends = refine_module._shrink_decisions, paths_module._with_ends
     step = []
     count = 0

@@ -157,17 +157,33 @@ def test_refinement_matches_rounded_reference(pair, monkeypatch) -> None:
 
 
 def test_reaches_follow_from_the_named_error_terms() -> None:
-    # in units u = 2^-(n+10): a decision is low below r = 512u (an end
-    # not clear below 513u), and its distance error, the decision
-    # value's plus the fine polyline's deviation, stays within 2^-(n+4)
-    # = 64u, so a kept run's ends are clear by 7/16 * 2^-n = 448u
+    # in units u = 2^-(n+10), a value read at precision n + p is off by
+    # at most 2^(10-p), and a polyline through reads at n + p + 2 on the
+    # grid of the modulus at n + p lies within 1.25 * 2^(10-p) of its
+    # curve; a decision is low below r = 512u (an end not clear below
+    # 513u)
     r = refine_module
-    assert r._DECISION_ERR + r._FINE_DEV <= 64
-    assert 512 - r._DECISION_ERR - r._FINE_DEV >= 448
+
+    def read(p: int) -> Fraction:
+        return F(2) ** (10 - p)
+
+    assert r._DECISION_ERR == read(9) == 2
+    assert r._FINE_ERR == read(r._FINE + 2) == 8
+    assert r._COARSE_ERR == read(11)
+    assert r._FINE_DEV == F(5, 4) * read(r._FINE) == 40
+    assert r._CHECK_DEV == F(5, 4) * read(3) == 160
+    assert r._G_DRIFT == r._STEP == read(4) == 64
+    assert r._F_DRIFT == read(1) + 2 * r._DECISION_ERR == 516
+    # the distance error stays within 2^-(n+4) = 64u, so a kept run's
+    # ends, measured 512u away, are clear by 7/16 * 2^-n = 448u; a fine
+    # polyline one bit coarser would not fit
+    assert r._DECISION_ERR + r._FINE_DEV == 42 <= 64
+    assert 512 - 42 >= 448
+    assert r._DECISION_ERR + F(5, 4) * read(r._FINE - 1) > 64
     dev = math.ceil(r._G_DRIFT + r._FINE_ERR + r._COARSE_ERR)
-    assert r._DEV == dev == 65
-    assert r._NEAR == 513 + dev == 578
-    assert r._FAR == 513 + dev + 512 + 2 * r._DECISION_ERR == 1094
-    assert 512 - r._SETTLE == 512 - math.ceil(r._FINE_ERR + r._COARSE_ERR) == 511
+    assert r._DEV == dev == 73
+    assert r._NEAR == 513 + dev == 586
+    assert r._FAR == 513 + dev + r._F_DRIFT == 1102
+    assert 512 - r._SETTLE == 512 - math.ceil(r._FINE_ERR + r._COARSE_ERR) == 503
     stretch = 2 * r._CHECK_DEV + r._STEP + r._DECISION_ERR + r._G_DRIFT + r._COARSE_ERR
     assert r._STRETCH == math.ceil(stretch) == 451 < r._NEAR

@@ -26,7 +26,13 @@ from hypothesis import strategies as st
 
 import curvemeet.paths as paths_module
 import curvemeet.refine as refine_module
-from curvemeet import PolylinePath, TablePath, diagonal_pair, refine_sequence
+from curvemeet import (
+    PolylinePath,
+    TablePath,
+    diagonal_pair,
+    refine_sequence,
+    verify_certificate,
+)
 from curvemeet.cli import main
 from curvemeet.errors import CurveMeetError, EffortExhausted
 from curvemeet.exact_geom import Interval
@@ -317,6 +323,18 @@ def test_intersect_on_coinciding_arcs_exits_4(tmp_path: Path, capsys) -> None:
     assert main(["intersect", str(spec), "--iterations", "4"]) == 4
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: a track grid of ")
+
+
+def test_a_two_row_table_with_a_steep_modulus_refines() -> None:
+    # the anti-diagonal as a two-row table claiming modulus n + 6: its
+    # fine grid at n + 5 fits the budget, so the straight route decides
+    # every round.  At n + 9 the budget check of that grid, which the
+    # straight route never expands, stopped round 1
+    phi = diagonal_pair()[0]
+    psi = TablePath([(0, (0, 1)), (1, (1, 0))], modulus_offset=6)
+    cert = refine_sequence(phi, psi, 16)
+    assert cert.final.m == 16
+    verify_certificate(cert, phi, psi)
 
 
 def test_a_wobbling_modulus_stops_the_last_round_on_the_next_rounds_grid() -> None:
