@@ -168,6 +168,8 @@ def shrink_first(
 # The shrink step's error terms, in units of u = 2^-(n+10) for a step at
 # precision n; a value read at precision p lies within 2^-p of the curve.
 # `_shrink_decisions` and `_two_grid_lows` derive each rule from them.
+# r: a value is low nearer than _LOW, an end value not clear than _CLEAR
+_LOW, _CLEAR = 512, 513
 _FINE = 5  # g's fine polyline is `_turn_points(g, ., n + _FINE)`
 _DECISION_ERR = 2  # a decision value of f, read at n+9
 _FINE_ERR = Fraction(2) ** (8 - _FINE)  # a fine vertex, read at n+_FINE+2
@@ -181,7 +183,7 @@ _CHECK_DEV = 160  # a parity check's polylines at n+3 from their curves
 _DEV = math.ceil(_G_DRIFT + _FINE_ERR + _COARSE_ERR)
 # a coarse g value within (r - _SETTLE)u of a value settles it low
 _SETTLE = math.ceil(_FINE_ERR + _COARSE_ERR)
-_NEAR = 513 + _DEV  # the second descent's reach
+_NEAR = _CLEAR + _DEV  # the second descent's reach
 _FAR = _NEAR + _F_DRIFT  # the first descent's reach
 # a crossing's g block from a low value of its run (stretch(a, b))
 _STRETCH = math.ceil(2 * _CHECK_DEV + _STEP + _DECISION_ERR + _G_DRIFT + _COARSE_ERR)
@@ -213,8 +215,9 @@ def _shrink_decisions(
       lo <  half  iff  q < 4^-(n+1)           (low value)
       lo <= half  iff  q < 513^2 * 4^-(n+10)  (endpoint not clear)
     so the classification equals the rounded one without forming lo.
-    For a value x let r = 512, or 513 if x is an end value: x is low,
-    or an end not clear, iff the fine polyline comes closer than ru.
+    For a value x let r = _LOW = 512, or _CLEAR = 513 if x is an end
+    value: x is low, or an end not clear, iff the fine polyline comes
+    closer than ru.
     The budgets of both grids are checked before anything is evaluated.
 
     Where both curves are straight, each run of f's decision grid is
@@ -259,8 +262,8 @@ def _shrink_decisions(
 
     So if a decision value x is within 513u of the fine polyline, at a
     point of some coarse g block, both ends of that block are within
-    _NEAR = 513u + _DEV of x, and within _FAR = _NEAR + _F_DRIFT of both
-    ends of x's coarse f block.  A dual descent (`BoxLevels.near_leaves`)
+    _NEAR = _CLEAR + _DEV of x, and within _FAR = _NEAR + _F_DRIFT of
+    both ends of x's coarse f block.  A dual descent (`BoxLevels.near_leaves`)
     pairs coarse f's leaf boxes with coarse g's at most _FAR apart, and
     the decision grid is evaluated only on each maximal run of paired
     coarse f leaves (`BoxLevels.spans`).  A second descent pairs the
@@ -405,12 +408,12 @@ def _two_grid_lows(
     def sq(c: int, d: int) -> int:  # (c * u)^2 in units of 1/d^2, rounded up
         return -(-(c * c * d * d) >> shift)
 
-    low = {r: sq(r - _SETTLE, den) for r in (512, 513)}
-    reach = {r: sq(r + _DEV, den) for r in (512, 513)}
+    low = {r: sq(r - _SETTLE, den) for r in (_LOW, _CLEAR)}
+    reach = {r: sq(r + _DEV, den) for r in (_LOW, _CLEAR)}
     f_boxes, g_boxes, gv = fv_levels.levels[-1], cg_levels.levels[-1], cg_levels.pts
     paired: dict[int, list[tuple[int, int]]] = {}
     for fk, l in near:
-        if (gap := _sq_gap(f_boxes[fk], g_boxes[l])) < reach[513]:
+        if (gap := _sq_gap(f_boxes[fk], g_boxes[l])) < reach[_CLEAR]:
             paired.setdefault(fk, []).append((gap, l))
     seen: set[int] = set()
     open_values, kept = [], []
@@ -421,13 +424,13 @@ def _two_grid_lows(
             continue
         ls = [l for _, l in sorted(paired[fk])]  # the nearest first
         a, b = cg_levels.span(ls[0])
-        if any(_gap_far(x, y, f_boxes[fk])[1] < low[512] for x, y in gv[a : b + 1]):
+        if any(_gap_far(x, y, f_boxes[fk])[1] < low[_LOW] for x, y in gv[a : b + 1]):
             for t, _, _ in values:
                 settle(t)
             continue
         members = []
         for t, x, y in values:
-            r, reached = (513 if t in (0, k) else 512), False
+            r, reached = (_CLEAR if t in (0, k) else _LOW), False
             for l in ls:
                 gap, far = _gap_far(x, y, g_boxes[l])
                 reached = reached or gap < reach[r]
@@ -527,7 +530,8 @@ def _straight_decisions(
     ends, gv, m = rescale(ends, den // e_den), rescale(gv, den // g_den), den // f_den
     runs = [(p[0], p[1], *(c * m for c in p[2:])) for p in f_pieces if p[0] <= p[1]]
     g_levels, sq = BoxLevels(gv), den * den
-    if any(g_levels.any_within(x, y, 513 * 513 * sq, 4 ** (n + 10)) for x, y in ends):
+    not_clear = _CLEAR * _CLEAR * sq
+    if any(g_levels.any_within(x, y, not_clear, 4 ** (n + 10)) for x, y in ends):
         raise PreconditionViolated(_NOT_CLEAR)
     # run r is segment 2r of the polyline through the runs' ends, and the
     # g segments within a reach of it lie in the g leaves that a dual

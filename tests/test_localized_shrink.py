@@ -328,8 +328,8 @@ def test_an_over_budget_decision_grid_raises_before_any_evaluation() -> None:
 
 def test_refinement_evaluates_g_finely_only_near_f(monkeypatch) -> None:
     # over all of j the two rounds evaluate 4 816 fine g points on the
-    # curved pair at n + 5 (76 936 at n + 9); only the blocks of g still
-    # undecided after coarse g are read here: 792 points in 4 calls
+    # curved pair; only the blocks of g still undecided after coarse g
+    # are read here: 792 points in 4 calls
     fine = refine_module._turn_points
     count = 0
 
@@ -345,8 +345,8 @@ def test_refinement_evaluates_g_finely_only_near_f(monkeypatch) -> None:
 
 
 def test_refinement_reads_few_fine_points_at_the_steps_own_error(monkeypatch) -> None:
-    # the fine polyline at n + 5 is read on 792 points in 4 calls; at
-    # n + 9, after a ladder of grids, on 1 383 points in 5 calls
+    # the fine polyline at the step's own error, n + 5, is read on 792
+    # points in 4 calls
     fine = refine_module._turn_points
     count = 0
 
@@ -403,9 +403,7 @@ def test_refinement_evaluates_f_and_counts_g_only_near_each_other(monkeypatch) -
 
 def test_refinement_reads_g_at_the_fine_precision_on_a_ladder(monkeypatch) -> None:
     # the values of g that the shrink steps of refine_sequence(curved, 2)
-    # read at precision n+11: coarse g alone, 4 456 values.  A ladder of
-    # grids from coarse g to a fine polyline at n + 9 read 6 473 more on
-    # its rungs, and that fine polyline near f, read whole, 20 228 more
+    # read at precision n+11: coarse g alone, 4 456 values
     decisions, with_ends = refine_module._shrink_decisions, paths_module._with_ends
     step = []
     count = 0

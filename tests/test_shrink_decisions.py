@@ -182,6 +182,7 @@ def test_reaches_follow_from_the_named_error_terms() -> None:
     assert r._DECISION_ERR + F(5, 4) * read(r._FINE - 1) > 64
     dev = math.ceil(r._G_DRIFT + r._FINE_ERR + r._COARSE_ERR)
     assert r._DEV == dev == 73
+    assert (r._LOW, r._CLEAR) == (512, 513)
     assert r._NEAR == 513 + dev == 586
     assert r._FAR == 513 + dev + r._F_DRIFT == 1102
     assert 512 - r._SETTLE == 512 - math.ceil(r._FINE_ERR + r._COARSE_ERR) == 503

@@ -326,10 +326,9 @@ def test_intersect_on_coinciding_arcs_exits_4(tmp_path: Path, capsys) -> None:
 
 
 def test_a_two_row_table_with_a_steep_modulus_refines() -> None:
-    # the anti-diagonal as a two-row table claiming modulus n + 6: its
-    # fine grid at n + 5 fits the budget, so the straight route decides
-    # every round.  At n + 9 the budget check of that grid, which the
-    # straight route never expands, stopped round 1
+    # the anti-diagonal as a two-row table claiming modulus n + 6: the
+    # budget check of g's fine grid runs before the straight route, which
+    # never expands that grid, and at n + 5 it passes in every round
     phi = diagonal_pair()[0]
     psi = TablePath([(0, (0, 1)), (1, (1, 0))], modulus_offset=6)
     cert = refine_sequence(phi, psi, 16)
