@@ -194,6 +194,29 @@ def test_a_parallel_stretch_just_inside_the_threshold_is_all_low(n) -> None:
     assert all(any(a < t < b for a, b in runs) for t in inside)
 
 
+class SinkingCurve(DuckCurve):
+    """A duck-typed curve read at precision p as 2^-p below its twin:
+    every read off by all the error it may carry, the finer the less."""
+
+    def eval_approx(self, t, n):
+        z = super().eval_approx(t, n)
+        return pt(z.x, z.y - Fraction(1, 2**n))
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_a_value_near_coarse_g_is_decided_on_the_fine_polyline(n) -> None:
+    # f runs level 507u above g, u = 2^-(n+10): 507.5u from coarse g,
+    # read at n+11, but 515u from the fine polyline, read at n+7, so
+    # every value is high and both ends are clear.  A coarse value
+    # settles a value low only within the fine vertex's error of 512u
+    u = Fraction(1, 2 ** (n + 10))
+    g = SinkingCurve(PolylinePath([(0, (0, 0)), (1, (1, 0))]))
+    f = PolylinePath([(0, (0, 507 * u)), (1, (1, 507 * u))])
+    unit = interval(0, 1)
+    assert _runs(f, g, unit, unit, n) == _ref_runs(f, g, unit, unit, n)
+    assert _runs(f, g, unit, unit, n)[2] == []
+
+
 @pytest.mark.parametrize("name", sorted(G_ORACLES))
 def test_shrink_steps_equal_those_over_all_of_j(name, monkeypatch) -> None:
     cases = [(*case, n) for case in _cases(name) for n in (2, 4)]
