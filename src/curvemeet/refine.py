@@ -10,7 +10,7 @@ radius of the opposing image, and keeps one run of such low values
 whose parity is odd; the decisions come as these runs alone, each
 bounded by its high neighbours.  Each curve is evaluated at the step's
 precisions only near the other.  Every reach and margin of the step is
-computed from a few error terms named in one place (`_FINE` to
+computed from a few error terms named in one place (`_LOW` to
 `_STRETCH`): by the moduli, dual descents over the box hierarchies,
 first of a coarse grid of each curve and then of the walked values
 found, find every stretch of either curve that a threshold can see.  A
@@ -168,7 +168,8 @@ def shrink_first(
 # The shrink step's error terms, in units of u = 2^-(n+10) for a step at
 # precision n; a value read at precision p lies within 2^-p of the curve.
 # `_shrink_decisions` and `_two_grid_lows` derive each rule from them.
-# r: a value is low nearer than _LOW, an end value not clear than _CLEAR
+# r: a value is low nearer than _LOW, and an end value not clear nearer
+# than _CLEAR
 _LOW, _CLEAR = 512, 513
 _FINE = 5  # g's fine polyline is `_turn_points(g, ., n + _FINE)`
 _DECISION_ERR = 2  # a decision value of f, read at n+9
