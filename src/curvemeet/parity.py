@@ -76,20 +76,13 @@ meaning of perturbations in geometric computing*, DCG 19, 1998): the
 signs are decided exactly in integers and the sweep (`_sweep`) is the
 one that `crossing_count` runs, where no O is 0.
 
-A query without n counts on the last clearance probe, at some
-precision p, or evaluates and sweeps at n only where the curves come
-near each other (`_near_sweep`).  The probe has already evaluated and
-indexed both windows: at n = p its polylines are those counted, and the
-sweep descends its two hierarchies, evaluating and building nothing.
-Otherwise one dual descent over them pairs the leaves at most 2.5 *
-(2^-n + 2^-p) apart, and every crossing at n lies on segments within the
-hulls of the paired leaves.  Both whole windows' grids at n are checked
-against the budget first.  A window without paired leaves evaluates
-nothing at n; otherwise each curve is swept on its hull only, widened
-outward to its grid at n and clipped to its window (`paths._leaf_hull`,
-the rule the shrink step's run checks use too), with the same crossings
-at the same parameters.  No separate far test
-(`_fastgeom.min_sqdist_exceeds`) runs: that descent is one.
+A query without n counts on its last clearance probe, at the precision
+p of that probe (`_last_probe`): the probes go on one bit at a time
+until 2 * 2^-p is below the largest floor so far, so the probe's own
+polylines are those counted, and the sweep descends its two
+hierarchies, evaluating and building nothing (`_near_sweep`).  Only
+where `effort` stops the probes first are both whole windows evaluated
+and swept, at the least n with 2 * 2^-n below the floor.
 """
 
 from __future__ import annotations
@@ -101,7 +94,7 @@ from typing import NamedTuple
 from ._fastgeom import BoxLevels, pair_over_lcm
 from .errors import EffortExhausted, PreconditionViolated
 from .exact_geom import Frozen, Interval, Point, pow2, smallest_n_below, sqrt_enclosure
-from .paths import IntPolyline, PathOracle, _checked_bounds, _leaf_hull, _turn_points
+from .paths import IntPolyline, PathOracle, _turn_points
 
 Crossing = tuple[Fraction, Fraction, Point]
 
@@ -307,49 +300,56 @@ def certify_alpha(
     return enc
 
 
-def _counting_precision(lo: Fraction, p: int) -> int:
-    """The working precision that a clearance floor lo, measured by a
-    probe at precision p, certifies: the least n >= p with 2 * 2^-n <
-    lo, so that where the floor allows no more the probe's polylines are
-    counted (`_near_sweep`)."""
-    return max(p, smallest_n_below(lo / 2))
+def _last_probe(
+    f: PathOracle,
+    g: PathOracle,
+    i: Interval,
+    j: Interval,
+    enc: AlphaEnclosure,
+    effort: int = 64,
+) -> tuple[AlphaEnclosure, int]:
+    """Continue the probes after enc, one bit at a time within effort,
+    while 2 * 2^-p is not below the largest floor lo so far.  Returns
+    the enclosure of the largest floor and the smallest ceiling, which
+    keeps the last probe, and the working precision n = max(p,
+    smallest_n_below(lo / 2)), the least n >= p with 2 * 2^-n < lo.
+
+    Unless effort stops the probes, n = p: the parity is counted on the
+    last probe's own polylines (`_near_sweep`), so each query rests on
+    one probe at one precision (a certificate a checker can recheck
+    alone: McConnell, Mehlhorn, Naeher and Schweitzer, *Certifying
+    algorithms*, Computer Science Review 5(2), 2011).  A further probe
+    runs only at or below the precision the floor so far certifies, so
+    it meets no grid budget that the count there would not.
+    """
+    lo, hi, probe = enc.lo, enc.hi, enc.precision_used
+    while 2 * pow2(-probe) >= lo and probe < effort:
+        probe += 1
+        enc = alpha_enclosure(f, g, i, j, probe)
+        lo, hi = max(lo, enc.lo), min(hi, enc.hi)
+    n = max(probe, smallest_n_below(lo / 2))
+    return AlphaEnclosure(lo, hi, probe, enc._probe), n
 
 
 def working_precision(
     f: PathOracle, g: PathOracle, i: Interval, j: Interval, effort: int = 64
 ) -> tuple[AlphaEnclosure, int]:
-    """The clearance enclosure of `certify_alpha`, tightened, and the
-    working precision n that its floor lo and its last probe's precision
-    certify (`_counting_precision`).
+    """The clearance enclosure of `certify_alpha`, tightened by
+    `_last_probe`, and the working precision n it certifies.
 
-    A barely positive first floor can cost several bits of n, and each
-    bit doubles the two polylines the parity counts at n.  So while the
-    next probe precision stays below n and within effort, and the
-    ceiling still allows a smaller n, one more probe keeps the larger
-    floor and the smaller ceiling.  These probes go on one bit at a time
-    from `certify_alpha`'s last, so a query probes consecutive
-    precisions from min(3, effort), each once.  A probe below n
-    measures between base-point polylines of at most half the vertices
-    of those the parity counts, and it meets no grid budget the parity
-    would not.
+    A barely positive first floor alone would cost several bits of n,
+    and each bit doubles the two polylines counted at n.  The probes go
+    on one bit at a time instead, and the last one's polylines are those
+    counted, so a query probes consecutive precisions from min(3,
+    effort), each once, and counts at its last unless effort stops it.
     With the count this cheap, certification is most of a query:
     `working_precision` took 75 to 82 % of the time of perfbench's
     window queries, each of which counts on its last probe, at
     precision 3 (seeds 4101 to 4103, best of 7 per query, summed, two
     runs on a 2-CPU x86-64 machine under Python 3.11), against 84 to 85
     % with probes padded by 6 * 2^-p, which count at precision 5.
-    The returned enclosure carries the last probe, its precision
-    included, for `_near_sweep`.
     """
-    enc = certify_alpha(f, g, i, j, effort)
-    lo, hi, probe = enc.lo, enc.hi, enc.precision_used
-    n = _counting_precision(lo, probe)
-    while probe + 1 < n and probe < effort and n > smallest_n_below(hi / 2):
-        probe += 1
-        enc = alpha_enclosure(f, g, i, j, probe)
-        lo, hi = max(lo, enc.lo), min(hi, enc.hi)
-        n = _counting_precision(lo, probe)
-    return AlphaEnclosure(lo, hi, probe, enc._probe), n
+    return _last_probe(f, g, i, j, certify_alpha(f, g, i, j, effort), effort)
 
 
 def _base_track(f: PathOracle, i: Interval, n: int) -> IntPolyline:
@@ -370,59 +370,18 @@ def _near_sweep(
     enc: AlphaEnclosure,
 ) -> CrossingReport:
     """The crossings of the base-point polylines of f on i and g on j at
-    precision n (`_sweep` of two `_base_track`s), found
-    where the probe that enc keeps, at precision p, sees the curves meet.
-    At n = p the probe's two polylines are those polylines, on the whole
-    windows, so they are swept on the probe's own hierarchies: nothing
-    is evaluated or built, and their grids have met the budget already.
-    Otherwise both curves' grids at n on their whole windows are checked
-    against the budget before anything is evaluated at n, f's first, so
-    this fails exactly where the whole sweep fails.
-
-    Let x be a point of a segment of f's polyline at n, between grid
-    points s < s' (less than 2^-modulus(n) apart).  Its ends lie within
-    2^-(n+2) of f(s) and of f(s'), which are less than 2^-n apart, so x
-    is within 1.25 * 2^-n of f(s).  The probe's grid has a point t <= s
-    whose next point lies above s, so f(s) is within 2^-p of f(t), and
-    the probe's value at t within 2^-(p+2) of f(t): x is within R =
-    1.25 * (2^-n + 2^-p) of the value at t.  That value lies on the
-    probe's turn-point segment a, from tau_a <= t to tau_a+1 > s (the
-    kept polyline is the full one, parameter by parameter), and so in
-    the box of the leaf holding segment a.  The same holds for g.  A
-    crossing the sweep counts is, at eps = 0, a point x on one segment
-    of each polyline, so these two leaves, one per probe hierarchy, are
-    at most 2R apart, and `near_leaves` at the integer reach ceil(2R *
-    den) pairs them.  With no pair there is no crossing.
-
-    Each curve is swept on the hull of its paired leaves
-    (`paths._leaf_hull`): from the first point of the lowest to the
-    last point of the highest, widened outward to its grid at n and
-    clipped to its window.  The hull holds s, as tau_a <= s < tau_a+1,
-    and so s': s' is the first grid point after s, and the widened end
-    is a grid point at or above tau_a+1, or the window's end.  So every
-    segment carrying a crossing lies in the hulls.  The polyline on a
-    hull, whose ends are grid points, is the full one's part there,
-    parameter by parameter (as for turn points, see the module
-    docstring), so the two hull polylines, the second translated by t,
-    meet in exactly the points, parameter pairs and order that the full
-    ones do: the report is the whole sweep's.  Leaves that hold both
-    ends of a window give the window itself.
+    precision n (`_sweep` of two `_base_track`s).  Where n is the
+    precision of the probe that enc keeps, the probe's two polylines are
+    those polylines, on the whole windows, so they are swept on the
+    probe's own hierarchies: nothing is evaluated or built, and their
+    grids have met the budget already.  Otherwise (effort stopped the
+    probes below n) both whole windows are evaluated and swept at n, as
+    `function_parity` does with n given.
     """
     probe = enc._probe
     if n == probe.p:
         return _sweep(probe.f, probe.g, (probe.f_idx, probe.g_idx, probe.den))
-    _checked_bounds(f, i, f.modulus(n))
-    _checked_bounds(g, j, g.modulus(n))
-    # 2R * den = 5 * den * (2^n + 2^p) / 2^(n+p+1), rounded up
-    reach = -(-5 * probe.den * ((1 << n) + (1 << probe.p)) >> (n + probe.p + 1))
-    near = probe.f_idx.near_leaves(probe.g_idx, reach * reach)
-    if not near:
-        return _report([])
-    f_spans = probe.f_idx.spans(k for k, _ in near)
-    g_spans = probe.g_idx.spans(l for _, l in near)
-    f_hull = _leaf_hull(f, i, n, probe.f.sden, probe.f.snums, f_spans)
-    g_hull = _leaf_hull(g, j, n, probe.g.sden, probe.g.snums, g_spans)
-    return _sweep(_base_track(f, f_hull, n), _base_track(g, g_hull, n))
+    return _sweep(_base_track(f, i, n), _base_track(g, j, n))
 
 
 def function_parity(
@@ -447,11 +406,11 @@ def function_parity(
     path, and t is generic (see the module docstring).  So it is the
     parity of every weakly separated n'-approximation pair with 16 *
     2^-n' < alpha, `track.n_approximation_pair` included.  With n
-    omitted, the last clearance probe's polylines are counted if it ran
-    at n, else only the parts of the windows near its meeting leaves
-    are evaluated and swept (`_near_sweep`); with n given, both whole
-    windows are.  A random jitter of the base points
-    (`track.n_approximation_pair`'s rng) belongs to the paper's route.
+    omitted, the last clearance probe's polylines are counted, unless
+    effort stopped the probes below n (`_near_sweep`); with n given,
+    both whole windows are evaluated and swept.  A random jitter of the
+    base points (`track.n_approximation_pair`'s rng) belongs to the
+    paper's route.
     """
     if n is None:
         enc, n = working_precision(f, g, i, j, effort)

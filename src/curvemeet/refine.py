@@ -56,7 +56,7 @@ from .exact_geom import (
     smallest_n_below,
     sqrt_enclosure,
 )
-from .parity import _counting_precision, _near_sweep, certify_alpha, function_parity
+from .parity import _last_probe, _near_sweep, certify_alpha, function_parity
 from .paths import (
     _EXTENDED_DOMAIN,
     _UNIT_DOMAIN,
@@ -120,14 +120,15 @@ class Certificate(Frozen):
 def _certified_floor(
     f: PathOracle, g: PathOracle, i: Interval, j: Interval, target: Fraction = Fraction(0)
 ) -> Fraction:
-    """A floor above target of the endpoint clearance of (i, j), once
-    the crossing parity there is certified to be 1.  The parity is
-    counted at the precision n that the floor itself certifies (2 *
-    2^-n below it, `parity._counting_precision`), on the enclosure's
-    probe or near it (`_near_sweep`), so no probe runs twice."""
+    """The floor above target of the endpoint clearance of (i, j) that
+    `certify_alpha` returns, once the crossing parity there is certified
+    to be 1.  The probes go on from that floor as a query's do
+    (`parity._last_probe`), and the parity is counted on the last one
+    (`_near_sweep`), so no probe runs twice; the tightened floor only
+    sets where the parity is counted."""
     enc = certify_alpha(f, g, i, j, target=target)
-    n = _counting_precision(enc.lo, enc.precision_used)
-    if _near_sweep(f, g, i, j, n, enc).parity != 1:
+    last, n = _last_probe(f, g, i, j, enc)
+    if _near_sweep(f, g, i, j, n, last).parity != 1:
         raise PreconditionViolated("crossing parity on the input intervals is 0")
     return enc.lo
 

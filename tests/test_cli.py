@@ -529,13 +529,14 @@ def test_parity_far_windows_print_zero(tmp_path: Path, capsys) -> None:
 
 def test_parity_prints_the_working_precision(tmp_path: Path, capsys) -> None:
     # the first positive floor, 1/128 at precision 4, alone would set
-    # n = 9; tightened at 5, the floor certifies n = 6
+    # n = 9; tightened at 5 and 6, the floor certifies n = 6, the last
+    # probe's own precision
     spec = tmp_path / "spec.json"
     spec.write_text(THREE_CROSSING_SPEC, encoding="utf-8")
     assert main(["parity", str(spec), "-I", "5/8", "1", "-J", "0", "1"]) == 0
     assert capsys.readouterr().out == (
         "parity 1\n"
-        "alpha in [15/256, 5/32] (measured at precision 5, working precision 6)\n"
+        "alpha in [21/256, 67/512] (measured at precision 6, working precision 6)\n"
     )
 
 

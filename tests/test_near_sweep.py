@@ -1,20 +1,18 @@
-"""The crossing sweep near the last clearance probe.
+"""The crossing sweep on the last clearance probe.
 
-A window-parity query without n counts on the last probe's own
-polylines where n is the probe's precision, and otherwise sweeps each
-curve only on the hull of the probe's leaves that `near_leaves` pairs
-with the other curve's (`parity._near_sweep`).  These tests hold both
-routes to the
-sweep of both whole windows at the same precision, whole
-`CrossingReport` and all, for any probe precision p: on random windows
-of the builtin pairs and the three-crossing pair, on a duck-typed
-oracle, a table with a non-monotone modulus, a polyline that pauses,
-and probes several bits below n and above it.  They also cap the points
-swept, check that a query at its probe's precision evaluates and builds
-nothing after the probe, that a far window evaluates nothing at n, that
-the grid budget at n fails the same queries as before, that the shrink
-step's precondition check probes each precision once, and that its run
-checks count at n+3.
+A window-parity query without n counts on its last probe's own
+polylines, at the probe's precision, and sweeps both whole windows at n
+only where `effort` stopped the probes below n (`parity._near_sweep`).
+These tests hold it to the sweep of both whole windows at the same
+precision, whole `CrossingReport` and all, for any probe precision p: on
+random windows of the builtin pairs and the three-crossing pair, on a
+duck-typed oracle, a table with a non-monotone modulus and a polyline
+that pauses.  They also check that every default query counts on a probe
+at its own precision and evaluates and builds nothing after it, that an
+effort-capped query counts the whole windows, that a far window
+evaluates nothing at n, that the grid budget at n fails the probe there,
+that the shrink step's precondition check probes each precision once,
+and that its run checks count at n+3.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+import curvemeet
 import curvemeet.parity as parity_module
 import curvemeet.paths as paths_module
 import curvemeet.refine as refine_module
@@ -38,6 +37,7 @@ from curvemeet import (
     extend,
     function_parity,
     interval,
+    pow2,
     refine_sequence,
     shrink_pair,
     working_precision,
@@ -143,19 +143,6 @@ SPIKE = TablePath(
 )
 
 
-def test_every_pair_the_reach_allows_can_carry_a_crossing() -> None:
-    # f is the spike; g is flat at 120/1024.  The probe values, at
-    # precision 5, sit 31/1024 below f and above g, 182/1024 apart:
-    # within the reach 330/1024 at n = 8, beyond half of it, while the
-    # polylines at n cross twice on the spike
-    flat = PolylinePath([(0, (0, F(120, 1024))), (1, (1, F(120, 1024)))])
-    f, g = _offset(SPIKE, F(-31, 1024), 5), _offset(flat, F(31, 1024), 5)
-    i, j = interval("3/8", "5/8"), interval(0, 1)
-    want = whole(f, g, i, j, 8)
-    assert want.count == 2
-    assert near(f, g, i, j, 8, 3) == want
-
-
 @pytest.mark.parametrize("window", WP_WINDOWS, ids=[" ".join(w) for w in WP_WINDOWS])
 def test_parity_queries_sweep_the_whole_report(window) -> None:
     f, g, _c1, _c2, i, j = wp_case(*window)
@@ -229,23 +216,6 @@ def _without_repeats(f, w: Interval, n: int):
     return IntPolyline(sden, [snums[k] for k in keep], vden, [verts[k] for k in keep])
 
 
-def test_probes_several_bits_from_n() -> None:
-    # a coarse probe widens the reach by 2.5 * 2^-p, and the hulls hold
-    # most of each window; a fine one ends them between grid points at
-    # n, from which they are widened
-    f, g = EXT_CURVED
-    for i, j in [
-        (interval(-1, 2), interval(-1, 2)),
-        (interval(0, 1), interval("-1/4", "3/4")),
-        (interval("1/7", "13/9"), interval("-1/3", "5/4")),
-    ]:
-        for n in (4, 7):
-            want = whole(f, g, i, j, n)
-            assert want.count == 1
-            for p in (2, 3, n - 3, n + 3, n + 5):
-                assert near(f, g, i, j, n, p) == want, (i, j, n, p)
-
-
 def _recording_sweeps(monkeypatch) -> list[int]:
     """The points of both polylines of every sweep."""
     swept = []
@@ -258,34 +228,6 @@ def _recording_sweeps(monkeypatch) -> list[int]:
     return swept
 
 
-def _perfbench_windows(workload: str, seed: int):
-    pairs = workloads.make_pairs()
-    return [
-        (interval(*i), interval(*j))
-        for _name, i, j in workloads.make_windows(workload, seed, pairs)
-    ]
-
-
-def test_swept_points_of_the_curved_windows_are_capped(monkeypatch) -> None:
-    # each of these queries counts on its last probe (n = p); from a
-    # probe two bits finer, the hulls one bit above that probe are swept,
-    # and they hold at most a third of the whole windows' points
-    f, g = EXT_CURVED
-    windows = _perfbench_windows("curved", 901)
-    assert len(windows) == 9
-    full, queries = 0, []
-    for i, j in windows:
-        enc, n = working_precision(f, g, i, j)
-        assert n == enc.precision_used
-        queries.append((i, j, n + 3, alpha_enclosure(f, g, i, j, n + 2)))
-        full += len(_base_track(f, i, n + 3).snums)
-        full += len(_base_track(g, j, n + 3).snums)
-    swept = _recording_sweeps(monkeypatch)
-    for query in queries:
-        assert _near_sweep(f, g, *query) == whole(f, g, *query[:3])
-    assert 3 * sum(swept) <= full
-
-
 def _logging(events: list, name: str, fn):
     def logged(*args, **kwargs):
         events.append(name)
@@ -294,14 +236,9 @@ def _logging(events: list, name: str, fn):
     return logged
 
 
-def test_a_query_at_its_probe_precision_evaluates_and_builds_nothing_more(
-    monkeypatch,
-) -> None:
-    # the last probe certifies n at its own precision, so the sweep
-    # descends that probe's two hierarchies: no grid is sized or
-    # evaluated and no hierarchy built once it has measured
-    f, g = EXT_CURVED
-    i, j = interval(0, 1), interval("-1/8", "7/8")
+def _recording_events(monkeypatch) -> list[str]:
+    """Log each probe's start and end, each grid sized or evaluated and
+    each hierarchy built."""
     events: list[str] = []
     enclose = parity_module.alpha_enclosure
 
@@ -318,10 +255,79 @@ def test_a_query_at_its_probe_precision_evaluates_and_builds_nothing_more(
     monkeypatch.setattr(
         BoxLevels, "__init__", _logging(events, "levels", BoxLevels.__init__)
     )
-    assert function_parity(f, g, i, j) == 1
+    return events
+
+
+def _counts_on_its_last_probe(events: list[str]) -> bool:
+    """Whether the last probe sized its grids and built its two
+    hierarchies, and nothing was evaluated or built after it."""
     last = len(events) - events[::-1].index("probe") - 1
-    assert events[-1] == "probed" and events[last:].count("levels") == 2
-    assert "grid" in events[last:]
+    tail = events[last:]
+    return tail[-1] == "probed" and tail.count("levels") == 2 and "grid" in tail
+
+
+# (f, g, i, j); on the last two a floor asks for one bit above its
+# probe, so the query probes once more
+AT_PROBE = {
+    "curved": (*EXT_CURVED, interval(0, 1), interval("-1/8", "7/8")),
+    "three_crossing": (ZIGZAG, ANTI, interval("5/8", 1), interval(0, 1)),
+    "curved_one_bit_up": (*EXT_CURVED, interval(-1, "1/2"), interval("-7/8", 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AT_PROBE))
+def test_a_query_at_its_probe_precision_evaluates_and_builds_nothing_more(
+    name, monkeypatch
+) -> None:
+    # the last probe certifies n at its own precision, so the sweep
+    # descends that probe's two hierarchies: no grid is sized or
+    # evaluated and no hierarchy built once it has measured
+    f, g, i, j = AT_PROBE[name]
+    events = _recording_events(monkeypatch)
+    assert function_parity(f, g, i, j) == 1
+    assert _counts_on_its_last_probe(events)
+
+
+def _default_queries():
+    """The windows of `test_working_precision`, and the perfbench windows
+    of all three workloads at seed 52007, as (f, g, i, j)."""
+    for window in WP_WINDOWS:
+        f, g, _c1, _c2, i, j = wp_case(*window)
+        yield f, g, i, j
+    pairs = workloads.make_pairs()
+    oracles = {name: pair.build(curvemeet) for name, pair in pairs.items()}
+    for workload in ("diagonals", "curved", "windows"):
+        for name, i, j in workloads.make_windows(workload, 52007, pairs):
+            yield (*oracles[name], interval(*i), interval(*j))
+
+
+def test_default_queries_count_on_their_last_probe(monkeypatch) -> None:
+    queries = list(_default_queries())
+    assert len(queries) == len(WP_WINDOWS) + 32
+    events = _recording_events(monkeypatch)
+    for f, g, i, j in queries:
+        enc, n = working_precision(f, g, i, j)
+        assert n == enc.precision_used and 2 * pow2(-n) < enc.lo, (i, j)
+        events.clear()
+        function_parity(f, g, i, j)
+        assert _counts_on_its_last_probe(events), (i, j)
+
+
+# name -> (effort, the last probe's precision, n)
+EFFORT_CAPPED = {"three_crossing": (4, 4, 9), "curved_one_bit_up": (5, 5, 6)}
+
+
+@pytest.mark.parametrize("name", sorted(EFFORT_CAPPED))
+def test_an_effort_capped_query_counts_the_whole_windows(name) -> None:
+    # effort stops the probes at a floor that certifies only n, above
+    # the last probe (1/128 at 4, and 1/16 at 5)
+    f, g, i, j = AT_PROBE[name]
+    effort, p, want_n = EFFORT_CAPPED[name]
+    enc, n = working_precision(f, g, i, j, effort=effort)
+    assert (enc.precision_used, n) == (p, want_n)
+    assert _near_sweep(f, g, i, j, n, enc) == whole(f, g, i, j, n)
+    want = function_parity(f, g, i, j, n=n)
+    assert function_parity(f, g, i, j, effort=effort) == want
 
 
 def test_shrink_parity_checks_size_their_grids_at_n_plus_3(monkeypatch) -> None:
@@ -368,27 +374,42 @@ def test_a_far_window_evaluates_nothing_at_n(monkeypatch) -> None:
     assert function_parity(f, g, i, j) == 0
 
 
-def test_the_whole_grid_budget_at_n_is_checked_first() -> None:
-    # probes up to 6 fit the budget and certify n = 7, whose grid is
-    # 2^48 points; the query must fail as the whole sweep does
+def _recording_probes(monkeypatch) -> list[int]:
+    """The precision of every clearance probe, failed ones included."""
+    probes = []
+    enclose = parity_module.alpha_enclosure
+
+    def recording_enclosure(*args):
+        probes.append(args[-1])
+        return enclose(*args)
+
+    monkeypatch.setattr(parity_module, "alpha_enclosure", recording_enclosure)
+    return probes
+
+
+def test_the_grid_budget_at_n_fails_the_probe_at_n(monkeypatch) -> None:
+    # probes up to 6 fit the budget, and their floor asks for n = 7,
+    # whose grid is 2^48 points: the probe at 7 fails as the whole sweep
+    # at 7 does
     f = TablePath(
         [(0, (0, 0)), (1, (1, 0))],
         modulus_fn=lambda n: n + 1 if n < 7 else n + 40,
     )
     g = PolylinePath([(0, (0, "1/20")), (1, (1, "1/20"))])
     unit = interval(0, 1)
-    enc, n = working_precision(f, g, unit, unit)
-    assert (enc.precision_used, n) == (6, 7)
+    probes = _recording_probes(monkeypatch)
     with pytest.raises(EffortExhausted, match="track grid"):
         function_parity(f, g, unit, unit)
-    # a curve 3/25 away pairs no leaves of the probe at 6 at n = 7, and
-    # the sweep must still fail
+    assert probes == [3, 4, 5, 6, 7]
+    with pytest.raises(EffortExhausted, match="track grid"):
+        whole(f, g, unit, unit, 7)
+    # a sweep at 7 from a probe at 6 evaluates the whole windows at 7,
+    # and so fails too
     far = PolylinePath([(0, (0, "3/25")), (1, (1, "3/25"))])
     with pytest.raises(EffortExhausted, match="track grid"):
         _near_sweep(f, far, unit, unit, 7, alpha_enclosure(f, far, unit, unit, 6))
-    # here the probe at 7 pairs f's leaves on [0, 1/16] only, a hull
-    # whose grid at n = 8 fits the budget while the whole window's,
-    # 2^21 points, does not
+    # here the probes up to 7 ask for n = 8, where the whole window's
+    # grid is 2^21 points
     f = DuckCurve(
         TablePath(
             [(0, (0, "1/2")), (1, (1, "1/2"))],
@@ -396,25 +417,26 @@ def test_the_whole_grid_budget_at_n_is_checked_first() -> None:
         )
     )
     g = PolylinePath([(0, ("1/40", 0)), (1, ("1/40", 1))])
-    enc, n = working_precision(f, g, unit, unit)
-    assert (enc.precision_used, n) == (7, 8)
+    probes.clear()
     with pytest.raises(EffortExhausted, match="track grid"):
         function_parity(f, g, unit, unit)
+    assert probes == [3, 4, 5, 6, 7, 8]
 
 
 def test_explicit_n_sweeps_the_whole_windows(monkeypatch) -> None:
-    # the floor 1/16 at precision 5 certifies n = 6, one bit above the
-    # probe, so the query without n sweeps the hulls at n
-    f, g = EXT_CURVED
-    i, j = interval(-1, "1/2"), interval("-7/8", 1)
+    # the floor 1/16 at precision 5 asks for n = 6, so the query without
+    # n probes on at 6 and sweeps that probe's polylines, which are
+    # those of the whole windows at 6
+    f, g = AT_PROBE["curved_one_bit_up"][:2]
+    i, j = AT_PROBE["curved_one_bit_up"][2:]
     swept = _recording_sweeps(monkeypatch)
     enc, n = working_precision(f, g, i, j)
-    assert (enc.precision_used, n) == (5, 6)
+    assert (enc.precision_used, n) == (6, 6)
     whole_points = len(_base_track(f, i, n).snums)
     whole_points += len(_base_track(g, j, n).snums)
     assert function_parity(f, g, i, j, n=n) == 1
-    function_parity(f, g, i, j)
-    assert swept[0] == whole_points and swept[1] < whole_points
+    assert function_parity(f, g, i, j) == 1
+    assert swept == [whole_points, whole_points]
 
 
 def test_the_enclosure_keeps_its_probe_out_of_eq_and_repr() -> None:
@@ -430,16 +452,9 @@ def test_the_enclosure_keeps_its_probe_out_of_eq_and_repr() -> None:
 def test_the_shrink_precondition_probes_each_precision_once(monkeypatch) -> None:
     f, g = EXT_CURVED
     rec = refine_sequence(*curved_pair(), 3).records[2]
-    probes = []
-    enclose = parity_module.alpha_enclosure
-
-    def recording_enclosure(*args):
-        probes.append(args[-1])
-        return enclose(*args)
-
-    monkeypatch.setattr(parity_module, "alpha_enclosure", recording_enclosure)
+    probes = _recording_probes(monkeypatch)
     out = shrink_pair(f, g, rec.i, rec.j, rec.m + 1)
-    assert probes == list(range(3, 11))
+    assert probes == list(range(3, 12))
     # the same step with the parity counted over both whole windows
     monkeypatch.undo()
     monkeypatch.setattr(

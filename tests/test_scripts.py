@@ -28,6 +28,7 @@ RUNS = [
     ["profile_round.py", "windows", "--seed", "1", "--top", "1"],
     ["profile_round.py", "windows", "--seed", "1", "--top", "1", "--rounds", "2"],
     ["parity_grid.py", "--pair", "diagonals", "--cells", "2"],
+    ["parity_grid.py", "--pair", "curved", "--cells", "3"],
     ["refine_demo.py", "--pair", "diagonals", "--iterations", "2"],
     ["src_lines.py"],
     ["import_cost.py", "--runs", "2"],

@@ -1,7 +1,8 @@
 """The working precision of a window-parity query.
 
 `working_precision` takes the clearance enclosure of `certify_alpha` and
-tightens its floor by probes below the precision it certifies.  The
+tightens its floor by probes one bit higher each, until the floor
+certifies the last probe's own precision or effort stops the probes.  The
 enclosures are checked here against exact clearances: squared distances,
 in `Fraction`s, from each window's endpoint values to the other curve's
 polyline image, computed from the polylines' vertex lists alone and
@@ -181,7 +182,7 @@ def test_parity_is_the_same_from_n_to_the_sixteen_margin(window) -> None:
 
 
 @pytest.mark.parametrize("window", WINDOWS, ids=IDS)
-def test_every_added_probe_is_below_the_precision_it_lowers(
+def test_every_added_probe_is_one_bit_up_while_the_floor_asks_for_more(
     window, monkeypatch
 ) -> None:
     f, g, _c1, _c2, i, j = _case(*window)
@@ -207,17 +208,17 @@ def test_every_added_probe_is_below_the_precision_it_lowers(
     )
     lo, hi, probe = first.lo, first.hi, first.precision_used
     for e in added:
-        # one bit up, below n, and only while the ceiling allows a lower n
-        assert e.precision_used == probe + 1 < _working(lo, probe)
-        assert smallest_n_below(hi / 2) < _working(lo, probe)
+        # one bit up, and only while the floor so far asks for more
+        assert e.precision_used == probe + 1 <= _working(lo, probe)
         lo, hi, probe = max(lo, e.lo), min(hi, e.hi), e.precision_used
     assert (enc.lo, enc.hi, enc.precision_used) == (lo, hi, probe)
-    assert n == _working(lo, probe)
+    # the last probe's floor certifies its own precision
+    assert n == probe == _working(lo, probe)
 
 
 def test_probes_stay_within_effort(monkeypatch) -> None:
-    # unbounded, the floor 1/128 at precision 4 is tightened by a probe
-    # at 5; effort 4 stops there and keeps n = 9
+    # unbounded, the floor 1/128 at precision 4 is tightened by probes
+    # at 5 and 6; effort 4 stops there and keeps n = 9
     f, g, _c1, _c2, i, j = _case("three_crossing", "5/8", "1", "0", "1")
     probes = []
     enclose = parity_module.alpha_enclosure
@@ -227,35 +228,44 @@ def test_probes_stay_within_effort(monkeypatch) -> None:
         return enclose(*args)
 
     monkeypatch.setattr(parity_module, "alpha_enclosure", recording_enclosure)
-    assert working_precision(f, g, i, j)[0].precision_used == 5
+    assert working_precision(f, g, i, j)[0].precision_used == 6
+    assert max(probes) == 6
     probes.clear()
     enc, n = working_precision(f, g, i, j, effort=4)
     assert max(probes) == enc.precision_used == 4
     assert 2 * pow2(-n) < enc.lo and n == 9
 
 
-def test_no_probe_once_the_ceiling_allows_no_lower_precision(monkeypatch) -> None:
-    # [1/127, 1/126] at precision 5 certifies n = 8, and no floor under
-    # the ceiling 1/126 certifies less, so no probe can pay off
+def test_probes_go_on_until_the_floor_certifies_their_precision(monkeypatch) -> None:
+    # [1/127, 1/126] at precision 5 asks for n = 8; probes that raise no
+    # floor go on at 6, 7 and 8, where 2 * 2^-8 < 1/127, and keep the
+    # floor, the ceiling and the last probe
     f, g, _c1, _c2, i, j = _case("three_crossing", "5/8", "1", "0", "1")
     tight = parity_module.AlphaEnclosure(F(1, 127), F(1, 126), 5)
+    probes = []
+    enclose = parity_module.alpha_enclosure
 
-    def no_probe(*args):
-        raise AssertionError("probed although n cannot fall")
+    def no_floor(*args):
+        probes.append(enclose(*args))
+        return parity_module.AlphaEnclosure(F(0), F(1), args[-1], probes[-1]._probe)
 
     monkeypatch.setattr(parity_module, "certify_alpha", lambda *a, **k: tight)
-    monkeypatch.setattr(parity_module, "alpha_enclosure", no_probe)
-    assert working_precision(f, g, i, j) == (tight, 8)
+    monkeypatch.setattr(parity_module, "alpha_enclosure", no_floor)
+    enc, n = working_precision(f, g, i, j)
+    assert [e.precision_used for e in probes] == [6, 7, 8]
+    assert (enc, n) == (parity_module.AlphaEnclosure(F(1, 127), F(1, 126), 8), 8)
+    assert enc._probe is probes[-1]._probe
 
 
 def test_barely_positive_first_floor_is_tightened() -> None:
     # the probe at precision 4 gives the floor 1/128, which alone sets
-    # n = 9; the probe at 5 gives 15/256 and certifies n = 6
+    # n = 9; the probe at 5 gives 15/256, which asks for 6, and the
+    # probe at 6 gives 21/256 and certifies n = 6
     f, g, _c1, _c2, i, j = _case("three_crossing", "5/8", "1", "0", "1")
     first = certify_alpha(f, g, i, j)
     assert _working(first.lo, first.precision_used) == 9
     enc, n = working_precision(f, g, i, j)
-    assert n <= 6 and enc.lo == F(15, 256)
+    assert n == 6 and enc.lo == F(21, 256)
 
 
 def _recording_probes(monkeypatch) -> tuple[list[int], list[int]]:
